@@ -24,14 +24,7 @@ from .errors import (
 )
 from .forms import antisym_form_matrix, coindex, euler_form, form_a_value, index
 from .grassmannian import count_points, euler_char, submodule_classes
-from .laurent import (
-    LaurentPoly,
-    laurent_add,
-    laurent_divexact,
-    laurent_mul,
-    laurent_parse,
-    laurent_render,
-)
+from .laurent import LaurentPoly, laurent_divexact, laurent_parse, laurent_render
 from .modules import (
     Representation,
     direct_sum,

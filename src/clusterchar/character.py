@@ -56,24 +56,16 @@ def combine(a: CCObject, b: CCObject) -> CCObject:
     )
 
 
-_value_cache: dict = {}
-
-
-def clear_cache() -> None:
-    _value_cache.clear()
-
-
 def cc_value(obj: CCObject, primes=None) -> LaurentPoly:
-    """The character value of a formal object, as a Laurent polynomial."""
-    key = None
-    if primes is None:
-        key = (id(obj.module_part.algebra), obj.module_part.fingerprint(),
-               obj.shift_multiplicities)
-        hit = _value_cache.get(key)
-        if hit is not None:
-            return hit
+    """The character value of a formal object, as a Laurent polynomial.
+
+    Values computed with the default primes are cached on the algebra.
+    """
     m = obj.module_part
     a = m.algebra
+    key = ("cc_value", m.fingerprint(), obj.shift_multiplicities)
+    if primes is None and key in a._memo:
+        return a._memo[key]
     n = a.quiver.n
     classes = submodule_classes(m, primes)
     coind_via_copres, coind_via_simples = coindex_routes(m)
@@ -101,8 +93,8 @@ def cc_value(obj: CCObject, primes=None) -> LaurentPoly:
             "definitional exponent form (%s)"
             % (laurent.laurent_render(value), laurent.laurent_render(definitional))
         )
-    if key is not None:
-        _value_cache[key] = value
+    if primes is None:
+        a._memo[key] = value
     return value
 
 

@@ -43,22 +43,8 @@ def _var_names(algebra) -> tuple[str, ...]:
     return tuple("x%s" % v for v in algebra.quiver.vertices)
 
 
-def _render_k0(coeffs, labels, symbol: str = "P") -> str:
-    pieces = []
-    for c, label in zip(coeffs, labels):
-        if c == 0:
-            continue
-        body = "[%s_%s]" % (symbol, label)
-        if abs(c) != 1:
-            body = "%d*%s" % (abs(c), body)
-        pieces.append(("-" if c < 0 else "+", body))
-    if not pieces:
-        return "0"
-    sign0, body0 = pieces[0]
-    out = ("-" if sign0 == "-" else "") + body0
-    for sign, body in pieces[1:]:
-        out += " %s %s" % (sign, body)
-    return out
+def _render_k0(coeffs, labels) -> str:
+    return laurent.render_terms((c, "[P_%s]" % label) for c, label in zip(coeffs, labels))
 
 
 def _parse_shifts(algebra, text: str | None) -> tuple[int, ...]:

@@ -19,6 +19,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .errors import InputError, NonPolynomialCountError, ResourceLimitError
+from .laurent import render_terms
 from .modules import DimVector, Representation
 
 DEFAULT_PRIME_POOL: tuple[int, ...] = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -207,25 +208,10 @@ class CountingPolynomial:
         return acc
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                var = "q" if k == 1 else "q^%d" % k
-                body = var if mag == 1 else "%d*%s" % (mag, var)
-            pieces.append(("-" if c < 0 else "+", body))
-        sign0, body0 = pieces[0]
-        out = ("-" if sign0 == "-" else "") + body0
-        for sign, body in pieces[1:]:
-            out += " %s %s" % (sign, body)
-        return out
+        return render_terms(
+            (self.coeffs[k], "" if k == 0 else "q" if k == 1 else "q^%d" % k)
+            for k in range(len(self.coeffs) - 1, -1, -1)
+        )
 
 
 def _interpolate(points: list[tuple[int, int]]) -> list[Fraction]:

@@ -41,9 +41,6 @@ class LaurentPoly:
     def _zero_exp(self) -> ExponentVector:
         return (0,) * self.var_count
 
-    def as_dict(self) -> dict[ExponentVector, int]:
-        return dict(self.terms)
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         _check_compatible(self, other)
         acc = dict(self.terms)
@@ -129,14 +126,6 @@ def monomial(var_count: int, exps: ExponentVector, coeff: int = 1) -> LaurentPol
     return from_dict(var_count, {tuple(exps): coeff})
 
 
-def laurent_add(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return p + q
-
-
-def laurent_mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return p * q
-
-
 def laurent_divexact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """Exact quotient p/q, or raise ``LaurentDivisionError``.
 
@@ -185,6 +174,26 @@ def default_names(var_count: int) -> tuple[str, ...]:
     return tuple("x%d" % (i + 1) for i in range(var_count))
 
 
+def render_terms(pieces) -> str:
+    """Join ``(coeff, body)`` pairs into ``a - 2*b + 3``.
+
+    A magnitude of 1 is omitted before a body and any other magnitude is
+    written ``mag*body``; an empty body is a constant and prints as its
+    magnitude.  Zero coefficients are skipped, and nothing left is ``0``.
+    """
+    out = ""
+    for c, body in pieces:
+        if c == 0:
+            continue
+        mag = abs(c)
+        text = str(mag) if not body else body if mag == 1 else "%d*%s" % (mag, body)
+        if out:
+            out += (" - " if c < 0 else " + ") + text
+        else:
+            out = "-" + text if c < 0 else text
+    return out or "0"
+
+
 def laurent_render(p: LaurentPoly, names: tuple[str, ...] | None = None) -> str:
     """Canonical text form; ``parse(render(p)) == p``.
 
@@ -194,28 +203,14 @@ def laurent_render(p: LaurentPoly, names: tuple[str, ...] | None = None) -> str:
     names = names if names is not None else default_names(p.var_count)
     if len(names) != p.var_count:
         raise DimensionError("need %d variable names" % p.var_count)
-    if p.is_zero():
-        return "0"
-    pieces = []
-    for exps, c in p.terms:
-        factors = []
-        for name, a in zip(names, exps):
-            if a == 0:
-                continue
-            factors.append(name if a == 1 else "%s^%d" % (name, a))
-        mag = abs(c)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(mag)] + factors)
-        pieces.append(("-" if c < 0 else "+", body))
-    sign0, body0 = pieces[0]
-    out = ("-" if sign0 == "-" else "") + body0
-    for sign, body in pieces[1:]:
-        out += " %s %s" % (sign, body)
-    return out
+    return render_terms(
+        (c, "*".join(
+            name if a == 1 else "%s^%d" % (name, a)
+            for name, a in zip(names, exps)
+            if a != 0
+        ))
+        for exps, c in p.terms
+    )
 
 
 _FACTOR_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(-?\d+))?$")

@@ -1,9 +1,10 @@
-"""Exact dense linear algebra over Q and over prime fields F_p.
+"""Exact dense linear algebra over Q.
 
 Dense and small by design: every matrix in this package has a handful of
-rows.  Q entries are Python ints or ``fractions.Fraction`` (never floats);
-F_p entries are reduced representatives in [0, p).  One generic Gaussian
-elimination serves both domains.
+rows.  Entries are Python ints or ``fractions.Fraction`` (never floats);
+a Fraction with denominator 1 is stored as an int.  Point counting over
+F_p does its own modular elimination on the bases it enumerates
+(`grassmannian`), so this module works over Q alone.
 """
 
 from __future__ import annotations
@@ -16,48 +17,23 @@ from .errors import DimensionError
 Scalar = int | Fraction
 
 
-class _RationalDomain:
-    name = "QQ"
-
-    def normalize(self, x: Scalar) -> Scalar:
-        if isinstance(x, Fraction) and x.denominator == 1:
-            return int(x)
-        if isinstance(x, (int, Fraction)):
-            return x
-        raise DimensionError("non-exact scalar %r" % (x,))
-
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.normalize(Fraction(a) / Fraction(b))
-
-    def __repr__(self) -> str:
-        return "QQ"
+def normalize(x: Scalar) -> Scalar:
+    """Canonical exact scalar; rejects floats and other inexact input."""
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return int(x)
+    if isinstance(x, (int, Fraction)):
+        return x
+    raise DimensionError("non-exact scalar %r" % (x,))
 
 
-QQ = _RationalDomain()
-
-
-@dataclass(frozen=True)
-class GF:
-    """The prime field F_p."""
-
-    p: int
-
-    @property
-    def name(self) -> str:
-        return "GF(%d)" % self.p
-
-    def normalize(self, x: int) -> int:
-        return x % self.p
-
-    def div(self, a: int, b: int) -> int:
-        return (a * pow(b, -1, self.p)) % self.p
+def div(a: Scalar, b: Scalar) -> Scalar:
+    return normalize(Fraction(a) / Fraction(b))
 
 
 @dataclass(frozen=True)
 class Matrix:
-    """Row-major dense matrix with a scalar-domain tag."""
+    """Row-major dense matrix over Q."""
 
-    domain: object
     rows: int
     cols: int
     entries: tuple
@@ -75,7 +51,7 @@ class Matrix:
         return "\n".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
 
 
-def matrix(domain, rows_data, rows: int | None = None, cols: int | None = None) -> Matrix:
+def matrix(rows_data, rows: int | None = None, cols: int | None = None) -> Matrix:
     """Build a Matrix from nested sequences, normalizing every entry.
 
     ``rows``/``cols`` are required only when ``rows_data`` is empty in one
@@ -90,34 +66,24 @@ def matrix(domain, rows_data, rows: int | None = None, cols: int | None = None) 
                 raise DimensionError("ragged rows in matrix data")
     else:
         c = 0 if cols is None else cols
-    flat = tuple(domain.normalize(x) for row in data for x in row)
+    flat = tuple(normalize(x) for row in data for x in row)
     if len(flat) != r * c:
         raise DimensionError("matrix data does not fill a %dx%d shape" % (r, c))
-    return Matrix(domain, r, c, flat)
+    return Matrix(r, c, flat)
 
 
-def zeros(domain, rows: int, cols: int) -> Matrix:
-    return Matrix(domain, rows, cols, (domain.normalize(0),) * (rows * cols))
+def zeros(rows: int, cols: int) -> Matrix:
+    return Matrix(rows, cols, (0,) * (rows * cols))
 
 
-def identity(domain, n: int) -> Matrix:
-    ent = tuple(
-        domain.normalize(1 if i == j else 0) for i in range(n) for j in range(n)
-    )
-    return Matrix(domain, n, n, ent)
-
-
-def _check_domains(a: Matrix, b: Matrix) -> None:
-    if a.domain != b.domain:
-        raise DimensionError("domain mismatch: %r vs %r" % (a.domain, b.domain))
+def identity(n: int) -> Matrix:
+    return Matrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    _check_domains(a, b)
     if a.cols != b.rows:
         raise DimensionError("shape mismatch in product: %dx%d by %dx%d"
                              % (a.rows, a.cols, b.rows, b.cols))
-    dom = a.domain
     out = []
     for i in range(a.rows):
         ra = a.row(i)
@@ -125,28 +91,16 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             s = 0
             for k in range(a.cols):
                 s += ra[k] * b.entry(k, j)
-            out.append(dom.normalize(s))
-    return Matrix(dom, a.rows, b.cols, tuple(out))
+            out.append(normalize(s))
+    return Matrix(a.rows, b.cols, tuple(out))
 
 
 def transpose(a: Matrix) -> Matrix:
     ent = tuple(a.entry(i, j) for j in range(a.cols) for i in range(a.rows))
-    return Matrix(a.domain, a.cols, a.rows, ent)
+    return Matrix(a.cols, a.rows, ent)
 
 
-def hstack(a: Matrix, b: Matrix) -> Matrix:
-    _check_domains(a, b)
-    if a.rows != b.rows:
-        raise DimensionError("row counts differ in hstack")
-    ent = tuple(x for i in range(a.rows) for x in (a.row(i) + b.row(i)))
-    return Matrix(a.domain, a.rows, a.cols + b.cols, ent)
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(x == 0 for x in a.entries)
-
-
-def row_reduce(dom, data: list[list], limit_cols: int) -> tuple[list[list], list[int]]:
+def row_reduce(data: list[list], limit_cols: int) -> tuple[list[list], list[int]]:
     """In-place reduced row echelon form; pivots chosen among the first
     ``limit_cols`` columns only (row operations act on full rows)."""
     nrows = len(data)
@@ -157,21 +111,19 @@ def row_reduce(dom, data: list[list], limit_cols: int) -> tuple[list[list], list
         if pr is None:
             continue
         data[r], data[pr] = data[pr], data[r]
-        inv = dom.div(1, data[r][c])
-        data[r] = [dom.normalize(x * inv) for x in data[r]]
+        inv = div(1, data[r][c])
+        data[r] = [normalize(x * inv) for x in data[r]]
         for i in range(nrows):
             if i != r and data[i][c] != 0:
                 f = data[i][c]
-                data[i] = [
-                    dom.normalize(x - f * y) for x, y in zip(data[i], data[r])
-                ]
+                data[i] = [normalize(x - f * y) for x, y in zip(data[i], data[r])]
         pivots.append(c)
         r += 1
     return data, pivots
 
 
 def rank(a: Matrix) -> int:
-    _, pivots = row_reduce(a.domain, a.to_lists(), a.cols)
+    _, pivots = row_reduce(a.to_lists(), a.cols)
     return len(pivots)
 
 
@@ -181,45 +133,31 @@ def kernel_basis(a: Matrix) -> Matrix:
     The basis has the echelon pattern: each vector is 1 on `its' free
     coordinate and 0 on the other free coordinates.
     """
-    dom = a.domain
-    red, pivots = row_reduce(dom, a.to_lists(), a.cols)
+    red, pivots = row_reduce(a.to_lists(), a.cols)
     pivot_set = set(pivots)
     free = [c for c in range(a.cols) if c not in pivot_set]
     cols = []
     for f in free:
-        v = [dom.normalize(0)] * a.cols
-        v[f] = dom.normalize(1)
+        v = [0] * a.cols
+        v[f] = 1
         for k, c in enumerate(pivots):
-            v[c] = dom.normalize(-red[k][f])
+            v[c] = -red[k][f]
         cols.append(v)
     ent = tuple(cols[j][i] for i in range(a.cols) for j in range(len(free)))
-    return Matrix(dom, a.cols, len(free), ent)
+    return Matrix(a.cols, len(free), ent)
 
 
 def solve(a: Matrix, rhs: Matrix) -> Matrix | None:
     """One solution X of a·X = rhs (column-wise), or None if inconsistent."""
-    _check_domains(a, rhs)
     if rhs.rows != a.rows:
         raise DimensionError("rhs has %d rows, expected %d" % (rhs.rows, a.rows))
-    dom = a.domain
     aug = [list(a.row(i)) + list(rhs.row(i)) for i in range(a.rows)]
-    red, pivots = row_reduce(dom, aug, a.cols)
+    red, pivots = row_reduce(aug, a.cols)
     for i in range(len(pivots), a.rows):
         if any(x != 0 for x in red[i][a.cols :]):
             return None
-    out = [[dom.normalize(0)] * rhs.cols for _ in range(a.cols)]
+    out = [[0] * rhs.cols for _ in range(a.cols)]
     for k, c in enumerate(pivots):
         for j in range(rhs.cols):
             out[c][j] = red[k][a.cols + j]
-    return matrix(dom, out, rows=a.cols, cols=rhs.cols)
-
-
-def reduce_mod(a: Matrix, p: int) -> Matrix:
-    """Reduce an integer Q-matrix mod p; rejects fractional entries."""
-    if a.domain != QQ:
-        raise DimensionError("reduce_mod expects a matrix over Q")
-    for x in a.entries:
-        if isinstance(x, Fraction):
-            raise DimensionError("matrix has non-integer entry %s" % x)
-    dom = GF(p)
-    return Matrix(dom, a.rows, a.cols, tuple(x % p for x in a.entries))
+    return matrix(out, rows=a.cols, cols=rhs.cols)

@@ -21,7 +21,7 @@ from pathlib import Path as FsPath
 
 from . import linalg
 from .errors import DimensionError, InputError
-from .linalg import QQ, Matrix
+from .linalg import Matrix
 from .quiver import (
     AlgebraPresentation,
     Path,
@@ -55,7 +55,7 @@ class Representation:
         for a in q.arrows:
             m = mats.pop(a.name, None)
             if m is None:
-                m = linalg.zeros(QQ, self.dims[a.target], self.dims[a.source])
+                m = linalg.zeros(self.dims[a.target], self.dims[a.source])
             if m.rows != self.dims[a.target] or m.cols != self.dims[a.source]:
                 raise DimensionError(
                     "matrix for arrow %r has shape %dx%d, expected %dx%d"
@@ -69,19 +69,11 @@ class Representation:
 
     def _check_relations(self) -> None:
         for rel in self.algebra.relations.relations:
-            acc = None
+            acc: dict[int, linalg.Scalar] = {}
             for coeff, p in rel:
-                term = path_matrix(self, p)
-                scaled = Matrix(
-                    QQ, term.rows, term.cols, tuple(coeff * x for x in term.entries)
-                )
-                acc = scaled if acc is None else Matrix(
-                    QQ,
-                    acc.rows,
-                    acc.cols,
-                    tuple(x + y for x, y in zip(acc.entries, scaled.entries)),
-                )
-            if acc is not None and not linalg.is_zero_matrix(acc):
+                for k, x in enumerate(path_matrix(self, p).entries):
+                    acc[k] = acc.get(k, 0) + coeff * x
+            if any(acc.values()):
                 raise InputError("module does not satisfy the algebra relations")
 
     def total_dim(self) -> int:
@@ -113,7 +105,7 @@ def simple(algebra: AlgebraPresentation, i: int) -> Representation:
 def path_matrix(m: Representation, p: Path) -> Matrix:
     """The matrix of a path acting on m (identity for a trivial path)."""
     q = m.algebra.quiver
-    acc = linalg.identity(QQ, m.dims[p.source])
+    acc = linalg.identity(m.dims[p.source])
     for k in p.arrows:
         acc = linalg.mat_mul(m.matrices[q.arrows[k].name], acc)
     return acc
@@ -155,7 +147,7 @@ def _build_projective(algebra: AlgebraPresentation, i: int) -> Representation:
             ext = Path(p.source, p.arrows + (q.arrow_index(a.name),))
             for b, coeff in algebra.reduce_path(ext).items():
                 data[pos[a.target][b]][c] = coeff
-        mats[a.name] = linalg.matrix(QQ, data, rows=rows, cols=cols)
+        mats[a.name] = linalg.matrix(data, rows=rows, cols=cols)
     return Representation(algebra, dims, mats)
 
 
@@ -182,7 +174,7 @@ def direct_sum(m: Representation, n: Representation) -> Representation:
         for r in range(B.rows):
             for c in range(B.cols):
                 data[A.rows + r][A.cols + c] = B.entry(r, c)
-        mats[a.name] = linalg.matrix(QQ, data, rows=rows, cols=cols)
+        mats[a.name] = linalg.matrix(data, rows=rows, cols=cols)
     return Representation(m.algebra, dims, mats, check=False)
 
 
@@ -217,7 +209,7 @@ def _intertwiner_system(m: Representation, n: Representation) -> tuple[Matrix, l
                 for k in range(n.dims[i]):
                     row[offsets[i] + k * m.dims[i] + c] -= Na.entry(r, k)
                 rows.append(row)
-    return linalg.matrix(QQ, rows, rows=len(rows), cols=total), offsets
+    return linalg.matrix(rows, rows=len(rows), cols=total), offsets
 
 
 def hom_dim(m: Representation, n: Representation) -> int:
@@ -242,28 +234,32 @@ def hom_basis(m: Representation, n: Representation) -> list[dict[int, Matrix]]:
                 [kern.entry(offsets[j] + r * cols_j + c, col) for c in range(cols_j)]
                 for r in range(rows_j)
             ]
-            phi[j] = linalg.matrix(QQ, data, rows=rows_j, cols=cols_j)
+            phi[j] = linalg.matrix(data, rows=rows_j, cols=cols_j)
         out.append(phi)
     return out
 
 
+def _radical_columns(m: Representation, j: int) -> list[list]:
+    """The columns of every arrow matrix into vertex j; they span rad m at j."""
+    cols: list[list] = []
+    for a in m.algebra.quiver.arrows:
+        if a.target == j:
+            A = m.matrices[a.name]
+            cols.extend([A.entry(r, c) for r in range(A.rows)] for c in range(A.cols))
+    return cols
+
+
+def _rank_of_rows(rows: list[list], width: int) -> int:
+    if not rows:
+        return 0
+    return linalg.rank(linalg.matrix(rows, rows=len(rows), cols=width))
+
+
 def top_dims(m: Representation) -> DimVector:
     """Dimension vector of m / rad m (radical = sum of arrow images)."""
-    q = m.algebra.quiver
-    out = []
-    for j in range(q.n):
-        cols: list[list] = []
-        for a in q.arrows:
-            if a.target == j:
-                A = m.matrices[a.name]
-                for c in range(A.cols):
-                    cols.append([A.entry(r, c) for r in range(A.rows)])
-        if cols:
-            rad = linalg.matrix(QQ, cols, rows=len(cols), cols=m.dims[j])
-            out.append(m.dims[j] - linalg.rank(rad))
-        else:
-            out.append(m.dims[j])
-    return tuple(out)
+    return tuple(
+        d - _rank_of_rows(_radical_columns(m, j), d) for j, d in enumerate(m.dims)
+    )
 
 
 @dataclass
@@ -285,24 +281,16 @@ def syzygy(m: Representation) -> Syzygy:
     # generators: unit vectors completing the radical to each fibre
     generators: list[tuple[int, list]] = []
     for i in range(q.n):
-        rad_cols: list[list] = []
-        for a in q.arrows:
-            if a.target == i:
-                A = m.matrices[a.name]
-                for c in range(A.cols):
-                    rad_cols.append([A.entry(r, c) for r in range(A.rows)])
+        current = _radical_columns(m, i)
         need = mults[i]
         chosen = 0
-        current = [row[:] for row in rad_cols]
-        base_rank = linalg.rank(
-            linalg.matrix(QQ, current, rows=len(current), cols=m.dims[i])
-        ) if current else 0
+        base_rank = _rank_of_rows(current, m.dims[i])
         for k in range(m.dims[i]):
             if chosen == need:
                 break
             unit = [1 if t == k else 0 for t in range(m.dims[i])]
             trial = current + [unit]
-            r = linalg.rank(linalg.matrix(QQ, trial, rows=len(trial), cols=m.dims[i]))
+            r = _rank_of_rows(trial, m.dims[i])
             if r > base_rank:
                 generators.append((i, unit))
                 current, base_rank, chosen = trial, r, chosen + 1
@@ -327,7 +315,7 @@ def syzygy(m: Representation) -> Syzygy:
                 ]
                 cols.append(vec)
         data = [[cols[c][r] for c in range(len(cols))] for r in range(m.dims[j])]
-        cover_map[j] = linalg.matrix(QQ, data, rows=m.dims[j], cols=cover.dims[j])
+        cover_map[j] = linalg.matrix(data, rows=m.dims[j], cols=cover.dims[j])
         if linalg.rank(cover_map[j]) != m.dims[j]:
             raise DimensionError("projective cover is not surjective at vertex %d" % j)
 
@@ -365,7 +353,7 @@ def ext1_dim(m: Representation, n: Representation) -> int:
     if not restricted:
         return dim_hom_omega
     width = len(restricted[0])
-    mat = linalg.matrix(QQ, restricted, rows=len(restricted), cols=width)
+    mat = linalg.matrix(restricted, rows=len(restricted), cols=width)
     return dim_hom_omega - linalg.rank(mat)
 
 
@@ -460,9 +448,7 @@ def load_module(
                     raise InputError(
                         "non-integer entry %r in matrix for arrow %r" % (x, name)
                     )
-        matrices[name] = linalg.matrix(
-            QQ, data, rows=dims[a.target], cols=dims[a.source]
-        )
+        matrices[name] = linalg.matrix(data, rows=dims[a.target], cols=dims[a.source])
     return Representation(algebra, dims, matrices)
 
 

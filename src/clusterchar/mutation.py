@@ -110,6 +110,8 @@ def enumerate_cluster_variables(
     ``NotFiniteTypeError`` once more than ``seed_cap`` distinct seeds
     appear.
     """
+    if seed_cap < 1:
+        raise InputError("seed cap must be at least 1, got %d" % seed_cap)
     start = initial_seed(b)
     n = len(start.matrix)
     seen = {_seed_key(start)}

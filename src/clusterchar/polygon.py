@@ -27,7 +27,7 @@ from .character import (
 )
 from .errors import InputError
 from .laurent import LaurentPoly, laurent_render
-from .linalg import QQ, identity
+from .linalg import identity
 from .modules import Representation, ext1_dim
 from .mutation import ExchangeMatrix, enumerate_cluster_variables, quiver_to_matrix
 from .quiver import AlgebraPresentation, RelationSet, build_algebra, make_quiver
@@ -79,7 +79,7 @@ def interval_module(n: int, lo: int, hi: int) -> Representation:
     algebra = linear_an_algebra(n)
     dims = tuple(1 if lo <= v <= hi else 0 for v in range(1, n + 1))
     mats = {
-        "a%d" % v: identity(QQ, 1) for v in range(lo, hi)
+        "a%d" % v: identity(1) for v in range(lo, hi)
     }
     return Representation(algebra, dims, mats, check=False)
 
@@ -193,6 +193,8 @@ def verify_an(
     calibration, and the cluster-variable bijection for the A_n model."""
     if not 2 <= n <= max_n:
         raise InputError("n must lie in 2..%d" % max_n)
+    if max_pairs is not None and max_pairs < 0:
+        raise InputError("max_pairs must be >= 0, got %d" % max_pairs)
     arcs = all_arcs(n)
     objects = {a: arc_to_object(n, a) for a in arcs}
     report = AnReport(

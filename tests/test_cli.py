@@ -1,6 +1,8 @@
 import pytest
 
 from clusterchar.cli import run
+from clusterchar.grassmannian import CountingPolynomial
+from clusterchar.laurent import from_dict, laurent_render
 
 pytestmark = pytest.mark.usefixtures("data_dir")
 
@@ -113,6 +115,42 @@ def test_enumerate_command(capsys, data_dir):
     assert out.startswith("9 cluster variables\n")
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_enumerate_rejects_nonpositive_cap(capsys, data_dir, cap):
+    code, out, err = _run(capsys, "enumerate", data_dir / "an3.mat", "--max-seeds", cap)
+    assert code == 2
+    assert out == ""
+    assert "seed cap" in err
+
+
+def _index_of_a4_M_squared(capsys, data_dir, tmp_path, *shifts):
+    mod = tmp_path / "a4_MM.mod"
+    mod.write_text("[module]\ndims: 2 2 0 0\nmatrix d: [[1, 0], [0, 1]]\n")
+    code, out, _ = _run(capsys, "index", data_dir / "a4.alg", mod, *shifts)
+    assert code == 0
+    return out
+
+
+@pytest.mark.parametrize(
+    "render, expected",
+    [
+        (
+            lambda *_: laurent_render(from_dict(2, {(2, -1): -2, (0, 1): 3, (0, 0): -1})),
+            "-2*x1^2*x2^-1 + 3*x2 - 1",
+        ),
+        (lambda *_: str(CountingPolynomial((1, -1, 2))), "2*q^2 - q + 1"),
+        (lambda *_: str(CountingPolynomial((-2,))), "-2"),
+        (_index_of_a4_M_squared, "ind = 2*[P_2] - 2*[P_3]\ncoind = 2*[P_1] - 2*[P_4]\n"),
+        (
+            lambda *a: _index_of_a4_M_squared(*a, "--shifts", "1,1"),
+            "ind = -2*[P_1] + 2*[P_2] - 2*[P_3]\ncoind = -2*[P_4]\n",
+        ),
+    ],
+)
+def test_signed_terms_magnitudes_and_leading_sign(capsys, data_dir, tmp_path, render, expected):
+    assert render(capsys, data_dir, tmp_path) == expected
+
+
 def test_verify_triangle_pass(capsys, data_dir):
     code, out, _ = _run(
         capsys,
@@ -146,6 +184,14 @@ def test_verify_an_command(capsys):
     assert code == 0
     assert "PASS" in out
     assert "5/5 cluster variables matched" in out
+
+
+@pytest.mark.parametrize("pairs", ["-1", "-5"])
+def test_verify_an_rejects_negative_max_pairs(capsys, pairs):
+    code, out, err = _run(capsys, "verify-an", "--n", "3", "--max-pairs", pairs)
+    assert code == 2
+    assert out == ""
+    assert "max_pairs" in err
 
 
 def test_missing_file_exits_2(capsys, data_dir):

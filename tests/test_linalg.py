@@ -6,69 +6,48 @@ from hypothesis import strategies as st
 
 from clusterchar import linalg
 from clusterchar.errors import DimensionError
-from clusterchar.linalg import GF, QQ, identity, kernel_basis, matrix, rank, solve, zeros
+from clusterchar.linalg import identity, kernel_basis, matrix, rank, solve, zeros
 
 
 def test_kernel_of_identity_is_trivial():
-    assert kernel_basis(identity(QQ, 2)).cols == 0
+    assert kernel_basis(identity(2)).cols == 0
 
 
 def test_kernel_of_zero_is_everything():
-    k = kernel_basis(zeros(QQ, 2, 3))
+    k = kernel_basis(zeros(2, 3))
     assert k.cols == 3
     assert k.rows == 3
 
 
-def test_kernel_over_f2():
-    m = matrix(GF(2), [[1, 1]])
-    k = kernel_basis(m)
-    assert k.cols == 1
-    assert tuple(k.entries) == (1, 1)
-
-
 def test_rank_examples():
-    assert rank(identity(QQ, 4)) == 4
-    assert rank(matrix(GF(2), [[2]])) == 0
-    assert rank(matrix(QQ, [[1, 2], [2, 4]])) == 1
+    assert rank(identity(4)) == 4
+    assert rank(matrix([[1, 2], [2, 4]])) == 1
 
 
 def test_solve_identity():
-    rhs = matrix(QQ, [[3], [5]])
-    assert solve(identity(QQ, 2), rhs) == rhs
+    rhs = matrix([[3], [5]])
+    assert solve(identity(2), rhs) == rhs
 
 
 def test_solve_inconsistent():
-    assert solve(zeros(QQ, 2, 2), matrix(QQ, [[1], [0]])) is None
+    assert solve(zeros(2, 2), matrix([[1], [0]])) is None
 
 
 def test_solve_triangular():
-    m = matrix(QQ, [[1, 1], [0, 1]])
-    rhs = matrix(QQ, [[2], [1]])
-    assert solve(m, rhs) == matrix(QQ, [[1], [1]])
-
-
-def test_solve_over_gf():
-    m = matrix(GF(5), [[2, 0], [0, 3]])
-    rhs = matrix(GF(5), [[1], [1]])
-    sol = solve(m, rhs)
-    assert linalg.mat_mul(m, sol) == rhs
-
-
-def test_domain_mismatch():
-    with pytest.raises(DimensionError):
-        solve(identity(QQ, 2), matrix(GF(2), [[1], [1]]))
+    m = matrix([[1, 1], [0, 1]])
+    rhs = matrix([[2], [1]])
+    assert solve(m, rhs) == matrix([[1], [1]])
 
 
 def test_fractions_normalize():
-    m = matrix(QQ, [[Fraction(4, 2)]])
+    m = matrix([[Fraction(4, 2)]])
     assert m.entries == (2,)
     with pytest.raises(DimensionError):
-        matrix(QQ, [[0.5]])
+        matrix([[0.5]])
 
 
 @st.composite
 def small_matrices(draw):
-    domain = draw(st.sampled_from([QQ, GF(2), GF(5)]))
     rows = draw(st.integers(1, 4))
     cols = draw(st.integers(1, 4))
     data = draw(
@@ -78,14 +57,14 @@ def small_matrices(draw):
             max_size=rows,
         )
     )
-    return matrix(domain, data)
+    return matrix(data)
 
 
 @given(small_matrices())
 @settings(max_examples=150, deadline=None)
 def test_kernel_annihilates_and_dimension_formula(m):
     k = kernel_basis(m)
-    assert linalg.is_zero_matrix(linalg.mat_mul(m, k))
+    assert not any(linalg.mat_mul(m, k).entries)
     assert rank(m) + k.cols == m.cols
 
 
@@ -94,15 +73,3 @@ def test_kernel_annihilates_and_dimension_formula(m):
 def test_rank_of_transpose(m):
     assert rank(m) == rank(linalg.transpose(m))
 
-
-def test_rank_agreement_rational_vs_modular(a4, d4, a4_M, d4_M):
-    # integer matrices from shipped data have the same rank over Q and
-    # over F_p for primes well away from the pivots
-    from clusterchar.modules import projective
-
-    mats = []
-    for module in (a4_M, d4_M, projective(a4, 1), projective(d4, 0)):
-        mats.extend(module.matrices.values())
-    for m in mats:
-        for p in (101, 997):
-            assert rank(m) == rank(linalg.reduce_mod(m, p))

@@ -2,7 +2,6 @@ import pytest
 
 from clusterchar import linalg
 from clusterchar.errors import DimensionError, InputError
-from clusterchar.linalg import QQ
 from clusterchar.modules import (
     Representation,
     direct_sum,
@@ -87,7 +86,7 @@ def test_syzygy_of_simple(a4):
     assert syz.cover_mults == (0, 1, 0, 0)
     assert syz.kernel.dims == (1, 0, 1, 0)
     for mat in syz.kernel.matrices.values():
-        assert linalg.is_zero_matrix(mat)
+        assert not any(mat.entries)
 
 
 def test_syzygy_of_projective_has_zero_kernel(a4):
@@ -233,7 +232,7 @@ def test_loader_rejects_relation_violation(a4):
 
 def test_representation_shape_check(a4):
     with pytest.raises(DimensionError):
-        Representation(a4, (1, 1, 0, 0), {"d": linalg.matrix(QQ, [[1, 1]])})
+        Representation(a4, (1, 1, 0, 0), {"d": linalg.matrix([[1, 1]])})
 
 
 def test_hom_to_simple_is_top_multiplicity(a4, d4, a4_M, d4_M):
