@@ -219,7 +219,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="breadth-first cluster-variable enumeration")
     p.add_argument("matrix")
-    p.add_argument("--max-seeds", type=int, default=500_000)
+    p.add_argument(
+        "--max-seeds",
+        type=int,
+        default=500_000,
+        metavar="N",
+        help="exit 3 once more than N seeds are visited: the initial seed and "
+        "every mutation result, revisits of a cluster included",
+    )
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("verify-triangle", help="check X_L X_M = X_B + X_B'")

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import laurent
-from .errors import InputError, NotFiniteTypeError
+from .errors import ConsistencyError, InputError, NotFiniteTypeError
 from .laurent import LaurentPoly, laurent_divexact
 from .quiver import Quiver
 
@@ -95,43 +95,61 @@ def mutate_seed(s: Seed, k: int) -> Seed:
     return Seed(mutate_matrix(s.matrix, k), variables)
 
 
-def _seed_key(s: Seed):
-    return (s.matrix, tuple(sorted(v.terms for v in s.variables)))
-
-
 def enumerate_cluster_variables(
     b: ExchangeMatrix, seed_cap: int = DEFAULT_SEED_CAP
 ) -> frozenset[LaurentPoly]:
     """Breadth-first closure of the initial seed under all mutations.
 
-    Seeds are deduplicated by (matrix, variable multiset); no attempt is
-    made to identify seeds differing by a simultaneous permutation, so
-    the count of visited seeds may exceed the number of clusters.  Raises
-    ``NotFiniteTypeError`` once more than ``seed_cap`` distinct seeds
-    appear.
+    Seeds are identified by their cluster, the set of their variables: a
+    cluster determines its seed up to a simultaneous relabelling
+    (Gekhtman, Shapiro and Vainshtein, "On the properties of the exchange
+    graph of a cluster algebra", Math. Res. Lett. 2008).  Each revisited
+    cluster is checked against that theorem: its matrix must be the stored
+    matrix conjugated by the permutation that matches the variables, or
+    ``ConsistencyError`` is raised.  ``seed_cap`` bounds the seeds visited,
+    the initial seed plus every mutation result, revisits included; once
+    more than ``seed_cap`` are visited, ``NotFiniteTypeError`` is raised.
     """
     if seed_cap < 1:
         raise InputError("seed cap must be at least 1, got %d" % seed_cap)
     start = initial_seed(b)
     n = len(start.matrix)
-    seen = {_seed_key(start)}
+    clusters = {frozenset(start.variables): start}
     queue = deque([start])
-    variables: set[LaurentPoly] = set(start.variables)
+    visited = 1
     while queue:
         s = queue.popleft()
         for k in range(n):
             t = mutate_seed(s, k)
-            key = _seed_key(t)
-            if key in seen:
-                continue
-            seen.add(key)
-            if len(seen) > seed_cap:
+            visited += 1
+            if visited > seed_cap:
                 raise NotFiniteTypeError(
                     "not finite within cap: more than %d seeds" % seed_cap
                 )
-            variables.update(t.variables)
-            queue.append(t)
-    return frozenset(variables)
+            cluster = frozenset(t.variables)
+            known = clusters.get(cluster)
+            if known is None:
+                if len(cluster) < n:
+                    raise ConsistencyError("a cluster repeats a variable")
+                clusters[cluster] = t
+                queue.append(t)
+            else:
+                _check_relabelling(known, t)
+    return frozenset().union(*clusters)
+
+
+def _check_relabelling(known: Seed, t: Seed) -> None:
+    """Raise unless ``t`` is ``known`` with its vertices relabelled."""
+    position = {v: i for i, v in enumerate(known.variables)}
+    perm = [position[v] for v in t.variables]
+    if any(
+        t.matrix[i][j] != known.matrix[pi][pj]
+        for i, pi in enumerate(perm)
+        for j, pj in enumerate(perm)
+    ):
+        raise ConsistencyError(
+            "one cluster carries exchange matrices that are not relabellings"
+        )
 
 
 def quiver_to_matrix(q: Quiver) -> ExchangeMatrix:
@@ -161,6 +179,8 @@ def load_matrix(text: str) -> ExchangeMatrix:
     if len(head) != 1 or not head[0].lstrip("-").isdigit():
         raise InputError("matrix file must start with the size n")
     n = int(head[0])
+    if n < 1:
+        raise InputError("matrix size must be at least 1")
     rows = tokens[1:]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InputError("expected %d rows of %d integers" % (n, n))

@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,15 @@ from clusterchar.modules import Representation
 from clusterchar.quiver import load_algebra_file
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def pytest_collection_modifyitems(config, items):
+    if os.environ.get("CLUSTERCHAR_SLOW") == "1":
+        return
+    skip = pytest.mark.skip(reason="slow; set CLUSTERCHAR_SLOW=1 to run")
+    for item in items:
+        if item.get_closest_marker("slow"):
+            item.add_marker(skip)
 
 
 @pytest.fixture(scope="session")

@@ -102,8 +102,8 @@ def test_criterion_2_d4_reproduction(data_dir):
 
 def test_criterion_3_multiplication_formula_exhaustive():
     start = time.perf_counter()
-    expected_arcs = {2: 5, 3: 9, 4: 14, 5: 20}
-    for n in (2, 3, 4, 5):
+    expected_arcs = {2: 5, 3: 9, 4: 14, 5: 20, 6: 27}
+    for n in (2, 3, 4, 5, 6):
         report = verify_an(n)
         assert report.arc_count == expected_arcs[n]
         assert report.crossing_pairs == comb(n + 3, 4)
@@ -113,12 +113,12 @@ def test_criterion_3_multiplication_formula_exhaustive():
             "multiplication identity failed for some crossing pair at n=%d" % n
         )
         assert report.checks_failed == 0
-    _report("3 (multiplication formula, A2..A5)", start, 120.0)
+    _report("3 (multiplication formula, A2..A6)", start, 120.0)
 
 
 def test_criterion_4_bijection_with_cluster_variables():
     start = time.perf_counter()
-    for n, expected in ((2, 5), (3, 9), (4, 14)):
+    for n, expected in ((2, 5), (3, 9), (4, 14), (5, 20), (6, 27)):
         arc_values = {cc_value(arc_to_object(n, a)) for a in all_arcs(n)}
         oracle = set(enumerate_cluster_variables(linear_an_matrix(n)))
         assert arc_values == oracle

@@ -115,6 +115,28 @@ def test_enumerate_command(capsys, data_dir):
     assert out.startswith("9 cluster variables\n")
 
 
+def test_enumerate_cap_counts_seeds_visited(capsys, data_dir):
+    # A3: 14 clusters, each mutated in 3 directions, plus the initial seed
+    code, out, err = _run(capsys, "enumerate", data_dir / "an3.mat", "--max-seeds", "42")
+    assert code == 3
+    assert out == ""
+    assert "more than 42 seeds" in err
+    code, out, _ = _run(capsys, "enumerate", data_dir / "an3.mat", "--max-seeds", "43")
+    assert code == 0
+    assert out.startswith("9 cluster variables\n")
+    assert len(out.splitlines()) == 10
+
+
+@pytest.mark.parametrize("size", ["0", "-2"])
+def test_enumerate_rejects_matrix_size_below_one(capsys, tmp_path, size):
+    path = tmp_path / "bad.mat"
+    path.write_text(size + "\n")
+    code, out, err = _run(capsys, "enumerate", path)
+    assert code == 2
+    assert out == ""
+    assert "matrix size must be at least 1" in err
+
+
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_enumerate_rejects_nonpositive_cap(capsys, data_dir, cap):
     code, out, err = _run(capsys, "enumerate", data_dir / "an3.mat", "--max-seeds", cap)

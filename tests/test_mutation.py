@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterchar.errors import InputError, NotFiniteTypeError
+from clusterchar import mutation
+from clusterchar.errors import ConsistencyError, InputError, NotFiniteTypeError
 from clusterchar.laurent import laurent_parse, variable
 from clusterchar.mutation import (
     check_exchange_matrix,
@@ -102,6 +103,77 @@ def test_enumerate_cap():
     kronecker = ((0, 2), (-2, 0))
     with pytest.raises(NotFiniteTypeError, match="not finite within cap"):
         enumerate_cluster_variables(kronecker, seed_cap=50)
+
+
+def _dynkin(n, edges):
+    """Exchange matrix of an orientation of a tree: b_ij = 1 for an edge i -> j."""
+    b = [[0] * n for _ in range(n)]
+    for i, j in edges:
+        b[i][j], b[j][i] = 1, -1
+    return tuple(map(tuple, b))
+
+
+def _type_d(n):
+    return _dynkin(n, [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)])
+
+
+def _type_e(n):
+    return _dynkin(n, [(i, i + 1) for i in range(n - 2)] + [(2, n - 1)])
+
+
+# (matrix, cluster variables, clusters); the clusters of A_n are counted
+# by the Catalan number C_{n+1}.
+FINITE_TYPE_COUNTS = {
+    "A2": (linear_an_matrix(2), 5, 5),
+    "A3": (linear_an_matrix(3), 9, 14),
+    "A4": (linear_an_matrix(4), 14, 42),
+    "A5": (linear_an_matrix(5), 20, 132),
+    "A6": (linear_an_matrix(6), 27, 429),
+    "D4": (_type_d(4), 16, 50),
+    "D5": (_type_d(5), 25, 182),
+    "D6": (_type_d(6), 36, 672),
+    "E6": (_type_e(6), 42, 833),
+}
+
+
+def _enumerate_counting_clusters(monkeypatch, b):
+    """Variables, and clusters: each cluster is mutated once per direction."""
+    calls = []
+
+    def counting(s, k):
+        calls.append(k)
+        return original(s, k)
+
+    original = mutation.mutate_seed
+    monkeypatch.setattr(mutation, "mutate_seed", counting)
+    variables = enumerate_cluster_variables(b)
+    assert len(calls) % len(b) == 0
+    return len(variables), len(calls) // len(b)
+
+
+@pytest.mark.parametrize("kind", sorted(FINITE_TYPE_COUNTS))
+def test_finite_type_counts(monkeypatch, kind):
+    b, variables, clusters = FINITE_TYPE_COUNTS[kind]
+    assert _enumerate_counting_clusters(monkeypatch, b) == (variables, clusters)
+
+
+@pytest.mark.slow
+def test_finite_type_counts_e7(monkeypatch):
+    assert _enumerate_counting_clusters(monkeypatch, _type_e(7)) == (70, 4160)
+
+
+def test_revisited_cluster_with_foreign_matrix_raises(monkeypatch):
+    # Negating every mutated matrix leaves the exchange relations, hence the
+    # variables, unchanged, but flips the matrix sign along each step; the
+    # pentagon of A2 reaches a cluster along paths of both parities.
+    correct = mutation.mutate_matrix
+
+    def corrupted(b, k):
+        return tuple(tuple(-x for x in row) for row in correct(b, k))
+
+    monkeypatch.setattr(mutation, "mutate_matrix", corrupted)
+    with pytest.raises(ConsistencyError, match="not relabellings"):
+        enumerate_cluster_variables(A2)
 
 
 def test_variable_count_is_mutation_invariant():
