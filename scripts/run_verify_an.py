@@ -10,14 +10,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from clusterchar.polygon import verify_an
+from clusterchar.polygon import DEFAULT_MAX_N, verify_an
 
 if __name__ == "__main__":
     max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 5
     overall = True
     for n in range(2, max_n + 1):
         start = time.perf_counter()
-        report = verify_an(n, max_n=max(max_n, 6))
+        report = verify_an(n, max_n=max(max_n, DEFAULT_MAX_N))
         elapsed = time.perf_counter() - start
         print("%s  [%.2f s]" % (report.summary(), elapsed))
         overall = overall and report.ok

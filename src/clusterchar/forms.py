@@ -59,11 +59,10 @@ def _compute_form_matrix(a: AlgebraPresentation) -> FormMatrix:
             if matrix[i][j] != -matrix[j][i]:
                 raise ConsistencyError("form matrix is not skew-symmetric")
     # cross-check against the direct definition on every pair of simples
+    euler = [[euler_form(s, t) for t in simples] for s in simples]
     for i in range(n):
         for j in range(n):
-            direct = euler_form(simples[i], simples[j]) - euler_form(
-                simples[j], simples[i]
-            )
+            direct = euler[i][j] - euler[j][i]
             if direct != matrix[i][j]:
                 raise ConsistencyError(
                     "form matrix entry (%d, %d) is %d by presentations "

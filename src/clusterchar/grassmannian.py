@@ -1,11 +1,16 @@
 """Euler characteristics of quiver Grassmannians by point counting.
 
-Points of Gr_e(M) over F_p are counted exactly: subspaces at each vertex
-are enumerated once each through reduced-row-echelon bases, and a
-backtracking sweep over the vertices keeps only tuples closed under all
-arrow matrices.  Counting at enough primes determines the counting
-polynomial in q by interpolation, and its value at 1 stands in for the
-Euler characteristic.  The substitution is exact whenever the count is
+Points of Gr_e(M) over F_p are counted exactly by a backtracking sweep
+over the vertices that tries only admissible subspaces: at each vertex,
+those containing the images of the subspaces already chosen, found as
+the subspaces of a quotient (after Reineke, IMRN 2006, and
+Caldero-Reineke, JPAA 2008).  A vertex no later step reads is counted by
+a Gaussian binomial instead, and arrows closing an oriented cycle are
+checked by membership.  The budget caps the nodes the sweep visits.
+
+Counting at enough primes determines the counting polynomial in q by
+interpolation, and its value at 1 stands in for the Euler
+characteristic.  The substitution is exact whenever the count is
 polynomial in q; a reserved verification prime (and an integrality check
 on the fitted coefficients) turns any violation of that assumption into
 an error instead of a wrong answer.
@@ -87,11 +92,79 @@ def _apply(mat_rows, vec, p: int) -> tuple:
     return tuple(sum(a * b for a, b in zip(row, vec)) % p for row in mat_rows)
 
 
-def _arrow_data(m: Representation, p: int):
-    """Arrow matrices reduced mod p, in a check schedule for backtracking:
-    arrow (i, j, rows) is checked once both endpoints are assigned."""
+def _echelon(vectors, p: int) -> tuple:
+    """Reduced-row-echelon basis (rows, pivots) of the span of the vectors."""
+    rows: list[list[int]] = []
+    pivots: list[int] = []
+    for vec in vectors:
+        v = list(vec)
+        for row, c in zip(rows, pivots):
+            f = v[c]
+            if f:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is None:
+            continue
+        inv = pow(v[lead], -1, p)
+        v = [x * inv % p for x in v]
+        for k, row in enumerate(rows):
+            f = row[lead]
+            if f:
+                rows[k] = [(x - f * y) % p for x, y in zip(row, v)]
+        rows.append(v)
+        pivots.append(lead)
+    basis = sorted(zip(pivots, rows))
+    return tuple(tuple(r) for _, r in basis), tuple(c for c, _ in basis)
+
+
+def _containing(w, d: int, k: int, p: int):
+    """The k-dimensional subspaces of F_p^d that contain w, one reduced
+    echelon basis each.
+
+    They are the (k - dim w)-dimensional subspaces of the quotient by w,
+    whose coordinates are the non-pivot columns of w, lifted back and
+    joined to w's rows.  Clearing w's rows at the lifted pivots makes
+    each basis the subspace's reduced echelon form, so that a subspace
+    reached through different w is the same sweep memo key.
+    """
+    w_rows, w_pivots = w
+    if not w_pivots:
+        return _subspaces(d, k, p)
+    free = [c for c in range(d) if c not in w_pivots]
+    out = []
+    for q_rows, q_pivots in _subspaces(len(free), k - len(w_pivots), p):
+        lifted = []
+        for r in q_rows:
+            v = [0] * d
+            for c, x in zip(free, r):
+                v[c] = x
+            lifted.append(v)
+        pivots = [free[c] for c in q_pivots]
+        cleared = []
+        for r in w_rows:
+            for row, c in zip(lifted, pivots):
+                f = r[c]
+                if f:
+                    r = [(x - f * y) % p for x, y in zip(r, row)]
+            cleared.append(r)
+        basis = sorted(zip(w_pivots + tuple(pivots), cleared + lifted))
+        out.append((tuple(tuple(r) for _, r in basis), tuple(c for c, _ in basis)))
+    return out
+
+
+def _sweep_plan(m: Representation, p: int):
+    """Arrow matrices reduced mod p, arranged for a sweep in vertex order.
+
+    An arrow s -> t with s < t feeds t: U_t must contain its image of U_s.
+    Every other arrow (a loop, or one back to an earlier vertex) is
+    checked by membership once its source s is set.  A vertex all of
+    whose arrows feed it from earlier vertices is read by no later step,
+    so the sweep weights it by a Gaussian binomial instead of enumerating.
+    """
     q = m.algebra.quiver
-    schedule: list[list[tuple[int, int, tuple]]] = [[] for _ in range(q.n)]
+    feeds: list[list[tuple[int, tuple]]] = [[] for _ in range(q.n)]
+    checks: list[list[tuple[int, int, tuple]]] = [[] for _ in range(q.n)]
+    weighted = [True] * q.n
     for a in q.arrows:
         mat = m.matrices[a.name]
         for x in mat.entries:
@@ -101,8 +174,14 @@ def _arrow_data(m: Representation, p: int):
             tuple(mat.entry(r, c) % p for c in range(mat.cols))
             for r in range(mat.rows)
         )
-        schedule[max(a.source, a.target)].append((a.source, a.target, rows))
-    return schedule
+        s, t = a.source, a.target
+        weighted[s] = False
+        if s < t:
+            feeds[t].append((s, rows))
+        else:
+            checks[s].append((s, t, rows))
+            weighted[t] = False
+    return feeds, checks, weighted
 
 
 def _closed_under(arrow, chosen, p: int) -> bool:
@@ -114,43 +193,83 @@ def _closed_under(arrow, chosen, p: int) -> bool:
     return True
 
 
-def _count_backtrack(m: Representation, per_vertex, p: int) -> dict:
-    """Backtracking over vertex subspace choices; counts per dim vector.
+def _over_budget(budget: int) -> ResourceLimitError:
+    return ResourceLimitError(
+        "point-count budget exceeded (over %d nodes visited)" % budget
+    )
 
-    ``per_vertex[i]`` is a list of (dim, (rows, pivots)) choices.  Arrows
-    are checked as soon as both endpoints are assigned, which prunes the
-    product space hard on chain-like quivers.
+
+def _count_backtrack(m: Representation, allowed, p: int, budget: int) -> dict:
+    """Points of Gr_e(m) for every e with e[v] in ``allowed[v]``, keyed by e.
+
+    The sweep sets the vertices in order.  At v the images of the
+    subspaces already chosen under the arrows feeding v span W, and only
+    subspaces containing W are tried (or, at a weighted vertex, counted
+    in closed form), so no feeding arrow is ever checked; the remaining
+    arrows are checked by membership.  The options at v depend only on
+    the subspaces at the vertices feeding it and are built once per
+    sweep for each such choice.  ``budget`` caps the nodes visited: one
+    per subspace tried and one per closed-form weight.
     """
-    n = m.algebra.quiver.n
-    schedule = _arrow_data(m, p)
+    n = len(m.dims)
+    feeds, checks, weighted = _sweep_plan(m, p)
     counts: dict[DimVector, int] = {}
     chosen: list = [None] * n
-    dims_stack: list[int] = [0] * n
+    key = [0] * n
+    memo: dict = {}
+    nodes = 0
 
-    def rec(v: int) -> None:
+    def options(v: int) -> list:
+        sources = (v,) + tuple(chosen[s] for s, _ in feeds[v])
+        found = memo.get(sources)
+        if found is None:
+            d = m.dims[v]
+            w = _echelon(
+                (_apply(rows, vec, p) for s, rows in feeds[v] for vec in chosen[s][0]),
+                p,
+            )
+            r = len(w[1])
+            sizes = [(k, gaussian_binomial(d - r, k - r, p)) for k in allowed[v] if k >= r]
+            if weighted[v]:
+                found = sizes
+            else:
+                if nodes + sum(size for _, size in sizes) > budget:
+                    raise _over_budget(budget)
+                found = [(k, sub) for k, _ in sizes for sub in _containing(w, d, k, p)]
+            memo[sources] = found
+        return found
+
+    def rec(v: int, weight: int) -> None:
+        nonlocal nodes
         if v == n:
-            key = tuple(dims_stack)
-            counts[key] = counts.get(key, 0) + 1
+            e = tuple(key)
+            counts[e] = counts.get(e, 0) + weight
             return
-        for dim, sub in per_vertex[v]:
-            chosen[v] = sub
-            dims_stack[v] = dim
-            if all(_closed_under(arrow, chosen, p) for arrow in schedule[v]):
-                rec(v + 1)
+        found = options(v)
+        nodes += len(found)
+        if nodes > budget:
+            raise _over_budget(budget)
+        for k, choice in found:
+            key[v] = k
+            if weighted[v]:
+                rec(v + 1, weight * choice)
+                continue
+            chosen[v] = choice
+            if all(_closed_under(arrow, chosen, p) for arrow in checks[v]):
+                rec(v + 1, weight)
         chosen[v] = None
 
-    rec(0)
+    rec(0, 1)
     return counts
 
 
-def _check_budget(sizes, budget: int) -> None:
-    total = 1
-    for s in sizes:
-        total *= s
-        if total > budget:
-            raise ResourceLimitError(
-                "subspace enumeration budget exceeded (over %d tuples)" % budget
-            )
+def _check_dim_vector(m: Representation, e: DimVector) -> DimVector:
+    e = tuple(int(x) for x in e)
+    if len(e) != len(m.dims):
+        raise InputError("dimension vector has wrong length")
+    if any(x < 0 or x > d for x, d in zip(e, m.dims)):
+        raise InputError("submodule dimension vector out of range")
+    return e
 
 
 def count_points(
@@ -159,19 +278,8 @@ def count_points(
     """Number of F_p-points of Gr_e(m)."""
     if not _is_prime(p):
         raise InputError("%d is not prime" % p)
-    e = tuple(int(x) for x in e)
-    if len(e) != len(m.dims):
-        raise InputError("dimension vector has wrong length")
-    if any(x < 0 or x > d for x, d in zip(e, m.dims)):
-        raise InputError("submodule dimension vector out of range")
-    _check_budget(
-        [gaussian_binomial(d, x, p) for d, x in zip(m.dims, e)], budget
-    )
-    per_vertex = [
-        [(e[i], sub) for sub in _subspaces(m.dims[i], e[i], p)]
-        for i in range(len(m.dims))
-    ]
-    counts = _count_backtrack(m, per_vertex, p)
+    e = _check_dim_vector(m, e)
+    counts = _count_backtrack(m, [(x,) for x in e], p, budget)
     return counts.get(e, 0)
 
 
@@ -181,18 +289,7 @@ def count_all_subreps(
     """F_p-points of every Gr_e(m) at once, keyed by dimension vector."""
     if not _is_prime(p):
         raise InputError("%d is not prime" % p)
-    _check_budget(
-        [
-            sum(gaussian_binomial(d, x, p) for x in range(d + 1))
-            for d in m.dims
-        ],
-        budget,
-    )
-    per_vertex = [
-        [(x, sub) for x in range(d + 1) for sub in _subspaces(d, x, p)]
-        for d in m.dims
-    ]
-    return _count_backtrack(m, per_vertex, p)
+    return _count_backtrack(m, [range(d + 1) for d in m.dims], p, budget)
 
 
 @dataclass(frozen=True)
@@ -295,7 +392,7 @@ def counting_polynomial(
     map_fn=map,
 ) -> CountingPolynomial:
     """Fit the point counts of Gr_e(m); raises when the fit fails to verify."""
-    e = tuple(int(x) for x in e)
+    e = _check_dim_vector(m, e)
     D = degree_bound(m, e)
     ps = _select_primes(primes, D + 2)
     counts = list(map_fn(lambda p: count_points(m, e, p, budget), ps))

@@ -262,7 +262,7 @@ def top_dims(m: Representation) -> DimVector:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Syzygy:
     """Minimal projective cover data: P0 -> m with kernel Omega m."""
 
@@ -274,6 +274,15 @@ class Syzygy:
 
 
 def syzygy(m: Representation) -> Syzygy:
+    """Minimal projective cover of m and its kernel, computed once per
+    module and cached on the algebra under the module's fingerprint."""
+    key = ("syzygy", m.fingerprint())
+    if key not in m.algebra._memo:
+        m.algebra._memo[key] = _compute_syzygy(m)
+    return m.algebra._memo[key]
+
+
+def _compute_syzygy(m: Representation) -> Syzygy:
     algebra = m.algebra
     q = algebra.quiver
     mults = top_dims(m)

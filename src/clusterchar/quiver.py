@@ -151,7 +151,8 @@ class AlgebraPresentation:
 
     Immutable after construction; the ``_memo`` dict only caches derived
     data (the opposite presentation, canonical modules, the form matrix,
-    character values keyed by module fingerprint and shifts) and every
+    syzygies keyed by module fingerprint, character values keyed by
+    module fingerprint and shifts) and every
     write is idempotent.
     """
 

@@ -185,6 +185,14 @@ def _three_cycle_object(relations):
     return module_object(Representation(algebra, (1, 1, 0), {"a": linalg.matrix([[1]])}))
 
 
+def test_square_of_long_interval():
+    # M[1,5] + M[1,5] over linear A5, dims (2, 2, 2, 2, 2); the old
+    # product-of-subspace-counts budget refused it
+    m = interval_module(5, 1, 5)
+    x = cc_value(module_object(m))
+    assert cc_value(combine(module_object(m), module_object(m))) == x * x
+
+
 def test_value_cache_is_per_algebra():
     # the same module data has different characters over these algebras
     over_x = _three_cycle_object(["b.a", "c.b", "a.c"])

@@ -216,6 +216,27 @@ def test_verify_an_rejects_negative_max_pairs(capsys, pairs):
     assert "max_pairs" in err
 
 
+def test_verify_an_rejects_n_above_default_max(capsys):
+    code, out, err = _run(capsys, "verify-an", "--n", "8")
+    assert code == 2
+    assert out == ""
+    assert "2..7" in err
+
+
+def test_grassmannian_dim_above_module_exits_2(capsys, data_dir):
+    code, out, err = _run(
+        capsys,
+        "grassmannian",
+        data_dir / "a4.alg",
+        data_dir / "a4_M.mod",
+        "--dim",
+        "2,1,0,0",
+    )
+    assert code == 2
+    assert out == ""
+    assert "error: submodule dimension vector out of range" in err
+
+
 def test_missing_file_exits_2(capsys, data_dir):
     code, _, err = _run(capsys, "xvalue", data_dir / "a4.alg", "no_such.mod")
     assert code == 2

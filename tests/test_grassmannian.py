@@ -17,8 +17,9 @@ from clusterchar.grassmannian import (
     gaussian_binomial,
     submodule_classes,
 )
+from clusterchar.linalg import identity
 from clusterchar.modules import Representation, direct_sum, dual, simple
-from clusterchar.polygon import interval_module
+from clusterchar.polygon import interval_module, linear_an_algebra
 from clusterchar.quiver import load_algebra
 
 ONE_VERTEX = "[quiver]\nvertices: 1\n"
@@ -197,15 +198,26 @@ def test_e_out_of_range(a4_M):
         count_points(a4_M, (0, 0, 0, 0, 0), 2)
 
 
+def test_counting_polynomial_checks_e_first(a4_M):
+    # an entry above the module's dimension makes the degree bound negative
+    with pytest.raises(InputError, match="out of range"):
+        counting_polynomial(a4_M, (2, 1, 0, 0))
+    with pytest.raises(InputError, match="wrong length"):
+        counting_polynomial(a4_M, (1, 1, 0))
+
+
 def test_non_prime_rejected(a4_M):
     with pytest.raises(InputError):
         count_points(a4_M, (1, 0, 0, 0), 4)
 
 
-def test_budget_cap(point):
-    big = Representation(point, (6,))
+def test_budget_cap():
+    # the source of 1 -> 2 is enumerated (the arrow reads it later), and
+    # Gr_3(F_7^6) has far more than 100 points; over the point the same
+    # Grassmannian is one closed-form node (test_point_counting)
+    big = Representation(linear_an_algebra(2), (6, 6), {"a1": identity(6)})
     with pytest.raises(ResourceLimitError):
-        count_points(big, (3,), 7, budget=100)
+        count_points(big, (3, 3), 7, budget=100)
 
 
 def test_prime_pool_exhaustion(point):

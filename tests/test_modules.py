@@ -112,6 +112,29 @@ def test_syzygy_exactness(a4, d4, a4_M, d4_M):
         )
 
 
+def _syzygy_data(syz):
+    return (
+        syz.cover_mults,
+        syz.cover.fingerprint(),
+        syz.cover_map,
+        syz.kernel.fingerprint(),
+        syz.inclusion,
+    )
+
+
+def test_syzygy_is_memoized_by_fingerprint(data_dir):
+    algebra = load_algebra((data_dir / "d4.alg").read_text())
+    text = (data_dir / "d4_M.mod").read_text()
+    first, second = load_module(text, algebra), load_module(text, algebra)
+    assert first is not second
+    assert syzygy(first) is syzygy(second)
+    # a fresh computation: the same data over a newly built algebra
+    fresh_algebra = load_algebra((data_dir / "d4.alg").read_text())
+    fresh = syzygy(load_module(text, fresh_algebra))
+    assert fresh is not syzygy(first)
+    assert _syzygy_data(fresh) == _syzygy_data(syzygy(first))
+
+
 def test_ext_vanishes_on_projectives(a4, a4_M):
     for i in range(4):
         for n in (a4_M, simple(a4, 1), injective(a4, 0)):

@@ -117,6 +117,13 @@ def test_verify_an_small(n):
     assert any("bijection" in line for line in report.lines)
 
 
+@pytest.mark.slow
+def test_verify_an_7():
+    report = verify_an(7)
+    assert report.ok, report.summary()
+    assert report.variable_count == 35
+
+
 def test_verify_an_max_pairs():
     report = verify_an(3, max_pairs=2)
     assert report.crossing_pairs == 15
