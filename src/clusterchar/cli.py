@@ -176,84 +176,96 @@ def _cmd_verify_an(args) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFICATION_FAILED
 
 
-def build_parser() -> argparse.ArgumentParser:
+_SHIFTS_HELP = "comma list of vertex labels (repeat = multiplicity)"
+_MAX_SEEDS_HELP = (
+    "exit 3 once more than N seeds are visited: the initial seed and "
+    "every mutation result, revisits of a cluster included"
+)
+
+# subcommand -> (help, handler, its add_argument calls as (names, options))
+_COMMANDS = {
+    "algebra": ("inspect an algebra file", _cmd_algebra, [
+        (("action",), {"choices": ["check"]}),
+        (("algebra",), {}),
+    ]),
+    "xvalue": ("character value of a module file", _cmd_xvalue, [
+        (("algebra",), {}),
+        (("module",), {}),
+        (("--shifts",), {"help": _SHIFTS_HELP}),
+        (("--primes",), {"help": "comma list of primes for point counting"}),
+    ]),
+    "form-matrix": ("antisymmetrized form on the simples", _cmd_form_matrix, [
+        (("algebra",), {}),
+    ]),
+    "index": ("index and coindex of a module file", _cmd_index, [
+        (("algebra",), {}),
+        (("module",), {}),
+        (("--shifts",), {"help": _SHIFTS_HELP}),
+    ]),
+    "grassmannian": ("counting polynomial and chi", _cmd_grassmannian, [
+        (("algebra",), {}),
+        (("module",), {}),
+        (("--dim",), {"required": True, "help": "submodule dimension vector e1,e2,..."}),
+        (("--primes",), {"help": "comma list of primes"}),
+    ]),
+    "mutate": ("mutate the initial seed of a matrix file", _cmd_mutate, [
+        (("matrix",), {}),
+        (("--seq",), {"required": True, "help": "1-based mutation directions k1,k2,..."}),
+    ]),
+    "enumerate": ("breadth-first cluster-variable enumeration", _cmd_enumerate, [
+        (("matrix",), {}),
+        (("--max-seeds",), {"type": int, "default": 500_000, "metavar": "N",
+                            "help": _MAX_SEEDS_HELP}),
+    ]),
+    "verify-triangle": ("check X_L X_M = X_B + X_B'", _cmd_verify_triangle, [
+        (("algebra",), {}),
+        (("left",), {}),
+        (("middle",), {}),
+        (("b",), {}),
+        (("b_prime",), {}),
+        (("--shifts-l",), {}),
+        (("--shifts-m",), {}),
+        (("--shifts-b",), {}),
+        (("--shifts-bp",), {}),
+        (("--primes",), {}),
+    ]),
+    "verify-an": ("exhaustive type-A verification", _cmd_verify_an, [
+        (("--n",), {"type": int, "required": True}),
+        (("--max-pairs",), {"type": int, "default": None}),
+    ]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, with every subcommand or with ``command`` alone.
+
+    A call naming a subcommand parses with that subcommand only: building
+    the other eight is most of the parser's cost.  Its usage line still
+    lists every subcommand, so messages are the same either way.
+    """
     parser = argparse.ArgumentParser(
         prog="clusterchar",
         description="cluster characters over quiver algebras, with oracles",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("algebra", help="inspect an algebra file")
-    p.add_argument("action", choices=["check"])
-    p.add_argument("algebra")
-    p.set_defaults(func=_cmd_algebra)
-
-    p = sub.add_parser("xvalue", help="character value of a module file")
-    p.add_argument("algebra")
-    p.add_argument("module")
-    p.add_argument("--shifts", help="comma list of vertex labels (repeat = multiplicity)")
-    p.add_argument("--primes", help="comma list of primes for point counting")
-    p.set_defaults(func=_cmd_xvalue)
-
-    p = sub.add_parser("form-matrix", help="antisymmetrized form on the simples")
-    p.add_argument("algebra")
-    p.set_defaults(func=_cmd_form_matrix)
-
-    p = sub.add_parser("index", help="index and coindex of a module file")
-    p.add_argument("algebra")
-    p.add_argument("module")
-    p.add_argument("--shifts", help="comma list of vertex labels (repeat = multiplicity)")
-    p.set_defaults(func=_cmd_index)
-
-    p = sub.add_parser("grassmannian", help="counting polynomial and chi")
-    p.add_argument("algebra")
-    p.add_argument("module")
-    p.add_argument("--dim", required=True, help="submodule dimension vector e1,e2,...")
-    p.add_argument("--primes", help="comma list of primes")
-    p.set_defaults(func=_cmd_grassmannian)
-
-    p = sub.add_parser("mutate", help="mutate the initial seed of a matrix file")
-    p.add_argument("matrix")
-    p.add_argument("--seq", required=True, help="1-based mutation directions k1,k2,...")
-    p.set_defaults(func=_cmd_mutate)
-
-    p = sub.add_parser("enumerate", help="breadth-first cluster-variable enumeration")
-    p.add_argument("matrix")
-    p.add_argument(
-        "--max-seeds",
-        type=int,
-        default=500_000,
-        metavar="N",
-        help="exit 3 once more than N seeds are visited: the initial seed and "
-        "every mutation result, revisits of a cluster included",
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar=None if command is None else "{%s}" % ",".join(_COMMANDS),
     )
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("verify-triangle", help="check X_L X_M = X_B + X_B'")
-    p.add_argument("algebra")
-    p.add_argument("left")
-    p.add_argument("middle")
-    p.add_argument("b")
-    p.add_argument("b_prime")
-    p.add_argument("--shifts-l")
-    p.add_argument("--shifts-m")
-    p.add_argument("--shifts-b")
-    p.add_argument("--shifts-bp")
-    p.add_argument("--primes")
-    p.set_defaults(func=_cmd_verify_triangle)
-
-    p = sub.add_parser("verify-an", help="exhaustive type-A verification")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-pairs", type=int, default=None)
-    p.set_defaults(func=_cmd_verify_an)
-
+    for name, (help_text, func, arguments) in _COMMANDS.items():
+        if command is None or name == command:
+            p = sub.add_parser(name, help=help_text)
+            for names, options in arguments:
+                p.add_argument(*names, **options)
+            p.set_defaults(func=func)
     return parser
 
 
 def run(argv) -> int:
-    parser = build_parser()
+    argv = list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:

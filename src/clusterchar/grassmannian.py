@@ -312,18 +312,22 @@ class CountingPolynomial:
 
 
 def _interpolate(points: list[tuple[int, int]]) -> list[Fraction]:
-    """Newton-form interpolation; coefficients ascending, exact."""
-    xs = [Fraction(x) for x, _ in points]
+    """Newton-form interpolation; coefficients ascending, exact.
+
+    Only the divided differences are fractions: the Newton basis
+    polynomials have integer coefficients.
+    """
+    xs = [x for x, _ in points]
     divided = [Fraction(y) for _, y in points]
     for level in range(1, len(points)):
         for i in range(len(points) - 1, level - 1, -1):
             divided[i] = (divided[i] - divided[i - 1]) / (xs[i] - xs[i - level])
     coeffs = [Fraction(0)] * len(points)
     coeffs[0] = divided[0]
-    base = [Fraction(1)] + [Fraction(0)] * (len(points) - 1)
+    base = [1] + [0] * (len(points) - 1)
     for level in range(1, len(points)):
         # base <- base * (x - xs[level-1])
-        new = [Fraction(0)] * len(points)
+        new = [0] * len(points)
         for k in range(len(points) - 1):
             new[k + 1] += base[k]
             new[k] -= base[k] * xs[level - 1]

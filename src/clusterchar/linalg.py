@@ -19,6 +19,8 @@ Scalar = int | Fraction
 
 def normalize(x: Scalar) -> Scalar:
     """Canonical exact scalar; rejects floats and other inexact input."""
+    if type(x) is int:
+        return x
     if isinstance(x, Fraction) and x.denominator == 1:
         return int(x)
     if isinstance(x, (int, Fraction)):
@@ -27,6 +29,8 @@ def normalize(x: Scalar) -> Scalar:
 
 
 def div(a: Scalar, b: Scalar) -> Scalar:
+    if type(a) is int and type(b) is int and b and a % b == 0:
+        return a // b
     return normalize(Fraction(a) / Fraction(b))
 
 
@@ -66,7 +70,7 @@ def matrix(rows_data, rows: int | None = None, cols: int | None = None) -> Matri
                 raise DimensionError("ragged rows in matrix data")
     else:
         c = 0 if cols is None else cols
-    flat = tuple(normalize(x) for row in data for x in row)
+    flat = tuple([x if type(x) is int else normalize(x) for row in data for x in row])
     if len(flat) != r * c:
         raise DimensionError("matrix data does not fill a %dx%d shape" % (r, c))
     return Matrix(r, c, flat)
@@ -102,7 +106,11 @@ def transpose(a: Matrix) -> Matrix:
 
 def row_reduce(data: list[list], limit_cols: int) -> tuple[list[list], list[int]]:
     """In-place reduced row echelon form; pivots chosen among the first
-    ``limit_cols`` columns only (row operations act on full rows)."""
+    ``limit_cols`` columns only (row operations act on full rows).
+
+    Entries must be normalized, as a Matrix's are; those of the result
+    are too, and a pivot row whose pivot is already 1 is left as it is.
+    """
     nrows = len(data)
     pivots: list[int] = []
     r = 0
@@ -111,12 +119,14 @@ def row_reduce(data: list[list], limit_cols: int) -> tuple[list[list], list[int]
         if pr is None:
             continue
         data[r], data[pr] = data[pr], data[r]
-        inv = div(1, data[r][c])
-        data[r] = [normalize(x * inv) for x in data[r]]
+        pivot_row = data[r]
+        if pivot_row[c] != 1:
+            inv = div(1, pivot_row[c])
+            pivot_row = data[r] = [normalize(x * inv) for x in pivot_row]
         for i in range(nrows):
-            if i != r and data[i][c] != 0:
-                f = data[i][c]
-                data[i] = [normalize(x - f * y) for x, y in zip(data[i], data[r])]
+            f = data[i][c]
+            if i != r and f != 0:
+                data[i] = [normalize(x - f * y) for x, y in zip(data[i], pivot_row)]
         pivots.append(c)
         r += 1
     return data, pivots

@@ -307,7 +307,10 @@ def _compute_syzygy(m: Representation) -> Syzygy:
             raise DimensionError("failed to complete the radical at vertex %d" % i)
 
     # cover = direct sum of P_i blocks in generator order
-    blocks = [(_canonical(algebra, "proj", i), i, gen) for i, gen in generators]
+    blocks = [
+        (_canonical(algebra, "proj", i), algebra.basis_paths_from(i), gen)
+        for i, gen in generators
+    ]
     cover = zero_module(algebra)
     for block, _, _ in blocks:
         cover = direct_sum(cover, block)
@@ -315,8 +318,8 @@ def _compute_syzygy(m: Representation) -> Syzygy:
     cover_map: dict[int, Matrix] = {}
     for j in range(q.n):
         cols: list[list] = []
-        for block, i, gen in blocks:
-            for p in algebra.basis_paths_from(i).get(j, ()):
+        for _, paths_from, gen in blocks:
+            for p in paths_from.get(j, ()):
                 mat = path_matrix(m, p)
                 vec = [
                     sum(mat.entry(r, c) * gen[c] for c in range(mat.cols))
@@ -397,7 +400,7 @@ def load_module(
     """
     algebra_path: str | None = None
     dims: list[int] | None = None
-    raw_matrices: list[tuple[str, str]] = []
+    raw_matrices: dict[str, str] = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -411,8 +414,12 @@ def load_module(
         if section != "module":
             raise InputError("line %d: content before [module]" % lineno)
         if line.startswith("algebra:"):
+            if algebra_path is not None:
+                raise InputError("line %d: repeated algebra line" % lineno)
             algebra_path = line[len("algebra:") :].strip()
         elif line.startswith("dims:"):
+            if dims is not None:
+                raise InputError("line %d: repeated dims line" % lineno)
             try:
                 dims = [int(t) for t in line[len("dims:") :].split()]
             except ValueError:
@@ -422,7 +429,11 @@ def load_module(
             name = head.strip()
             if not name or not body.strip():
                 raise InputError("line %d: bad matrix line" % lineno)
-            raw_matrices.append((name, body.strip()))
+            if name in raw_matrices:
+                raise InputError(
+                    "line %d: repeated matrix line for arrow %r" % (lineno, name)
+                )
+            raw_matrices[name] = body.strip()
         else:
             raise InputError("line %d: unexpected line in [module]" % lineno)
     if algebra is None:
@@ -436,7 +447,7 @@ def load_module(
     if len(dims) != q.n:
         raise InputError("dims line has %d entries, expected %d" % (len(dims), q.n))
     matrices: dict[str, Matrix] = {}
-    for name, body in raw_matrices:
+    for name, body in raw_matrices.items():
         k = q.arrow_index(name)
         a = q.arrows[k]
         if dims[a.source] == 0 or dims[a.target] == 0:

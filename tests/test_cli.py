@@ -1,5 +1,9 @@
+import contextlib
+import io
+
 import pytest
 
+from clusterchar import cli
 from clusterchar.cli import run
 from clusterchar.grassmannian import CountingPolynomial
 from clusterchar.laurent import from_dict, laurent_render
@@ -256,6 +260,26 @@ def test_bad_module_data_exits_2(tmp_path, capsys, data_dir):
     assert "non-integer" in err
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("algebra: a4.alg\nalgebra: d4.alg\ndims: 1 1 0 0\n", "line 3: repeated algebra line"),
+        ("dims: 1 1 0 0\ndims: 1 0 0 0\n", "line 3: repeated dims line"),
+        (
+            "dims: 1 1 0 0\nmatrix d: [[1]]\nmatrix d: [[0]]\n",
+            "line 4: repeated matrix line for arrow 'd'",
+        ),
+    ],
+    ids=["algebra", "dims", "matrix"],
+)
+def test_repeated_module_line_exits_2(tmp_path, capsys, data_dir, body, message):
+    mod = tmp_path / "twice.mod"
+    mod.write_text("[module]\n" + body)
+    code, out, err = _run(capsys, "xvalue", data_dir / "a4.alg", mod)
+    assert (code, out) == (2, "")
+    assert "error: %s" % message in err
+
+
 def test_insufficient_primes_exit_3(capsys, data_dir, tmp_path):
     mod = tmp_path / "ksq.mod"
     mod.write_text("[module]\ndims: 2\n")
@@ -275,6 +299,47 @@ def test_deterministic_output(capsys, data_dir):
     _, e1, _ = _run(capsys, "enumerate", data_dir / "an4.mat", "--max-seeds", "5000")
     _, e2, _ = _run(capsys, "enumerate", data_dir / "an4.mat", "--max-seeds", "5000")
     assert e1 == e2
+
+
+def test_parser_state_does_not_leak_between_calls(capsys, data_dir):
+    plain = ("xvalue", data_dir / "a4.alg", data_dir / "a4_M.mod")
+    shifted = plain + ("--shifts", "1")
+    forward = [_run(capsys, *shifted), _run(capsys, *plain)]
+    backward = [_run(capsys, *plain), _run(capsys, *shifted)]
+    assert forward == backward[::-1]
+    assert forward[0][1] != forward[1][1]
+
+
+def _parse(parser, argv):
+    """Exit code, stdout and stderr of parsing argv (0 when it parses)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_one_subcommand_parser_matches_the_full_parser(command):
+    alone = cli.build_parser(command)
+    (sub,) = alone._subparsers._group_actions
+    assert list(sub.choices) == [command]
+    for rest in ([], ["-h"], ["a", "b", "c", "d", "e", "--bogus"], ["--n", "x"]):
+        argv = [command] + rest
+        assert _parse(alone, argv) == _parse(cli.build_parser(), argv), argv
+
+
+def test_extra_arguments_show_every_subcommand(capsys, data_dir):
+    code, out, err = _run(capsys, "form-matrix", data_dir / "a4.alg", "extra")
+    assert (code, out) == (2, "")
+    # the usage line wraps with the terminal width
+    assert " ".join(err.split()) == (
+        "usage: clusterchar [-h] {%s} ... "
+        "clusterchar: error: unrecognized arguments: extra" % ",".join(cli._COMMANDS)
+    )
 
 
 def test_entry_point_module(data_dir):

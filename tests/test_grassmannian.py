@@ -1,6 +1,9 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterchar.errors import (
     InputError,
@@ -10,6 +13,7 @@ from clusterchar.errors import (
 from clusterchar.grassmannian import (
     CountingPolynomial,
     _fit_and_verify,
+    _interpolate,
     count_all_subreps,
     count_points,
     counting_polynomial,
@@ -243,6 +247,20 @@ def test_fit_rejects_fractional_coefficients():
     # degree-2 fit through three points with a half-integer leading term
     with pytest.raises(NonPolynomialCountError):
         _fit_and_verify([(2, 1), (3, 2), (5, 7), (7, 14)], 2)
+
+
+@given(
+    st.lists(st.fractions(max_denominator=6), min_size=1, max_size=6),
+    st.sets(st.integers(-5, 40), min_size=6, max_size=6),
+)
+@settings(max_examples=100, deadline=None)
+def test_interpolation_recovers_the_polynomial(coeffs, xs):
+    # rational coefficients, so values at integer points are fractions too
+    xs = sorted(xs)[: len(coeffs)]
+    points = [(x, sum(c * x**k for k, c in enumerate(coeffs))) for x in xs]
+    got = _interpolate(points)
+    assert got == coeffs
+    assert all(type(c) is Fraction for c in got)
 
 
 def test_counting_polynomial_rendering():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linalg_reference
 from clusterchar import linalg
 from clusterchar.errors import DimensionError
 from clusterchar.linalg import identity, kernel_basis, matrix, rank, solve, zeros
@@ -40,8 +41,10 @@ def test_solve_triangular():
 
 
 def test_fractions_normalize():
-    m = matrix([[Fraction(4, 2)]])
-    assert m.entries == (2,)
+    m = matrix([[Fraction(4, 2), 3], [Fraction(1, 2), True]])
+    assert [(type(x), x) for x in m.entries] == [
+        (int, 2), (int, 3), (Fraction, Fraction(1, 2)), (bool, True)
+    ]
     with pytest.raises(DimensionError):
         matrix([[0.5]])
 
@@ -73,3 +76,39 @@ def test_kernel_annihilates_and_dimension_formula(m):
 def test_rank_of_transpose(m):
     assert rank(m) == rank(linalg.transpose(m))
 
+
+
+def _typed(rows):
+    return [[(type(x), x) for x in row] for row in rows]
+
+
+scalars = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=5),
+)
+
+
+@st.composite
+def rational_rows(draw):
+    cols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(scalars, min_size=cols, max_size=cols), max_size=5))
+    # entries arrive normalized, as from a Matrix
+    return [[linalg.normalize(x) for x in row] for row in rows], cols
+
+
+@given(rational_rows(), st.integers(0, 6))
+@settings(max_examples=200, deadline=None)
+def test_row_reduce_matches_reference(case, limit):
+    rows, cols = case
+    limit = min(limit, cols)
+    got = linalg.row_reduce([list(r) for r in rows], limit)
+    want = linalg_reference.row_reduce([list(r) for r in rows], limit)
+    assert got[1] == want[1]
+    assert _typed(got[0]) == _typed(want[0])
+
+
+@given(st.integers(-12, 12), st.integers(-12, 12).filter(bool))
+def test_div_is_exact(a, b):
+    q = linalg.div(a, b)
+    assert q == Fraction(a, b)
+    assert type(q) is (int if a % b == 0 else Fraction)

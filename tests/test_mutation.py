@@ -136,8 +136,25 @@ FINITE_TYPE_COUNTS = {
 }
 
 
-def _enumerate_counting_clusters(monkeypatch, b):
-    """Variables, and clusters: each cluster is mutated once per direction."""
+@given(
+    st.sampled_from(sorted(FINITE_TYPE_COUNTS)),
+    st.lists(st.integers(0, 5), max_size=6),
+    st.integers(0, 5),
+)
+@settings(max_examples=60, deadline=None)
+def test_mutation_is_an_involution(kind, path, k):
+    # the oracle never mutates a seed back towards its parent, so the
+    # involution it relies on is checked here, on seeds along random paths
+    b = FINITE_TYPE_COUNTS[kind][0]
+    n = len(b)
+    s = initial_seed(b)
+    for j in path:
+        s = mutate_seed(s, j % n)
+    assert mutate_seed(mutate_seed(s, k % n), k % n) == s
+
+
+def _enumerate_counting_calls(monkeypatch, b):
+    """Variables, and the number of `mutate_seed` calls."""
     calls = []
 
     def counting(s, k):
@@ -147,19 +164,36 @@ def _enumerate_counting_clusters(monkeypatch, b):
     original = mutation.mutate_seed
     monkeypatch.setattr(mutation, "mutate_seed", counting)
     variables = enumerate_cluster_variables(b)
-    assert len(calls) % len(b) == 0
-    return len(variables), len(calls) // len(b)
+    return len(variables), len(calls)
+
+
+def _calls_for(n, clusters):
+    # the initial cluster is mutated in all n directions, every other one
+    # in all but the direction it was reached along
+    return (n - 1) * clusters + 1
 
 
 @pytest.mark.parametrize("kind", sorted(FINITE_TYPE_COUNTS))
 def test_finite_type_counts(monkeypatch, kind):
     b, variables, clusters = FINITE_TYPE_COUNTS[kind]
-    assert _enumerate_counting_clusters(monkeypatch, b) == (variables, clusters)
+    assert _enumerate_counting_calls(monkeypatch, b) == (
+        variables,
+        _calls_for(len(b), clusters),
+    )
+
+
+def test_rank_one_mutates_once(monkeypatch):
+    # A1: the one mutation reaches the second cluster, whose only direction
+    # leads back to the first
+    assert _enumerate_counting_calls(monkeypatch, ((0,),)) == (2, _calls_for(1, 2))
 
 
 @pytest.mark.slow
 def test_finite_type_counts_e7(monkeypatch):
-    assert _enumerate_counting_clusters(monkeypatch, _type_e(7)) == (70, 4160)
+    assert _enumerate_counting_calls(monkeypatch, _type_e(7)) == (
+        70,
+        _calls_for(7, 4160),
+    )
 
 
 def test_revisited_cluster_with_foreign_matrix_raises(monkeypatch):
