@@ -393,13 +393,12 @@ def counting_polynomial(
     e: DimVector,
     primes=None,
     budget: int = DEFAULT_BUDGET,
-    map_fn=map,
 ) -> CountingPolynomial:
     """Fit the point counts of Gr_e(m); raises when the fit fails to verify."""
     e = _check_dim_vector(m, e)
     D = degree_bound(m, e)
     ps = _select_primes(primes, D + 2)
-    counts = list(map_fn(lambda p: count_points(m, e, p, budget), ps))
+    counts = [count_points(m, e, p, budget) for p in ps]
     return _fit_and_verify(list(zip(ps, counts)), D)
 
 
@@ -408,30 +407,29 @@ def euler_char(
     e: DimVector,
     primes=None,
     budget: int = DEFAULT_BUDGET,
-    map_fn=map,
 ) -> int:
     """Euler characteristic of Gr_e(m) (counting polynomial at q = 1)."""
-    return counting_polynomial(m, e, primes, budget, map_fn).evaluate(1)
+    return counting_polynomial(m, e, primes, budget).evaluate(1)
 
 
 def submodule_classes(
     m: Representation,
     primes=None,
     budget: int = DEFAULT_BUDGET,
-    map_fn=map,
 ) -> list[tuple[DimVector, int]]:
     """All e with nonzero Euler characteristic, with those characteristics.
 
     One backtracking sweep per prime counts every Gr_e(m) simultaneously;
-    each class is then fitted at its own degree bound and verified against
-    the remaining sampled primes.
+    each class that occurs at some prime is then fitted at its own degree
+    bound and verified against the remaining sampled primes (a class with
+    no point at any of them fits the zero polynomial).  The degree bound
+    sum x(d - x) peaks at x = d // 2 in each coordinate.
     """
-    box = [range(d + 1) for d in m.dims]
-    D_max = max((degree_bound(m, e) for e in product(*box)), default=0)
+    D_max = sum((d // 2) * (d - d // 2) for d in m.dims)
     ps = _select_primes(primes, D_max + 2)
-    tables = list(map_fn(lambda p: count_all_subreps(m, p, budget), ps))
+    tables = [count_all_subreps(m, p, budget) for p in ps]
     out = []
-    for e in product(*box):
+    for e in sorted(set().union(*tables)):
         D = degree_bound(m, e)
         points = [(p, table.get(e, 0)) for p, table in zip(ps, tables)]
         chi = _fit_and_verify(points, D).evaluate(1)

@@ -239,27 +239,24 @@ def hom_basis(m: Representation, n: Representation) -> list[dict[int, Matrix]]:
     return out
 
 
-def _radical_columns(m: Representation, j: int) -> list[list]:
-    """The columns of every arrow matrix into vertex j; they span rad m at j."""
-    cols: list[list] = []
+def _top_coordinates(m: Representation, j: int) -> list[int]:
+    """Coordinates at vertex j whose unit vectors complete rad m to m.
+
+    The columns of the arrow matrices into j span the radical there; the
+    non-pivot columns of one echelon form of them are the top.
+    """
+    rad: list[list] = []
     for a in m.algebra.quiver.arrows:
         if a.target == j:
             A = m.matrices[a.name]
-            cols.extend([A.entry(r, c) for r in range(A.rows)] for c in range(A.cols))
-    return cols
-
-
-def _rank_of_rows(rows: list[list], width: int) -> int:
-    if not rows:
-        return 0
-    return linalg.rank(linalg.matrix(rows, rows=len(rows), cols=width))
+            rad.extend([A.entry(r, c) for r in range(A.rows)] for c in range(A.cols))
+    _, pivots = linalg.row_reduce(rad, m.dims[j])
+    return [k for k in range(m.dims[j]) if k not in pivots]
 
 
 def top_dims(m: Representation) -> DimVector:
     """Dimension vector of m / rad m (radical = sum of arrow images)."""
-    return tuple(
-        d - _rank_of_rows(_radical_columns(m, j), d) for j, d in enumerate(m.dims)
-    )
+    return tuple(len(_top_coordinates(m, j)) for j in range(m.algebra.quiver.n))
 
 
 @dataclass(frozen=True)
@@ -285,48 +282,24 @@ def syzygy(m: Representation) -> Syzygy:
 def _compute_syzygy(m: Representation) -> Syzygy:
     algebra = m.algebra
     q = algebra.quiver
-    mults = top_dims(m)
+    tops = [_top_coordinates(m, i) for i in range(q.n)]
 
-    # generators: unit vectors completing the radical to each fibre
-    generators: list[tuple[int, list]] = []
-    for i in range(q.n):
-        current = _radical_columns(m, i)
-        need = mults[i]
-        chosen = 0
-        base_rank = _rank_of_rows(current, m.dims[i])
-        for k in range(m.dims[i]):
-            if chosen == need:
-                break
-            unit = [1 if t == k else 0 for t in range(m.dims[i])]
-            trial = current + [unit]
-            r = _rank_of_rows(trial, m.dims[i])
-            if r > base_rank:
-                generators.append((i, unit))
-                current, base_rank, chosen = trial, r, chosen + 1
-        if chosen != need:
-            raise DimensionError("failed to complete the radical at vertex %d" % i)
-
-    # cover = direct sum of P_i blocks in generator order
-    blocks = [
-        (_canonical(algebra, "proj", i), algebra.basis_paths_from(i), gen)
-        for i, gen in generators
-    ]
+    # cover = one P_i per top coordinate k at i, sent to the unit vector
+    # e_k; the column of a basis path p from i is column k of p's matrix
+    generators = [(i, k) for i in range(q.n) for k in tops[i]]
     cover = zero_module(algebra)
-    for block, _, _ in blocks:
-        cover = direct_sum(cover, block)
+    for i, _ in generators:
+        cover = direct_sum(cover, _canonical(algebra, "proj", i))
+    paths_from = [algebra.basis_paths_from(i) for i in range(q.n)]
 
     cover_map: dict[int, Matrix] = {}
     for j in range(q.n):
-        cols: list[list] = []
-        for _, paths_from, gen in blocks:
-            for p in paths_from.get(j, ()):
-                mat = path_matrix(m, p)
-                vec = [
-                    sum(mat.entry(r, c) * gen[c] for c in range(mat.cols))
-                    for r in range(mat.rows)
-                ]
-                cols.append(vec)
-        data = [[cols[c][r] for c in range(len(cols))] for r in range(m.dims[j])]
+        cols = [
+            (path_matrix(m, p), k)
+            for i, k in generators
+            for p in paths_from[i].get(j, ())
+        ]
+        data = [[mat.entry(r, k) for mat, k in cols] for r in range(m.dims[j])]
         cover_map[j] = linalg.matrix(data, rows=m.dims[j], cols=cover.dims[j])
         if linalg.rank(cover_map[j]) != m.dims[j]:
             raise DimensionError("projective cover is not surjective at vertex %d" % j)
@@ -342,7 +315,7 @@ def _compute_syzygy(m: Representation) -> Syzygy:
             raise DimensionError("cover map is not a module morphism")
         ker_mats[a.name] = sol
     kernel = Representation(m.algebra, ker_dims, ker_mats, check=False)
-    return Syzygy(mults, cover, cover_map, kernel, inclusion)
+    return Syzygy(tuple(map(len, tops)), cover, cover_map, kernel, inclusion)
 
 
 def ext1_dim(m: Representation, n: Representation) -> int:
@@ -464,7 +437,7 @@ def load_module(
             raise InputError("matrix for arrow %r is not a list of rows" % name)
         for row in data:
             for x in row:
-                if not isinstance(x, int):
+                if type(x) is not int:
                     raise InputError(
                         "non-integer entry %r in matrix for arrow %r" % (x, name)
                     )

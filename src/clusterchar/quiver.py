@@ -9,6 +9,8 @@ contributing nothing to the quotient is the nilpotency bound.  This is a
 linear-span reduction, not a Groebner computation: it is exact for
 length-homogeneous relation ideals (every instance shipped here), and a
 growth cap turns anything the reduction cannot tame into a loud error.
+The reduction runs once per algebra; the opposite presentation reverses
+its paths, relations and reduction table instead of reducing again.
 
 Paths store their arrows in application order: ``Path(v, (a, b))`` starts
 at vertex ``v``, applies arrow ``a`` first, then ``b``.  The textual
@@ -146,8 +148,114 @@ def _validate_relations(q: Quiver, rels: RelationSet) -> None:
                 )
 
 
+def _blocks(q: Quiver, paths_by_len):
+    """Group all paths by (source, target) block."""
+    blocks: dict[tuple[int, int], list[Path]] = {}
+    for ps in paths_by_len:
+        for p in ps:
+            blocks.setdefault((p.source, path_target(q, p)), []).append(p)
+    for key in blocks:
+        blocks[key].sort(key=path_sort_key)
+    return blocks
+
+
+def _ideal_rows(q: Quiver, relations: RelationSet, paths_by_len):
+    """Vectors spanning the relation ideal inside the paths enumerated.
+
+    Every padded multiple u.r.v whose monomials all fit is included:
+    pad lengths run over len(u) + len(v) <= length - max monomial of r.
+    """
+    length = len(paths_by_len) - 1
+    rows: dict[tuple[int, int], list[dict[Path, int]]] = {}
+    paths_into: dict[int, list[Path]] = {}
+    paths_from: dict[int, list[Path]] = {}
+    for ps in paths_by_len:
+        for p in ps:
+            paths_from.setdefault(p.source, []).append(p)
+            paths_into.setdefault(path_target(q, p), []).append(p)
+    for rel in relations.relations:
+        longest = max(len(p.arrows) for _, p in rel)
+        src = rel[0][1].source
+        tgt = path_target(q, rel[0][1])
+        budget = length - longest
+        if budget < 0:
+            continue
+        for v in paths_into.get(src, []):
+            if len(v.arrows) > budget:
+                continue
+            for u in paths_from.get(tgt, []):
+                if len(v.arrows) + len(u.arrows) > budget:
+                    continue
+                vec: dict[Path, int] = {}
+                for coeff, p in rel:
+                    whole = Path(v.source, v.arrows + p.arrows + u.arrows)
+                    vec[whole] = vec.get(whole, 0) + coeff
+                vec = {k: c for k, c in vec.items() if c != 0}
+                if vec:
+                    key = (v.source, path_target(q, u) if u.arrows else tgt)
+                    rows.setdefault(key, []).append(vec)
+    return rows
+
+
+def _reduce_paths(q: Quiver, relations: RelationSet, basis_cap: int):
+    """The nilpotency bound and the reduction table, read off the per-block
+    echelon forms of the last length climbed: a free (non-pivot) path maps
+    to itself, a pivot path to minus the free part of its row."""
+    _validate_relations(q, relations)
+    out_arrows: dict[int, list[int]] = {i: [] for i in range(q.n)}
+    for k, a in enumerate(q.arrows):
+        out_arrows[a.source].append(k)
+    max_rel_len = max(
+        (max(len(p.arrows) for _, p in rel) for rel in relations.relations),
+        default=0,
+    )
+
+    paths_by_len: list[list[Path]] = [[Path(i, ()) for i in range(q.n)]]
+    prev_dim = q.n
+    length = 0
+    while True:
+        length += 1
+        paths_by_len.append([
+            Path(p.source, p.arrows + (k,))
+            for p in paths_by_len[length - 1]
+            for k in out_arrows[path_target(q, p)]
+        ])
+        if sum(len(ps) for ps in paths_by_len) > _RAW_PATH_CAP:
+            raise AlgebraBuildError(
+                "path enumeration exceeded %d raw paths; "
+                "algebra not finite-dimensional at this cap" % _RAW_PATH_CAP
+            )
+        ideal = _ideal_rows(q, relations, paths_by_len)
+        echelon = []
+        for key, paths in _blocks(q, paths_by_len).items():
+            rows = [[vec.get(p, 0) for p in paths] for vec in ideal.get(key, [])]
+            echelon.append((paths, *linalg.row_reduce(rows, len(paths))))
+        dim = sum(len(paths) - len(pivots) for paths, _, pivots in echelon)
+        if dim > basis_cap:
+            raise AlgebraBuildError(
+                "quotient dimension exceeded cap %d; "
+                "algebra not finite-dimensional at this cap" % basis_cap
+            )
+        # a length contributing nothing ends the climb, but only once
+        # every relation has fully entered the ideal span
+        if dim == prev_dim and length >= max_rel_len:
+            break
+        prev_dim = dim
+
+    table: dict[Path, dict[Path, Fraction | int]] = {}
+    for paths, red, pivots in echelon:
+        pivot_set = set(pivots)
+        free = [j for j in range(len(paths)) if j not in pivot_set]
+        table.update((paths[j], {paths[j]: 1}) for j in free)
+        for row, c in zip(red, pivots):
+            table[paths[c]] = {paths[j]: -row[j] for j in free if row[j] != 0}
+    return length, table
+
+
 class AlgebraPresentation:
-    """A quiver algebra with relations and its computed path basis.
+    """A quiver algebra with relations and its path basis: the paths that
+    ``reduce_table`` (every path of length <= ``nilpotency_bound`` to its
+    class) maps to themselves.  Every relation must reduce to 0.
 
     Immutable after construction; the ``_memo`` dict only caches derived
     data (the opposite presentation, canonical modules, the form matrix,
@@ -156,154 +264,23 @@ class AlgebraPresentation:
     write is idempotent.
     """
 
-    def __init__(self, quiver: Quiver, relations: RelationSet, basis_cap: int):
+    def __init__(self, quiver: Quiver, relations: RelationSet,
+                 nilpotency_bound: int, reduce_table: dict[Path, dict]):
         self.quiver = quiver
         self.relations = relations
-        self.basis_cap = basis_cap
+        self.nilpotency_bound = nilpotency_bound
+        self._reduce_table = reduce_table
         self._memo: dict = {}
-        self._build()
-
-    # -- construction ---------------------------------------------------
-
-    def _build(self) -> None:
-        q = self.quiver
-        _validate_relations(q, self.relations)
-        out_arrows: dict[int, list[int]] = {i: [] for i in range(q.n)}
-        for k, a in enumerate(q.arrows):
-            out_arrows[a.source].append(k)
-
-        paths_by_len: list[list[Path]] = [[Path(i, ()) for i in range(q.n)]]
-        dims_history = [q.n]
-        max_rel_len = max(
-            (max(len(p.arrows) for _, p in rel) for rel in self.relations.relations),
-            default=0,
+        basis = sorted(
+            (p for p, row in reduce_table.items() if row == {p: 1}), key=path_sort_key
         )
-
-        length = 0
-        while True:
-            length += 1
-            new_paths = []
-            for p in paths_by_len[length - 1]:
-                for k in out_arrows[path_target(q, p)]:
-                    new_paths.append(Path(p.source, p.arrows + (k,)))
-            paths_by_len.append(new_paths)
-            if sum(len(ps) for ps in paths_by_len) > _RAW_PATH_CAP:
-                raise AlgebraBuildError(
-                    "path enumeration exceeded %d raw paths; "
-                    "algebra not finite-dimensional at this cap" % _RAW_PATH_CAP
-                )
-            dim = self._quotient_dim(paths_by_len, length)
-            if dim > self.basis_cap:
-                raise AlgebraBuildError(
-                    "quotient dimension exceeded cap %d; "
-                    "algebra not finite-dimensional at this cap" % self.basis_cap
-                )
-            # a length contributing nothing ends the climb, but only once
-            # every relation has fully entered the ideal span
-            if dim == dims_history[-1] and length >= max_rel_len:
-                self.nilpotency_bound = length
-                break
-            dims_history.append(dim)
-
-        self._finalize(paths_by_len)
-
-    def _blocks(self, paths_by_len, length):
-        """Group all paths of length <= length by (source, target) block."""
-        q = self.quiver
-        blocks: dict[tuple[int, int], list[Path]] = {}
-        for ps in paths_by_len[: length + 1]:
-            for p in ps:
-                blocks.setdefault((p.source, path_target(q, p)), []).append(p)
-        for key in blocks:
-            blocks[key].sort(key=path_sort_key)
-        return blocks
-
-    def _ideal_rows(self, paths_by_len, length):
-        """Vectors spanning the relation ideal inside paths of length <= length.
-
-        Every padded multiple u.r.v whose monomials all fit is included:
-        pad lengths run over len(u) + len(v) <= length - max monomial of r.
-        """
-        q = self.quiver
-        rows: dict[tuple[int, int], list[dict[Path, int]]] = {}
-        paths_into: dict[int, list[Path]] = {}
-        paths_from: dict[int, list[Path]] = {}
-        for ps in paths_by_len[: length + 1]:
-            for p in ps:
-                paths_from.setdefault(p.source, []).append(p)
-                paths_into.setdefault(path_target(q, p), []).append(p)
-        for rel in self.relations.relations:
-            longest = max(len(p.arrows) for _, p in rel)
-            src = rel[0][1].source
-            tgt = path_target(q, rel[0][1])
-            budget = length - longest
-            if budget < 0:
-                continue
-            for v in paths_into.get(src, []):
-                if len(v.arrows) > budget:
-                    continue
-                for u in paths_from.get(tgt, []):
-                    if len(v.arrows) + len(u.arrows) > budget:
-                        continue
-                    vec: dict[Path, int] = {}
-                    for coeff, p in rel:
-                        whole = Path(v.source, v.arrows + p.arrows + u.arrows)
-                        vec[whole] = vec.get(whole, 0) + coeff
-                    vec = {k: c for k, c in vec.items() if c != 0}
-                    if vec:
-                        key = (v.source, path_target(q, u) if u.arrows else tgt)
-                        rows.setdefault(key, []).append(vec)
-        return rows
-
-    def _quotient_dim(self, paths_by_len, length) -> int:
-        blocks = self._blocks(paths_by_len, length)
-        ideal = self._ideal_rows(paths_by_len, length)
-        dim = 0
-        for key, paths in blocks.items():
-            rows = [
-                [vec.get(p, 0) for p in paths] for vec in ideal.get(key, [])
-            ]
-            _, pivots = linalg.row_reduce(rows, len(paths))
-            dim += len(paths) - len(pivots)
-        return dim
-
-    def _finalize(self, paths_by_len) -> None:
-        q = self.quiver
-        length = self.nilpotency_bound
-        blocks = self._blocks(paths_by_len, length)
-        ideal = self._ideal_rows(paths_by_len, length)
-
-        basis: list[Path] = []
-        reduce_table: dict[Path, dict[Path, Fraction | int]] = {}
-        for key in sorted(blocks):
-            paths = blocks[key]
-            rows = [[vec.get(p, 0) for p in paths] for vec in ideal.get(key, [])]
-            red, pivots = linalg.row_reduce(rows, len(paths))
-            pivot_set = set(pivots)
-            free = [j for j in range(len(paths)) if j not in pivot_set]
-            basis.extend(paths[j] for j in free)
-            # reduction: eliminate pivot coordinates with the RREF rows;
-            # what is left is supported on the basis (free) columns
-            for j, p in enumerate(paths):
-                v = [0] * len(paths)
-                v[j] = 1
-                for k, c in enumerate(pivots):
-                    f = v[c]
-                    if f != 0:
-                        v = [linalg.normalize(x - f * y) for x, y in zip(v, red[k])]
-                reduce_table[p] = {
-                    paths[jj]: v[jj] for jj in free if v[jj] != 0
-                }
-
-        basis.sort(key=path_sort_key)
-        if any(len(p.arrows) >= length for p in basis):
+        if any(len(p.arrows) >= nilpotency_bound for p in basis):
             raise AlgebraBuildError("basis path at or above the nilpotency bound")
         self.basis = tuple(basis)
         self.basis_index = {p: i for i, p in enumerate(basis)}
-        self._reduce_table = reduce_table
         by_pair: dict[tuple[int, int], list[int]] = {}
         for i, p in enumerate(basis):
-            by_pair.setdefault((p.source, path_target(q, p)), []).append(i)
+            by_pair.setdefault((p.source, path_target(quiver, p)), []).append(i)
         self.basis_by_pair = {k: tuple(v) for k, v in by_pair.items()}
         self._check_relations_vanish()
 
@@ -348,19 +325,26 @@ class AlgebraPresentation:
         return out
 
     def opposite(self) -> "AlgebraPresentation":
-        """The opposite presentation; an involution on instances."""
+        """The opposite presentation; an involution on instances.  Paths,
+        relations and the reduction table are reversed (an anti-isomorphism
+        of path algebras), and the reversed relations must vanish."""
         if "op" not in self._memo:
-            op_q = self.quiver.opposite()
-            op_rels = RelationSet(
-                tuple(
-                    tuple(
-                        (coeff, Path(path_target(self.quiver, p), tuple(reversed(p.arrows))))
-                        for coeff, p in rel
-                    )
-                    for rel in self.relations.relations
-                )
+            q = self.quiver
+
+            def rev(p: Path) -> Path:
+                return Path(path_target(q, p), p.arrows[::-1])
+
+            op_rels = RelationSet(tuple(
+                tuple((coeff, rev(p)) for coeff, p in rel)
+                for rel in self.relations.relations
+            ))
+            op_table = {
+                rev(p): {rev(b): c for b, c in row.items()}
+                for p, row in self._reduce_table.items()
+            }
+            op = AlgebraPresentation(
+                q.opposite(), op_rels, self.nilpotency_bound, op_table
             )
-            op = AlgebraPresentation(op_q, op_rels, self.basis_cap)
             op._memo["op"] = self
             self._memo["op"] = op
         return self._memo["op"]
@@ -376,7 +360,9 @@ class AlgebraPresentation:
 def build_algebra(
     quiver: Quiver, relations: RelationSet, basis_cap: int = DEFAULT_BASIS_CAP
 ) -> AlgebraPresentation:
-    return AlgebraPresentation(quiver, relations, basis_cap)
+    return AlgebraPresentation(
+        quiver, relations, *_reduce_paths(quiver, relations, basis_cap)
+    )
 
 
 def same_algebra(a: AlgebraPresentation, b: AlgebraPresentation) -> bool:

@@ -5,9 +5,12 @@ import pytest
 
 from clusterchar import linalg
 from clusterchar.modules import Representation
-from clusterchar.quiver import load_algebra_file
+from clusterchar.polygon import linear_an_algebra
+from clusterchar.quiver import load_algebra, load_algebra_file
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+POINT = "[quiver]\nvertices: 1\n"
+LOOP = "[quiver]\nvertices: 1\narrow: x 1 1\n[relations]\nrel: x.x.x\n"
 
 
 def pytest_collection_modifyitems(config, items):
@@ -44,3 +47,15 @@ def d4_M(d4):
     return Representation(
         d4, (1, 1, 1, 0), {"p": linalg.matrix([[1]]), "q": linalg.matrix([[1]])}
     )
+
+
+@pytest.fixture(scope="session")
+def algebras(a4, d4):
+    """The algebras `module_strategies` draws modules over, by name."""
+    return {
+        "point": load_algebra(POINT),
+        "loop": load_algebra(LOOP),
+        "a3": linear_an_algebra(3),
+        "a4": a4,
+        "d4": d4,
+    }

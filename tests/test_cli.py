@@ -26,6 +26,18 @@ def test_xvalue_a4(capsys, data_dir):
     assert "laurent: x2^-1*x3 + x1^-1*x4 + x1^-1*x2^-1*x4" in out
 
 
+def test_boolean_matrix_entry_exits_2(capsys, data_dir, tmp_path):
+    mod = tmp_path / "bool.mod"
+    mod.write_text(
+        "[module]\nalgebra: %s\ndims: 1 1 0 0\nmatrix d: [[True]]\n"
+        % (data_dir / "a4.alg")
+    )
+    code, out, err = _run(capsys, "xvalue", data_dir / "a4.alg", mod)
+    assert code == 2
+    assert out == ""
+    assert "non-integer entry True in matrix for arrow 'd'" in err
+
+
 def test_xvalue_d4_uses_vertex_labels(capsys, data_dir):
     code, out, _ = _run(
         capsys, "xvalue", data_dir / "d4.alg", data_dir / "d4_M.mod"

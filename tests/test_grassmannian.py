@@ -267,26 +267,3 @@ def test_counting_polynomial_rendering():
     assert str(CountingPolynomial((1, 1))) == "q + 1"
     assert str(CountingPolynomial(())) == "0"
     assert str(CountingPolynomial((2, 0, 3))) == "3*q^2 + 2"
-
-
-def test_map_fn_hook(point):
-    calls = []
-
-    def tracking_map(fn, items):
-        items = list(items)
-        calls.append(len(items))
-        return [fn(x) for x in items]
-
-    ksq = Representation(point, (2,))
-    assert euler_char(ksq, (1,), map_fn=tracking_map) == 2
-    assert calls and calls[0] >= 3
-
-
-def test_parallel_map_is_deterministic(point, a4_M):
-    from concurrent.futures import ThreadPoolExecutor
-
-    ksq = Representation(point, (2,))
-    serial = submodule_classes(a4_M)
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        assert euler_char(ksq, (1,), map_fn=pool.map) == 2
-        assert submodule_classes(a4_M, map_fn=pool.map) == serial

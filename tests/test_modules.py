@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings
 
+from module_strategies import loop_modules, modules
 from clusterchar import linalg
 from clusterchar.errors import DimensionError, InputError
 from clusterchar.modules import (
@@ -258,10 +260,32 @@ def test_representation_shape_check(a4):
         Representation(a4, (1, 1, 0, 0), {"d": linalg.matrix([[1, 1]])})
 
 
-def test_hom_to_simple_is_top_multiplicity(a4, d4, a4_M, d4_M):
-    # dim Hom(m, S_i) equals the multiplicity of S_i in the top of m
-    for m in (a4_M, d4_M):
+def test_hom_to_simple_is_top_multiplicity(algebras, a4_M, d4_M):
+    # dim Hom(m, S_i) equals the multiplicity of S_i in the top of m, the
+    # minimal cover has one P_i per top coordinate, and its kernel makes
+    # up the difference in dimension
+    def check(m):
         alg = m.algebra
         tops = top_dims(m)
         for i in range(alg.quiver.n):
             assert hom_dim(m, simple(alg, i)) == tops[i]
+        syz = syzygy(m)
+        assert syz.cover_mults == tops
+        assert syz.kernel.dims == tuple(
+            c - d for c, d in zip(syz.cover.dims, m.dims)
+        )
+
+    check(a4_M)
+    check(d4_M)
+    generated = [
+        modules(algebras[name], max_dim)
+        for name, max_dim in [("point", 4), ("a3", 3), ("a4", 2), ("d4", 2)]
+    ]
+    for strategy in generated + [loop_modules(algebras["loop"])]:
+
+        @given(strategy)
+        @settings(max_examples=30, deadline=None)
+        def check_generated(m):
+            check(m)
+
+        check_generated()

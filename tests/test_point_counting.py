@@ -12,9 +12,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import grassmannian_reference as ref
+from module_strategies import loop_modules, modules
 from clusterchar import grassmannian, linalg
 from clusterchar.cli import run
-from clusterchar.errors import InputError, ResourceLimitError
+from clusterchar.errors import ResourceLimitError
 from clusterchar.grassmannian import (
     _containing,
     _echelon,
@@ -24,50 +25,6 @@ from clusterchar.grassmannian import (
 )
 from clusterchar.modules import Representation
 from clusterchar.polygon import linear_an_algebra
-from clusterchar.quiver import load_algebra
-
-POINT = "[quiver]\nvertices: 1\n"
-LOOP = "[quiver]\nvertices: 1\narrow: x 1 1\n[relations]\nrel: x.x.x\n"
-
-
-@pytest.fixture(scope="module")
-def algebras(a4, d4):
-    return {
-        "point": load_algebra(POINT),
-        "loop": load_algebra(LOOP),
-        "a3": linear_an_algebra(3),
-        "a4": a4,
-        "d4": d4,
-    }
-
-
-def _draw_matrix(draw, rows, cols, entries=st.integers(0, 3)):
-    data = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
-    return linalg.matrix(data, rows=rows, cols=cols)
-
-
-@st.composite
-def modules(draw, algebra, max_dim):
-    """A module over ``algebra``: random arrow matrices, with arrows set to
-    zero in a random order until the relations hold."""
-    q = algebra.quiver
-    dims = [draw(st.integers(0, max_dim)) for _ in range(q.n)]
-    mats = {a.name: _draw_matrix(draw, dims[a.target], dims[a.source]) for a in q.arrows}
-    for a in draw(st.permutations(q.arrows)):
-        try:
-            return Representation(algebra, dims, mats)
-        except InputError:
-            mats[a.name] = linalg.zeros(dims[a.target], dims[a.source])
-    return Representation(algebra, dims, mats)
-
-
-@st.composite
-def loop_modules(draw, algebra):
-    """A strictly upper-triangular loop, so x^3 = 0 holds for d <= 3."""
-    d = draw(st.integers(0, 3))
-    data = [[draw(st.integers(0, 3)) if c > r else 0 for c in range(d)] for r in range(d)]
-    return Representation(algebra, (d,), {"x": linalg.matrix(data, rows=d, cols=d)})
-
 
 @given(
     st.integers(2, 3).flatmap(

@@ -1,15 +1,29 @@
 import pytest
 
+from clusterchar import cli, linalg, quiver
 from clusterchar.errors import AlgebraBuildError, InputError
 from clusterchar.modules import hom_dim, projective, simple
 from clusterchar.quiver import (
+    build_algebra,
     load_algebra,
+    load_algebra_file,
     make_quiver,
+    path_sort_key,
+    path_target,
     render_path,
     same_algebra,
 )
 
 ONE_VERTEX = "[quiver]\nvertices: v\n"
+LOOP_CUBE = "[quiver]\nvertices: 1\narrow: x 1 1\n[relations]\nrel: x.x.x\n"
+# arrows declared so that the two sides of the square sort one way and
+# their reversals the other: the opposite keeps the other side as basis
+# path than a fresh reduction of the opposite would
+FLIPPED_SQUARE = (
+    "[quiver]\nvertices: 1 2 3 4\n"
+    "arrow: a 1 2\narrow: a2 1 3\narrow: c 3 4\narrow: b 2 4\n"
+    "[relations]\nrel: b.a - c.a2\n"
+)
 
 
 def test_a4_basis(a4):
@@ -44,6 +58,78 @@ def test_opposite_is_involution(a4):
     op = a4.opposite()
     assert op.dim() == a4.dim()
     assert op.opposite() is a4
+
+
+def _ideal_blocks(alg):
+    """Per (source, target) block: the paths of length <= the nilpotency
+    bound, and the vectors p - reduce(p) spanning the ideal there."""
+    blocks: dict = {}
+    for p in alg._reduce_table:
+        blocks.setdefault((p.source, path_target(alg.quiver, p)), []).append(p)
+    out = {}
+    for key, paths in blocks.items():
+        paths.sort(key=path_sort_key)
+        rows = []
+        for p in paths:
+            vec = {p: 1}
+            for b, c in alg.reduce_path(p).items():
+                vec[b] = vec.get(b, 0) - c
+            rows.append([vec.get(x, 0) for x in paths])
+        out[key] = (paths, rows)
+    return out
+
+
+def _rank(rows, width):
+    return linalg.rank(linalg.matrix(rows, rows=len(rows), cols=width))
+
+
+@pytest.mark.parametrize(
+    "name", ["a4", "d4", "an2", "an3", "an4", "an5", "loop", "flipped_square"]
+)
+def test_derived_opposite_matches_a_fresh_build(data_dir, name):
+    texts = {"loop": LOOP_CUBE, "flipped_square": FLIPPED_SQUARE}
+    if name in texts:
+        alg = load_algebra(texts[name])
+    else:
+        alg = load_algebra_file(data_dir / ("%s.alg" % name))
+    op = alg.opposite()
+    fresh = build_algebra(op.quiver, op.relations)
+    assert op.quiver == fresh.quiver and op.relations == fresh.relations
+    assert op.nilpotency_bound == fresh.nilpotency_bound
+    assert op.dim() == fresh.dim() == alg.dim()
+    derived, rebuilt = _ideal_blocks(op), _ideal_blocks(fresh)
+    assert derived.keys() == rebuilt.keys()
+    for key, (paths, rows) in derived.items():
+        assert rebuilt[key][0] == paths
+        # the same ideal span, whichever basis paths each side kept
+        width = len(paths)
+        assert _rank(rows, width) == _rank(rebuilt[key][1], width)
+        assert _rank(rows, width) == _rank(rows + rebuilt[key][1], width)
+    if name == "flipped_square":
+        assert op.basis != fresh.basis
+
+
+def test_opposite_checks_the_reversed_relations(data_dir):
+    alg = load_algebra_file(data_dir / "a4.alg")
+    (_, p), = alg.relations.relations[0]
+    alg._reduce_table[p] = {p: 1}
+    with pytest.raises(AlgebraBuildError, match="does not vanish"):
+        alg.opposite()
+
+
+def test_one_reduction_per_loaded_algebra(capsys, data_dir, monkeypatch):
+    calls = []
+    real = quiver._reduce_paths
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(quiver, "_reduce_paths", counted)
+    code = cli.run(["xvalue", str(data_dir / "a4.alg"), str(data_dir / "a4_M.mod")])
+    assert code == 0
+    assert "X = " in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_double_dual_fingerprints(a4, a4_M):
