@@ -2,8 +2,13 @@
 
 This is the oracle side of the artifact: Laurent polynomials produced by
 matrix/seed mutation, entirely independent of the character pipeline.
-New variables come from the exchange relation by exact Laurent division;
-an inexact division can only mean an arithmetic bug (the Laurent
+`mutate_seed` carries the cluster variables themselves and computes each
+new one from the exchange relation by exact Laurent division.  The
+enumerator tracks integer data instead, the principal-coefficient matrix
+[B; C] and the g-vectors of a seed, and divides only the first time a
+g-vector appears, once per cluster variable rather than once per edge of
+the exchange graph; it checks at run time the theorems that make this
+sound.  An inexact division can only mean an arithmetic bug (the Laurent
 phenomenon guarantees exactness) and raises immediately.
 """
 
@@ -11,6 +16,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
+from operator import add, itemgetter, neg
 
 from . import laurent
 from .errors import ConsistencyError, InputError, NotFiniteTypeError
@@ -36,23 +43,33 @@ def check_exchange_matrix(b: ExchangeMatrix) -> ExchangeMatrix:
 
 
 def mutate_matrix(b: ExchangeMatrix, k: int) -> ExchangeMatrix:
-    """Matrix mutation in direction k (0-based)."""
-    n = len(b)
+    """Matrix mutation in direction k (0-based).
+
+    ``b`` is m x n with m >= n: an exchange matrix, or one extended by
+    coefficient rows, which mutate by the same rule.  A row with
+    b_ik = 0 is unchanged and is returned as the same tuple.
+    """
+    n = len(b[0]) if b else 0
     if not 0 <= k < n:
         raise InputError("mutation index %d out of range" % k)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == k or j == k:
-                row.append(-b[i][j])
-            else:
-                # b_ij + sign(b_ik) [b_ik b_kj]_+ in its symmetric form
-                row.append(
-                    b[i][j]
-                    + (abs(b[i][k]) * b[k][j] + b[i][k] * abs(b[k][j])) // 2
-                )
-        out.append(tuple(row))
+    row_k = b[k]
+    # [b_kj]_+ and [-b_kj]_+, with -2 at k: adding b_ik times either
+    # turns b_ik into -b_ik
+    plus = [x if x > 0 else 0 for x in row_k]
+    minus = [-x if x < 0 else 0 for x in row_k]
+    plus[k] = minus[k] = -2
+    steps = {}
+    out = list(b)
+    out[k] = tuple(map(neg, row_k))
+    column = list(map(itemgetter(k), b))
+    column[k] = 0
+    for i in compress(range(len(b)), column):
+        # b_ij + sign(b_ik) [b_ik b_kj]_+
+        bik = column[i]
+        step = steps.get(bik)
+        if step is None:
+            step = steps[bik] = [bik * y for y in (plus if bik > 0 else minus)]
+        out[i] = tuple(map(add, b[i], step))
     return tuple(out)
 
 
@@ -75,23 +92,28 @@ def initial_seed(b: ExchangeMatrix) -> Seed:
     return Seed(b, tuple(laurent.variable(n, i) for i in range(n)))
 
 
+def _exchange(b: ExchangeMatrix, xs, k: int) -> LaurentPoly:
+    """x_k' = (prod x_i^[b_ik]+ + prod x_i^[-b_ik]+) / x_k, by exact division.
+
+    ``xs`` is the cluster; rows of ``b`` past ``len(xs)`` are not read.
+    """
+    plus = minus = laurent.one(len(xs))
+    for x, row in zip(xs, b):
+        bik = row[k]
+        if bik > 0:
+            plus = plus * x ** bik
+        elif bik < 0:
+            minus = minus * x ** -bik
+    return laurent_divexact(plus + minus, xs[k])
+
+
 def mutate_seed(s: Seed, k: int) -> Seed:
-    """Seed mutation: x_k' = (prod x_i^[b_ik]+ + prod x_i^[-b_ik]+) / x_k."""
+    """Seed mutation in direction k (0-based)."""
     n = len(s.matrix)
     if not 0 <= k < n:
         raise InputError("mutation index %d out of range" % k)
-    plus = laurent.one(n)
-    minus = laurent.one(n)
-    for i in range(n):
-        bik = s.matrix[i][k]
-        if bik > 0:
-            plus = plus * s.variables[i] ** bik
-        elif bik < 0:
-            minus = minus * s.variables[i] ** (-bik)
-    new_var = laurent_divexact(plus + minus, s.variables[k])
-    variables = tuple(
-        new_var if i == k else v for i, v in enumerate(s.variables)
-    )
+    new_var = _exchange(s.matrix, s.variables, k)
+    variables = s.variables[:k] + (new_var,) + s.variables[k + 1:]
     return Seed(mutate_matrix(s.matrix, k), variables)
 
 
@@ -100,30 +122,46 @@ def enumerate_cluster_variables(
 ) -> frozenset[LaurentPoly]:
     """Breadth-first closure of the initial seed under all mutations.
 
-    Seeds are identified by their cluster, the set of their variables: a
-    cluster determines its seed up to a simultaneous relabelling
-    (Gekhtman, Shapiro and Vainshtein, "On the properties of the exchange
-    graph of a cluster algebra", Math. Res. Lett. 2008).  Each revisited
-    cluster is checked against that theorem: its matrix must be the stored
-    matrix conjugated by the permutation that matches the variables, or
-    ``ConsistencyError`` is raised.  ``seed_cap`` bounds the seeds visited,
-    the initial seed plus every mutation result, revisits included; once
-    more than ``seed_cap`` are visited, ``NotFiniteTypeError`` is raised.
-    Mutating a seed back along the direction it was reached by returns its
-    parent, so that seed is counted as visited without calling
-    `mutate_seed` and without the relabelling check a revisit gets: a
-    finite type with C clusters of rank n takes (n - 1) C + 1 calls.
+    A seed is its principal-coefficient extended matrix [B; C] (2n x n,
+    C = I at the start) with the g-vectors of its cluster variables, and
+    a cluster is keyed by the set of its g-vectors: distinct cluster
+    variables have distinct g-vectors (Derksen, Weyman and Zelevinsky,
+    "Quivers with potentials and their representations II", JAMS 2010).
+    Mutation in direction k updates [B; C] by `mutate_matrix` and g-vector
+    k by the recurrence of Fomin and Zelevinsky ("Cluster algebras IV",
+    Compositio 2007, section 6), all in integers.  A variable's Laurent
+    polynomial comes from the exchange relation, by exact division, the
+    first time its g-vector appears: one division per cluster variable.
+
+    What the theorems promise is checked, and a violation raises
+    ``ConsistencyError``: each c-vector mutated along is sign-coherent;
+    the g-vectors of each new cluster are distinct and a Z-basis
+    (|det| = 1); a revisited cluster's [B; C] is the stored one with its
+    vertices relabelled (a cluster determines its seed: Gekhtman, Shapiro
+    and Vainshtein, Math. Res. Lett. 2008).  An inexact division raises
+    ``LaurentDivisionError``.
+
+    ``seed_cap`` bounds the seeds visited, the initial seed plus every
+    mutation result, revisits included; once more than ``seed_cap`` are
+    visited, ``NotFiniteTypeError`` is raised.  Mutating a seed back along
+    the direction it was reached by returns its parent (mutation is an
+    involution), so that seed is counted as visited but not computed or
+    checked: a finite type with C clusters of rank n visits n C + 1 seeds.
     """
     if seed_cap < 1:
         raise InputError("seed cap must be at least 1, got %d" % seed_cap)
-    start = initial_seed(b)
-    n = len(start.matrix)
-    clusters = {frozenset(start.variables): start}
+    b = check_exchange_matrix(b)
+    n = len(b)
+    if n == 0:
+        return frozenset()
+    unit = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    variables = {g: laurent.variable(n, i) for i, g in enumerate(unit)}
+    clusters = {frozenset(unit): _relabelled(unit, b + unit)}
     # each queued seed carries the direction it was reached along
-    queue: deque[tuple[Seed, int | None]] = deque([(start, None)])
+    queue = deque([(unit, b + unit, None)])
     visited = 1
     while queue:
-        s, back = queue.popleft()
+        gs, m, back = queue.popleft()
         for k in range(n):
             visited += 1
             if visited > seed_cap:
@@ -132,31 +170,84 @@ def enumerate_cluster_variables(
                 )
             if k == back:
                 continue  # mutation is an involution: this is the parent seed
-            t = mutate_seed(s, k)
-            cluster = frozenset(t.variables)
+            g = _g_vector(gs, m, k)
+            new_gs = gs[:k] + (g,) + gs[k + 1:]
+            new_m = mutate_matrix(m, k)
+            cluster = frozenset(new_gs)
             known = clusters.get(cluster)
+            relabelled = _relabelled(new_gs, new_m)
             if known is None:
                 if len(cluster) < n:
-                    raise ConsistencyError("a cluster repeats a variable")
-                clusters[cluster] = t
-                queue.append((t, k))
-            else:
-                _check_relabelling(known, t)
-    return frozenset().union(*clusters)
+                    raise ConsistencyError("a cluster repeats a g-vector")
+                if _abs_determinant(new_gs) != 1:
+                    raise ConsistencyError("the g-vectors of a cluster are not a Z-basis")
+                if g not in variables:
+                    variables[g] = _exchange(m, [variables[h] for h in gs], k)
+                clusters[cluster] = relabelled
+                queue.append((new_gs, new_m, k))
+            elif known != relabelled:
+                raise ConsistencyError(
+                    "one cluster carries exchange matrices that are not relabellings"
+                )
+    return frozenset(variables.values())
 
 
-def _check_relabelling(known: Seed, t: Seed) -> None:
-    """Raise unless ``t`` is ``known`` with its vertices relabelled."""
-    position = {v: i for i, v in enumerate(known.variables)}
-    perm = [position[v] for v in t.variables]
-    if any(
-        t.matrix[i][j] != known.matrix[pi][pj]
-        for i, pi in enumerate(perm)
-        for j, pj in enumerate(perm)
-    ):
-        raise ConsistencyError(
-            "one cluster carries exchange matrices that are not relabellings"
-        )
+def _g_vector(gs, m: ExchangeMatrix, k: int) -> tuple[int, ...]:
+    """The g-vector that replaces ``gs[k]`` on mutation in direction k.
+
+    ``m`` is the seed's [B; C].  With e the sign of c-vector k (column k
+    of C), g_k' = -g_k + sum_i [-e b_ik]_+ g_i; the recurrence's last
+    term, -sum_j [-e c_jk]_+ b0_j, vanishes because c-vector k is
+    sign-coherent, which is checked here: a c-vector with entries of both
+    signs, or none nonzero, raises ``ConsistencyError``.
+    """
+    n = len(gs)
+    c = list(map(itemgetter(k), m[n:]))
+    lo, hi = min(c), max(c)
+    if lo >= 0 < hi:
+        e = 1
+    elif hi <= 0 > lo:
+        e = -1
+    else:
+        raise ConsistencyError("c-vector %s is not sign-coherent" % (tuple(c),))
+    out = [-x for x in gs[k]]
+    for gi, row in zip(gs, m):
+        a = -e * row[k]
+        if a > 0:
+            out = [x + a * y for x, y in zip(out, gi)]
+    return tuple(out)
+
+
+def _relabelled(gs, m: ExchangeMatrix) -> ExchangeMatrix:
+    """[B; C] with its vertices put in the order of their g-vectors.
+
+    Two seeds of one cluster are relabellings of each other exactly when
+    these agree.
+    """
+    n = len(gs)
+    order = sorted(range(n), key=gs.__getitem__)
+    pick = itemgetter(*order)
+    return tuple(map(pick, map(m.__getitem__, order))) + tuple(map(pick, m[n:]))
+
+
+def _abs_determinant(rows) -> int:
+    """|det| of a square integer matrix (Bareiss elimination)."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+        pivot, row_k = a[k][k], a[k]
+        for row in a[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - f * row_k[j]) // prev
+        prev = pivot
+    return abs(a[n - 1][n - 1])
 
 
 def quiver_to_matrix(q: Quiver) -> ExchangeMatrix:
@@ -183,7 +274,7 @@ def load_matrix(text: str) -> ExchangeMatrix:
     if not tokens:
         raise InputError("empty matrix file")
     head = tokens[0]
-    if len(head) != 1 or not head[0].lstrip("-").isdigit():
+    if len(head) != 1 or not head[0].lstrip("-").isdecimal():
         raise InputError("matrix file must start with the size n")
     n = int(head[0])
     if n < 1:

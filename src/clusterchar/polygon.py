@@ -32,7 +32,7 @@ from .modules import Representation, ext1_dim
 from .mutation import ExchangeMatrix, enumerate_cluster_variables, quiver_to_matrix
 from .quiver import AlgebraPresentation, RelationSet, build_algebra, make_quiver
 
-DEFAULT_MAX_N = 7
+DEFAULT_MAX_N = 8
 
 
 @dataclass(frozen=True, order=True)

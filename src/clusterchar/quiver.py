@@ -403,7 +403,7 @@ def parse_relation_expr(q: Quiver, expr: str) -> Relation:
         coeff = 1
         if "*" in chunk:
             head, chunk = chunk.split("*", 1)
-            if not head.isdigit():
+            if not head.isdecimal():
                 raise InputError("bad relation coefficient %r" % head)
             coeff = int(head)
         names = chunk.split(".")

@@ -153,6 +153,29 @@ def test_enumerate_rejects_matrix_size_below_one(capsys, tmp_path, size):
     assert "matrix size must be at least 1" in err
 
 
+def test_enumerate_rejects_superscript_matrix_size(capsys, tmp_path):
+    # "\u00b2".isdigit() holds, but int() rejects it
+    path = tmp_path / "bad.mat"
+    path.write_text("\u00b2\n0 1\n-1 0\n", encoding="utf-8")
+    code, out, err = _run(capsys, "enumerate", path)
+    assert code == 2
+    assert out == ""
+    assert "matrix file must start with the size n" in err
+
+
+def test_algebra_check_rejects_superscript_coefficient(capsys, tmp_path):
+    path = tmp_path / "bad.alg"
+    path.write_text(
+        "[quiver]\nvertices: 1 2 3\narrow: a 1 2\narrow: b 2 3\n"
+        "[relations]\nrel: \u00b2*b.a\n",
+        encoding="utf-8",
+    )
+    code, out, err = _run(capsys, "algebra", "check", path)
+    assert code == 2
+    assert out == ""
+    assert "bad relation coefficient" in err
+
+
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_enumerate_rejects_nonpositive_cap(capsys, data_dir, cap):
     code, out, err = _run(capsys, "enumerate", data_dir / "an3.mat", "--max-seeds", cap)
@@ -233,10 +256,10 @@ def test_verify_an_rejects_negative_max_pairs(capsys, pairs):
 
 
 def test_verify_an_rejects_n_above_default_max(capsys):
-    code, out, err = _run(capsys, "verify-an", "--n", "8")
+    code, out, err = _run(capsys, "verify-an", "--n", "9")
     assert code == 2
     assert out == ""
-    assert "2..7" in err
+    assert "2..8" in err
 
 
 def test_grassmannian_dim_above_module_exits_2(capsys, data_dir):

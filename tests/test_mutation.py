@@ -1,7 +1,10 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mutation_reference
 from clusterchar import mutation
 from clusterchar.errors import ConsistencyError, InputError, NotFiniteTypeError
 from clusterchar.laurent import laurent_parse, variable
@@ -56,6 +59,23 @@ def skew_matrices(draw):
 def test_matrix_mutation_involution(b, k):
     k = k % len(b)
     assert mutate_matrix(mutate_matrix(b, k), k) == b
+
+
+@given(skew_matrices(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_extended_matrix_mutation_matches_the_entrywise_rule(b, data):
+    n = len(b)
+    rows = st.tuples(*[st.integers(-3, 3)] * n)
+    m = b + data.draw(st.tuples(*[rows] * n))
+    k = data.draw(st.integers(0, n - 1))
+    assert mutate_matrix(m, k) == tuple(
+        tuple(
+            -m[i][j] if k in (i, j)
+            else m[i][j] + (abs(m[i][k]) * m[k][j] + m[i][k] * abs(m[k][j])) // 2
+            for j in range(n)
+        )
+        for i in range(2 * n)
+    )
 
 
 @given(skew_matrices(), st.integers(0, 3))
@@ -133,7 +153,11 @@ FINITE_TYPE_COUNTS = {
     "D5": (_type_d(5), 25, 182),
     "D6": (_type_d(6), 36, 672),
     "E6": (_type_e(6), 42, 833),
+    "E7": (_type_e(7), 70, 4160),
 }
+# the types of rank at most 5, which the Laurent-keyed reference
+# enumerates in a fraction of a second from any seed
+REFERENCE_KINDS = sorted(k for k, (b, _, _) in FINITE_TYPE_COUNTS.items() if len(b) <= 5)
 
 
 @given(
@@ -153,52 +177,99 @@ def test_mutation_is_an_involution(kind, path, k):
     assert mutate_seed(mutate_seed(s, k % n), k % n) == s
 
 
-def _enumerate_counting_calls(monkeypatch, b):
-    """Variables, and the number of `mutate_seed` calls."""
+def _enumerate_counting_divisions(monkeypatch, b, seed_cap):
+    """Variables, and the number of Laurent divisions."""
     calls = []
 
-    def counting(s, k):
-        calls.append(k)
-        return original(s, k)
+    def counting(p, q):
+        calls.append(q)
+        return original(p, q)
 
-    original = mutation.mutate_seed
-    monkeypatch.setattr(mutation, "mutate_seed", counting)
-    variables = enumerate_cluster_variables(b)
+    original = mutation.laurent_divexact
+    monkeypatch.setattr(mutation, "laurent_divexact", counting)
+    variables = enumerate_cluster_variables(b, seed_cap=seed_cap)
     return len(variables), len(calls)
 
 
-def _calls_for(n, clusters):
-    # the initial cluster is mutated in all n directions, every other one
-    # in all but the direction it was reached along
-    return (n - 1) * clusters + 1
+def _assert_counts(monkeypatch, b, variables, clusters):
+    # one division per cluster variable outside the initial cluster, and
+    # n visits per cluster (one of them the skipped parent) plus the
+    # initial seed: the enumeration closes at that cap and not below it
+    n = len(b)
+    visits = n * clusters + 1
+    assert _enumerate_counting_divisions(monkeypatch, b, visits) == (
+        variables,
+        variables - n,
+    )
+    with pytest.raises(NotFiniteTypeError, match="more than %d seeds" % (visits - 1)):
+        enumerate_cluster_variables(b, seed_cap=visits - 1)
 
 
 @pytest.mark.parametrize("kind", sorted(FINITE_TYPE_COUNTS))
 def test_finite_type_counts(monkeypatch, kind):
-    b, variables, clusters = FINITE_TYPE_COUNTS[kind]
-    assert _enumerate_counting_calls(monkeypatch, b) == (
-        variables,
-        _calls_for(len(b), clusters),
-    )
+    _assert_counts(monkeypatch, *FINITE_TYPE_COUNTS[kind])
 
 
 def test_rank_one_mutates_once(monkeypatch):
     # A1: the one mutation reaches the second cluster, whose only direction
     # leads back to the first
-    assert _enumerate_counting_calls(monkeypatch, ((0,),)) == (2, _calls_for(1, 2))
+    _assert_counts(monkeypatch, ((0,),), 2, 2)
 
 
 @pytest.mark.slow
-def test_finite_type_counts_e7(monkeypatch):
-    assert _enumerate_counting_calls(monkeypatch, _type_e(7)) == (
-        70,
-        _calls_for(7, 4160),
-    )
+def test_finite_type_counts_e8(monkeypatch):
+    _assert_counts(monkeypatch, _type_e(8), 128, 25080)
+
+
+def _mutation_equivalent(b, path, order, sign):
+    """``sign`` times ``b`` mutated along ``path``, its vertices put in the
+    order in which ``order`` lists them."""
+    n = len(b)
+    for k in path:
+        b = mutate_matrix(b, k % n)
+    perm = [i for i in order if i < n]
+    return tuple(tuple(sign * b[pi][pj] for pj in perm) for pi in perm)
+
+
+def _assert_same_as_reference(b, seed_cap):
+    try:
+        expected = mutation_reference.enumerate_cluster_variables(b, seed_cap)
+    except NotFiniteTypeError as exc:
+        with pytest.raises(NotFiniteTypeError, match=re.escape(str(exc))):
+            enumerate_cluster_variables(b, seed_cap)
+    else:
+        assert enumerate_cluster_variables(b, seed_cap) == expected
+
+
+@pytest.mark.parametrize("kind", ["A6", "D6", "E6"])
+def test_rank_six_matches_reference(kind):
+    _assert_same_as_reference(FINITE_TYPE_COUNTS[kind][0], mutation.DEFAULT_SEED_CAP)
+
+
+@given(
+    st.sampled_from(REFERENCE_KINDS),
+    st.lists(st.integers(0, 5), max_size=6),
+    st.permutations(range(6)),
+    st.sampled_from((1, -1)),
+)
+@settings(max_examples=40, deadline=None)
+def test_enumeration_matches_reference(kind, path, order, sign):
+    # finite type, mutated and relabelled: the same set of variables
+    b = _mutation_equivalent(FINITE_TYPE_COUNTS[kind][0], path, order, sign)
+    _assert_same_as_reference(b, mutation.DEFAULT_SEED_CAP)
+
+
+@given(skew_matrices(), st.integers(1, 60))
+@settings(max_examples=80, deadline=None)
+def test_capped_enumeration_matches_reference(b, seed_cap):
+    # mostly infinite type: the same cap error, or the same variables
+    _assert_same_as_reference(b, seed_cap)
 
 
 def test_revisited_cluster_with_foreign_matrix_raises(monkeypatch):
-    # Negating every mutated matrix leaves the exchange relations, hence the
-    # variables, unchanged, but flips the matrix sign along each step; the
+    # Negating every mutated [B; C] flips the signs of the c-vectors and of
+    # B together, which the g-vector recurrence and the exchange relation
+    # do not see; only the matrix sign flips along each step, and the
     # pentagon of A2 reaches a cluster along paths of both parities.
     correct = mutation.mutate_matrix
 
@@ -207,6 +278,57 @@ def test_revisited_cluster_with_foreign_matrix_raises(monkeypatch):
 
     monkeypatch.setattr(mutation, "mutate_matrix", corrupted)
     with pytest.raises(ConsistencyError, match="not relabellings"):
+        enumerate_cluster_variables(A2)
+
+
+def test_revisited_cluster_with_foreign_c_rows_raises(monkeypatch):
+    # Doubling C after each mutation keeps every c-vector's sign, hence
+    # the g-vectors, and leaves B and the variables alone, but a cluster
+    # reached along paths of two lengths gets two different C.
+    correct = mutation.mutate_matrix
+
+    def corrupted(b, k):
+        out = correct(b, k)
+        n = len(out[0])
+        return out[:n] + tuple(tuple(2 * x for x in row) for row in out[n:])
+
+    monkeypatch.setattr(mutation, "mutate_matrix", corrupted)
+    with pytest.raises(ConsistencyError, match="not relabellings"):
+        enumerate_cluster_variables(A2)
+
+
+def test_mixed_sign_c_vector_raises(monkeypatch):
+    # negating the first row of C after each mutation leaves a c-vector
+    # with entries of both signs
+    correct = mutation.mutate_matrix
+
+    def corrupted(b, k):
+        out = correct(b, k)
+        n = len(out[0])
+        return out[:n] + (tuple(-x for x in out[n]),) + out[n + 1:]
+
+    monkeypatch.setattr(mutation, "mutate_matrix", corrupted)
+    with pytest.raises(ConsistencyError, match="not sign-coherent"):
+        enumerate_cluster_variables(linear_an_matrix(3))
+
+
+def test_g_vectors_off_a_basis_raise(monkeypatch):
+    correct = mutation._g_vector
+
+    def doubled(gs, m, k):
+        return tuple(2 * x for x in correct(gs, m, k))
+
+    monkeypatch.setattr(mutation, "_g_vector", doubled)
+    with pytest.raises(ConsistencyError, match="not a Z-basis"):
+        enumerate_cluster_variables(A2, seed_cap=1000)
+
+
+def test_repeated_g_vector_raises(monkeypatch):
+    def neighbour(gs, m, k):
+        return gs[k - 1]
+
+    monkeypatch.setattr(mutation, "_g_vector", neighbour)
+    with pytest.raises(ConsistencyError, match="repeats a g-vector"):
         enumerate_cluster_variables(A2)
 
 

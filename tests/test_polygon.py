@@ -124,6 +124,13 @@ def test_verify_an_7():
     assert report.variable_count == 35
 
 
+@pytest.mark.slow
+def test_verify_an_8():
+    report = verify_an(8)
+    assert report.ok, report.summary()
+    assert report.variable_count == 44
+
+
 def test_verify_an_max_pairs():
     report = verify_an(3, max_pairs=2)
     assert report.crossing_pairs == 15
