@@ -62,10 +62,15 @@ def cc_value(obj: CCObject, primes=None) -> LaurentPoly:
     Values computed with the default primes are cached on the algebra.
     """
     m = obj.module_part
-    a = m.algebra
+    if primes is not None:
+        return _compute_value(obj, primes)
     key = ("cc_value", m.fingerprint(), obj.shift_multiplicities)
-    if primes is None and key in a._memo:
-        return a._memo[key]
+    return m.algebra.cached(key, lambda: _compute_value(obj, None))
+
+
+def _compute_value(obj: CCObject, primes) -> LaurentPoly:
+    m = obj.module_part
+    a = m.algebra
     n = a.quiver.n
     classes = submodule_classes(m, primes)
     coind_via_copres, coind_via_simples = coindex_routes(m)
@@ -93,8 +98,6 @@ def cc_value(obj: CCObject, primes=None) -> LaurentPoly:
             "definitional exponent form (%s)"
             % (laurent.laurent_render(value), laurent.laurent_render(definitional))
         )
-    if primes is None:
-        a._memo[key] = value
     return value
 
 

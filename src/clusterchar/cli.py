@@ -25,6 +25,7 @@ from .forms import antisym_form_matrix, coindex, index
 from .grassmannian import counting_polynomial, degree_bound
 from .modules import injective, load_module_file, projective
 from .mutation import (
+    DEFAULT_SEED_CAP,
     enumerate_cluster_variables,
     initial_seed,
     load_matrix_file,
@@ -214,7 +215,7 @@ _COMMANDS = {
     ]),
     "enumerate": ("breadth-first cluster-variable enumeration", _cmd_enumerate, [
         (("matrix",), {}),
-        (("--max-seeds",), {"type": int, "default": 500_000, "metavar": "N",
+        (("--max-seeds",), {"type": int, "default": DEFAULT_SEED_CAP, "metavar": "N",
                             "help": _MAX_SEEDS_HELP}),
     ]),
     "verify-triangle": ("check X_L X_M = X_B + X_B'", _cmd_verify_triangle, [

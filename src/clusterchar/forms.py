@@ -38,9 +38,7 @@ def euler_form(m: Representation, n: Representation) -> int:
 
 def antisym_form_matrix(a: AlgebraPresentation) -> FormMatrix:
     """Matrix of the antisymmetrized form on the simples (cached per algebra)."""
-    if "form_matrix" not in a._memo:
-        a._memo["form_matrix"] = _compute_form_matrix(a)
-    return a._memo["form_matrix"]
+    return a.cached("form_matrix", lambda: _compute_form_matrix(a))
 
 
 def _compute_form_matrix(a: AlgebraPresentation) -> FormMatrix:

@@ -392,13 +392,12 @@ def counting_polynomial(
     m: Representation,
     e: DimVector,
     primes=None,
-    budget: int = DEFAULT_BUDGET,
 ) -> CountingPolynomial:
     """Fit the point counts of Gr_e(m); raises when the fit fails to verify."""
     e = _check_dim_vector(m, e)
     D = degree_bound(m, e)
     ps = _select_primes(primes, D + 2)
-    counts = [count_points(m, e, p, budget) for p in ps]
+    counts = [count_points(m, e, p) for p in ps]
     return _fit_and_verify(list(zip(ps, counts)), D)
 
 
@@ -406,16 +405,14 @@ def euler_char(
     m: Representation,
     e: DimVector,
     primes=None,
-    budget: int = DEFAULT_BUDGET,
 ) -> int:
     """Euler characteristic of Gr_e(m) (counting polynomial at q = 1)."""
-    return counting_polynomial(m, e, primes, budget).evaluate(1)
+    return counting_polynomial(m, e, primes).evaluate(1)
 
 
 def submodule_classes(
     m: Representation,
     primes=None,
-    budget: int = DEFAULT_BUDGET,
 ) -> list[tuple[DimVector, int]]:
     """All e with nonzero Euler characteristic, with those characteristics.
 
@@ -427,7 +424,7 @@ def submodule_classes(
     """
     D_max = sum((d // 2) * (d - d // 2) for d in m.dims)
     ps = _select_primes(primes, D_max + 2)
-    tables = [count_all_subreps(m, p, budget) for p in ps]
+    tables = [count_all_subreps(m, p) for p in ps]
     out = []
     for e in sorted(set().union(*tables)):
         D = degree_bound(m, e)

@@ -121,9 +121,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._packed
 
-    def is_one(self) -> bool:
-        return self._packed == ((_bias(self.var_count), 1),)
-
     def is_monomial(self) -> bool:
         return len(self._packed) == 1
 

@@ -114,37 +114,25 @@ def path_matrix(m: Representation, p: Path) -> Matrix:
 def projective(algebra: AlgebraPresentation, i: int) -> Representation:
     """P_i: the space at j is spanned by basis paths i -> j; arrows act by
     composition, reduced to the basis."""
-    return _canonical(algebra, "proj", i)
+    return algebra.cached(("proj", i), lambda: _build_projective(algebra, i))
 
 
 def injective(algebra: AlgebraPresentation, i: int) -> Representation:
     """I_i: the dual of the projective at i over the opposite presentation."""
-    return _canonical(algebra, "inj", i)
-
-
-def _canonical(algebra: AlgebraPresentation, kind: str, i: int) -> Representation:
-    key = (kind, i)
-    if key not in algebra._memo:
-        if kind == "proj":
-            algebra._memo[key] = _build_projective(algebra, i)
-        else:
-            algebra._memo[key] = dual(projective(algebra.opposite(), i))
-    return algebra._memo[key]
+    return algebra.cached(("inj", i), lambda: dual(projective(algebra.opposite(), i)))
 
 
 def _build_projective(algebra: AlgebraPresentation, i: int) -> Representation:
     q = algebra.quiver
-    by_target = algebra.basis_paths_from(i)
-    dims = tuple(len(by_target.get(j, ())) for j in range(q.n))
-    pos = {
-        j: {p: k for k, p in enumerate(by_target.get(j, ()))} for j in range(q.n)
-    }
+    by_target = algebra.paths_from[i]
+    dims = tuple(map(len, by_target))
+    pos = [{p: k for k, p in enumerate(paths)} for paths in by_target]
     mats: dict[str, Matrix] = {}
-    for a in q.arrows:
+    for k, a in enumerate(q.arrows):
         rows, cols = dims[a.target], dims[a.source]
         data = [[0] * cols for _ in range(rows)]
-        for c, p in enumerate(by_target.get(a.source, ())):
-            ext = Path(p.source, p.arrows + (q.arrow_index(a.name),))
+        for c, p in enumerate(by_target[a.source]):
+            ext = Path(p.source, p.arrows + (k,))
             for b, coeff in algebra.reduce_path(ext).items():
                 data[pos[a.target][b]][c] = coeff
         mats[a.name] = linalg.matrix(data, rows=rows, cols=cols)
@@ -273,10 +261,7 @@ class Syzygy:
 def syzygy(m: Representation) -> Syzygy:
     """Minimal projective cover of m and its kernel, computed once per
     module and cached on the algebra under the module's fingerprint."""
-    key = ("syzygy", m.fingerprint())
-    if key not in m.algebra._memo:
-        m.algebra._memo[key] = _compute_syzygy(m)
-    return m.algebra._memo[key]
+    return m.algebra.cached(("syzygy", m.fingerprint()), lambda: _compute_syzygy(m))
 
 
 def _compute_syzygy(m: Representation) -> Syzygy:
@@ -289,15 +274,14 @@ def _compute_syzygy(m: Representation) -> Syzygy:
     generators = [(i, k) for i in range(q.n) for k in tops[i]]
     cover = zero_module(algebra)
     for i, _ in generators:
-        cover = direct_sum(cover, _canonical(algebra, "proj", i))
-    paths_from = [algebra.basis_paths_from(i) for i in range(q.n)]
+        cover = direct_sum(cover, projective(algebra, i))
 
     cover_map: dict[int, Matrix] = {}
     for j in range(q.n):
         cols = [
             (path_matrix(m, p), k)
             for i, k in generators
-            for p in paths_from[i].get(j, ())
+            for p in algebra.paths_from[i][j]
         ]
         data = [[mat.entry(r, k) for mat, k in cols] for r in range(m.dims[j])]
         cover_map[j] = linalg.matrix(data, rows=m.dims[j], cols=cover.dims[j])

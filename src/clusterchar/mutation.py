@@ -14,6 +14,7 @@ phenomenon guarantees exactness) and raises immediately.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress
@@ -27,6 +28,7 @@ from .quiver import Quiver
 ExchangeMatrix = tuple[tuple[int, ...], ...]
 
 DEFAULT_SEED_CAP = 500_000
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def check_exchange_matrix(b: ExchangeMatrix) -> ExchangeMatrix:
@@ -265,7 +267,8 @@ def quiver_to_matrix(q: Quiver) -> ExchangeMatrix:
 
 
 def load_matrix(text: str) -> ExchangeMatrix:
-    """Matrix file: n, then n whitespace-separated integer rows."""
+    """Matrix file: n, then n whitespace-separated integer rows.  Every
+    integer, the size included, is an optional ``-`` then ASCII digits."""
     tokens = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -274,7 +277,7 @@ def load_matrix(text: str) -> ExchangeMatrix:
     if not tokens:
         raise InputError("empty matrix file")
     head = tokens[0]
-    if len(head) != 1 or not head[0].lstrip("-").isdecimal():
+    if len(head) != 1 or not _INTEGER.fullmatch(head[0]):
         raise InputError("matrix file must start with the size n")
     n = int(head[0])
     if n < 1:
@@ -282,11 +285,9 @@ def load_matrix(text: str) -> ExchangeMatrix:
     rows = tokens[1:]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InputError("expected %d rows of %d integers" % (n, n))
-    try:
-        b = tuple(tuple(int(x) for x in row) for row in rows)
-    except ValueError:
-        raise InputError("non-integer matrix entry") from None
-    return check_exchange_matrix(b)
+    if not all(_INTEGER.fullmatch(x) for row in rows for x in row):
+        raise InputError("non-integer matrix entry")
+    return check_exchange_matrix(tuple(tuple(map(int, row)) for row in rows))
 
 
 def load_matrix_file(path) -> ExchangeMatrix:

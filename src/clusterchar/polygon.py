@@ -28,7 +28,7 @@ from .character import (
 from .errors import InputError
 from .laurent import LaurentPoly, laurent_render
 from .linalg import identity
-from .modules import Representation, ext1_dim
+from .modules import Representation, ext1_dim, zero_module
 from .mutation import ExchangeMatrix, enumerate_cluster_variables, quiver_to_matrix
 from .quiver import AlgebraPresentation, RelationSet, build_algebra, make_quiver
 
@@ -125,9 +125,7 @@ def smoothings(n: int, a: Arc, b: Arc) -> tuple[CCObject, CCObject]:
 
 
 def combine_all(n: int, objects) -> CCObject:
-    acc = CCObject(
-        Representation(linear_an_algebra(n), (0,) * n, check=False), (0,) * n
-    )
+    acc = module_object(zero_module(linear_an_algebra(n)))
     for obj in objects:
         if obj is not None:
             acc = combine(acc, obj)
@@ -141,8 +139,7 @@ def linear_an_matrix(n: int) -> ExchangeMatrix:
 def interval_ses(n: int):
     """All interval short exact sequences 0 -> M[c,b] -> M[a,b] -> M[a,c-1] -> 0
     over the linear orientation (ends degenerate to zero modules)."""
-    algebra = linear_an_algebra(n)
-    zero = Representation(algebra, (0,) * n, check=False)
+    zero = zero_module(linear_an_algebra(n))
     for a in range(1, n + 1):
         for b in range(a, n + 1):
             total = interval_module(n, a, b)

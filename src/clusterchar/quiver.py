@@ -197,7 +197,7 @@ def _ideal_rows(q: Quiver, relations: RelationSet, paths_by_len):
     return rows
 
 
-def _reduce_paths(q: Quiver, relations: RelationSet, basis_cap: int):
+def _reduce_paths(q: Quiver, relations: RelationSet):
     """The nilpotency bound and the reduction table, read off the per-block
     echelon forms of the last length climbed: a free (non-pivot) path maps
     to itself, a pivot path to minus the free part of its row."""
@@ -231,10 +231,10 @@ def _reduce_paths(q: Quiver, relations: RelationSet, basis_cap: int):
             rows = [[vec.get(p, 0) for p in paths] for vec in ideal.get(key, [])]
             echelon.append((paths, *linalg.row_reduce(rows, len(paths))))
         dim = sum(len(paths) - len(pivots) for paths, _, pivots in echelon)
-        if dim > basis_cap:
+        if dim > DEFAULT_BASIS_CAP:
             raise AlgebraBuildError(
                 "quotient dimension exceeded cap %d; "
-                "algebra not finite-dimensional at this cap" % basis_cap
+                "algebra not finite-dimensional at this cap" % DEFAULT_BASIS_CAP
             )
         # a length contributing nothing ends the climb, but only once
         # every relation has fully entered the ideal span
@@ -257,11 +257,9 @@ class AlgebraPresentation:
     ``reduce_table`` (every path of length <= ``nilpotency_bound`` to its
     class) maps to themselves.  Every relation must reduce to 0.
 
-    Immutable after construction; the ``_memo`` dict only caches derived
-    data (the opposite presentation, canonical modules, the form matrix,
-    syzygies keyed by module fingerprint, character values keyed by
-    module fingerprint and shifts) and every
-    write is idempotent.
+    ``paths_from[i][j]`` lists the basis paths i -> j in basis order.
+    Immutable after construction; data derived from it is cached through
+    `cached`, the one place that writes ``_memo``.
     """
 
     def __init__(self, quiver: Quiver, relations: RelationSet,
@@ -277,11 +275,10 @@ class AlgebraPresentation:
         if any(len(p.arrows) >= nilpotency_bound for p in basis):
             raise AlgebraBuildError("basis path at or above the nilpotency bound")
         self.basis = tuple(basis)
-        self.basis_index = {p: i for i, p in enumerate(basis)}
-        by_pair: dict[tuple[int, int], list[int]] = {}
-        for i, p in enumerate(basis):
-            by_pair.setdefault((p.source, path_target(quiver, p)), []).append(i)
-        self.basis_by_pair = {k: tuple(v) for k, v in by_pair.items()}
+        paths_from = [[[] for _ in range(quiver.n)] for _ in range(quiver.n)]
+        for p in basis:
+            paths_from[p.source][path_target(quiver, p)].append(p)
+        self.paths_from = tuple(tuple(map(tuple, row)) for row in paths_from)
         self._check_relations_vanish()
 
     def _check_relations_vanish(self) -> None:
@@ -316,38 +313,39 @@ class AlgebraPresentation:
                 acc[b2] = linalg.normalize(acc.get(b2, 0) + c * c2)
         return {b: c for b, c in acc.items() if c != 0}
 
-    def basis_paths_from(self, i: int) -> dict[int, tuple[Path, ...]]:
-        """Basis paths starting at vertex i, grouped by target vertex."""
-        out: dict[int, tuple[Path, ...]] = {}
-        for (s, t), positions in sorted(self.basis_by_pair.items()):
-            if s == i:
-                out[t] = tuple(self.basis[k] for k in positions)
-        return out
+    def cached(self, key, compute):
+        """The derived value under ``key``: ``compute()`` on first use, the
+        stored object after.  ``compute`` must depend only on the algebra
+        and ``key``, so every write is idempotent."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     def opposite(self) -> "AlgebraPresentation":
         """The opposite presentation; an involution on instances.  Paths,
         relations and the reduction table are reversed (an anti-isomorphism
         of path algebras), and the reversed relations must vanish."""
-        if "op" not in self._memo:
-            q = self.quiver
+        return self.cached("op", self._reversed)
 
-            def rev(p: Path) -> Path:
-                return Path(path_target(q, p), p.arrows[::-1])
+    def _reversed(self) -> "AlgebraPresentation":
+        q = self.quiver
 
-            op_rels = RelationSet(tuple(
-                tuple((coeff, rev(p)) for coeff, p in rel)
-                for rel in self.relations.relations
-            ))
-            op_table = {
-                rev(p): {rev(b): c for b, c in row.items()}
-                for p, row in self._reduce_table.items()
-            }
-            op = AlgebraPresentation(
-                q.opposite(), op_rels, self.nilpotency_bound, op_table
-            )
-            op._memo["op"] = self
-            self._memo["op"] = op
-        return self._memo["op"]
+        def rev(p: Path) -> Path:
+            return Path(path_target(q, p), p.arrows[::-1])
+
+        op_rels = RelationSet(tuple(
+            tuple((coeff, rev(p)) for coeff, p in rel)
+            for rel in self.relations.relations
+        ))
+        op_table = {
+            rev(p): {rev(b): c for b, c in row.items()}
+            for p, row in self._reduce_table.items()
+        }
+        op = AlgebraPresentation(
+            q.opposite(), op_rels, self.nilpotency_bound, op_table
+        )
+        op.cached("op", lambda: self)
+        return op
 
     def __repr__(self) -> str:
         return "AlgebraPresentation(%d vertices, %d arrows, dim %d)" % (
@@ -357,12 +355,8 @@ class AlgebraPresentation:
         )
 
 
-def build_algebra(
-    quiver: Quiver, relations: RelationSet, basis_cap: int = DEFAULT_BASIS_CAP
-) -> AlgebraPresentation:
-    return AlgebraPresentation(
-        quiver, relations, *_reduce_paths(quiver, relations, basis_cap)
-    )
+def build_algebra(quiver: Quiver, relations: RelationSet) -> AlgebraPresentation:
+    return AlgebraPresentation(quiver, relations, *_reduce_paths(quiver, relations))
 
 
 def same_algebra(a: AlgebraPresentation, b: AlgebraPresentation) -> bool:
@@ -415,7 +409,7 @@ def parse_relation_expr(q: Quiver, expr: str) -> Relation:
     return tuple(terms)
 
 
-def load_algebra(text: str, basis_cap: int = DEFAULT_BASIS_CAP) -> AlgebraPresentation:
+def load_algebra(text: str) -> AlgebraPresentation:
     """Load the line-oriented algebra format.
 
     ``[quiver]`` section: one ``vertices:`` line and ``arrow: name src dst``
@@ -459,9 +453,9 @@ def load_algebra(text: str, basis_cap: int = DEFAULT_BASIS_CAP) -> AlgebraPresen
         raise InputError("missing vertices line")
     q = make_quiver(vertices, arrow_triples)
     rels = RelationSet(tuple(parse_relation_expr(q, e) for e in rel_exprs))
-    return build_algebra(q, rels, basis_cap)
+    return build_algebra(q, rels)
 
 
-def load_algebra_file(path, basis_cap: int = DEFAULT_BASIS_CAP) -> AlgebraPresentation:
+def load_algebra_file(path) -> AlgebraPresentation:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_algebra(fh.read(), basis_cap)
+        return load_algebra(fh.read())

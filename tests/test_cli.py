@@ -163,6 +163,26 @@ def test_enumerate_rejects_superscript_matrix_size(capsys, tmp_path):
     assert "matrix file must start with the size n" in err
 
 
+@pytest.mark.parametrize("size", ["--2", "+2", "\u0662"])
+def test_enumerate_rejects_malformed_matrix_size(capsys, tmp_path, size):
+    path = tmp_path / "bad.mat"
+    path.write_text(size + "\n0 1\n-1 0\n", encoding="utf-8")
+    code, out, err = _run(capsys, "enumerate", path)
+    assert code == 2
+    assert out == ""
+    assert "matrix file must start with the size n" in err
+
+
+@pytest.mark.parametrize("entry", ["1_0", "+1", "--1", "\u0661"])
+def test_mutate_rejects_malformed_matrix_entry(capsys, tmp_path, entry):
+    path = tmp_path / "bad.mat"
+    path.write_text("2\n0 %s\n-1 0\n" % entry, encoding="utf-8")
+    code, out, err = _run(capsys, "mutate", path, "--seq", "1")
+    assert code == 2
+    assert out == ""
+    assert "non-integer matrix entry" in err
+
+
 def test_algebra_check_rejects_superscript_coefficient(capsys, tmp_path):
     path = tmp_path / "bad.alg"
     path.write_text(

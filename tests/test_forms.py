@@ -1,6 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterchar import forms
 from clusterchar.forms import (
     antisym_form_matrix,
     coindex,
@@ -30,6 +31,20 @@ A4_FORM_MATRIX = (
 
 def test_a4_form_matrix(a4):
     assert antisym_form_matrix(a4) == A4_FORM_MATRIX
+
+
+def test_form_matrix_is_computed_once(data_dir, monkeypatch):
+    computed = []
+    real = forms._compute_form_matrix
+
+    def counted(algebra):
+        computed.append(algebra)
+        return real(algebra)
+
+    monkeypatch.setattr(forms, "_compute_form_matrix", counted)
+    algebra = load_algebra((data_dir / "a4.alg").read_text())
+    assert antisym_form_matrix(algebra) is antisym_form_matrix(algebra)
+    assert computed == [algebra]
 
 
 def test_one_vertex_form_matrix():

@@ -124,6 +124,23 @@ def _syzygy_data(syz):
     )
 
 
+def test_canonical_modules_are_built_once(data_dir, monkeypatch):
+    from clusterchar.modules import _build_projective
+
+    built = []
+
+    def counted(algebra, i):
+        built.append((algebra, i))
+        return _build_projective(algebra, i)
+
+    monkeypatch.setattr("clusterchar.modules._build_projective", counted)
+    algebra = load_algebra((data_dir / "d4.alg").read_text())
+    assert projective(algebra, 1) is projective(algebra, 1)
+    assert injective(algebra, 1) is injective(algebra, 1)
+    # the injective is the dual of a projective over the opposite
+    assert built == [(algebra, 1), (algebra.opposite(), 1)]
+
+
 def test_syzygy_is_memoized_by_fingerprint(data_dir):
     algebra = load_algebra((data_dir / "d4.alg").read_text())
     text = (data_dir / "d4_M.mod").read_text()

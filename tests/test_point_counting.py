@@ -94,7 +94,7 @@ def test_budget_counts_nodes_visited():
 def test_small_budget_exits_3(capsys, data_dir, monkeypatch):
     real = grassmannian.count_points
     monkeypatch.setattr(
-        grassmannian, "count_points", lambda m, e, p, budget: real(m, e, p, budget=2)
+        grassmannian, "count_points", lambda m, e, p: real(m, e, p, budget=2)
     )
     code = run(
         ["grassmannian", str(data_dir / "a4.alg"), str(data_dir / "a4_M.mod"),

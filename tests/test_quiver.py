@@ -43,7 +43,7 @@ def test_d4_loads(d4):
     assert d4.dim() == 10
     # commutative-square reading: the two length-2 paths around the square
     # fall into one basis class
-    assert len(d4.basis_by_pair[(0, 3)]) == 1
+    assert len(d4.paths_from[0][3]) == 1
 
 
 def test_dim_b_is_sum_of_projective_dims(a4, d4):
@@ -58,6 +58,28 @@ def test_opposite_is_involution(a4):
     op = a4.opposite()
     assert op.dim() == a4.dim()
     assert op.opposite() is a4
+
+
+def _load(data_dir, name):
+    texts = {"loop": LOOP_CUBE, "flipped_square": FLIPPED_SQUARE}
+    if name in texts:
+        return load_algebra(texts[name])
+    return load_algebra_file(data_dir / ("%s.alg" % name))
+
+
+@pytest.mark.parametrize("name", ["a4", "d4", "loop", "flipped_square"])
+def test_paths_from_groups_the_basis(data_dir, name):
+    alg = _load(data_dir, name)
+    for a in (alg, alg.opposite()):
+        n = a.quiver.n
+        assert len(a.paths_from) == n
+        for i in range(n):
+            assert len(a.paths_from[i]) == n
+            for j in range(n):
+                assert a.paths_from[i][j] == tuple(
+                    p for p in a.basis
+                    if (p.source, path_target(a.quiver, p)) == (i, j)
+                )
 
 
 def _ideal_blocks(alg):
@@ -87,11 +109,7 @@ def _rank(rows, width):
     "name", ["a4", "d4", "an2", "an3", "an4", "an5", "loop", "flipped_square"]
 )
 def test_derived_opposite_matches_a_fresh_build(data_dir, name):
-    texts = {"loop": LOOP_CUBE, "flipped_square": FLIPPED_SQUARE}
-    if name in texts:
-        alg = load_algebra(texts[name])
-    else:
-        alg = load_algebra_file(data_dir / ("%s.alg" % name))
+    alg = _load(data_dir, name)
     op = alg.opposite()
     fresh = build_algebra(op.quiver, op.relations)
     assert op.quiver == fresh.quiver and op.relations == fresh.relations
@@ -190,10 +208,11 @@ def test_inhomogeneous_relation():
         load_algebra(text)
 
 
-def test_growth_cap():
+def test_growth_cap(monkeypatch):
+    monkeypatch.setattr(quiver, "DEFAULT_BASIS_CAP", 16)
     loop = "[quiver]\nvertices: 1\narrow: x 1 1\n"
-    with pytest.raises(AlgebraBuildError):
-        load_algebra(loop, basis_cap=16)
+    with pytest.raises(AlgebraBuildError, match="exceeded cap 16"):
+        load_algebra(loop)
 
 
 def test_integer_coefficient_relation():
