@@ -13,7 +13,9 @@ interpolation, and its value at 1 stands in for the Euler
 characteristic.  The substitution is exact whenever the count is
 polynomial in q; a reserved verification prime (and an integrality check
 on the fitted coefficients) turns any violation of that assumption into
-an error instead of a wrong answer.
+an error instead of a wrong answer.  A prime at which an arrow matrix
+loses rank counts another module, the reduction mod p, so the fits
+refuse such a prime before counting.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from itertools import combinations, product
 
 from .errors import InputError, NonPolynomialCountError, ResourceLimitError
 from .laurent import render_terms
+from .linalg import Matrix, rank
 from .modules import DimVector, Representation
 
 DEFAULT_PRIME_POOL: tuple[int, ...] = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -152,6 +155,16 @@ def _containing(w, d: int, k: int, p: int):
     return out
 
 
+def _reduced_rows(mat: Matrix, p: int) -> tuple:
+    """The rows of an integer matrix reduced mod p."""
+    for x in mat.entries:
+        if isinstance(x, Fraction):
+            raise InputError("module matrix has non-integer entry %s" % x)
+    return tuple(
+        tuple(mat.entry(r, c) % p for c in range(mat.cols)) for r in range(mat.rows)
+    )
+
+
 def _sweep_plan(m: Representation, p: int):
     """Arrow matrices reduced mod p, arranged for a sweep in vertex order.
 
@@ -166,14 +179,7 @@ def _sweep_plan(m: Representation, p: int):
     checks: list[list[tuple[int, int, tuple]]] = [[] for _ in range(q.n)]
     weighted = [True] * q.n
     for a in q.arrows:
-        mat = m.matrices[a.name]
-        for x in mat.entries:
-            if isinstance(x, Fraction):
-                raise InputError("module matrix has non-integer entry %s" % x)
-        rows = tuple(
-            tuple(mat.entry(r, c) % p for c in range(mat.cols))
-            for r in range(mat.rows)
-        )
+        rows = _reduced_rows(m.matrices[a.name], p)
         s, t = a.source, a.target
         weighted[s] = False
         if s < t:
@@ -384,6 +390,30 @@ def _select_primes(primes, needed: int):
     return tuple(pool)
 
 
+def _check_reduction(m: Representation, primes) -> None:
+    """Refuse each prime at which an arrow matrix of m loses rank.
+
+    Counting at p counts the reduction of m mod p.  Where an arrow matrix
+    has a smaller rank mod p than over Q, that reduction is another
+    module, and the counts of two such primes can fit and verify a wrong
+    polynomial (a4's arrow d acting as 6 counts as the split module at 2
+    and at 3).  Only arrow matrices are checked: a composite path can
+    still lose rank mod p while each arrow keeps it (b.a acting as 2 over
+    linear A3 with a = [[1], [1]] and b = [[1, 1]]), and then only the
+    verification prime stands between the fit and a wrong answer.
+    """
+    arrows = [(a.name, m.matrices[a.name]) for a in m.algebra.quiver.arrows]
+    ranks = [rank(mat) for _, mat in arrows]
+    for p in primes:
+        for (name, mat), r in zip(arrows, ranks):
+            r_p = len(_echelon(_reduced_rows(mat, p), p)[1])
+            if r_p != r:
+                raise NonPolynomialCountError(
+                    "bad reduction at p = %d: arrow %r has rank %d over Q but %d "
+                    "mod %d; pass primes that keep every rank" % (p, name, r, r_p, p)
+                )
+
+
 def degree_bound(m: Representation, e: DimVector) -> int:
     return sum(x * (d - x) for x, d in zip(e, m.dims))
 
@@ -397,6 +427,7 @@ def counting_polynomial(
     e = _check_dim_vector(m, e)
     D = degree_bound(m, e)
     ps = _select_primes(primes, D + 2)
+    _check_reduction(m, ps)
     counts = [count_points(m, e, p) for p in ps]
     return _fit_and_verify(list(zip(ps, counts)), D)
 
@@ -424,6 +455,7 @@ def submodule_classes(
     """
     D_max = sum((d // 2) * (d - d // 2) for d in m.dims)
     ps = _select_primes(primes, D_max + 2)
+    _check_reduction(m, ps)
     tables = [count_all_subreps(m, p) for p in ps]
     out = []
     for e in sorted(set().union(*tables)):

@@ -141,7 +141,9 @@ def kernel_basis(a: Matrix) -> Matrix:
     """Columns form a basis of the right null space (cols - rank of them).
 
     The basis has the echelon pattern: each vector is 1 on `its' free
-    coordinate and 0 on the other free coordinates.
+    coordinate and 0 on the other free coordinates, and that 1 is its
+    last nonzero entry (a pivot row of the echelon form is 0 before its
+    pivot, so a vector's pivot coordinates precede its free one).
     """
     red, pivots = row_reduce(a.to_lists(), a.cols)
     pivot_set = set(pivots)
@@ -155,19 +157,3 @@ def kernel_basis(a: Matrix) -> Matrix:
         cols.append(v)
     ent = tuple(cols[j][i] for i in range(a.cols) for j in range(len(free)))
     return Matrix(a.cols, len(free), ent)
-
-
-def solve(a: Matrix, rhs: Matrix) -> Matrix | None:
-    """One solution X of a·X = rhs (column-wise), or None if inconsistent."""
-    if rhs.rows != a.rows:
-        raise DimensionError("rhs has %d rows, expected %d" % (rhs.rows, a.rows))
-    aug = [list(a.row(i)) + list(rhs.row(i)) for i in range(a.rows)]
-    red, pivots = row_reduce(aug, a.cols)
-    for i in range(len(pivots), a.rows):
-        if any(x != 0 for x in red[i][a.cols :]):
-            return None
-    out = [[0] * rhs.cols for _ in range(a.cols)]
-    for k, c in enumerate(pivots):
-        for j in range(rhs.cols):
-            out[c][j] = red[k][a.cols + j]
-    return matrix(out, rows=a.cols, cols=rhs.cols)

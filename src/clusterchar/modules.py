@@ -9,7 +9,8 @@ submodule lists in the test suite.
 Hom spaces are solved exactly over Q as intertwiner systems.  Syzygies
 come from minimal projective covers (covering the top, not an arbitrary
 generating set, so that presentation multiplicities are the minimal
-ones), and Ext^1 from a single syzygy.  Injective-side computations are
+ones), and Ext^1 from a single syzygy, with the maps out of its cover
+given by Yoneda rather than solved for.  Injective-side computations are
 routed through the vector-space dual over the opposite presentation.
 """
 
@@ -149,21 +150,32 @@ def dual(m: Representation) -> Representation:
 
 def direct_sum(m: Representation, n: Representation) -> Representation:
     _require_same_algebra(m, n)
-    q = m.algebra.quiver
-    dims = tuple(a + b for a, b in zip(m.dims, n.dims))
+    return _block_sum(m.algebra, (m, n))
+
+
+def _block_sum(algebra: AlgebraPresentation, summands) -> Representation:
+    """The direct sum of ``summands`` over ``algebra``: each arrow matrix
+    is block-diagonal, one block per summand in the order given (a single
+    summand is returned as it is)."""
+    if len(summands) == 1:
+        return summands[0]
+    q = algebra.quiver
+    dims = tuple(sum(s.dims[j] for s in summands) for j in range(q.n))
     mats: dict[str, Matrix] = {}
     for a in q.arrows:
-        A, B = m.matrices[a.name], n.matrices[a.name]
-        rows, cols = dims[a.target], dims[a.source]
-        data = [[0] * cols for _ in range(rows)]
-        for r in range(A.rows):
-            for c in range(A.cols):
-                data[r][c] = A.entry(r, c)
-        for r in range(B.rows):
-            for c in range(B.cols):
-                data[A.rows + r][A.cols + c] = B.entry(r, c)
-        mats[a.name] = linalg.matrix(data, rows=rows, cols=cols)
-    return Representation(m.algebra, dims, mats, check=False)
+        cols = dims[a.source]
+        entries: list = []
+        left = 0
+        for s in summands:
+            A = s.matrices[a.name]
+            pad = [0] * (cols - left - A.cols)
+            for r in range(A.rows):
+                entries += [0] * left
+                entries += A.row(r)
+                entries += pad
+            left += A.cols
+        mats[a.name] = Matrix(dims[a.target], cols, tuple(entries))
+    return Representation(algebra, dims, mats, check=False)
 
 
 def _require_same_algebra(m: Representation, n: Representation) -> None:
@@ -207,32 +219,14 @@ def hom_dim(m: Representation, n: Representation) -> int:
     return system.cols - linalg.rank(system)
 
 
-def hom_basis(m: Representation, n: Representation) -> list[dict[int, Matrix]]:
-    """A basis of Hom(m, n) as per-vertex matrix families."""
-    _require_same_algebra(m, n)
-    system, offsets = _intertwiner_system(m, n)
-    kern = linalg.kernel_basis(system)
-    q = m.algebra.quiver
-    out = []
-    for col in range(kern.cols):
-        phi: dict[int, Matrix] = {}
-        for j in range(q.n):
-            rows_j, cols_j = n.dims[j], m.dims[j]
-            data = [
-                [kern.entry(offsets[j] + r * cols_j + c, col) for c in range(cols_j)]
-                for r in range(rows_j)
-            ]
-            phi[j] = linalg.matrix(data, rows=rows_j, cols=cols_j)
-        out.append(phi)
-    return out
-
-
 def _top_coordinates(m: Representation, j: int) -> list[int]:
     """Coordinates at vertex j whose unit vectors complete rad m to m.
 
     The columns of the arrow matrices into j span the radical there; the
     non-pivot columns of one echelon form of them are the top.
     """
+    if not m.dims[j]:
+        return []
     rad: list[list] = []
     for a in m.algebra.quiver.arrows:
         if a.target == j:
@@ -272,38 +266,71 @@ def _compute_syzygy(m: Representation) -> Syzygy:
     # cover = one P_i per top coordinate k at i, sent to the unit vector
     # e_k; the column of a basis path p from i is column k of p's matrix
     generators = [(i, k) for i in range(q.n) for k in tops[i]]
-    cover = zero_module(algebra)
-    for i, _ in generators:
-        cover = direct_sum(cover, projective(algebra, i))
+    cover = _block_sum(algebra, [projective(algebra, i) for i, _ in generators])
 
     cover_map: dict[int, Matrix] = {}
+    inclusion: dict[int, Matrix] = {}
+    free: dict[int, list[int]] = {}
     for j in range(q.n):
-        cols = [
-            (path_matrix(m, p), k)
-            for i, k in generators
-            for p in algebra.paths_from[i][j]
-        ]
+        if not m.dims[j]:
+            # nothing to cover: the kernel is the whole cover at j
+            cover_map[j] = linalg.zeros(0, cover.dims[j])
+            inclusion[j] = linalg.identity(cover.dims[j])
+            continue
+        acts = {
+            i: [path_matrix(m, p) for p in algebra.paths_from[i][j]]
+            for i in range(q.n)
+            if tops[i]
+        }
+        cols = [(mat, k) for i, k in generators for mat in acts[i]]
         data = [[mat.entry(r, k) for mat, k in cols] for r in range(m.dims[j])]
         cover_map[j] = linalg.matrix(data, rows=m.dims[j], cols=cover.dims[j])
-        if linalg.rank(cover_map[j]) != m.dims[j]:
+        inclusion[j] = linalg.kernel_basis(cover_map[j])
+        if cover.dims[j] - inclusion[j].cols != m.dims[j]:
             raise DimensionError("projective cover is not surjective at vertex %d" % j)
+        free[j] = _free_coordinates(inclusion[j])
 
-    inclusion = {j: linalg.kernel_basis(cover_map[j]) for j in range(q.n)}
     ker_dims = tuple(inclusion[j].cols for j in range(q.n))
     ker_mats: dict[str, Matrix] = {}
     for a in q.arrows:
         i, j = a.source, a.target
-        mapped = linalg.mat_mul(cover.matrices[a.name], inclusion[i])
-        sol = linalg.solve(inclusion[j], mapped)
-        if sol is None:
+        # at a zero fibre the inclusion is the identity
+        mapped = cover.matrices[a.name]
+        if m.dims[i]:
+            mapped = linalg.mat_mul(mapped, inclusion[i])
+        if not m.dims[j]:
+            ker_mats[a.name] = mapped
+            continue
+        # the kernel basis at j is the identity on its free coordinates, so
+        # those rows of the image are its coordinates, if it lies in the kernel
+        coords = Matrix(
+            len(free[j]), mapped.cols, tuple(x for r in free[j] for x in mapped.row(r))
+        )
+        if linalg.mat_mul(inclusion[j], coords) != mapped:
             raise DimensionError("cover map is not a module morphism")
-        ker_mats[a.name] = sol
+        ker_mats[a.name] = coords
     kernel = Representation(m.algebra, ker_dims, ker_mats, check=False)
     return Syzygy(tuple(map(len, tops)), cover, cover_map, kernel, inclusion)
 
 
+def _free_coordinates(basis: Matrix) -> list[int]:
+    """The free coordinate of each vector of a `linalg.kernel_basis`: its
+    last nonzero entry, as the pivot coordinates it solves for all come
+    before it."""
+    return [
+        max(r for r in range(basis.rows) if basis.entry(r, t))
+        for t in range(basis.cols)
+    ]
+
+
 def ext1_dim(m: Representation, n: Representation) -> int:
-    """dim Ext^1(m, n) = dim coker( Hom(P0, n) -> Hom(Omega m, n) )."""
+    """dim Ext^1(m, n) = dim coker( Hom(P0, n) -> Hom(Omega m, n) ).
+
+    Hom(Omega m, n) is solved as an intertwiner system.  Hom(P0, n) is
+    given by Yoneda: a map sends the generator of a summand P_i to any
+    vector v of n at i, and then each basis path p from i to n(p) v; the
+    unit vectors v give a basis, restricted along the inclusion of Omega m.
+    """
     _require_same_algebra(m, n)
     if m.is_zero() or n.is_zero():
         return 0
@@ -312,18 +339,44 @@ def ext1_dim(m: Representation, n: Representation) -> int:
     if omega.is_zero():
         return 0
     dim_hom_omega = hom_dim(omega, n)
-    restricted: list[list] = []
-    for psi in hom_basis(syz.cover, n):
-        vec: list = []
-        for j in range(m.algebra.quiver.n):
-            comp = linalg.mat_mul(psi[j], syz.inclusion[j])
-            vec.extend(comp.entries)
-        restricted.append(vec)
+    restricted = _restricted_cover_homs(syz, n)
     if not restricted:
         return dim_hom_omega
     width = len(restricted[0])
     mat = linalg.matrix(restricted, rows=len(restricted), cols=width)
     return dim_hom_omega - linalg.rank(mat)
+
+
+def _restricted_cover_homs(syz: Syzygy, n: Representation) -> list[list]:
+    """One row per basis map P0 -> n (a summand P_i and a unit vector r of
+    n at i): the entries of its composite with the inclusion of Omega m,
+    vertex by vertex and row by row."""
+    algebra = n.algebra
+    q = algebra.quiver
+    acts: dict[int, list[list[Matrix]]] = {}
+    start = [0] * q.n  # the current summand's first cover coordinate
+    rows: list[list] = []
+    for i, mult in enumerate(syz.cover_mults):
+        paths = algebra.paths_from[i]
+        for _ in range(mult):
+            if n.dims[i] and i not in acts:
+                acts[i] = [[path_matrix(n, p) for p in paths[j]] for j in range(q.n)]
+            # the inclusion's rows at this summand's coordinates
+            blocks = [
+                [syz.inclusion[j].row(start[j] + t) for t in range(len(paths[j]))]
+                for j in range(q.n)
+            ]
+            for r in range(n.dims[i]):
+                vec: list = []
+                for j in range(q.n):
+                    for s in range(n.dims[j]):
+                        images = [act.entry(s, r) for act in acts[i][j]]
+                        for c in range(syz.inclusion[j].cols):
+                            vec.append(sum(x * row[c] for x, row in zip(images, blocks[j])))
+                rows.append(vec)
+            for j in range(q.n):
+                start[j] += len(paths[j])
+    return rows
 
 
 def min_proj_presentation(m: Representation) -> tuple[K0ProjClass, K0ProjClass]:

@@ -83,34 +83,31 @@ def test_monomial_denominator_property(a4, d4, a4_M, d4_M):
 
 
 def _random_unimodular(rng, n):
+    """A random integer matrix with determinant 1 and its integer inverse."""
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in m]
     for _ in range(3 * n):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             continue
+        # m <- (I + c e_ij) m and inv <- inv (I - c e_ij)
         c = rng.choice((-2, -1, 1, 2))
         for k in range(n):
             m[i][k] += c * m[j][k]
-    return m
+            inv[k][j] -= c * inv[k][i]
+    return m, inv
 
 
 def _conjugate(module, rng):
     """Base change by unimodular matrices at every vertex."""
     n_v = module.algebra.quiver.n
-    us = [_random_unimodular(rng, module.dims[i]) for i in range(n_v)]
-    inv = []
-    for i, u in enumerate(us):
-        d = module.dims[i]
-        mat = linalg.matrix(u, rows=d, cols=d)
-        sol = linalg.solve(mat, linalg.identity(d))
-        inv.append(sol)
+    pairs = [_random_unimodular(rng, module.dims[i]) for i in range(n_v)]
     mats = {}
     for a in module.algebra.quiver.arrows:
-        old = module.matrices[a.name]
-        u_t = linalg.matrix(
-            us[a.target], rows=module.dims[a.target], cols=module.dims[a.target]
-        )
-        mats[a.name] = linalg.mat_mul(linalg.mat_mul(u_t, old), inv[a.source])
+        d_t, d_s = module.dims[a.target], module.dims[a.source]
+        u_t = linalg.matrix(pairs[a.target][0], rows=d_t, cols=d_t)
+        inv_s = linalg.matrix(pairs[a.source][1], rows=d_s, cols=d_s)
+        mats[a.name] = linalg.mat_mul(linalg.mat_mul(u_t, module.matrices[a.name]), inv_s)
     return Representation(module.algebra, module.dims, mats)
 
 

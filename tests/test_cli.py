@@ -38,6 +38,48 @@ def test_boolean_matrix_entry_exits_2(capsys, data_dir, tmp_path):
     assert "non-integer entry True in matrix for arrow 'd'" in err
 
 
+def _a4_module_with_d(data_dir, tmp_path, entry):
+    """A module over a4 isomorphic over Q to a4_M: d acts as ``entry``."""
+    mod = tmp_path / ("d%d.mod" % entry)
+    mod.write_text(
+        "[module]\nalgebra: %s\ndims: 1 1 0 0\nmatrix d: [[%d]]\n"
+        % (data_dir / "a4.alg", entry)
+    )
+    return mod
+
+
+@pytest.mark.parametrize("entry", [6, 2])
+def test_bad_reduction_exits_3(capsys, data_dir, tmp_path, entry):
+    # 2 (the fit prime) and 3 (the verification prime) both divide 6, so
+    # both count the split module and agree on its wrong value
+    mod = _a4_module_with_d(data_dir, tmp_path, entry)
+    code, out, err = _run(capsys, "xvalue", data_dir / "a4.alg", mod)
+    assert code == 3
+    assert out == ""
+    assert "bad reduction at p = 2: arrow 'd' has rank 1 over Q but 0 mod 2" in err
+
+
+def test_bad_reduction_refuses_a_single_fit(capsys, data_dir, tmp_path):
+    mod = _a4_module_with_d(data_dir, tmp_path, 3)
+    code, out, err = _run(
+        capsys, "grassmannian", data_dir / "a4.alg", mod, "--dim", "1,0,0,0"
+    )
+    assert code == 3
+    assert out == ""
+    assert "bad reduction at p = 3: arrow 'd'" in err
+
+
+def test_bad_reduction_avoided_by_other_primes(capsys, data_dir, tmp_path):
+    mod = _a4_module_with_d(data_dir, tmp_path, 6)
+    code, out, _ = _run(
+        capsys, "xvalue", data_dir / "a4.alg", mod, "--primes", "5,7,11"
+    )
+    _, expected, _ = _run(capsys, "xvalue", data_dir / "a4.alg", data_dir / "a4_M.mod")
+    assert code == 0
+    assert out == expected
+    assert "X = (x1*x3 + x2*x4 + x4) / (x1*x2)" in out
+
+
 def test_xvalue_d4_uses_vertex_labels(capsys, data_dir):
     code, out, _ = _run(
         capsys, "xvalue", data_dir / "d4.alg", data_dir / "d4_M.mod"

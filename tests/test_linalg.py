@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import linalg_reference
 from clusterchar import linalg
 from clusterchar.errors import DimensionError
-from clusterchar.linalg import identity, kernel_basis, matrix, rank, solve, zeros
+from clusterchar.linalg import identity, kernel_basis, matrix, rank, zeros
 
 
 def test_kernel_of_identity_is_trivial():
@@ -23,21 +23,6 @@ def test_kernel_of_zero_is_everything():
 def test_rank_examples():
     assert rank(identity(4)) == 4
     assert rank(matrix([[1, 2], [2, 4]])) == 1
-
-
-def test_solve_identity():
-    rhs = matrix([[3], [5]])
-    assert solve(identity(2), rhs) == rhs
-
-
-def test_solve_inconsistent():
-    assert solve(zeros(2, 2), matrix([[1], [0]])) is None
-
-
-def test_solve_triangular():
-    m = matrix([[1, 1], [0, 1]])
-    rhs = matrix([[2], [1]])
-    assert solve(m, rhs) == matrix([[1], [1]])
 
 
 def test_fractions_normalize():

@@ -1,11 +1,13 @@
 import pytest
 from hypothesis import given, settings
 
+import modules_reference
 from module_strategies import loop_modules, modules
 from clusterchar import linalg
 from clusterchar.errors import DimensionError, InputError
 from clusterchar.modules import (
     Representation,
+    _compute_syzygy,
     direct_sum,
     dual,
     ext1_dim,
@@ -14,6 +16,7 @@ from clusterchar.modules import (
     load_module,
     min_inj_copresentation,
     min_proj_presentation,
+    path_matrix,
     projective,
     simple,
     syzygy,
@@ -306,3 +309,76 @@ def test_hom_to_simple_is_top_multiplicity(algebras, a4_M, d4_M):
             check(m)
 
         check_generated()
+
+
+# the algebras of the `algebras` fixture, with the largest dimension
+# drawn at each vertex (the loop draws its own, up to 3)
+GENERATED = [("point", 4), ("loop", 3), ("a3", 3), ("a4", 2), ("d4", 2)]
+
+
+def _generated(algebras, name, max_dim):
+    algebra = algebras[name]
+    return loop_modules(algebra) if name == "loop" else modules(algebra, max_dim)
+
+
+@pytest.mark.parametrize("name,max_dim", GENERATED)
+def test_syzygy_matches_reference(algebras, name, max_dim):
+    @given(_generated(algebras, name, max_dim))
+    @settings(max_examples=100, deadline=None)
+    def check(m):
+        for module in (m, dual(m)):
+            got = _syzygy_data(_compute_syzygy(module))
+            assert got == _syzygy_data(modules_reference.compute_syzygy(module))
+
+    check()
+
+
+@pytest.mark.parametrize("name,max_dim", GENERATED)
+def test_ext1_matches_reference(algebras, name, max_dim):
+    strategy = _generated(algebras, name, max_dim)
+
+    @given(strategy, strategy)
+    @settings(max_examples=50, deadline=None)
+    def check(m, n):
+        for x, y in ((m, n), (dual(n), dual(m))):
+            algebra = x.algebra
+            simples = [simple(algebra, i) for i in range(algebra.quiver.n)]
+            pairs = [(x, y), (y, x)] + [(x, s) for s in simples] + [(s, x) for s in simples]
+            for a, b in pairs:
+                assert ext1_dim(a, b) == modules_reference.ext1_dim(a, b)
+
+    check()
+
+
+def test_cover_that_is_no_morphism_raises(algebras, monkeypatch):
+    # over k[x]/x^3, P / x^2 P has kernel x^2 P; a cover whose x sends
+    # x^2 back onto the generator does not map that kernel into itself
+    loop = algebras["loop"]
+    m = Representation(loop, (2,), {"x": linalg.matrix([[0, 0], [1, 0]])})
+    assert _compute_syzygy(m).kernel.dims == (1,)
+    true_projective = projective
+
+    def wrong_projective(algebra, i):
+        p = true_projective(algebra, i)
+        ones = {
+            name: linalg.matrix([[1] * mat.cols] * mat.rows, rows=mat.rows, cols=mat.cols)
+            for name, mat in p.matrices.items()
+        }
+        return Representation(algebra, p.dims, ones, check=False)
+
+    monkeypatch.setattr("clusterchar.modules.projective", wrong_projective)
+    with pytest.raises(DimensionError, match="not a module morphism"):
+        _compute_syzygy(m)
+
+
+def test_cover_that_misses_the_top_raises(algebras, monkeypatch):
+    # a cover-map column that sends a generator to 0 leaves m(i) uncovered
+    def no_generators(m, p):
+        if p.arrows:
+            return path_matrix(m, p)
+        return linalg.zeros(m.dims[p.source], m.dims[p.source])
+
+    monkeypatch.setattr("clusterchar.modules.path_matrix", no_generators)
+    for m in (simple(algebras["point"], 0), simple(algebras["a4"], 1)):
+        with pytest.raises(DimensionError, match="not surjective"):
+            _compute_syzygy(m)
