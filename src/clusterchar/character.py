@@ -59,13 +59,13 @@ def combine(a: CCObject, b: CCObject) -> CCObject:
 def cc_value(obj: CCObject, primes=None) -> LaurentPoly:
     """The character value of a formal object, as a Laurent polynomial.
 
-    Values computed with the default primes are cached on the algebra.
+    Values are cached on the algebra, keyed by the module's data, the
+    shifts and the primes (None for the default ones).
     """
     m = obj.module_part
-    if primes is not None:
-        return _compute_value(obj, primes)
-    key = ("cc_value", m.fingerprint(), obj.shift_multiplicities)
-    return m.algebra.cached(key, lambda: _compute_value(obj, None))
+    primes = None if primes is None else tuple(primes)
+    key = ("cc_value", m.fingerprint(), obj.shift_multiplicities, primes)
+    return m.algebra.cached(key, lambda: _compute_value(obj, primes))
 
 
 def _compute_value(obj: CCObject, primes) -> LaurentPoly:

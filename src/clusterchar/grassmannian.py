@@ -6,7 +6,8 @@ those containing the images of the subspaces already chosen, found as
 the subspaces of a quotient (after Reineke, IMRN 2006, and
 Caldero-Reineke, JPAA 2008).  A vertex no later step reads is counted by
 a Gaussian binomial instead, and arrows closing an oriented cycle are
-checked by membership.  The budget caps the nodes the sweep visits.
+checked by membership.  ``DEFAULT_BUDGET``, read when a sweep runs,
+caps the nodes it visits.
 
 Counting at enough primes determines the counting polynomial in q by
 interpolation, and its value at 1 stands in for the Euler
@@ -15,7 +16,8 @@ polynomial in q; a reserved verification prime (and an integrality check
 on the fitted coefficients) turns any violation of that assumption into
 an error instead of a wrong answer.  A prime at which an arrow matrix
 loses rank counts another module, the reduction mod p, so the fits
-refuse such a prime before counting.
+refuse such a prime before counting.  One driver, `_fit_classes`, runs
+this sequence for one class and for the whole dimension box alike.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import isqrt
 
 from .errors import InputError, NonPolynomialCountError, ResourceLimitError
 from .laurent import render_terms
@@ -45,15 +48,9 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+def _check_prime(p: int) -> None:
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise InputError("%d is not prime" % p)
 
 
 @lru_cache(maxsize=None)
@@ -82,13 +79,13 @@ def _subspaces(d: int, e: int, p: int) -> tuple:
     return tuple(out)
 
 
-def _in_span(rows, pivots, vec, p: int) -> bool:
-    v = list(vec)
+def _reduce(v, rows, pivots, p: int):
+    """v with the pivot column of each echelon row cleared in turn, mod p."""
     for row, c in zip(rows, pivots):
         f = v[c]
         if f:
             v = [(x - f * y) % p for x, y in zip(v, row)]
-    return not any(v)
+    return v
 
 
 def _apply(mat_rows, vec, p: int) -> tuple:
@@ -100,20 +97,13 @@ def _echelon(vectors, p: int) -> tuple:
     rows: list[list[int]] = []
     pivots: list[int] = []
     for vec in vectors:
-        v = list(vec)
-        for row, c in zip(rows, pivots):
-            f = v[c]
-            if f:
-                v = [(x - f * y) % p for x, y in zip(v, row)]
+        v = _reduce(vec, rows, pivots, p)
         lead = next((c for c, x in enumerate(v) if x), None)
         if lead is None:
             continue
         inv = pow(v[lead], -1, p)
         v = [x * inv % p for x in v]
-        for k, row in enumerate(rows):
-            f = row[lead]
-            if f:
-                rows[k] = [(x - f * y) % p for x, y in zip(row, v)]
+        rows = [_reduce(row, (v,), (lead,), p) for row in rows]
         rows.append(v)
         pivots.append(lead)
     basis = sorted(zip(pivots, rows))
@@ -143,13 +133,7 @@ def _containing(w, d: int, k: int, p: int):
                 v[c] = x
             lifted.append(v)
         pivots = [free[c] for c in q_pivots]
-        cleared = []
-        for r in w_rows:
-            for row, c in zip(lifted, pivots):
-                f = r[c]
-                if f:
-                    r = [(x - f * y) % p for x, y in zip(r, row)]
-            cleared.append(r)
+        cleared = [_reduce(r, lifted, pivots, p) for r in w_rows]
         basis = sorted(zip(w_pivots + tuple(pivots), cleared + lifted))
         out.append((tuple(tuple(r) for _, r in basis), tuple(c for c, _ in basis)))
     return out
@@ -194,18 +178,18 @@ def _closed_under(arrow, chosen, p: int) -> bool:
     i, j, rows = arrow
     ui, uj = chosen[i], chosen[j]
     for vec in ui[0]:
-        if not _in_span(uj[0], uj[1], _apply(rows, vec, p), p):
+        if any(_reduce(_apply(rows, vec, p), uj[0], uj[1], p)):
             return False
     return True
 
 
-def _over_budget(budget: int) -> ResourceLimitError:
+def _over_budget() -> ResourceLimitError:
     return ResourceLimitError(
-        "point-count budget exceeded (over %d nodes visited)" % budget
+        "point-count budget exceeded (over %d nodes visited)" % DEFAULT_BUDGET
     )
 
 
-def _count_backtrack(m: Representation, allowed, p: int, budget: int) -> dict:
+def _count_backtrack(m: Representation, allowed, p: int) -> dict:
     """Points of Gr_e(m) for every e with e[v] in ``allowed[v]``, keyed by e.
 
     The sweep sets the vertices in order.  At v the images of the
@@ -214,9 +198,10 @@ def _count_backtrack(m: Representation, allowed, p: int, budget: int) -> dict:
     in closed form), so no feeding arrow is ever checked; the remaining
     arrows are checked by membership.  The options at v depend only on
     the subspaces at the vertices feeding it and are built once per
-    sweep for each such choice.  ``budget`` caps the nodes visited: one
-    per subspace tried and one per closed-form weight.
+    sweep for each such choice.  ``DEFAULT_BUDGET`` caps the nodes
+    visited: one per subspace tried and one per closed-form weight.
     """
+    _check_prime(p)
     n = len(m.dims)
     feeds, checks, weighted = _sweep_plan(m, p)
     counts: dict[DimVector, int] = {}
@@ -239,8 +224,8 @@ def _count_backtrack(m: Representation, allowed, p: int, budget: int) -> dict:
             if weighted[v]:
                 found = sizes
             else:
-                if nodes + sum(size for _, size in sizes) > budget:
-                    raise _over_budget(budget)
+                if nodes + sum(size for _, size in sizes) > DEFAULT_BUDGET:
+                    raise _over_budget()
                 found = [(k, sub) for k, _ in sizes for sub in _containing(w, d, k, p)]
             memo[sources] = found
         return found
@@ -253,8 +238,8 @@ def _count_backtrack(m: Representation, allowed, p: int, budget: int) -> dict:
             return
         found = options(v)
         nodes += len(found)
-        if nodes > budget:
-            raise _over_budget(budget)
+        if nodes > DEFAULT_BUDGET:
+            raise _over_budget()
         for k, choice in found:
             key[v] = k
             if weighted[v]:
@@ -278,24 +263,15 @@ def _check_dim_vector(m: Representation, e: DimVector) -> DimVector:
     return e
 
 
-def count_points(
-    m: Representation, e: DimVector, p: int, budget: int = DEFAULT_BUDGET
-) -> int:
+def count_points(m: Representation, e: DimVector, p: int) -> int:
     """Number of F_p-points of Gr_e(m)."""
-    if not _is_prime(p):
-        raise InputError("%d is not prime" % p)
     e = _check_dim_vector(m, e)
-    counts = _count_backtrack(m, [(x,) for x in e], p, budget)
-    return counts.get(e, 0)
+    return _count_backtrack(m, [(x,) for x in e], p).get(e, 0)
 
 
-def count_all_subreps(
-    m: Representation, p: int, budget: int = DEFAULT_BUDGET
-) -> dict[DimVector, int]:
+def count_all_subreps(m: Representation, p: int) -> dict[DimVector, int]:
     """F_p-points of every Gr_e(m) at once, keyed by dimension vector."""
-    if not _is_prime(p):
-        raise InputError("%d is not prime" % p)
-    return _count_backtrack(m, [range(d + 1) for d in m.dims], p, budget)
+    return _count_backtrack(m, [range(d + 1) for d in m.dims], p)
 
 
 @dataclass(frozen=True)
@@ -381,8 +357,7 @@ def _select_primes(primes, needed: int):
         return pool[:needed]
     pool = sorted(set(int(p) for p in primes))
     for p in pool:
-        if not _is_prime(p):
-            raise InputError("%d is not prime" % p)
+        _check_prime(p)
     if len(pool) < needed:
         raise ResourceLimitError(
             "need at least %d primes for this fit, got %d" % (needed, len(pool))
@@ -418,6 +393,26 @@ def degree_bound(m: Representation, e: DimVector) -> int:
     return sum(x * (d - x) for x, d in zip(e, m.dims))
 
 
+def _fit_classes(m: Representation, allowed, count, primes) -> dict:
+    """Counting polynomials of Gr_e(m), by e, for the classes e with e[v]
+    in ``allowed[v]`` that ``count(m, p)`` tables.
+
+    The primes suffice for the largest degree bound among those classes
+    and are checked for bad reduction before counting.  Each class that
+    occurs at some prime is fitted at its own degree bound, counting 0
+    at the primes where it has no point.
+    """
+    bound = sum(max(x * (d - x) for x in xs) for xs, d in zip(allowed, m.dims))
+    ps = _select_primes(primes, bound + 2)
+    _check_reduction(m, ps)
+    tables = [count(m, p) for p in ps]
+    return {
+        e: _fit_and_verify([(p, t.get(e, 0)) for p, t in zip(ps, tables)],
+                           degree_bound(m, e))
+        for e in sorted(set().union(*tables))
+    }
+
+
 def counting_polynomial(
     m: Representation,
     e: DimVector,
@@ -425,11 +420,10 @@ def counting_polynomial(
 ) -> CountingPolynomial:
     """Fit the point counts of Gr_e(m); raises when the fit fails to verify."""
     e = _check_dim_vector(m, e)
-    D = degree_bound(m, e)
-    ps = _select_primes(primes, D + 2)
-    _check_reduction(m, ps)
-    counts = [count_points(m, e, p) for p in ps]
-    return _fit_and_verify(list(zip(ps, counts)), D)
+    fits = _fit_classes(
+        m, [(x,) for x in e], lambda m, p: {e: count_points(m, e, p)}, primes
+    )
+    return fits[e]
 
 
 def euler_char(
@@ -447,21 +441,9 @@ def submodule_classes(
 ) -> list[tuple[DimVector, int]]:
     """All e with nonzero Euler characteristic, with those characteristics.
 
-    One backtracking sweep per prime counts every Gr_e(m) simultaneously;
-    each class that occurs at some prime is then fitted at its own degree
-    bound and verified against the remaining sampled primes (a class with
-    no point at any of them fits the zero polynomial).  The degree bound
-    sum x(d - x) peaks at x = d // 2 in each coordinate.
+    One backtracking sweep per prime counts every Gr_e(m) simultaneously,
+    and each class that occurs is fitted on its own.
     """
-    D_max = sum((d // 2) * (d - d // 2) for d in m.dims)
-    ps = _select_primes(primes, D_max + 2)
-    _check_reduction(m, ps)
-    tables = [count_all_subreps(m, p) for p in ps]
-    out = []
-    for e in sorted(set().union(*tables)):
-        D = degree_bound(m, e)
-        points = [(p, table.get(e, 0)) for p, table in zip(ps, tables)]
-        chi = _fit_and_verify(points, D).evaluate(1)
-        if chi != 0:
-            out.append((tuple(e), chi))
-    return out
+    box = [range(d + 1) for d in m.dims]
+    fits = _fit_classes(m, box, count_all_subreps, primes)
+    return [(e, chi) for e, poly in fits.items() if (chi := poly.evaluate(1))]

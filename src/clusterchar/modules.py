@@ -26,6 +26,7 @@ from .linalg import Matrix
 from .quiver import (
     AlgebraPresentation,
     Path,
+    _content_lines,
     load_algebra_file,
     same_algebra,
 )
@@ -412,10 +413,7 @@ def load_module(
     dims: list[int] | None = None
     raw_matrices: dict[str, str] = {}
     section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         if line.startswith("["):
             if line != "[module]":
                 raise InputError("line %d: unknown section %s" % (lineno, line))

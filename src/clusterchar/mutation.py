@@ -23,7 +23,7 @@ from operator import add, itemgetter, neg
 from . import laurent
 from .errors import ConsistencyError, InputError, NotFiniteTypeError
 from .laurent import LaurentPoly, laurent_divexact
-from .quiver import Quiver
+from .quiver import Quiver, _content_lines
 
 ExchangeMatrix = tuple[tuple[int, ...], ...]
 
@@ -269,11 +269,7 @@ def quiver_to_matrix(q: Quiver) -> ExchangeMatrix:
 def load_matrix(text: str) -> ExchangeMatrix:
     """Matrix file: n, then n whitespace-separated integer rows.  Every
     integer, the size included, is an optional ``-`` then ASCII digits."""
-    tokens = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            tokens.append(line.split())
+    tokens = [line.split() for _, line in _content_lines(text)]
     if not tokens:
         raise InputError("empty matrix file")
     head = tokens[0]

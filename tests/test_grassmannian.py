@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterchar import grassmannian
 from clusterchar.errors import (
     InputError,
     NonPolynomialCountError,
@@ -215,13 +216,14 @@ def test_non_prime_rejected(a4_M):
         count_points(a4_M, (1, 0, 0, 0), 4)
 
 
-def test_budget_cap():
+def test_budget_cap(monkeypatch):
     # the source of 1 -> 2 is enumerated (the arrow reads it later), and
     # Gr_3(F_7^6) has far more than 100 points; over the point the same
     # Grassmannian is one closed-form node (test_point_counting)
+    monkeypatch.setattr(grassmannian, "DEFAULT_BUDGET", 100)
     big = Representation(linear_an_algebra(2), (6, 6), {"a1": identity(6)})
     with pytest.raises(ResourceLimitError):
-        count_points(big, (3, 3), 7, budget=100)
+        count_points(big, (3, 3), 7)
 
 
 def test_prime_pool_exhaustion(point):

@@ -1,4 +1,5 @@
-"""Differential tests: the admissible-subspace counter against the reference.
+"""Differential tests: the admissible-subspace counter against the reference,
+and the single-class fit against the whole-box fit.
 
 `grassmannian_reference` enumerates every subspace at every vertex and
 filters by arrow closure.  On hypothesis-generated small modules over
@@ -6,6 +7,8 @@ the point, a loop, linear A3 and the shipped a4 and d4 algebras (whose
 oriented cycles exercise the membership checks) the two must produce
 identical `count_all_subreps` tables at p = 2 and 3.
 """
+
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,13 +18,15 @@ import grassmannian_reference as ref
 from module_strategies import loop_modules, modules
 from clusterchar import grassmannian, linalg
 from clusterchar.cli import run
-from clusterchar.errors import ResourceLimitError
+from clusterchar.errors import NonPolynomialCountError, ResourceLimitError
 from clusterchar.grassmannian import (
     _containing,
     _echelon,
     count_all_subreps,
     count_points,
+    counting_polynomial,
     gaussian_binomial,
+    submodule_classes,
 )
 from clusterchar.modules import Representation
 from clusterchar.polygon import linear_an_algebra
@@ -76,26 +81,26 @@ def test_loop_tables_match_reference(algebras, p):
 # -- the budget caps the nodes visited -------------------------------------
 
 
-def test_unconstrained_vertex_is_one_node(algebras):
+def test_unconstrained_vertex_is_one_node(algebras, monkeypatch):
     # no arrows: Gr_3(F_7^6) is a Gaussian binomial, not an enumeration
+    monkeypatch.setattr(grassmannian, "DEFAULT_BUDGET", 1)
     big = Representation(algebras["point"], (6,))
-    assert count_points(big, (3,), 7, budget=1) == gaussian_binomial(6, 3, 7)
+    assert count_points(big, (3,), 7) == gaussian_binomial(6, 3, 7)
 
 
-def test_budget_counts_nodes_visited():
+def test_budget_counts_nodes_visited(monkeypatch):
     # over 1 -> 2 with the identity on F_2^2, Gr_(1,1): three lines at the
     # source are tried, and each forces U_2, a one-node weight: six nodes
     m = Representation(linear_an_algebra(2), (2, 2), {"a1": linalg.identity(2)})
-    assert count_points(m, (1, 1), 2, budget=6) == 3
+    monkeypatch.setattr(grassmannian, "DEFAULT_BUDGET", 6)
+    assert count_points(m, (1, 1), 2) == 3
+    monkeypatch.setattr(grassmannian, "DEFAULT_BUDGET", 5)
     with pytest.raises(ResourceLimitError, match="over 5 nodes"):
-        count_points(m, (1, 1), 2, budget=5)
+        count_points(m, (1, 1), 2)
 
 
 def test_small_budget_exits_3(capsys, data_dir, monkeypatch):
-    real = grassmannian.count_points
-    monkeypatch.setattr(
-        grassmannian, "count_points", lambda m, e, p: real(m, e, p, budget=2)
-    )
+    monkeypatch.setattr(grassmannian, "DEFAULT_BUDGET", 2)
     code = run(
         ["grassmannian", str(data_dir / "a4.alg"), str(data_dir / "a4_M.mod"),
          "--dim", "1,1,0,0"]
@@ -104,3 +109,35 @@ def test_small_budget_exits_3(capsys, data_dir, monkeypatch):
     assert code == 3
     assert captured.out == ""
     assert "point-count budget exceeded (over 2 nodes visited)" in captured.err
+
+
+def test_xvalue_budget_exits_3(capsys, data_dir, monkeypatch):
+    # the character's path (every class at once) honours the same cap
+    monkeypatch.setattr(grassmannian, "DEFAULT_BUDGET", 2)
+    code = run(["xvalue", str(data_dir / "a4.alg"), str(data_dir / "a4_M.mod")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "point-count budget exceeded (over 2 nodes visited)" in captured.err
+
+
+# -- one driver behind both fitting entry points ---------------------------
+
+
+@pytest.mark.parametrize(
+    "name, max_dim", [("point", 4), ("a3", 3), ("a4", 2), ("d4", 2)]
+)
+def test_single_class_fits_agree_with_the_box(algebras, name, max_dim):
+    # counting_polynomial fits one class from count_points; submodule_classes
+    # fits the whole box from count_all_subreps at a superset of its primes
+    @given(modules(algebras[name], max_dim))
+    @settings(max_examples=40, deadline=None)
+    def check(m):
+        try:
+            chi = dict(submodule_classes(m))
+        except (NonPolynomialCountError, ResourceLimitError):
+            return
+        for e in product(*(range(d + 1) for d in m.dims)):
+            assert counting_polynomial(m, e).evaluate(1) == chi.get(e, 0)
+
+    check()
