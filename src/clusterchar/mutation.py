@@ -4,8 +4,9 @@ This is the oracle side of the artifact: Laurent polynomials produced by
 matrix/seed mutation, entirely independent of the character pipeline.
 `mutate_seed` carries the cluster variables themselves and computes each
 new one from the exchange relation by exact Laurent division.  The
-enumerator tracks integer data instead, the principal-coefficient matrix
-[B; C] and the g-vectors of a seed, and divides only the first time a
+enumerator tracks integer data instead, the g-vectors of a seed, which
+fix its principal-coefficient matrix [B; C] by tropical duality.  It
+mutates [B; C] once per cluster and divides only the first time a
 g-vector appears, once per cluster variable rather than once per edge of
 the exchange graph; it checks at run time the theorems that make this
 sound.  An inexact division can only mean an arithmetic bug (the Laurent
@@ -18,7 +19,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress
-from operator import add, itemgetter, neg
+from operator import add, itemgetter, mul, neg
 
 from . import laurent
 from .errors import ConsistencyError, InputError, NotFiniteTypeError
@@ -32,7 +33,9 @@ _INTEGER = re.compile(r"-?[0-9]+")
 
 
 def check_exchange_matrix(b: ExchangeMatrix) -> ExchangeMatrix:
-    b = tuple(tuple(int(x) for x in row) for row in b)
+    b = tuple(map(tuple, b))
+    if any(type(x) is not int for row in b for x in row):
+        raise InputError("exchange matrix entries must be integers")
     n = len(b)
     for row in b:
         if len(row) != n:
@@ -129,18 +132,22 @@ def enumerate_cluster_variables(
     a cluster is keyed by the set of its g-vectors: distinct cluster
     variables have distinct g-vectors (Derksen, Weyman and Zelevinsky,
     "Quivers with potentials and their representations II", JAMS 2010).
-    Mutation in direction k updates [B; C] by `mutate_matrix` and g-vector
-    k by the recurrence of Fomin and Zelevinsky ("Cluster algebras IV",
-    Compositio 2007, section 6), all in integers.  A variable's Laurent
-    polynomial comes from the exchange relation, by exact division, the
-    first time its g-vector appears: one division per cluster variable.
+    g-vector k mutates by the recurrence of Fomin and Zelevinsky
+    ("Cluster algebras IV", Compositio 2007, section 6), and the g-vectors
+    fix the rest of the seed by tropical duality, G^T C = I and
+    G B = B0 C (Nakanishi and Zelevinsky, "On tropical dualities in
+    cluster algebras", Contemp. Math. 565, 2012; G has the g-vectors as
+    columns, C the c-vectors).  So an edge into a known cluster costs one
+    g-vector and a set lookup, and only a new cluster runs
+    `mutate_matrix`.  A variable's Laurent polynomial comes from the
+    exchange relation, by exact division, the first time its g-vector
+    appears: one division per cluster variable.
 
     What the theorems promise is checked, and a violation raises
-    ``ConsistencyError``: each c-vector mutated along is sign-coherent;
-    the g-vectors of each new cluster are distinct and a Z-basis
-    (|det| = 1); a revisited cluster's [B; C] is the stored one with its
-    vertices relabelled (a cluster determines its seed: Gekhtman, Shapiro
-    and Vainshtein, Math. Res. Lett. 2008).  An inexact division raises
+    ``ConsistencyError``: each c-vector mutated along is sign-coherent,
+    and each new seed satisfies G^T C = I in full (so its g-vectors are
+    distinct and a Z-basis) and column k of G B = B0 C, k the direction
+    it was reached along.  An inexact division raises
     ``LaurentDivisionError``.
 
     ``seed_cap`` bounds the seeds visited, the initial seed plus every
@@ -158,7 +165,7 @@ def enumerate_cluster_variables(
         return frozenset()
     unit = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     variables = {g: laurent.variable(n, i) for i, g in enumerate(unit)}
-    clusters = {frozenset(unit): _relabelled(unit, b + unit)}
+    clusters = {frozenset(unit)}
     # each queued seed carries the direction it was reached along
     queue = deque([(unit, b + unit, None)])
     visited = 1
@@ -174,23 +181,15 @@ def enumerate_cluster_variables(
                 continue  # mutation is an involution: this is the parent seed
             g = _g_vector(gs, m, k)
             new_gs = gs[:k] + (g,) + gs[k + 1:]
-            new_m = mutate_matrix(m, k)
             cluster = frozenset(new_gs)
-            known = clusters.get(cluster)
-            relabelled = _relabelled(new_gs, new_m)
-            if known is None:
-                if len(cluster) < n:
-                    raise ConsistencyError("a cluster repeats a g-vector")
-                if _abs_determinant(new_gs) != 1:
-                    raise ConsistencyError("the g-vectors of a cluster are not a Z-basis")
-                if g not in variables:
-                    variables[g] = _exchange(m, [variables[h] for h in gs], k)
-                clusters[cluster] = relabelled
-                queue.append((new_gs, new_m, k))
-            elif known != relabelled:
-                raise ConsistencyError(
-                    "one cluster carries exchange matrices that are not relabellings"
-                )
+            if cluster in clusters:
+                continue  # its g-vectors fix the seed: nothing new here
+            new_m = mutate_matrix(m, k)
+            _check_duality(b, new_gs, new_m, k)
+            if g not in variables:
+                variables[g] = _exchange(m, [variables[h] for h in gs], k)
+            clusters.add(cluster)
+            queue.append((new_gs, new_m, k))
     return frozenset(variables.values())
 
 
@@ -220,36 +219,21 @@ def _g_vector(gs, m: ExchangeMatrix, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _relabelled(gs, m: ExchangeMatrix) -> ExchangeMatrix:
-    """[B; C] with its vertices put in the order of their g-vectors.
-
-    Two seeds of one cluster are relabellings of each other exactly when
-    these agree.
-    """
+def _check_duality(b0: ExchangeMatrix, gs, m: ExchangeMatrix, k: int) -> None:
+    """Check G^T C = I and column k of G B = B0 C, where G has the
+    g-vectors ``gs`` as columns and ``m`` is the seed's [B; C]."""
     n = len(gs)
-    order = sorted(range(n), key=gs.__getitem__)
-    pick = itemgetter(*order)
-    return tuple(map(pick, map(m.__getitem__, order))) + tuple(map(pick, m[n:]))
-
-
-def _abs_determinant(rows) -> int:
-    """|det| of a square integer matrix (Bareiss elimination)."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-        pivot, row_k = a[k][k], a[k]
-        for row in a[k + 1:]:
-            f = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - f * row_k[j]) // prev
-        prev = pivot
-    return abs(a[n - 1][n - 1])
+    cs = list(zip(*m[n:]))
+    for i, g in enumerate(gs):
+        for j, c in enumerate(cs):
+            if sum(map(mul, g, c)) != (i == j):
+                raise ConsistencyError("tropical duality fails: G^T C is not I")
+    bk = [row[k] for row in m[:n]]
+    gb = [sum(map(mul, bk, x)) for x in zip(*gs)]
+    if gb != [sum(map(mul, row, cs[k])) for row in b0]:
+        raise ConsistencyError(
+            "tropical duality fails: G B and B0 C differ in column %d" % k
+        )
 
 
 def quiver_to_matrix(q: Quiver) -> ExchangeMatrix:

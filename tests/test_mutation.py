@@ -177,29 +177,38 @@ def test_mutation_is_an_involution(kind, path, k):
     assert mutate_seed(mutate_seed(s, k % n), k % n) == s
 
 
-def _enumerate_counting_divisions(monkeypatch, b, seed_cap):
-    """Variables, and the number of Laurent divisions."""
-    calls = []
+def _enumerate_counting_work(monkeypatch, b, seed_cap):
+    """Variables, the number of Laurent divisions and the number of
+    matrix mutations."""
+    divisions, mutations = [], []
 
-    def counting(p, q):
-        calls.append(q)
-        return original(p, q)
+    def dividing(p, q):
+        divisions.append(q)
+        return divide(p, q)
 
-    original = mutation.laurent_divexact
-    monkeypatch.setattr(mutation, "laurent_divexact", counting)
+    def mutating(m, k):
+        mutations.append(k)
+        return mutate(m, k)
+
+    divide, mutate = mutation.laurent_divexact, mutation.mutate_matrix
+    monkeypatch.setattr(mutation, "laurent_divexact", dividing)
+    monkeypatch.setattr(mutation, "mutate_matrix", mutating)
     variables = enumerate_cluster_variables(b, seed_cap=seed_cap)
-    return len(variables), len(calls)
+    return len(variables), len(divisions), len(mutations)
 
 
 def _assert_counts(monkeypatch, b, variables, clusters):
-    # one division per cluster variable outside the initial cluster, and
-    # n visits per cluster (one of them the skipped parent) plus the
-    # initial seed: the enumeration closes at that cap and not below it
+    # one division per cluster variable outside the initial cluster, one
+    # matrix mutation per cluster outside the initial one (a revisit
+    # mutates nothing), and n visits per cluster (one of them the skipped
+    # parent) plus the initial seed: the enumeration closes at that cap
+    # and not below it
     n = len(b)
     visits = n * clusters + 1
-    assert _enumerate_counting_divisions(monkeypatch, b, visits) == (
+    assert _enumerate_counting_work(monkeypatch, b, visits) == (
         variables,
         variables - n,
+        clusters - 1,
     )
     with pytest.raises(NotFiniteTypeError, match="more than %d seeds" % (visits - 1)):
         enumerate_cluster_variables(b, seed_cap=visits - 1)
@@ -266,25 +275,28 @@ def test_capped_enumeration_matches_reference(b, seed_cap):
     _assert_same_as_reference(b, seed_cap)
 
 
+# Each of the next five corruptions breaks the tropical duality G^T C = I
+# on the first new seed it makes, before the variables could show it.
+NOT_DUAL = re.escape("G^T C is not I")
+
+
 def test_revisited_cluster_with_foreign_matrix_raises(monkeypatch):
     # Negating every mutated [B; C] flips the signs of the c-vectors and of
     # B together, which the g-vector recurrence and the exchange relation
-    # do not see; only the matrix sign flips along each step, and the
-    # pentagon of A2 reaches a cluster along paths of both parities.
+    # do not see; C = -I after the first step is not the dual of G.
     correct = mutation.mutate_matrix
 
     def corrupted(b, k):
         return tuple(tuple(-x for x in row) for row in correct(b, k))
 
     monkeypatch.setattr(mutation, "mutate_matrix", corrupted)
-    with pytest.raises(ConsistencyError, match="not relabellings"):
+    with pytest.raises(ConsistencyError, match=NOT_DUAL):
         enumerate_cluster_variables(A2)
 
 
 def test_revisited_cluster_with_foreign_c_rows_raises(monkeypatch):
     # Doubling C after each mutation keeps every c-vector's sign, hence
-    # the g-vectors, and leaves B and the variables alone, but a cluster
-    # reached along paths of two lengths gets two different C.
+    # the g-vectors, and leaves B and the variables alone, but not G^T C.
     correct = mutation.mutate_matrix
 
     def corrupted(b, k):
@@ -293,13 +305,15 @@ def test_revisited_cluster_with_foreign_c_rows_raises(monkeypatch):
         return out[:n] + tuple(tuple(2 * x for x in row) for row in out[n:])
 
     monkeypatch.setattr(mutation, "mutate_matrix", corrupted)
-    with pytest.raises(ConsistencyError, match="not relabellings"):
+    with pytest.raises(ConsistencyError, match=NOT_DUAL):
         enumerate_cluster_variables(A2)
 
 
 def test_mixed_sign_c_vector_raises(monkeypatch):
     # negating the first row of C after each mutation leaves a c-vector
-    # with entries of both signs
+    # with entries of both signs, and breaks duality before that c-vector
+    # is mutated along (`test_g_vector_checks_sign_coherence` reaches the
+    # sign check itself)
     correct = mutation.mutate_matrix
 
     def corrupted(b, k):
@@ -308,7 +322,7 @@ def test_mixed_sign_c_vector_raises(monkeypatch):
         return out[:n] + (tuple(-x for x in out[n]),) + out[n + 1:]
 
     monkeypatch.setattr(mutation, "mutate_matrix", corrupted)
-    with pytest.raises(ConsistencyError, match="not sign-coherent"):
+    with pytest.raises(ConsistencyError, match=NOT_DUAL):
         enumerate_cluster_variables(linear_an_matrix(3))
 
 
@@ -319,7 +333,7 @@ def test_g_vectors_off_a_basis_raise(monkeypatch):
         return tuple(2 * x for x in correct(gs, m, k))
 
     monkeypatch.setattr(mutation, "_g_vector", doubled)
-    with pytest.raises(ConsistencyError, match="not a Z-basis"):
+    with pytest.raises(ConsistencyError, match=NOT_DUAL):
         enumerate_cluster_variables(A2, seed_cap=1000)
 
 
@@ -328,8 +342,78 @@ def test_repeated_g_vector_raises(monkeypatch):
         return gs[k - 1]
 
     monkeypatch.setattr(mutation, "_g_vector", neighbour)
-    with pytest.raises(ConsistencyError, match="repeats a g-vector"):
+    with pytest.raises(ConsistencyError, match=NOT_DUAL):
         enumerate_cluster_variables(A2)
+
+
+def test_g_vector_checks_sign_coherence():
+    # A3 with c-vector 0 = (1, 0, -1), then with C = 0
+    m = linear_an_matrix(3) + ((1, 0, 0), (0, 1, 0), (-1, 0, 1))
+    unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    with pytest.raises(ConsistencyError, match="not sign-coherent"):
+        mutation._g_vector(unit, m, 0)
+    with pytest.raises(ConsistencyError, match="not sign-coherent"):
+        mutation._g_vector(unit, m[:3] + ((0, 0, 0),) * 3, 1)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_corrupted_exchange_matrix_raises(monkeypatch, n):
+    # Swapping two vertices other than k in B after each mutation leaves
+    # the C and the g-vectors of that step alone, so G^T C = I holds on the
+    # seed it makes; G B = B0 C in column k does not.  (Unchecked, the
+    # enumeration ends in an inexact division.)
+    correct = mutation.mutate_matrix
+
+    def corrupted(m, k):
+        out = correct(m, k)
+        i, j = [x for x in range(n) if x != k][:2]
+        perm = list(range(n))
+        perm[i], perm[j] = j, i
+        top = tuple(tuple(out[r][c] for c in perm) for r in perm)
+        return top + out[n:]
+
+    monkeypatch.setattr(mutation, "mutate_matrix", corrupted)
+    with pytest.raises(ConsistencyError, match="G B and B0 C differ in column"):
+        enumerate_cluster_variables(linear_an_matrix(n))
+
+
+def _assert_dual(b0, gs, m):
+    """G^T C = I and G B = B0 C, entry by entry; G has the g-vectors
+    ``gs`` as columns and ``m`` is [B; C]."""
+    n = len(b0)
+    g = [[gs[j][i] for j in range(n)] for i in range(n)]
+    b, c = m[:n], m[n:]
+    for i in range(n):
+        for j in range(n):
+            assert sum(g[l][i] * c[l][j] for l in range(n)) == int(i == j)
+            assert sum(g[i][l] * b[l][j] for l in range(n)) == sum(
+                b0[i][l] * c[l][j] for l in range(n)
+            )
+
+
+@given(
+    st.one_of(
+        skew_matrices(),
+        st.sampled_from(sorted(FINITE_TYPE_COUNTS)).map(
+            lambda kind: FINITE_TYPE_COUNTS[kind][0]
+        ),
+    ),
+    st.lists(st.integers(0, 6), max_size=8),
+)
+@settings(max_examples=150, deadline=None)
+def test_tropical_duality_along_mutation_paths(b0, path):
+    # the enumerator checks G^T C = I and one column of G B = B0 C per
+    # seed; here both identities are checked in full, on every seed of a
+    # random path, infinite types included
+    n = len(b0)
+    gs = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    m = b0 + gs
+    _assert_dual(b0, gs, m)
+    for k in path:
+        k %= n
+        gs = gs[:k] + (mutation._g_vector(gs, m, k),) + gs[k + 1:]
+        m = mutate_matrix(m, k)
+        _assert_dual(b0, gs, m)
 
 
 def test_variable_count_is_mutation_invariant():
@@ -368,6 +452,13 @@ def test_quiver_to_matrix_rejects_loop():
 def test_two_cycles_cancel():
     q = make_quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
     assert quiver_to_matrix(q) == ((0, 0), (0, 0))
+
+
+@pytest.mark.parametrize("b", [((0, 1.5), (-1.5, 0)), ((0, "1"), ("-1", 0))])
+def test_non_integer_entries_raise(b):
+    # int() would round the floats into A2 and read the strings as numbers
+    with pytest.raises(InputError, match="must be integers"):
+        enumerate_cluster_variables(b)
 
 
 def test_load_matrix_rejects_bad_input():
