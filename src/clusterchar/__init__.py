@@ -22,9 +22,9 @@ from .errors import (
     NotFiniteTypeError,
     ResourceLimitError,
 )
-from .forms import antisym_form_matrix, coindex, euler_form, form_a_value, index
+from .forms import antisym_form_matrix, coindex, euler_form, index
 from .grassmannian import count_points, euler_char, submodule_classes
-from .laurent import LaurentPoly, laurent_divexact, laurent_parse, laurent_render
+from .laurent import LaurentPoly, laurent_divexact, laurent_render
 from .modules import (
     Representation,
     direct_sum,

@@ -73,8 +73,6 @@ def _load_object(path, algebra, shifts_text) -> CCObject:
 
 
 def _cmd_algebra(args) -> int:
-    if args.action != "check":
-        raise InputError("unknown algebra action %r" % args.action)
     algebra = load_algebra_file(args.algebra)
     q = algebra.quiver
     print("vertices: %s" % " ".join(q.vertices))

@@ -69,15 +69,6 @@ def _compute_form_matrix(a: AlgebraPresentation) -> FormMatrix:
     return matrix
 
 
-def form_a_value(a: AlgebraPresentation, v: DimVector, w: DimVector) -> int:
-    """<v, w>_a for K_0 classes expressed in the basis of simples."""
-    matrix = antisym_form_matrix(a)
-    n = a.quiver.n
-    if len(v) != n or len(w) != n:
-        raise ConsistencyError("class vector has wrong length")
-    return sum(v[i] * matrix[i][j] * w[j] for i in range(n) for j in range(n))
-
-
 def form_a_row(a: AlgebraPresentation, e: DimVector) -> tuple[int, ...]:
     """The vector (<S_i, e>_a)_i, i.e. the form matrix applied to e."""
     matrix = antisym_form_matrix(a)

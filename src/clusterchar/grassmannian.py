@@ -255,7 +255,9 @@ def _count_backtrack(m: Representation, allowed, p: int) -> dict:
 
 
 def _check_dim_vector(m: Representation, e: DimVector) -> DimVector:
-    e = tuple(int(x) for x in e)
+    e = tuple(e)
+    if any(type(x) is not int for x in e):
+        raise InputError("dimension vector entries must be integers")
     if len(e) != len(m.dims):
         raise InputError("dimension vector has wrong length")
     if any(x < 0 or x > d for x, d in zip(e, m.dims)):

@@ -2,10 +2,12 @@
 
 Values are immutable and canonical: no zero coefficients are stored and
 terms are kept sorted by exponent vector in descending lexicographic
-order, so equality of values is equality of term tuples and rendering is
-deterministic.  Exponents may be negative; coefficients are arbitrary
-precision.  Division is deliberately restricted to the exact case
-(`divexact`), which raises on a nonzero remainder.
+order, so equality of values is equality of term tuples.  Rendering is
+canonical and injective: for a fixed number of variables, two values
+render to the same text exactly when they are equal.  Exponents may be
+negative, but powers may not; coefficients are arbitrary precision.
+Division is deliberately restricted to the exact case (`divexact`),
+which raises on a nonzero remainder.
 
 Internally a monomial is one int: each exponent is biased by
 ``2**(EXPONENT_BITS - 1)`` into a field of ``EXPONENT_BITS`` bits, the
@@ -22,12 +24,11 @@ of carrying into the neighbouring field.
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 from heapq import heappop, heappush
 from operator import add, sub
 
-from .errors import DimensionError, InputError, LaurentDivisionError
+from .errors import DimensionError, LaurentDivisionError
 
 ExponentVector = tuple[int, ...]
 
@@ -74,9 +75,9 @@ def _check_range(lo: ExponentVector, hi: ExponentVector) -> None:
 class LaurentPoly:
     """A Laurent polynomial in ``var_count`` variables x_1..x_n.
 
-    Build values with `from_dict`, `monomial`, `variable`, `zero`, `one`
-    or `laurent_parse`.  ``terms`` is the canonical tuple of
-    ``(exponent vector, coefficient)`` pairs, decoded on first use.
+    Build values with `from_dict`, `monomial`, `variable`, `zero` or
+    `one`.  ``terms`` is the canonical tuple of ``(exponent vector,
+    coefficient)`` pairs, decoded on first use.
     """
 
     __slots__ = ("var_count", "_packed", "_box", "_terms", "_hash")
@@ -120,9 +121,6 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self._packed
-
-    def is_monomial(self) -> bool:
-        return len(self._packed) == 1
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         _check_compatible(self, other)
@@ -181,15 +179,7 @@ class LaurentPoly:
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
-            if not self.is_monomial():
-                raise LaurentDivisionError("negative powers only for monomials")
-            exps, c = self.terms[0]
-            if c not in (1, -1):
-                raise LaurentDivisionError(
-                    "negative power of a monomial with coefficient %d" % c
-                )
-            inv = monomial(self.var_count, tuple(-a for a in exps), c)
-            return inv ** (-n)
+            raise LaurentDivisionError("negative power %d" % n)
         acc = one(self.var_count)
         for _ in range(n):
             acc = acc * self
@@ -342,7 +332,8 @@ def render_terms(pieces) -> str:
 
 
 def laurent_render(p: LaurentPoly, names: tuple[str, ...] | None = None) -> str:
-    """Canonical text form; ``parse(render(p)) == p``.
+    """Canonical text form; with the default names, values in the same
+    number of variables render alike exactly when they are equal.
 
     Terms in descending-lex exponent order; unit exponents and trivial
     factors omitted; coefficient 1 omitted except on the constant term.
@@ -358,80 +349,6 @@ def laurent_render(p: LaurentPoly, names: tuple[str, ...] | None = None) -> str:
         ))
         for exps, c in p.terms
     )
-
-
-_FACTOR_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(-?\d+))?$")
-_COEFF_RE = re.compile(r"^\(?([+-]?\d+)\)?$")
-
-
-def _split_terms(text: str) -> list[str]:
-    """Split on top-level + and - (a leading sign binds to the first term)."""
-    out, depth, cur = [], 0, ""
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise InputError("unbalanced parentheses in polynomial")
-        prev = cur.rstrip()[-1:] if cur.strip() else ""
-        if (
-            ch in "+-"
-            and depth == 0
-            and prev not in ("", "+", "-", "^")
-        ):
-            out.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    if depth != 0:
-        raise InputError("unbalanced parentheses in polynomial")
-    if cur.strip():
-        out.append(cur)
-    return out
-
-
-def laurent_parse(
-    text: str, var_count: int, names: tuple[str, ...] | None = None
-) -> LaurentPoly:
-    """Parse the canonical syntax (plus optional spaces, a leading ``-``,
-    and parenthesized integer coefficients)."""
-    names = names if names is not None else default_names(var_count)
-    index = {name: i for i, name in enumerate(names)}
-    text = text.strip()
-    if text == "":
-        raise InputError("empty polynomial text")
-    if text == "0":
-        return zero(var_count)
-    acc: dict[ExponentVector, int] = {}
-    for raw in _split_terms(text.replace(" ", "")):
-        sign = 1
-        if raw.startswith("+"):
-            raw = raw[1:]
-        elif raw.startswith("-"):
-            sign, raw = -1, raw[1:]
-        if not raw:
-            raise InputError("dangling sign in polynomial")
-        coeff = 1
-        exps = [0] * var_count
-        saw_factor = False
-        for part in raw.split("*"):
-            m = _COEFF_RE.match(part)
-            if m and not saw_factor:
-                coeff *= int(m.group(1))
-                saw_factor = True
-                continue
-            m = _FACTOR_RE.match(part)
-            if not m:
-                raise InputError("bad factor %r in polynomial" % part)
-            name, a = m.group(1), int(m.group(2) or "1")
-            if name not in index:
-                raise InputError("unknown variable %r" % name)
-            exps[index[name]] += a
-            saw_factor = True
-        key = tuple(exps)
-        acc[key] = acc.get(key, 0) + sign * coeff
-    return from_dict(var_count, acc)
 
 
 def fraction_parts(p: LaurentPoly) -> tuple[LaurentPoly, ExponentVector]:

@@ -43,10 +43,11 @@ class Representation:
         algebra: AlgebraPresentation,
         dims,
         matrices: dict[str, Matrix] | None = None,
-        check: bool = True,
     ):
         self.algebra = algebra
-        self.dims: DimVector = tuple(int(d) for d in dims)
+        self.dims: DimVector = tuple(dims)
+        if any(type(d) is not int for d in self.dims):
+            raise InputError("dimension vector entries must be integers")
         q = algebra.quiver
         if len(self.dims) != q.n:
             raise DimensionError("dimension vector has wrong length")
@@ -66,8 +67,7 @@ class Representation:
             self.matrices[a.name] = m
         if mats:
             raise InputError("matrix for unknown arrow %r" % next(iter(mats)))
-        if check:
-            self._check_relations()
+        self._check_relations()
 
     def _check_relations(self) -> None:
         for rel in self.algebra.relations.relations:
@@ -96,12 +96,12 @@ class Representation:
 
 
 def zero_module(algebra: AlgebraPresentation) -> Representation:
-    return Representation(algebra, (0,) * algebra.quiver.n, check=False)
+    return Representation(algebra, (0,) * algebra.quiver.n)
 
 
 def simple(algebra: AlgebraPresentation, i: int) -> Representation:
     dims = tuple(1 if j == i else 0 for j in range(algebra.quiver.n))
-    return Representation(algebra, dims, check=False)
+    return Representation(algebra, dims)
 
 
 def path_matrix(m: Representation, p: Path) -> Matrix:
@@ -176,7 +176,7 @@ def _block_sum(algebra: AlgebraPresentation, summands) -> Representation:
                 entries += pad
             left += A.cols
         mats[a.name] = Matrix(dims[a.target], cols, tuple(entries))
-    return Representation(algebra, dims, mats, check=False)
+    return Representation(algebra, dims, mats)
 
 
 def _require_same_algebra(m: Representation, n: Representation) -> None:
@@ -310,7 +310,7 @@ def _compute_syzygy(m: Representation) -> Syzygy:
         if linalg.mat_mul(inclusion[j], coords) != mapped:
             raise DimensionError("cover map is not a module morphism")
         ker_mats[a.name] = coords
-    kernel = Representation(m.algebra, ker_dims, ker_mats, check=False)
+    kernel = Representation(m.algebra, ker_dims, ker_mats)
     return Syzygy(tuple(map(len, tops)), cover, cover_map, kernel, inclusion)
 
 

@@ -81,7 +81,7 @@ def interval_module(n: int, lo: int, hi: int) -> Representation:
     mats = {
         "a%d" % v: identity(1) for v in range(lo, hi)
     }
-    return Representation(algebra, dims, mats, check=False)
+    return Representation(algebra, dims, mats)
 
 
 def arc_to_object(n: int, a: Arc) -> CCObject:

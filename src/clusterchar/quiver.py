@@ -296,22 +296,16 @@ class AlgebraPresentation:
         return len(self.basis)
 
     def reduce_path(self, p: Path) -> dict[Path, Fraction | int]:
-        """Express the class of a path in the chosen basis."""
+        """Express the class of a path of length at most the nilpotency
+        bound in the chosen basis."""
         hit = self._reduce_table.get(p)
-        if hit is not None:
-            return hit
-        if len(p.arrows) <= self.nilpotency_bound:
-            # a composable path of in-range length that was never
-            # enumerated cannot exist
-            raise InputError("path not composable in this quiver")
-        head = Path(p.source, p.arrows[:-1])
-        last = p.arrows[-1]
-        acc: dict[Path, Fraction | int] = {}
-        for b, c in self.reduce_path(head).items():
-            ext = Path(b.source, b.arrows + (last,))
-            for b2, c2 in self.reduce_path(ext).items():
-                acc[b2] = linalg.normalize(acc.get(b2, 0) + c * c2)
-        return {b: c for b, c in acc.items() if c != 0}
+        if hit is None:
+            # the table holds every composable path of in-range length
+            raise InputError(
+                "path not composable in this quiver or longer than the "
+                "nilpotency bound %d" % self.nilpotency_bound
+            )
+        return hit
 
     def cached(self, key, compute):
         """The derived value under ``key``: ``compute()`` on first use, the

@@ -105,7 +105,7 @@ def compute_syzygy(m) -> Syzygy:
         if sol is None:
             raise DimensionError("cover map is not a module morphism")
         ker_mats[a.name] = sol
-    kernel = Representation(m.algebra, ker_dims, ker_mats, check=False)
+    kernel = Representation(m.algebra, ker_dims, ker_mats)
     return Syzygy(tuple(map(len, tops)), cover, cover_map, kernel, inclusion)
 
 

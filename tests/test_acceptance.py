@@ -15,7 +15,7 @@ from clusterchar import laurent
 from clusterchar.character import cc_value, module_object
 from clusterchar.forms import coindex, euler_form, form_a_row, index
 from clusterchar.grassmannian import submodule_classes
-from clusterchar.laurent import from_dict, laurent_parse
+from clusterchar.laurent import from_dict, laurent_render
 from clusterchar.modules import (
     direct_sum,
     injective,
@@ -52,10 +52,9 @@ def test_criterion_1_a4_reproduction(data_dir):
     module = load_module_file(data_dir / "a4_M.mod", algebra=algebra)
 
     value = cc_value(module_object(module))
-    expected = laurent_parse("x2^-1*x3 + x1^-1*x4 + x1^-1*x2^-1*x4", 4)
-    assert value == expected
+    assert laurent_render(value) == "x2^-1*x3 + x1^-1*x4 + x1^-1*x2^-1*x4"
     num, den = laurent.fraction_parts(value)
-    assert num == laurent_parse("x1*x3 + x2*x4 + x4", 4)
+    assert laurent_render(num) == "x1*x3 + x2*x4 + x4"
     assert den == (1, 1, 0, 0)
 
     assert index(module) == (0, 1, -1, 0)  # [P_2] - [P_3]

@@ -211,6 +211,17 @@ def test_counting_polynomial_checks_e_first(a4_M):
         counting_polynomial(a4_M, (1, 1, 0))
 
 
+@pytest.mark.parametrize("e", [(0.9, 1.2), ("0", 1)], ids=["float", "str"])
+@pytest.mark.parametrize(
+    "fn", [lambda m, e: count_points(m, e, 5), counting_polynomial],
+    ids=["count_points", "counting_polynomial"],
+)
+def test_non_integer_dim_vector_rejected(fn, e):
+    # no coercion: (0.9, 1.2) is not read as e = (0, 1)
+    with pytest.raises(InputError, match="must be integers"):
+        fn(interval_module(2, 1, 2), e)
+
+
 def test_non_prime_rejected(a4_M):
     with pytest.raises(InputError):
         count_points(a4_M, (1, 0, 0, 0), 4)

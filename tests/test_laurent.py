@@ -3,11 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterchar import laurent
-from clusterchar.errors import DimensionError, InputError, LaurentDivisionError
+from clusterchar.errors import DimensionError, LaurentDivisionError
 from clusterchar.laurent import (
     from_dict,
     laurent_divexact,
-    laurent_parse,
     laurent_render,
     monomial,
     one,
@@ -84,20 +83,13 @@ def test_render_custom_names():
     assert laurent_render(p, names=("x0", "x3")) == "x0*x3"
 
 
-def test_parse_accepts_spaces_signs_parens():
-    assert laurent_parse("- x1 + (3)*x2^2", 2) == from_dict(2, {(1, 0): -1, (0, 2): 3})
-    assert laurent_parse("(-3)*x1*x2 + 1", 2) == from_dict(2, {(1, 1): -3, (0, 0): 1})
-    assert laurent_parse("x1^-1", 1) == monomial(1, (-1,))
-    assert laurent_parse("0", 4) == zero(4)
-
-
-def test_parse_rejects_junk():
-    with pytest.raises(InputError):
-        laurent_parse("x9", 2)
-    with pytest.raises(InputError):
-        laurent_parse("x1 + + x2", 2)
-    with pytest.raises(InputError):
-        laurent_parse("", 2)
+def test_negative_powers_raise():
+    with pytest.raises(LaurentDivisionError, match="negative power -1"):
+        x(0) ** -1
+    with pytest.raises(LaurentDivisionError):
+        monomial(2, (1, -1)) ** -2
+    assert x(0) ** 0 == one(2)
+    assert (x(0) + x(1)) ** 2 == (x(0) + x(1)) * (x(0) + x(1))
 
 
 def test_divexact_recovers_factor():
@@ -165,15 +157,9 @@ def poly_and_monomial(draw):
 @settings(max_examples=100, deadline=None)
 def test_monomial_multiplication_invertible(pm):
     p, m = pm
-    inv = m ** (-1)
+    (e, _), = m.terms
+    inv = monomial(p.var_count, tuple(-a for a in e))
     assert (p * m) * inv == p
-
-
-@given(poly_triples())
-@settings(max_examples=150, deadline=None)
-def test_render_parse_round_trip(triple):
-    p, _, _ = triple
-    assert laurent_parse(laurent_render(p), p.var_count) == p
 
 
 @given(poly_triples())

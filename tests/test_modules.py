@@ -275,6 +275,13 @@ def test_loader_rejects_relation_violation(a4):
         load_module(text, algebra=a4)
 
 
+@pytest.mark.parametrize("dims", [(1.7, 1), ("1", 1)], ids=["float", "str"])
+def test_representation_rejects_non_integer_dims(a2h, dims):
+    # no coercion: 1.7 is not read as 1, nor "1" as 1
+    with pytest.raises(InputError, match="must be integers"):
+        Representation(a2h, dims)
+
+
 def test_representation_shape_check(a4):
     with pytest.raises(DimensionError):
         Representation(a4, (1, 1, 0, 0), {"d": linalg.matrix([[1, 1]])})
@@ -350,24 +357,43 @@ def test_ext1_matches_reference(algebras, name, max_dim):
     check()
 
 
+def _all_ones_projective(algebra, i):
+    """P_i with every arrow matrix replaced by all ones: no module morphism
+    target for a cover, and over k[x]/x^3 it breaks x^3 = 0."""
+    p = projective(algebra, i)
+    ones = {
+        name: linalg.matrix([[1] * mat.cols] * mat.rows, rows=mat.rows, cols=mat.cols)
+        for name, mat in p.matrices.items()
+    }
+    return Representation(algebra, p.dims, ones)
+
+
 def test_cover_that_is_no_morphism_raises(algebras, monkeypatch):
     # over k[x]/x^3, P / x^2 P has kernel x^2 P; a cover whose x sends
     # x^2 back onto the generator does not map that kernel into itself
     loop = algebras["loop"]
     m = Representation(loop, (2,), {"x": linalg.matrix([[0, 0], [1, 0]])})
     assert _compute_syzygy(m).kernel.dims == (1,)
-    true_projective = projective
-
-    def wrong_projective(algebra, i):
-        p = true_projective(algebra, i)
-        ones = {
-            name: linalg.matrix([[1] * mat.cols] * mat.rows, rows=mat.rows, cols=mat.cols)
-            for name, mat in p.matrices.items()
-        }
-        return Representation(algebra, p.dims, ones, check=False)
-
-    monkeypatch.setattr("clusterchar.modules.projective", wrong_projective)
+    # the wrong projective breaks the relation, so let it be built unchecked
+    monkeypatch.setattr(Representation, "_check_relations", lambda self: None)
+    monkeypatch.setattr("clusterchar.modules.projective", _all_ones_projective)
     with pytest.raises(DimensionError, match="not a module morphism"):
+        _compute_syzygy(m)
+
+
+def test_cover_from_a_module_off_the_relations_raises(algebras, monkeypatch):
+    # S + S over k[x]/x^3 has two generators, so its cover P + P comes from
+    # the internal block sum, which checks the relations like any module
+    loop = algebras["loop"]
+    m = Representation(loop, (2,))
+
+    def unchecked_projective(algebra, i):
+        with monkeypatch.context() as patch:
+            patch.setattr(Representation, "_check_relations", lambda self: None)
+            return _all_ones_projective(algebra, i)
+
+    monkeypatch.setattr("clusterchar.modules.projective", unchecked_projective)
+    with pytest.raises(InputError, match="does not satisfy the algebra relations"):
         _compute_syzygy(m)
 
 

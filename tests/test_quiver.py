@@ -237,9 +237,12 @@ def test_reduce_path_beyond_nilpotency_bound(a4):
 
     q = a4.quiver
     g, a, b = q.arrow_index("g"), q.arrow_index("a"), q.arrow_index("b")
-    # gamma a b gamma: composable of length 4, one past the bound
-    long_path = Path(3, (g, a, b, g))
-    assert a4.reduce_path(long_path) == {}
+    # gamma a b gamma: composable of length 4, one past the bound, while
+    # its prefix of length 3 reaches the bound and reduces to zero
+    assert a4.nilpotency_bound == 3
+    assert a4.reduce_path(Path(3, (g, a, b))) == {}
+    with pytest.raises(InputError, match="longer than the nilpotency bound 3"):
+        a4.reduce_path(Path(3, (g, a, b, g)))
 
 
 def test_render_trivial_path(a4):
