@@ -176,6 +176,7 @@ def _cmd_verify_an(args) -> int:
 
 
 _SHIFTS_HELP = "comma list of vertex labels (repeat = multiplicity)"
+_PRIMES_HELP = "count points at these primes (a comma list)"
 _MAX_SEEDS_HELP = (
     "exit 3 once more than N seeds are visited: the initial seed and "
     "every mutation result, revisits of a cluster included"
@@ -191,7 +192,7 @@ _COMMANDS = {
         (("algebra",), {}),
         (("module",), {}),
         (("--shifts",), {"help": _SHIFTS_HELP}),
-        (("--primes",), {"help": "comma list of primes for point counting"}),
+        (("--primes",), {"help": _PRIMES_HELP}),
     ]),
     "form-matrix": ("antisymmetrized form on the simples", _cmd_form_matrix, [
         (("algebra",), {}),
@@ -205,7 +206,7 @@ _COMMANDS = {
         (("algebra",), {}),
         (("module",), {}),
         (("--dim",), {"required": True, "help": "submodule dimension vector e1,e2,..."}),
-        (("--primes",), {"help": "comma list of primes"}),
+        (("--primes",), {"help": _PRIMES_HELP}),
     ]),
     "mutate": ("mutate the initial seed of a matrix file", _cmd_mutate, [
         (("matrix",), {}),
@@ -226,7 +227,7 @@ _COMMANDS = {
         (("--shifts-m",), {}),
         (("--shifts-b",), {}),
         (("--shifts-bp",), {}),
-        (("--primes",), {}),
+        (("--primes",), {"help": _PRIMES_HELP}),
     ]),
     "verify-an": ("exhaustive type-A verification", _cmd_verify_an, [
         (("--n",), {"type": int, "required": True}),

@@ -1,23 +1,34 @@
-"""Euler characteristics of quiver Grassmannians by point counting.
+"""Euler characteristics of quiver Grassmannians.
 
-Points of Gr_e(M) over F_p are counted exactly by a backtracking sweep
-over the vertices that tries only admissible subspaces: at each vertex,
-those containing the images of the subspaces already chosen, found as
-the subspaces of a quotient (after Reineke, IMRN 2006, and
-Caldero-Reineke, JPAA 2008).  A vertex no later step reads is counted by
-a Gaussian binomial instead, and arrows closing an oriented cycle are
-checked by membership.  ``DEFAULT_BUDGET``, read when a sweep runs,
-caps the nodes it visits.
+Tree modules are answered exactly by torus fixed points.  When the
+coefficient quiver of M (one node per basis vector, one edge per nonzero
+arrow-matrix entry) is a forest whose basis vectors at each vertex carry
+pairwise distinct torus weights, a torus acts on Gr_e(M) with the
+coordinate subrepresentations as its finitely many fixed points, so
+chi(Gr_e(M)) is the number of successor-closed sets of basis vectors of
+dimension vector e (Cerulli Irelli, J. Algebraic Combin. 2011; Haupt,
+Algebr. Represent. Theory 2012).  `submodule_classes` takes this route
+whenever it is asked for the default primes and the module qualifies.
+
+Every other Euler characteristic comes from point counting.  Points of
+Gr_e(M) over F_p are counted exactly by a backtracking sweep over the
+vertices that tries only admissible subspaces: at each vertex, those
+containing the images of the subspaces already chosen, found as the
+subspaces of a quotient (after Reineke, IMRN 2006, and Caldero-Reineke,
+JPAA 2008).  A vertex no later step reads is counted by a Gaussian
+binomial instead, and arrows closing an oriented cycle are checked by
+membership.  ``DEFAULT_BUDGET``, read when a sweep runs, caps the nodes
+it visits.
 
 Counting at enough primes determines the counting polynomial in q by
 interpolation, and its value at 1 stands in for the Euler
 characteristic.  The substitution is exact whenever the count is
 polynomial in q; a reserved verification prime (and an integrality check
 on the fitted coefficients) turns any violation of that assumption into
-an error instead of a wrong answer.  A prime at which an arrow matrix
-loses rank counts another module, the reduction mod p, so the fits
-refuse such a prime before counting.  One driver, `_fit_classes`, runs
-this sequence for one class and for the whole dimension box alike.
+an error instead of a wrong answer.  A prime at which the matrix of a
+basis path loses rank counts another module, the reduction mod p, so the
+fits refuse such a prime before counting.  One driver, `_fit_classes`,
+runs this sequence for one class and for the whole dimension box alike.
 """
 
 from __future__ import annotations
@@ -31,7 +42,8 @@ from math import isqrt
 from .errors import InputError, NonPolynomialCountError, ResourceLimitError
 from .laurent import render_terms
 from .linalg import Matrix, rank
-from .modules import DimVector, Representation
+from .modules import DimVector, Representation, path_matrix
+from .quiver import render_path
 
 DEFAULT_PRIME_POOL: tuple[int, ...] = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 DEFAULT_BUDGET = 500_000
@@ -49,6 +61,8 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 
 def _check_prime(p: int) -> None:
+    if type(p) is not int:
+        raise InputError("prime %r is not an int" % (p,))
     if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
         raise InputError("%d is not prime" % p)
 
@@ -357,9 +371,10 @@ def _select_primes(primes, needed: int):
                 "pass an explicit prime list" % needed
             )
         return pool[:needed]
-    pool = sorted(set(int(p) for p in primes))
-    for p in pool:
+    primes = tuple(primes)
+    for p in primes:
         _check_prime(p)
+    pool = sorted(set(primes))
     if len(pool) < needed:
         raise ResourceLimitError(
             "need at least %d primes for this fit, got %d" % (needed, len(pool))
@@ -368,26 +383,30 @@ def _select_primes(primes, needed: int):
 
 
 def _check_reduction(m: Representation, primes) -> None:
-    """Refuse each prime at which an arrow matrix of m loses rank.
+    """Refuse each prime at which the matrix of a basis path of the
+    algebra, acting on m, loses rank.
 
-    Counting at p counts the reduction of m mod p.  Where an arrow matrix
+    Counting at p counts the reduction of m mod p.  Where a path matrix
     has a smaller rank mod p than over Q, that reduction is another
     module, and the counts of two such primes can fit and verify a wrong
     polynomial (a4's arrow d acting as 6 counts as the split module at 2
-    and at 3).  Only arrow matrices are checked: a composite path can
-    still lose rank mod p while each arrow keeps it (b.a acting as 2 over
-    linear A3 with a = [[1], [1]] and b = [[1, 1]]), and then only the
-    verification prime stands between the fit and a wrong answer.
+    and at 3).  Arrows are not enough: a composite path can lose rank
+    mod p while each of its arrows keeps it (b.a acting as 2 over linear
+    A3 with a = [[1], [1]] and b = [[1, 1]]).
     """
-    arrows = [(a.name, m.matrices[a.name]) for a in m.algebra.quiver.arrows]
-    ranks = [rank(mat) for _, mat in arrows]
+    q = m.algebra.quiver
+    paths = [p for row in m.algebra.paths_from for ps in row for p in ps if p.arrows]
+    mats = [path_matrix(m, path) for path in paths]
+    ranks = [rank(mat) for mat in mats]
     for p in primes:
-        for (name, mat), r in zip(arrows, ranks):
+        for path, mat, r in zip(paths, mats, ranks):
             r_p = len(_echelon(_reduced_rows(mat, p), p)[1])
             if r_p != r:
+                what = "arrow" if len(path) == 1 else "path"
                 raise NonPolynomialCountError(
-                    "bad reduction at p = %d: arrow %r has rank %d over Q but %d "
-                    "mod %d; pass primes that keep every rank" % (p, name, r, r_p, p)
+                    "bad reduction at p = %d: %s %r has rank %d over Q but %d "
+                    "mod %d; pass primes that keep every rank"
+                    % (p, what, render_path(q, path), r, r_p, p)
                 )
 
 
@@ -437,15 +456,116 @@ def euler_char(
     return counting_polynomial(m, e, primes).evaluate(1)
 
 
+def _convolve(a: dict, b: dict) -> dict:
+    """The product of two tables from encoded dimension vector to count."""
+    out: dict = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return out
+
+
+def _fixed_point_classes(m: Representation):
+    """Sorted (e, chi(Gr_e(m))) with chi nonzero, counted as torus fixed
+    points, or None when m does not qualify.
+
+    The coefficient quiver has one node per basis vector and an edge
+    from basis vector c at a to basis vector r at b for each nonzero
+    entry (r, c) of an arrow a -> b.  It must be a forest, no node reached
+    twice from its tree's root.  The root of a tree carries the weight of
+    its tree, and an edge of arrow k adds e_k, so a node's weight is
+    (tree, arrow vector); the nodes at each vertex must have pairwise
+    distinct weights.  Then the fixed points of Gr_e(m) are the sets of
+    basis vectors closed under the edges, counted here leaves up: each
+    node keeps the sets of its subtree that contain it and those that do
+    not, as tables from dimension vector to count, and a dimension vector
+    is one integer in mixed radix (the entry at v times the product of
+    dims[u] + 1 over u < v), so adding vectors adds integers.
+    """
+    q = m.algebra.quiver
+    vertex = [v for v, d in enumerate(m.dims) for _ in range(d)]
+    offsets = [0]
+    strides = [1]
+    for d in m.dims:
+        offsets.append(offsets[-1] + d)
+        strides.append(strides[-1] * (d + 1))
+    size = len(vertex)
+    adjacent: list[list[tuple[int, int, int, int]]] = [[] for _ in range(size)]
+    edges = 0
+    for k, a in enumerate(q.arrows):
+        mat = m.matrices[a.name]
+        for pos, x in enumerate(mat.entries):
+            if x:
+                r, c = divmod(pos, mat.cols)
+                u, w = offsets[a.source] + c, offsets[a.target] + r
+                adjacent[u].append((edges, w, k, 1))
+                adjacent[w].append((edges, u, k, -1))
+                edges += 1
+
+    weight: list = [None] * size
+    via = [-1] * size
+    parent: list = [None] * size  # (parent, whether the edge runs parent -> node)
+    order = []
+    for root in range(size):
+        if weight[root] is not None:
+            continue
+        weight[root] = (root, (0,) * len(q.arrows))
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            for eid, w, k, sign in adjacent[u]:
+                if eid == via[u]:
+                    continue
+                if weight[w] is not None:
+                    return None  # a second way to w: not a forest
+                arrows = list(weight[u][1])
+                arrows[k] += sign
+                weight[w] = (root, tuple(arrows))
+                via[w] = eid
+                parent[w] = (u, sign == 1)
+                stack.append(w)
+    if len(set(zip(vertex, weight))) < size:
+        return None
+
+    inside = [{strides[v]: 1} for v in vertex]
+    outside = [{0: 1} for _ in range(size)]
+    total = {0: 1}
+    for x in reversed(order):
+        either = dict(outside[x])
+        for code, count in inside[x].items():
+            either[code] = either.get(code, 0) + count
+        if parent[x] is None:
+            total = _convolve(total, either)
+            continue
+        p, forced = parent[x]
+        if forced:  # p in the set forces x in
+            inside[p] = _convolve(inside[p], inside[x])
+            outside[p] = _convolve(outside[p], either)
+        else:  # x in the set forces p in
+            inside[p] = _convolve(inside[p], either)
+            outside[p] = _convolve(outside[p], outside[x])
+    return sorted(
+        (tuple(code // s % (d + 1) for s, d in zip(strides, m.dims)), chi)
+        for code, chi in total.items()
+    )
+
+
 def submodule_classes(
     m: Representation,
     primes=None,
 ) -> list[tuple[DimVector, int]]:
     """All e with nonzero Euler characteristic, with those characteristics.
 
-    One backtracking sweep per prime counts every Gr_e(m) simultaneously,
-    and each class that occurs is fitted on its own.
+    With the default primes a module that qualifies for the fixed-point
+    route (`_fixed_point_classes`) is answered exactly, with no prime.
+    Otherwise one backtracking sweep per prime counts every Gr_e(m)
+    simultaneously, and each class that occurs is fitted on its own.
     """
+    if primes is None:
+        classes = _fixed_point_classes(m)
+        if classes is not None:
+            return classes
     box = [range(d + 1) for d in m.dims]
     fits = _fit_classes(m, box, count_all_subreps, primes)
     return [(e, chi) for e, poly in fits.items() if (chi := poly.evaluate(1))]

@@ -14,7 +14,7 @@ from math import comb
 from clusterchar import laurent
 from clusterchar.character import cc_value, module_object
 from clusterchar.forms import coindex, euler_form, form_a_row, index
-from clusterchar.grassmannian import submodule_classes
+from clusterchar.grassmannian import DEFAULT_PRIME_POOL, submodule_classes
 from clusterchar.laurent import from_dict, laurent_render
 from clusterchar.modules import (
     direct_sum,
@@ -60,11 +60,13 @@ def test_criterion_1_a4_reproduction(data_dir):
     assert index(module) == (0, 1, -1, 0)  # [P_2] - [P_3]
     assert coindex(module) == (1, 0, 0, -1)  # [P_1] - [P_4]
 
-    assert submodule_classes(module) == [
-        ((0, 0, 0, 0), 1),
-        ((1, 0, 0, 0), 1),
-        ((1, 1, 0, 0), 1),
-    ]
+    # fixed points (default primes) and point counting (explicit primes)
+    for primes in (None, DEFAULT_PRIME_POOL):
+        assert submodule_classes(module, primes) == [
+            ((0, 0, 0, 0), 1),
+            ((1, 0, 0, 0), 1),
+            ((1, 1, 0, 0), 1),
+        ]
     _report("1 (A4 reproduction)", start, 1.0)
 
 
@@ -89,13 +91,14 @@ def test_criterion_2_d4_reproduction(data_dir):
     assert index(module) == (1, 0, 0, -1)  # [P_0] - [P_3]
     assert coindex(module) == (-1, 1, 1, 0)  # [P_1] + [P_2] - [P_0]
 
-    assert submodule_classes(module) == [
-        ((0, 0, 0, 0), 1),
-        ((0, 0, 1, 0), 1),
-        ((0, 1, 0, 0), 1),
-        ((0, 1, 1, 0), 1),
-        ((1, 1, 1, 0), 1),
-    ]
+    for primes in (None, DEFAULT_PRIME_POOL):
+        assert submodule_classes(module, primes) == [
+            ((0, 0, 0, 0), 1),
+            ((0, 0, 1, 0), 1),
+            ((0, 1, 0, 0), 1),
+            ((0, 1, 1, 0), 1),
+            ((1, 1, 1, 0), 1),
+        ]
     _report("2 (D4 reproduction)", start, 1.0)
 
 

@@ -51,12 +51,40 @@ def _a4_module_with_d(data_dir, tmp_path, entry):
 @pytest.mark.parametrize("entry", [6, 2])
 def test_bad_reduction_exits_3(capsys, data_dir, tmp_path, entry):
     # 2 (the fit prime) and 3 (the verification prime) both divide 6, so
-    # both count the split module and agree on its wrong value
+    # both count the split module and agree on its wrong value; the
+    # primes are explicit because the module is a tree module, which
+    # the default primes answer by fixed points
     mod = _a4_module_with_d(data_dir, tmp_path, entry)
-    code, out, err = _run(capsys, "xvalue", data_dir / "a4.alg", mod)
+    code, out, err = _run(
+        capsys, "xvalue", data_dir / "a4.alg", mod, "--primes", "2,3"
+    )
     assert code == 3
     assert out == ""
     assert "bad reduction at p = 2: arrow 'd' has rank 1 over Q but 0 mod 2" in err
+
+
+@pytest.mark.parametrize("entry", [6, 2])
+def test_tree_module_needs_no_good_prime(capsys, data_dir, tmp_path, entry):
+    # the fixed-point count reads only which entries are nonzero
+    mod = _a4_module_with_d(data_dir, tmp_path, entry)
+    code, out, _ = _run(capsys, "xvalue", data_dir / "a4.alg", mod)
+    _, expected, _ = _run(capsys, "xvalue", data_dir / "a4.alg", data_dir / "a4_M.mod")
+    assert code == 0
+    assert out == expected
+
+
+def test_bad_reduction_along_a_composite_path(capsys, data_dir, tmp_path):
+    # each arrow keeps its rank mod 2, but b.a acts as 2; the coefficient
+    # quiver has a cycle, so the module is point-counted at 2, 3 and 5
+    mod = tmp_path / "ba2.mod"
+    mod.write_text(
+        "[module]\nalgebra: %s\ndims: 1 2 1\nmatrix a1: [[1], [1]]\n"
+        "matrix a2: [[1, 1]]\n" % (data_dir / "an3.alg")
+    )
+    code, out, err = _run(capsys, "xvalue", data_dir / "an3.alg", mod)
+    assert code == 3
+    assert out == ""
+    assert "bad reduction at p = 2: path 'a2.a1' has rank 1 over Q but 0 mod 2" in err
 
 
 def test_bad_reduction_refuses_a_single_fit(capsys, data_dir, tmp_path):

@@ -2,9 +2,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from module_strategies import loop_modules, modules
 from clusterchar import grassmannian
 from clusterchar.errors import (
     InputError,
@@ -12,8 +13,10 @@ from clusterchar.errors import (
     ResourceLimitError,
 )
 from clusterchar.grassmannian import (
+    DEFAULT_PRIME_POOL,
     CountingPolynomial,
     _fit_and_verify,
+    _fixed_point_classes,
     _interpolate,
     count_all_subreps,
     count_points,
@@ -22,7 +25,7 @@ from clusterchar.grassmannian import (
     gaussian_binomial,
     submodule_classes,
 )
-from clusterchar.linalg import identity
+from clusterchar.linalg import identity, matrix
 from clusterchar.modules import Representation, direct_sum, dual, simple
 from clusterchar.polygon import interval_module, linear_an_algebra
 from clusterchar.quiver import load_algebra
@@ -163,6 +166,11 @@ def test_partition_check(a4_M, d4_M):
             assert sum(count_points(m, e, p) for e in box) == sum(table.values())
 
 
+# the default primes take the fixed-point route for these tree modules;
+# the explicit pool pins point counting on the same instances
+ROUTES = (None, DEFAULT_PRIME_POOL)
+
+
 def test_convolution_identity(a4, a4_M):
     # chi(Gr_g(m + n)) = sum over e+f=g of chi(Gr_e m) chi(Gr_f n)
     pairs = [
@@ -170,11 +178,11 @@ def test_convolution_identity(a4, a4_M):
         (a4_M, a4_M),
         (simple(a4, 1), simple(a4, 2)),
     ]
-    for m, n in pairs:
+    for primes, (m, n) in product(ROUTES, pairs):
         s = direct_sum(m, n)
-        chi_m = dict(submodule_classes(m))
-        chi_n = dict(submodule_classes(n))
-        chi_s = dict(submodule_classes(s))
+        chi_m = dict(submodule_classes(m, primes))
+        chi_n = dict(submodule_classes(n, primes))
+        chi_s = dict(submodule_classes(s, primes))
         box = product(*[range(d + 1) for d in s.dims])
         for g in box:
             expected = 0
@@ -186,10 +194,10 @@ def test_convolution_identity(a4, a4_M):
 
 
 def test_duality(a4_M, d4_M):
-    for m in (a4_M, d4_M):
+    for primes, m in product(ROUTES, (a4_M, d4_M)):
         md = dual(m)
-        chi_m = dict(submodule_classes(m))
-        chi_d = dict(submodule_classes(md))
+        chi_m = dict(submodule_classes(m, primes))
+        chi_d = dict(submodule_classes(md, primes))
         box = product(*[range(d + 1) for d in m.dims])
         for e in box:
             co_e = tuple(d - x for d, x in zip(m.dims, e))
@@ -225,6 +233,22 @@ def test_non_integer_dim_vector_rejected(fn, e):
 def test_non_prime_rejected(a4_M):
     with pytest.raises(InputError):
         count_points(a4_M, (1, 0, 0, 0), 4)
+
+
+@pytest.mark.parametrize("prime", [5.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda m, p: count_points(m, (0, 1), p),
+        lambda m, p: submodule_classes(m, primes=[p, 7, 11]),
+        lambda m, p: euler_char(m, (0, 1), primes=[p, 7, 11]),
+    ],
+    ids=["count_points", "submodule_classes", "euler_char"],
+)
+def test_non_int_prime_rejected(fn, prime):
+    # no coercion: 5.0 is not counted modulo a float, True is not 1
+    with pytest.raises(InputError, match="is not an int"):
+        fn(interval_module(2, 1, 2), prime)
 
 
 def test_budget_cap(monkeypatch):
@@ -280,3 +304,83 @@ def test_counting_polynomial_rendering():
     assert str(CountingPolynomial((1, 1))) == "q + 1"
     assert str(CountingPolynomial(())) == "0"
     assert str(CountingPolynomial((2, 0, 3))) == "3*q^2 + 2"
+
+
+# -- torus fixed points ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name, max_dim", [("point", 4), ("a3", 3), ("a4", 2), ("d4", 2)]
+)
+def test_fixed_points_agree_with_the_fit(algebras, name, max_dim):
+    @given(modules(algebras[name], max_dim))
+    @settings(max_examples=40, deadline=None)
+    def check(m):
+        _check_route_against_fit(m)
+
+    check()
+
+
+def test_fixed_points_agree_with_the_fit_on_a_loop(algebras):
+    @given(loop_modules(algebras["loop"]))
+    @settings(max_examples=40, deadline=None)
+    def check(m):
+        _check_route_against_fit(m)
+
+    check()
+
+
+def _check_route_against_fit(m):
+    classes = _fixed_point_classes(m)
+    assume(classes is not None)
+    assert submodule_classes(m) == classes
+    try:
+        fit = submodule_classes(m, primes=DEFAULT_PRIME_POOL)
+    except (NonPolynomialCountError, ResourceLimitError):
+        return  # the fit refuses a bad reduction; the route needs no prime
+    assert classes == fit
+
+
+def test_equal_weights_are_refused():
+    # the two basis vectors at vertex 1 map onto one vector: the
+    # coefficient quiver is a tree, but both carry the weight of the
+    # vector at 2 minus e_a1, and the kernel line of a1, the class
+    # (1, 0, 0), contains no basis vector
+    m = Representation(
+        linear_an_algebra(3),
+        (2, 1, 2),
+        {"a1": matrix([[-1, 1]]), "a2": matrix([[1], [-2]])},
+    )
+    assert _fixed_point_classes(m) is None
+    classes = submodule_classes(m)
+    assert ((1, 0, 0), 1) in classes
+    assert classes == submodule_classes(m, primes=DEFAULT_PRIME_POOL)
+
+
+def test_a_cycle_is_refused():
+    # a: 1 -> 2, b: 3 -> 2, c: 1 -> 3, each acting as 1: one basis vector
+    # per vertex, so the weights are distinct, but the three edges close a
+    # cycle, and a tree through two of them misses that c forces U_3 to
+    # contain the image of U_1 or that b forces U_2 to contain that of U_3
+    triangle = load_algebra(
+        "[quiver]\nvertices: 1 2 3\narrow: a 1 2\narrow: b 3 2\narrow: c 1 3\n"
+    )
+    one = matrix([[1]])
+    m = Representation(triangle, (1, 1, 1), {"a": one, "b": one, "c": one})
+    assert _fixed_point_classes(m) is None
+    assert submodule_classes(m) == [
+        ((0, 0, 0), 1),
+        ((0, 1, 0), 1),
+        ((0, 1, 1), 1),
+        ((1, 1, 1), 1),
+    ]
+
+
+def test_interval_modules_take_the_route():
+    # every interval module of A5: a path of basis vectors, one per vertex
+    for lo in range(1, 6):
+        for hi in range(lo, 6):
+            m = interval_module(5, lo, hi)
+            assert _fixed_point_classes(m) == submodule_classes(
+                m, primes=DEFAULT_PRIME_POOL
+            )

@@ -20,6 +20,7 @@ from clusterchar import grassmannian, linalg
 from clusterchar.cli import run
 from clusterchar.errors import NonPolynomialCountError, ResourceLimitError
 from clusterchar.grassmannian import (
+    DEFAULT_PRIME_POOL,
     _containing,
     _echelon,
     count_all_subreps,
@@ -112,9 +113,11 @@ def test_small_budget_exits_3(capsys, data_dir, monkeypatch):
 
 
 def test_xvalue_budget_exits_3(capsys, data_dir, monkeypatch):
-    # the character's path (every class at once) honours the same cap
+    # the character's path (every class at once) honours the same cap;
+    # explicit primes make it count points although a4_M is a tree module
     monkeypatch.setattr(grassmannian, "DEFAULT_BUDGET", 2)
-    code = run(["xvalue", str(data_dir / "a4.alg"), str(data_dir / "a4_M.mod")])
+    code = run(["xvalue", str(data_dir / "a4.alg"), str(data_dir / "a4_M.mod"),
+                "--primes", "2,3"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
@@ -130,11 +133,12 @@ def test_xvalue_budget_exits_3(capsys, data_dir, monkeypatch):
 def test_single_class_fits_agree_with_the_box(algebras, name, max_dim):
     # counting_polynomial fits one class from count_points; submodule_classes
     # fits the whole box from count_all_subreps at a superset of its primes
+    # (explicit, so that tree modules are point-counted too)
     @given(modules(algebras[name], max_dim))
     @settings(max_examples=40, deadline=None)
     def check(m):
         try:
-            chi = dict(submodule_classes(m))
+            chi = dict(submodule_classes(m, primes=DEFAULT_PRIME_POOL))
         except (NonPolynomialCountError, ResourceLimitError):
             return
         for e in product(*(range(d + 1) for d in m.dims)):
