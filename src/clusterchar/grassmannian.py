@@ -27,8 +27,9 @@ polynomial in q; a reserved verification prime (and an integrality check
 on the fitted coefficients) turns any violation of that assumption into
 an error instead of a wrong answer.  A prime at which the matrix of a
 basis path loses rank counts another module, the reduction mod p, so the
-fits refuse such a prime before counting.  One driver, `_fit_classes`,
-runs this sequence for one class and for the whole dimension box alike.
+default primes skip such a prime and an explicit list holding one is
+refused.  One driver, `_fit_classes`, runs this sequence for one class
+and for the whole dimension box alike.
 """
 
 from __future__ import annotations
@@ -362,29 +363,10 @@ def _fit_and_verify(points: list[tuple[int, int]], degree: int) -> CountingPolyn
     return poly
 
 
-def _select_primes(primes, needed: int):
-    if primes is None:
-        pool = DEFAULT_PRIME_POOL
-        if needed > len(pool):
-            raise ResourceLimitError(
-                "degree too high for the default prime pool (%d primes needed); "
-                "pass an explicit prime list" % needed
-            )
-        return pool[:needed]
-    primes = tuple(primes)
-    for p in primes:
-        _check_prime(p)
-    pool = sorted(set(primes))
-    if len(pool) < needed:
-        raise ResourceLimitError(
-            "need at least %d primes for this fit, got %d" % (needed, len(pool))
-        )
-    return tuple(pool)
-
-
-def _check_reduction(m: Representation, primes) -> None:
-    """Refuse each prime at which the matrix of a basis path of the
-    algebra, acting on m, loses rank.
+def _good_primes(m: Representation, primes, needed: int) -> tuple:
+    """The primes to count m at: an explicit list whole, or the first
+    ``needed`` primes of the default pool at which the matrix of every
+    basis path of the algebra, acting on m, keeps its rank.
 
     Counting at p counts the reduction of m mod p.  Where a path matrix
     has a smaller rank mod p than over Q, that reduction is another
@@ -392,22 +374,47 @@ def _check_reduction(m: Representation, primes) -> None:
     polynomial (a4's arrow d acting as 6 counts as the split module at 2
     and at 3).  Arrows are not enough: a composite path can lose rank
     mod p while each of its arrows keeps it (b.a acting as 2 over linear
-    A3 with a = [[1], [1]] and b = [[1, 1]]).
+    A3 with a = [[1], [1]] and b = [[1, 1]]).  The default pool skips
+    such a prime; an explicit list holding one is refused.
     """
+    if primes is None:
+        pool = DEFAULT_PRIME_POOL
+    else:
+        primes = tuple(primes)
+        for p in primes:
+            _check_prime(p)
+        pool = tuple(sorted(set(primes)))
+        if len(pool) < needed:
+            raise ResourceLimitError(
+                "need at least %d primes for this fit, got %d" % (needed, len(pool))
+            )
     q = m.algebra.quiver
     paths = [p for row in m.algebra.paths_from for ps in row for p in ps if p.arrows]
     mats = [path_matrix(m, path) for path in paths]
     ranks = [rank(mat) for mat in mats]
-    for p in primes:
+    good = []
+    for p in pool:
+        if primes is None and len(good) == needed:
+            break
         for path, mat, r in zip(paths, mats, ranks):
             r_p = len(_echelon(_reduced_rows(mat, p), p)[1])
             if r_p != r:
+                if primes is None:
+                    break
                 what = "arrow" if len(path) == 1 else "path"
                 raise NonPolynomialCountError(
                     "bad reduction at p = %d: %s %r has rank %d over Q but %d "
                     "mod %d; pass primes that keep every rank"
                     % (p, what, render_path(q, path), r, r_p, p)
                 )
+        else:
+            good.append(p)
+    if len(good) < needed:
+        raise ResourceLimitError(
+            "degree too high for the default prime pool (%d good primes "
+            "needed, %d found); pass an explicit prime list" % (needed, len(good))
+        )
+    return tuple(good)
 
 
 def degree_bound(m: Representation, e: DimVector) -> int:
@@ -419,13 +426,12 @@ def _fit_classes(m: Representation, allowed, count, primes) -> dict:
     in ``allowed[v]`` that ``count(m, p)`` tables.
 
     The primes suffice for the largest degree bound among those classes
-    and are checked for bad reduction before counting.  Each class that
+    and keep the rank of every path (`_good_primes`).  Each class that
     occurs at some prime is fitted at its own degree bound, counting 0
     at the primes where it has no point.
     """
     bound = sum(max(x * (d - x) for x in xs) for xs, d in zip(allowed, m.dims))
-    ps = _select_primes(primes, bound + 2)
-    _check_reduction(m, ps)
+    ps = _good_primes(m, primes, bound + 2)
     tables = [count(m, p) for p in ps]
     return {
         e: _fit_and_verify([(p, t.get(e, 0)) for p, t in zip(ps, tables)],

@@ -2,15 +2,13 @@
 
 An `AlgebraPresentation` carries a quiver, a set of relations, and a
 computed linear basis of the quotient of the path algebra by the ideal
-generated by the relations.  The basis is found by spanning paths
-length by length and reducing modulo the linear span of all padded
-relation multiples that fit below the current length; the first length
-contributing nothing to the quotient is the nilpotency bound.  This is a
-linear-span reduction, not a Groebner computation: it is exact for
-length-homogeneous relation ideals (every instance shipped here), and a
-growth cap turns anything the reduction cannot tame into a loud error.
-The reduction runs once per algebra; the opposite presentation reverses
-its paths, relations and reduction table instead of reducing again.
+generated by the relations.  Every relation is homogeneous in (source,
+target, length), so the ideal is graded by length and the basis is found
+one length at a time; the first length contributing nothing to the
+quotient is the nilpotency bound, and a growth cap turns an algebra that
+is not finite-dimensional into a loud error.  The reduction runs once
+per algebra; the opposite presentation reverses its paths, relations and
+reduction table instead of reducing again.
 
 Paths store their arrows in application order: ``Path(v, (a, b))`` starts
 at vertex ``v``, applies arrow ``a`` first, then ``b``.  The textual
@@ -139,117 +137,89 @@ def _validate_relations(q: Quiver, rels: RelationSet) -> None:
                         "non-composable path through arrow %r" % a.name
                     )
                 at = a.target
-            this_sig = (p.source, at)
+            this_sig = (p.source, at, len(p.arrows))
             if sig is None:
                 sig = this_sig
             elif sig != this_sig:
                 raise InputError(
-                    "relation not homogeneous in (source, target)"
+                    "relation not homogeneous in (source, target, length)"
                 )
 
 
-def _blocks(q: Quiver, paths_by_len):
-    """Group all paths by (source, target) block."""
-    blocks: dict[tuple[int, int], list[Path]] = {}
-    for ps in paths_by_len:
-        for p in ps:
-            blocks.setdefault((p.source, path_target(q, p)), []).append(p)
-    for key in blocks:
-        blocks[key].sort(key=path_sort_key)
-    return blocks
-
-
-def _ideal_rows(q: Quiver, relations: RelationSet, paths_by_len):
-    """Vectors spanning the relation ideal inside the paths enumerated.
-
-    Every padded multiple u.r.v whose monomials all fit is included:
-    pad lengths run over len(u) + len(v) <= length - max monomial of r.
-    """
-    length = len(paths_by_len) - 1
-    rows: dict[tuple[int, int], list[dict[Path, int]]] = {}
-    paths_into: dict[int, list[Path]] = {}
-    paths_from: dict[int, list[Path]] = {}
-    for ps in paths_by_len:
-        for p in ps:
-            paths_from.setdefault(p.source, []).append(p)
-            paths_into.setdefault(path_target(q, p), []).append(p)
-    for rel in relations.relations:
-        longest = max(len(p.arrows) for _, p in rel)
-        src = rel[0][1].source
-        tgt = path_target(q, rel[0][1])
-        budget = length - longest
-        if budget < 0:
-            continue
-        for v in paths_into.get(src, []):
-            if len(v.arrows) > budget:
-                continue
-            for u in paths_from.get(tgt, []):
-                if len(v.arrows) + len(u.arrows) > budget:
-                    continue
-                vec: dict[Path, int] = {}
-                for coeff, p in rel:
-                    whole = Path(v.source, v.arrows + p.arrows + u.arrows)
-                    vec[whole] = vec.get(whole, 0) + coeff
-                vec = {k: c for k, c in vec.items() if c != 0}
-                if vec:
-                    key = (v.source, path_target(q, u) if u.arrows else tgt)
-                    rows.setdefault(key, []).append(vec)
-    return rows
-
-
 def _reduce_paths(q: Quiver, relations: RelationSet):
-    """The nilpotency bound and the reduction table, read off the per-block
-    echelon forms of the last length climbed: a free (non-pivot) path maps
-    to itself, a pivot path to minus the free part of its row."""
-    _validate_relations(q, relations)
-    out_arrows: dict[int, list[int]] = {i: [] for i in range(q.n)}
-    for k, a in enumerate(q.arrows):
-        out_arrows[a.source].append(k)
-    max_rel_len = max(
-        (max(len(p.arrows) for _, p in rel) for rel in relations.relations),
-        default=0,
-    )
+    """The nilpotency bound and the reduction table.
 
-    paths_by_len: list[list[Path]] = [[Path(i, ()) for i in range(q.n)]]
-    prev_dim = q.n
+    The ideal's part in length L is spanned by the relations of length L
+    and the arrow multiples, on either side, of the echelon rows kept
+    from length L - 1.  Each (source, target) block of length-L paths is
+    row-reduced once: a free (non-pivot) path maps to itself, a pivot
+    path to minus the free part of its row.  The climb ends at the first
+    length with no free path once every relation has entered.
+    """
+    _validate_relations(q, relations)
+    arrows_from: dict[int, list[int]] = {i: [] for i in range(q.n)}
+    arrows_into: dict[int, list[int]] = {i: [] for i in range(q.n)}
+    for k, a in enumerate(q.arrows):
+        arrows_from[a.source].append(k)
+        arrows_into[a.target].append(k)
+    max_rel_len = max((len(rel[0][1]) for rel in relations.relations), default=0)
+
+    paths = [Path(i, ()) for i in range(q.n)]
+    table: dict[Path, dict[Path, Fraction | int]] = {p: {p: 1} for p in paths}
+    raw = dim = q.n
+    echelon: list[dict[Path, Fraction | int]] = []
     length = 0
     while True:
         length += 1
-        paths_by_len.append([
-            Path(p.source, p.arrows + (k,))
-            for p in paths_by_len[length - 1]
-            for k in out_arrows[path_target(q, p)]
-        ])
-        if sum(len(ps) for ps in paths_by_len) > _RAW_PATH_CAP:
+        paths = [Path(p.source, p.arrows + (k,))
+                 for p in paths for k in arrows_from[path_target(q, p)]]
+        raw += len(paths)
+        if raw > _RAW_PATH_CAP:
             raise AlgebraBuildError(
                 "path enumeration exceeded %d raw paths; "
                 "algebra not finite-dimensional at this cap" % _RAW_PATH_CAP
             )
-        ideal = _ideal_rows(q, relations, paths_by_len)
-        echelon = []
-        for key, paths in _blocks(q, paths_by_len).items():
-            rows = [[vec.get(p, 0) for p in paths] for vec in ideal.get(key, [])]
-            echelon.append((paths, *linalg.row_reduce(rows, len(paths))))
-        dim = sum(len(paths) - len(pivots) for paths, _, pivots in echelon)
+        ideal = []
+        for rel in relations.relations:
+            if len(rel[0][1]) == length:
+                vec: dict[Path, int] = {}
+                for coeff, p in rel:
+                    vec[p] = vec.get(p, 0) + coeff
+                ideal.append({p: c for p, c in vec.items() if c != 0})
+        for vec in echelon:
+            first = next(iter(vec))
+            s, t = first.source, path_target(q, first)
+            ideal += [{Path(q.arrows[k].source, (k,) + p.arrows): c
+                       for p, c in vec.items()} for k in arrows_into[s]]
+            ideal += [{Path(s, p.arrows + (k,)): c for p, c in vec.items()}
+                      for k in arrows_from[t]]
+        # extension keeps the paths from each source in path_sort_key order
+        blocks: dict[tuple[int, int], tuple[list, list]] = {}
+        for p in paths:
+            blocks.setdefault((p.source, path_target(q, p)), ([], []))[0].append(p)
+        for vec in filter(None, ideal):
+            p = next(iter(vec))
+            blocks[p.source, path_target(q, p)][1].append(vec)
+        echelon, added = [], 0
+        for ps, vecs in blocks.values():
+            red, pivots = linalg.row_reduce(
+                [[vec.get(p, 0) for p in ps] for vec in vecs], len(ps)
+            )
+            pivot_set = set(pivots)
+            free = [j for j in range(len(ps)) if j not in pivot_set]
+            added += len(free)
+            table.update((ps[j], {ps[j]: 1}) for j in free)
+            for row, c in zip(red, pivots):
+                table[ps[c]] = {ps[j]: -row[j] for j in free if row[j] != 0}
+                echelon.append({ps[j]: x for j, x in enumerate(row) if x != 0})
+        dim += added
         if dim > DEFAULT_BASIS_CAP:
             raise AlgebraBuildError(
                 "quotient dimension exceeded cap %d; "
                 "algebra not finite-dimensional at this cap" % DEFAULT_BASIS_CAP
             )
-        # a length contributing nothing ends the climb, but only once
-        # every relation has fully entered the ideal span
-        if dim == prev_dim and length >= max_rel_len:
-            break
-        prev_dim = dim
-
-    table: dict[Path, dict[Path, Fraction | int]] = {}
-    for paths, red, pivots in echelon:
-        pivot_set = set(pivots)
-        free = [j for j in range(len(paths)) if j not in pivot_set]
-        table.update((paths[j], {paths[j]: 1}) for j in free)
-        for row, c in zip(red, pivots):
-            table[paths[c]] = {paths[j]: -row[j] for j in free if row[j] != 0}
-    return length, table
+        if not added and length >= max_rel_len:
+            return length, table
 
 
 class AlgebraPresentation:

@@ -73,28 +73,76 @@ def test_tree_module_needs_no_good_prime(capsys, data_dir, tmp_path, entry):
     assert out == expected
 
 
-def test_bad_reduction_along_a_composite_path(capsys, data_dir, tmp_path):
-    # each arrow keeps its rank mod 2, but b.a acts as 2; the coefficient
-    # quiver has a cycle, so the module is point-counted at 2, 3 and 5
+def _an3_module_with_ba_2(data_dir, tmp_path):
+    """Each arrow keeps its rank mod 2, but b.a acts as 2; the coefficient
+    quiver has a cycle, so the module is point-counted."""
     mod = tmp_path / "ba2.mod"
     mod.write_text(
         "[module]\nalgebra: %s\ndims: 1 2 1\nmatrix a1: [[1], [1]]\n"
         "matrix a2: [[1, 1]]\n" % (data_dir / "an3.alg")
     )
-    code, out, err = _run(capsys, "xvalue", data_dir / "an3.alg", mod)
+    return mod
+
+
+def test_bad_reduction_along_a_composite_path(capsys, data_dir, tmp_path):
+    mod = _an3_module_with_ba_2(data_dir, tmp_path)
+    code, out, err = _run(
+        capsys, "xvalue", data_dir / "an3.alg", mod, "--primes", "2,3,5"
+    )
     assert code == 3
     assert out == ""
     assert "bad reduction at p = 2: path 'a2.a1' has rank 1 over Q but 0 mod 2" in err
 
 
+def test_default_primes_skip_a_bad_reduction_along_a_path(capsys, data_dir, tmp_path):
+    # the fit needs three primes; the default pool skips 2 and takes 3, 5, 7
+    mod = _an3_module_with_ba_2(data_dir, tmp_path)
+    code, out, _ = _run(capsys, "xvalue", data_dir / "an3.alg", mod)
+    _, expected, _ = _run(
+        capsys, "xvalue", data_dir / "an3.alg", mod, "--primes", "3,5,7"
+    )
+    assert code == 0
+    assert out == expected
+    assert "X = " in out
+
+
 def test_bad_reduction_refuses_a_single_fit(capsys, data_dir, tmp_path):
     mod = _a4_module_with_d(data_dir, tmp_path, 3)
     code, out, err = _run(
-        capsys, "grassmannian", data_dir / "a4.alg", mod, "--dim", "1,0,0,0"
+        capsys, "grassmannian", data_dir / "a4.alg", mod, "--dim", "1,0,0,0",
+        "--primes", "2,3",
     )
     assert code == 3
     assert out == ""
     assert "bad reduction at p = 3: arrow 'd'" in err
+
+
+def test_default_primes_skip_a_bad_reduction_in_a_single_fit(
+    capsys, data_dir, tmp_path
+):
+    # the fit needs two primes; the default pool skips 3 and takes 2, 5
+    mod = _a4_module_with_d(data_dir, tmp_path, 3)
+    argv = ["grassmannian", data_dir / "a4.alg"]
+    code, out, _ = _run(capsys, *argv, mod, "--dim", "1,0,0,0")
+    _, expected, _ = _run(capsys, *argv, data_dir / "a4_M.mod", "--dim", "1,0,0,0")
+    assert code == 0
+    assert out == expected
+
+
+def test_algebra_check_refuses_a_relation_inhomogeneous_in_length(
+    capsys, tmp_path
+):
+    # b.a and f.e.d both run 1 -> 5
+    path = tmp_path / "inhomogeneous.alg"
+    path.write_text(
+        "[quiver]\nvertices: 1 2 3 4 5\n"
+        "arrow: a 1 2\narrow: b 2 5\narrow: d 1 3\narrow: e 3 4\narrow: f 4 5\n"
+        "[relations]\nrel: b.a - f.e.d\n"
+    )
+    code, out, err = _run(capsys, "algebra", "check", path)
+    assert code == 2
+    assert out == ""
+    assert "not homogeneous in (source, target, length)" in err
 
 
 def test_bad_reduction_avoided_by_other_primes(capsys, data_dir, tmp_path):

@@ -1,7 +1,9 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterchar import forms
+from clusterchar.errors import ConsistencyError
 from clusterchar.forms import (
     antisym_form_matrix,
     coindex,
@@ -44,6 +46,24 @@ def test_form_matrix_is_computed_once(data_dir, monkeypatch):
     algebra = load_algebra((data_dir / "a4.alg").read_text())
     assert antisym_form_matrix(algebra) is antisym_form_matrix(algebra)
     assert computed == [algebra]
+
+
+@pytest.mark.parametrize("i, j", [(1, 1), (1, 2)], ids=["diagonal", "off-diagonal"])
+def test_corrupt_presentation_entry_is_caught(data_dir, monkeypatch, i, j):
+    # one more P_j in the cover of the simple at i: the cross-check against
+    # the Hom/Ext definition rejects the matrix, diagonal entries included
+    real = forms.min_proj_presentation
+
+    def corrupted(m):
+        p0, p1 = real(m)
+        if m.dims == tuple(int(v == i) for v in range(len(m.dims))):
+            p0 = tuple(x + (k == j) for k, x in enumerate(p0))
+        return p0, p1
+
+    monkeypatch.setattr(forms, "min_proj_presentation", corrupted)
+    algebra = load_algebra((data_dir / "a4.alg").read_text())
+    with pytest.raises(ConsistencyError, match=r"entry \(%d, %d\) is" % (i, j)):
+        antisym_form_matrix(algebra)
 
 
 def test_one_vertex_form_matrix():

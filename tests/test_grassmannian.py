@@ -17,6 +17,7 @@ from clusterchar.grassmannian import (
     CountingPolynomial,
     _fit_and_verify,
     _fixed_point_classes,
+    _good_primes,
     _interpolate,
     count_all_subreps,
     count_points,
@@ -265,6 +266,30 @@ def test_prime_pool_exhaustion(point):
     big = Representation(point, (8,))
     with pytest.raises(ResourceLimitError):
         euler_char(big, (4,))  # degree 16 needs more than 12 primes
+
+
+def test_default_primes_skip_bad_reductions(a4):
+    an3 = linear_an_algebra(3)
+    ba_2 = Representation(
+        an3, (1, 2, 1), {"a1": matrix([[1], [1]]), "a2": matrix([[1, 1]])}
+    )
+    assert _good_primes(ba_2, None, 3) == (3, 5, 7)
+    d_3 = Representation(a4, (1, 1, 0, 0), {"d": matrix([[3]])})
+    assert _good_primes(d_3, None, 2) == (2, 5)
+    # an explicit list is used whole, and refused for its bad prime
+    assert _good_primes(d_3, [7, 5, 2, 5], 2) == (2, 5, 7)
+    with pytest.raises(NonPolynomialCountError, match="bad reduction at p = 3"):
+        _good_primes(d_3, [2, 3], 2)
+
+
+def test_default_pool_without_enough_good_primes(a4):
+    every = 1
+    for p in DEFAULT_PRIME_POOL[1:]:
+        every *= p
+    m = Representation(a4, (1, 1, 0, 0), {"d": matrix([[every]])})
+    assert _good_primes(m, None, 1) == (2,)
+    with pytest.raises(ResourceLimitError, match="2 good primes needed, 1 found"):
+        _good_primes(m, None, 2)
 
 
 def test_explicit_primes_must_suffice(point):

@@ -1,9 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import quiver_reference
 from clusterchar import cli, linalg, quiver
 from clusterchar.errors import AlgebraBuildError, InputError
 from clusterchar.modules import hom_dim, projective, simple
 from clusterchar.quiver import (
+    AlgebraPresentation,
+    Path,
+    RelationSet,
     build_algebra,
     load_algebra,
     load_algebra_file,
@@ -61,7 +67,12 @@ def test_opposite_is_involution(a4):
 
 
 def _load(data_dir, name):
-    texts = {"loop": LOOP_CUBE, "flipped_square": FLIPPED_SQUARE}
+    texts = {
+        "loop": LOOP_CUBE,
+        "flipped_square": FLIPPED_SQUARE,
+        # b.a, the pivot, has coefficient 2: it reduces to 3/2 c.a2
+        "fractions": FLIPPED_SQUARE.replace("b.a - c.a2", "2*b.a - 3*c.a2"),
+    }
     if name in texts:
         return load_algebra(texts[name])
     return load_algebra_file(data_dir / ("%s.alg" % name))
@@ -198,14 +209,25 @@ def test_non_admissible_relation():
         )
 
 
+# b.a and f.e.d both run 1 -> 5, one of length 2 and one of length 3
+INHOMOGENEOUS_IN_LENGTH = (
+    "[quiver]\nvertices: 1 2 3 4 5\n"
+    "arrow: a 1 2\narrow: b 2 5\narrow: d 1 3\narrow: e 3 4\narrow: f 4 5\n"
+    "[relations]\nrel: b.a - f.e.d\n"
+)
+
+
 def test_inhomogeneous_relation():
-    text = (
+    in_target = (
         "[quiver]\nvertices: 1 2 3 4\n"
         "arrow: a 1 2\narrow: b 2 3\narrow: c 2 4\n"
         "[relations]\nrel: b.a - c.a\n"
     )
-    with pytest.raises(InputError, match="homogeneous"):
-        load_algebra(text)
+    for text in (in_target, INHOMOGENEOUS_IN_LENGTH):
+        with pytest.raises(
+            InputError, match=r"not homogeneous in \(source, target, length\)"
+        ):
+            load_algebra(text)
 
 
 def test_growth_cap(monkeypatch):
@@ -249,3 +271,101 @@ def test_render_trivial_path(a4):
     from clusterchar.quiver import Path
 
     assert render_path(a4.quiver, Path(0, ())) == "e_1"
+
+
+# -- the graded climb against the ungraded reference -------------------------
+
+
+@st.composite
+def presentations(draw, max_vertices, max_arrows, max_len):
+    """A small quiver (loops and cycles allowed) with random relations,
+    each homogeneous in (source, target, length): monomials and binomials
+    with coefficients up to 3 in size, so that Fractions occur.  Every
+    path of one length is a relation too, which keeps the algebra
+    finite-dimensional and the reference climb short."""
+    n = draw(st.integers(1, max_vertices))
+    ends = st.tuples(st.integers(1, n), st.integers(1, n))
+    q = make_quiver(
+        [str(v) for v in range(1, n + 1)],
+        [("a%d" % k, str(s), str(t))
+         for k, (s, t) in enumerate(draw(st.lists(ends, max_size=max_arrows)))],
+    )
+    groups: dict = {}
+    layer = [Path(v, ()) for v in range(n)]
+    for length in range(1, max_len + 2):
+        layer = [
+            Path(p.source, p.arrows + (k,))
+            for p in layer
+            for k, a in enumerate(q.arrows)
+            if a.source == path_target(q, p)
+        ]
+        for p in layer if length >= 2 else ():
+            groups.setdefault((p.source, path_target(q, p), length), []).append(p)
+    rels = []
+    if groups:
+        coefficients = st.sampled_from([-3, -2, -1, 1, 2, 3])
+        keys = sorted(k for k in groups if k[2] <= max_len)
+        for key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=4)):
+            terms = draw(st.lists(st.sampled_from(groups[key]), min_size=1,
+                                  max_size=2, unique=True))
+            rels.append(tuple((draw(coefficients), p) for p in terms))
+        # a cut through more paths makes the reference climb take minutes
+        sizes: dict = {}
+        for (_, _, length), ps in groups.items():
+            sizes[length] = sizes.get(length, 0) + len(ps)
+        cut = draw(st.sampled_from(
+            [length for length in sorted(sizes) if length >= 3 and sizes[length] <= 150]
+            or [3]
+        ))
+        rels += [((1, p),) for (_, _, length), ps in groups.items()
+                 if length == cut for p in ps]
+    return q, RelationSet(tuple(rels))
+
+
+def _climb(reduce_paths, q, rels):
+    """The bound and the table, entries typed; or the exception class."""
+    try:
+        bound, table = reduce_paths(q, rels)
+    except (InputError, AlgebraBuildError) as exc:
+        return type(exc)
+    return bound, {
+        p: [(b, type(c), c) for b, c in row.items()] for p, row in table.items()
+    }
+
+
+def _check_against_reference(q, rels):
+    got = _climb(quiver._reduce_paths, q, rels)
+    assert got == _climb(quiver_reference._reduce_paths, q, rels)
+    if isinstance(got, tuple):
+        op = AlgebraPresentation(q, rels, *quiver._reduce_paths(q, rels)).opposite()
+        assert _climb(quiver._reduce_paths, op.quiver, op.relations) == _climb(
+            quiver_reference._reduce_paths, op.quiver, op.relations
+        )
+
+
+@given(presentations(max_vertices=3, max_arrows=4, max_len=3))
+@settings(max_examples=60, deadline=None)
+def test_graded_climb_matches_the_reference(presentation):
+    _check_against_reference(*presentation)
+
+
+@pytest.mark.slow
+@given(presentations(max_vertices=4, max_arrows=5, max_len=4))
+@settings(max_examples=300, deadline=None)
+def test_graded_climb_matches_the_reference_on_larger_quivers(presentation):
+    _check_against_reference(*presentation)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["a4", "d4", "an2", "an3", "an4", "an5", "loop", "flipped_square", "fractions"],
+)
+def test_graded_climb_matches_the_reference_on_fixed_algebras(data_dir, name):
+    alg = _load(data_dir, name)
+    _check_against_reference(alg.quiver, alg.relations)
+
+
+def test_both_climbs_stop_at_the_basis_cap():
+    two_loops = make_quiver(["1"], [("x", "1", "1"), ("y", "1", "1")])
+    assert _climb(quiver._reduce_paths, two_loops, RelationSet(())) is AlgebraBuildError
+    _check_against_reference(two_loops, RelationSet(()))
