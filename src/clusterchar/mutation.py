@@ -6,11 +6,14 @@ matrix/seed mutation, entirely independent of the character pipeline.
 new one from the exchange relation by exact Laurent division.  The
 enumerator tracks integer data instead, the g-vectors of a seed, which
 fix its principal-coefficient matrix [B; C] by tropical duality.  It
-mutates [B; C] once per cluster and divides only the first time a
-g-vector appears, once per cluster variable rather than once per edge of
-the exchange graph; it checks at run time the theorems that make this
-sound.  An inexact division can only mean an arithmetic bug (the Laurent
-phenomenon guarantees exactness) and raises immediately.
+searches the exchange graph on this integer data alone, mutating [B; C]
+once per cluster and checking at run time the theorems that make this
+sound, and records how each new g-vector was first reached.  Only once
+the search closes within its cap does it compute the Laurent
+polynomials, one exact division per cluster variable rather than one per
+edge of the exchange graph; a capped run divides nothing.  An inexact
+division can only mean an arithmetic bug (the Laurent phenomenon
+guarantees exactness) and raises immediately.
 """
 
 from __future__ import annotations
@@ -97,14 +100,13 @@ def initial_seed(b: ExchangeMatrix) -> Seed:
     return Seed(b, tuple(laurent.variable(n, i) for i in range(n)))
 
 
-def _exchange(b: ExchangeMatrix, xs, k: int) -> LaurentPoly:
+def _exchange(bk, xs, k: int) -> LaurentPoly:
     """x_k' = (prod x_i^[b_ik]+ + prod x_i^[-b_ik]+) / x_k, by exact division.
 
-    ``xs`` is the cluster; rows of ``b`` past ``len(xs)`` are not read.
+    ``bk`` is column k of the exchange matrix, ``xs`` the cluster.
     """
     plus = minus = laurent.one(len(xs))
-    for x, row in zip(xs, b):
-        bik = row[k]
+    for x, bik in zip(xs, bk):
         if bik > 0:
             plus = plus * x ** bik
         elif bik < 0:
@@ -117,7 +119,7 @@ def mutate_seed(s: Seed, k: int) -> Seed:
     n = len(s.matrix)
     if not 0 <= k < n:
         raise InputError("mutation index %d out of range" % k)
-    new_var = _exchange(s.matrix, s.variables, k)
+    new_var = _exchange(list(map(itemgetter(k), s.matrix)), s.variables, k)
     variables = s.variables[:k] + (new_var,) + s.variables[k + 1:]
     return Seed(mutate_matrix(s.matrix, k), variables)
 
@@ -139,16 +141,22 @@ def enumerate_cluster_variables(
     cluster algebras", Contemp. Math. 565, 2012; G has the g-vectors as
     columns, C the c-vectors).  So an edge into a known cluster costs one
     g-vector and a set lookup, and only a new cluster runs
-    `mutate_matrix`.  A variable's Laurent polynomial comes from the
-    exchange relation, by exact division, the first time its g-vector
-    appears: one division per cluster variable.
+    `mutate_matrix`.  The first edge that reaches a g-vector records it
+    with the parent's g-vectors and column k of the parent's B, and only
+    once the search closes within the cap are the Laurent polynomials
+    computed from these records, in the order they were made (every
+    variable a record reads was recorded before it), each by exact
+    division in the exchange relation: one division per cluster variable
+    outside the initial cluster, and none at all in a capped run.
 
     What the theorems promise is checked, and a violation raises
     ``ConsistencyError``: each c-vector mutated along is sign-coherent,
     and each new seed satisfies G^T C = I in full (so its g-vectors are
     distinct and a Z-basis) and column k of G B = B0 C, k the direction
     it was reached along.  An inexact division raises
-    ``LaurentDivisionError``.
+    ``LaurentDivisionError``; as no division runs before the search
+    closes, a run that exceeds the cap raises ``NotFiniteTypeError``
+    even where a later division would have failed.
 
     ``seed_cap`` bounds the seeds visited, the initial seed plus every
     mutation result, revisits included; once more than ``seed_cap`` are
@@ -165,6 +173,8 @@ def enumerate_cluster_variables(
         return frozenset()
     unit = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     variables = {g: laurent.variable(n, i) for i, g in enumerate(unit)}
+    # new g-vector -> (parent g-vectors, k, column k of the parent's B)
+    recipes = {}
     clusters = {frozenset(unit)}
     # each queued seed carries the direction it was reached along
     queue = deque([(unit, b + unit, None)])
@@ -186,10 +196,12 @@ def enumerate_cluster_variables(
                 continue  # its g-vectors fix the seed: nothing new here
             new_m = mutate_matrix(m, k)
             _check_duality(b, new_gs, new_m, k)
-            if g not in variables:
-                variables[g] = _exchange(m, [variables[h] for h in gs], k)
+            if g not in variables and g not in recipes:
+                recipes[g] = (gs, k, tuple(map(itemgetter(k), m[:n])))
             clusters.add(cluster)
             queue.append((new_gs, new_m, k))
+    for g, (gs, k, bk) in recipes.items():
+        variables[g] = _exchange(bk, [variables[h] for h in gs], k)
     return frozenset(variables.values())
 
 

@@ -6,7 +6,11 @@ division, and seeds are identified by the set of their variables.  It
 does one division per edge of the exchange graph instead of one per
 cluster variable, so it is slow, but it relies on no theorem about
 g-vectors.  Seeds visited are counted, and the cap applied, exactly as
-`clusterchar.mutation.enumerate_cluster_variables` does.
+`clusterchar.mutation.enumerate_cluster_variables` does.  That oracle
+divides only once its search has closed, so a capped run of it does no
+Laurent arithmetic; this one divides along every edge up to the cap, and
+its capped runs in infinite type grow Laurent polynomials that are
+thrown away.
 """
 
 from collections import deque

@@ -5,9 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mutation_reference
-from clusterchar import mutation
-from clusterchar.errors import ConsistencyError, InputError, NotFiniteTypeError
-from clusterchar.laurent import laurent_render
+from clusterchar import cli, mutation
+from clusterchar.errors import (
+    ConsistencyError,
+    InputError,
+    LaurentDivisionError,
+    NotFiniteTypeError,
+)
+from clusterchar.laurent import LaurentPoly, laurent_render
 from clusterchar.mutation import (
     check_exchange_matrix,
     enumerate_cluster_variables,
@@ -177,24 +182,41 @@ def test_mutation_is_an_involution(kind, path, k):
     assert mutate_seed(mutate_seed(s, k % n), k % n) == s
 
 
-def _enumerate_counting_work(monkeypatch, b, seed_cap):
-    """Variables, the number of Laurent divisions and the number of
-    matrix mutations."""
-    divisions, mutations = [], []
+def _log_work(monkeypatch):
+    """The list into which each Laurent division ("divide"), Laurent
+    multiplication ("mul") and matrix mutation ("mutate") is logged, in
+    the order they are made."""
+    log = []
 
     def dividing(p, q):
-        divisions.append(q)
+        log.append("divide")
         return divide(p, q)
 
+    def multiplying(p, q):
+        log.append("mul")
+        return multiply(p, q)
+
     def mutating(m, k):
-        mutations.append(k)
+        log.append("mutate")
         return mutate(m, k)
 
     divide, mutate = mutation.laurent_divexact, mutation.mutate_matrix
+    multiply = LaurentPoly.__mul__
     monkeypatch.setattr(mutation, "laurent_divexact", dividing)
+    monkeypatch.setattr(LaurentPoly, "__mul__", multiplying)
     monkeypatch.setattr(mutation, "mutate_matrix", mutating)
+    return log
+
+
+def _enumerate_counting_work(monkeypatch, b, seed_cap):
+    """Variables, the number of Laurent divisions and the number of
+    matrix mutations; no Laurent arithmetic comes before the last
+    matrix mutation."""
+    log = _log_work(monkeypatch)
     variables = enumerate_cluster_variables(b, seed_cap=seed_cap)
-    return len(variables), len(divisions), len(mutations)
+    mutations = log.count("mutate")
+    assert log[:mutations] == ["mutate"] * mutations
+    return len(variables), log.count("divide"), mutations
 
 
 def _assert_counts(monkeypatch, b, variables, clusters):
@@ -202,7 +224,7 @@ def _assert_counts(monkeypatch, b, variables, clusters):
     # matrix mutation per cluster outside the initial one (a revisit
     # mutates nothing), and n visits per cluster (one of them the skipped
     # parent) plus the initial seed: the enumeration closes at that cap
-    # and not below it
+    # and not below it; the divisions all come after the search
     n = len(b)
     visits = n * clusters + 1
     assert _enumerate_counting_work(monkeypatch, b, visits) == (
@@ -228,6 +250,71 @@ def test_rank_one_mutates_once(monkeypatch):
 @pytest.mark.slow
 def test_finite_type_counts_e8(monkeypatch):
     _assert_counts(monkeypatch, _type_e(8), 128, 25080)
+
+
+KRONECKER = ((0, 2), (-2, 0))
+MARKOV = ((0, 2, -2), (-2, 0, 2), (2, -2, 0))
+AFFINE_A2 = ((0, 1, 1), (-1, 0, 1), (-1, -1, 0))  # acyclic
+
+
+def _cap_message(seed_cap):
+    return "^%s$" % re.escape("not finite within cap: more than %d seeds" % seed_cap)
+
+
+@pytest.mark.parametrize(
+    "b,seed_cap",
+    [(KRONECKER, 30), (MARKOV, 150), (AFFINE_A2, 200), (MARKOV, 20_000)],
+    ids=["kronecker-30", "markov-150", "affine-a2-200", "markov-20000"],
+)
+def test_capped_run_computes_no_laurent_polynomial(monkeypatch, b, seed_cap):
+    # the search runs on g-vectors and [B; C] alone, and the variables are
+    # computed only once it closes, so a capped run neither divides nor
+    # multiplies, however large its Laurent polynomials would have grown
+    log = _log_work(monkeypatch)
+    with pytest.raises(NotFiniteTypeError, match=_cap_message(seed_cap)):
+        enumerate_cluster_variables(b, seed_cap=seed_cap)
+    assert log and set(log) == {"mutate"}
+
+
+def _divide_faulty_on_fifth_call(monkeypatch):
+    """Make the oracle's fifth Laurent division raise; return the list of
+    divisions tried."""
+    calls = []
+
+    def faulty(p, q):
+        calls.append(q)
+        if len(calls) == 5:
+            raise LaurentDivisionError("inexact division (coefficient obstruction)")
+        return divide(p, q)
+
+    divide = mutation.laurent_divexact
+    monkeypatch.setattr(mutation, "laurent_divexact", faulty)
+    return calls
+
+
+def test_division_error_reaches_the_cli(monkeypatch, capsys, data_dir):
+    # A4 closes at 4 * 42 + 1 seeds and then makes its 10 divisions
+    calls = _divide_faulty_on_fifth_call(monkeypatch)
+    with pytest.raises(LaurentDivisionError, match="coefficient obstruction"):
+        enumerate_cluster_variables(linear_an_matrix(4))
+    assert len(calls) == 5
+    calls.clear()
+    assert cli.run(["enumerate", str(data_dir / "an4.mat")]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: inexact division (coefficient obstruction)\n"
+
+
+def test_cap_error_takes_precedence_over_a_division_error(monkeypatch, capsys, data_dir):
+    # below closure the search stops before the first division, so the
+    # cap is what is reported
+    calls = _divide_faulty_on_fifth_call(monkeypatch)
+    with pytest.raises(NotFiniteTypeError, match=_cap_message(168)):
+        enumerate_cluster_variables(linear_an_matrix(4), seed_cap=168)
+    assert cli.run(["enumerate", str(data_dir / "an4.mat"), "--max-seeds", "168"]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: not finite within cap: more than 168 seeds\n")
+    assert calls == []
 
 
 def _mutation_equivalent(b, path, order, sign):
@@ -266,6 +353,32 @@ def test_enumeration_matches_reference(kind, path, order, sign):
     # finite type, mutated and relabelled: the same set of variables
     b = _mutation_equivalent(FINITE_TYPE_COUNTS[kind][0], path, order, sign)
     _assert_same_as_reference(b, mutation.DEFAULT_SEED_CAP)
+
+
+@given(
+    st.sampled_from(REFERENCE_KINDS),
+    st.lists(st.integers(0, 5), max_size=6),
+    st.permutations(range(6)),
+    st.sampled_from((1, -1)),
+    st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_cap_boundary_matches_reference(kind, path, order, sign, closes):
+    # n C + 1 seeds is the least cap at which a finite type with C clusters
+    # closes, and so where the variables are first computed
+    b0, _, clusters = FINITE_TYPE_COUNTS[kind]
+    b = _mutation_equivalent(b0, path, order, sign)
+    seed_cap = len(b) * clusters + closes
+    if closes:
+        assert enumerate_cluster_variables(b, seed_cap) == (
+            mutation_reference.enumerate_cluster_variables(b, seed_cap)
+        )
+    else:
+        for enumerate_variables in (
+            enumerate_cluster_variables, mutation_reference.enumerate_cluster_variables
+        ):
+            with pytest.raises(NotFiniteTypeError, match=_cap_message(seed_cap)):
+                enumerate_variables(b, seed_cap)
 
 
 @given(skew_matrices(), st.integers(1, 60))
