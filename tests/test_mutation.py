@@ -273,7 +273,7 @@ def test_capped_run_computes_no_laurent_polynomial(monkeypatch, b, seed_cap):
     log = _log_work(monkeypatch)
     with pytest.raises(NotFiniteTypeError, match=_cap_message(seed_cap)):
         enumerate_cluster_variables(b, seed_cap=seed_cap)
-    assert log and set(log) == {"mutate"}
+    assert set(log) == {"mutate"}
 
 
 def _divide_faulty_on_fifth_call(monkeypatch):
