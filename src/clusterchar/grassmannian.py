@@ -337,12 +337,9 @@ def _interpolate(points: list[tuple[int, int]]) -> list[Fraction]:
 
 
 def _fit_and_verify(points: list[tuple[int, int]], degree: int) -> CountingPolynomial:
-    """Fit through the first degree+1 points, verify against the rest."""
-    if len(points) < degree + 2:
-        raise ResourceLimitError(
-            "need %d primes (degree %d fit plus a verification prime), got %d; "
-            "supply more primes" % (degree + 2, degree, len(points))
-        )
+    """Fit through the first degree+1 points, verify against the rest
+    (at least one: `_fit_classes` gets bound + 2 primes, and no class's
+    degree exceeds its bound)."""
     fit_points = points[: degree + 1]
     coeffs = _interpolate(fit_points)
     for c in coeffs:

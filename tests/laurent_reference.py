@@ -3,9 +3,10 @@
 The straightforward dict-of-exponent-tuples arithmetic: a polynomial is
 a canonical tuple of ``(exponent vector, coefficient)`` pairs, nonzero
 coefficients only, sorted by exponent vector in descending lex order,
-the same shape as `LaurentPoly.terms`.  Exponents are unbounded Python
-ints and division scans the whole remainder for its leading term, so
-this is slow but has no packing to get wrong.
+the same shape as `LaurentPoly.terms`.  Division scans the whole
+remainder for its leading term instead of keeping a heap, and bounds the
+quotient by a box at least as wide as the kernel's, so this is slow but
+shares none of the kernel's division bookkeeping.
 """
 
 from clusterchar.errors import LaurentDivisionError

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from clusterchar import laurent, linalg
+from clusterchar import forms, laurent, linalg
 from clusterchar.character import (
     CCObject,
     cc_product,
@@ -12,11 +12,12 @@ from clusterchar.character import (
     shift_object,
     verify_triangle,
 )
-from clusterchar.errors import ResourceLimitError
+from clusterchar.cli import run
+from clusterchar.errors import ConsistencyError, ResourceLimitError
 from clusterchar.laurent import laurent_render
-from clusterchar.modules import Representation, simple, zero_module
+from clusterchar.modules import Representation, load_module_file, simple, zero_module
 from clusterchar.polygon import interval_module, linear_an_algebra
-from clusterchar.quiver import load_algebra
+from clusterchar.quiver import load_algebra, load_algebra_file
 
 
 def test_shift_objects_give_variables(a4):
@@ -210,3 +211,23 @@ def test_value_cache_is_per_algebra():
         assert laurent.laurent_render(cc_value(over_y)) == (
             "x2^-1*x3 + x1^-1*x3 + x1^-1*x2^-1*x3^2"
         )
+
+
+def test_coindex_mismatch_is_caught(capsys, data_dir, monkeypatch):
+    # one more copy of the first injective in every I0 of a copresentation:
+    # the coindex routes disagree, and the character refuses instead of returning a value
+    real = forms.min_inj_copresentation
+
+    def corrupted(m):
+        i0, i1 = real(m)
+        return (i0[0] + 1,) + i0[1:], i1
+
+    monkeypatch.setattr(forms, "min_inj_copresentation", corrupted)
+    algebra = load_algebra_file(data_dir / "a4.alg")
+    module = load_module_file(data_dir / "a4_M.mod", algebra=algebra)
+    with pytest.raises(ConsistencyError, match="coindex mismatch"):
+        cc_value(module_object(module))
+    assert run(["xvalue", str(data_dir / "a4.alg"), str(data_dir / "a4_M.mod")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "coindex mismatch" in captured.err
