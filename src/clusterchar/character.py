@@ -17,6 +17,7 @@ disagreement raises instead of returning a wrong polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from . import laurent
 from .errors import ConsistencyError, DimensionError
@@ -73,15 +74,14 @@ def cc_value(obj: CCObject, primes=None) -> LaurentPoly:
 def _compute_value(obj: CCObject, primes) -> LaurentPoly:
     m = obj.module_part
     a = m.algebra
-    n = a.quiver.n
     classes = submodule_classes(m, primes)
-    base = laurent.monomial(
-        n, tuple(s - c for s, c in zip(obj.shift_multiplicities, coindex(m)))
-    )
-    total = laurent.zero(n)
+    base = tuple(s - c for s, c in zip(obj.shift_multiplicities, coindex(m)))
+    # exponent -> coefficient; distinct classes may share an exponent
+    terms: dict[tuple[int, ...], int] = {}
     for e, chi in classes:
-        total = total + laurent.monomial(n, form_a_row(a, e), chi)
-    return base * total
+        exps = tuple(map(add, base, form_a_row(a, e)))
+        terms[exps] = terms.get(exps, 0) + chi
+    return laurent.from_dict(a.quiver.n, terms)
 
 
 def cc_product(a: CCObject, b: CCObject, primes=None) -> LaurentPoly:

@@ -2,8 +2,8 @@
 
 Plain deterministic text on stdout, diagnostics on stderr.  Exit codes:
 0 all requested checks pass; 1 a verification failed; 2 file, format or
-argument problems; 3 mathematical consistency violations and exhausted
-resource caps.
+argument problems (`InputError`, `OSError`); 3 any other package error:
+mathematical consistency violations and exhausted resource caps.
 """
 
 from __future__ import annotations
@@ -13,14 +13,7 @@ import sys
 
 from . import laurent
 from .character import CCObject, cc_value, verify_triangle
-from .errors import (
-    ConsistencyError,
-    DimensionError,
-    InputError,
-    LaurentDivisionError,
-    NonPolynomialCountError,
-    ResourceLimitError,
-)
+from .errors import ClusterCharError, InputError
 from .forms import antisym_form_matrix, coindex, index
 from .grassmannian import counting_polynomial, degree_bound
 from .modules import injective, load_module_file, projective
@@ -68,7 +61,7 @@ def _parse_primes(text: str | None):
 
 
 def _load_object(path, algebra, shifts_text) -> CCObject:
-    module = load_module_file(path, algebra=algebra)
+    module = load_module_file(path, algebra)
     return CCObject(module, _parse_shifts(algebra, shifts_text))
 
 
@@ -106,7 +99,7 @@ def _cmd_form_matrix(args) -> int:
 
 def _cmd_index(args) -> int:
     algebra = load_algebra_file(args.algebra)
-    module = load_module_file(args.module, algebra=algebra)
+    module = load_module_file(args.module, algebra)
     shifts = _parse_shifts(algebra, args.shifts)
     ind = index(module)
     coind = coindex(module)
@@ -121,7 +114,7 @@ def _cmd_index(args) -> int:
 
 def _cmd_grassmannian(args) -> int:
     algebra = load_algebra_file(args.algebra)
-    module = load_module_file(args.module, algebra=algebra)
+    module = load_module_file(args.module, algebra)
     e = tuple(_parse_int_list(args.dim))
     poly = counting_polynomial(module, e, primes=_parse_primes(args.primes))
     print("degree bound = %d" % degree_bound(module, e))
@@ -270,15 +263,10 @@ def run(argv) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
         return args.func(args)
-    except (InputError, DimensionError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    except (
-        ConsistencyError,
-        NonPolynomialCountError,
-        LaurentDivisionError,
-        ResourceLimitError,
-    ) as exc:
+    except ClusterCharError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_MATH
 

@@ -1,10 +1,11 @@
 """Exception hierarchy shared across the package.
 
-Three failure classes matter to callers (and map to CLI exit codes):
-input problems (`InputError`, exit 2), violated internal cross-checks
-(`ConsistencyError`, exit 3), and exhausted resource caps
-(`ResourceLimitError`, exit 3).  A failed *verification* is a result,
-not an exception.
+Two failure classes matter to callers, and map to CLI exit codes:
+input problems (`InputError` and its subclasses, exit 2), and every
+other `ClusterCharError` (exit 3): violated internal cross-checks
+(`ConsistencyError`), failed point-count fits, inexact Laurent
+divisions and exhausted resource caps (`ResourceLimitError`).  A failed
+*verification* is a result, not an exception.
 """
 
 
@@ -12,12 +13,12 @@ class ClusterCharError(Exception):
     """Base class for all package errors."""
 
 
-class DimensionError(ClusterCharError):
-    """Operands live in different ambient spaces (variable counts, shapes)."""
-
-
 class InputError(ClusterCharError):
     """Malformed file, unknown name, or data violating a format contract."""
+
+
+class DimensionError(InputError):
+    """Operands live in different ambient spaces (variable counts, shapes)."""
 
 
 class AlgebraBuildError(InputError):

@@ -1,16 +1,13 @@
 """The Euler form, its antisymmetrization, and index/coindex.
 
-The antisymmetrized form descends to classes in K_0: its matrix on the
-simples is assembled from minimal projective presentations and minimal
-injective copresentations,
-
-    entry(i, j) = [P0_i : P_j] - [P1_i : P_j] - [I0_i : I_j] + [I1_i : I_j],
-
-and is validated on construction against the direct definition
-<S_i,S_j> - <S_j,S_i> computed from Hom/Ext dimensions.  Index and
-coindex are likewise computed along two independent routes (presentation
-multiplicities vs. forms against the simples) and compared, so a
-convention bug anywhere upstream turns into a hard error here.
+Index and coindex are computed along two independent routes and
+compared, so a convention bug anywhere upstream turns into a hard error
+here: the index [P0] - [P1] of a minimal projective presentation must
+equal (<m, S_i>)_i, and the coindex [I0] - [I1] of a minimal injective
+copresentation (reread through I_j -> P_j) must equal (<S_i, m>)_i.
+The matrix of the antisymmetrized form on the simples is E - E^T with
+E[i][j] = <S_i, S_j> from Hom/Ext dimensions; building it checks both
+routes on every simple, against row i and column i of E.
 """
 
 from __future__ import annotations
@@ -44,24 +41,14 @@ def antisym_form_matrix(a: AlgebraPresentation) -> FormMatrix:
 def _compute_form_matrix(a: AlgebraPresentation) -> FormMatrix:
     n = a.quiver.n
     simples = [simple(a, i) for i in range(n)]
-    rows = []
-    for i in range(n):
-        p0, p1 = min_proj_presentation(simples[i])
-        i0, i1 = min_inj_copresentation(simples[i])
-        rows.append(tuple(p0[j] - p1[j] - i0[j] + i1[j] for j in range(n)))
-    matrix = tuple(rows)
-    # cross-check against the direct definition on every pair of simples,
-    # which is skew-symmetric by construction
     euler = [[euler_form(s, t) for t in simples] for s in simples]
-    for i in range(n):
-        for j in range(n):
-            direct = euler[i][j] - euler[j][i]
-            if direct != matrix[i][j]:
-                raise ConsistencyError(
-                    "form matrix entry (%d, %d) is %d by presentations "
-                    "but %d by Hom/Ext" % (i, j, matrix[i][j], direct)
-                )
-    return matrix
+    for i, label in enumerate(a.quiver.vertices):
+        _agree("index of S_%s" % label, "presentation",
+               _difference(min_proj_presentation(simples[i])), tuple(euler[i]))
+        _agree("coindex of S_%s" % label, "copresentation",
+               _difference(min_inj_copresentation(simples[i])),
+               tuple(row[i] for row in euler))
+    return tuple(tuple(euler[i][j] - euler[j][i] for j in range(n)) for i in range(n))
 
 
 def form_a_row(a: AlgebraPresentation, e: DimVector) -> tuple[int, ...]:
@@ -70,41 +57,32 @@ def form_a_row(a: AlgebraPresentation, e: DimVector) -> tuple[int, ...]:
     return tuple(sum(row[j] * e[j] for j in range(len(e))) for row in matrix)
 
 
-def index_routes(m: Representation) -> tuple[K0ProjClass, K0ProjClass]:
-    """Index of (a module lift of) m by both routes:
-    presentation multiplicities [P0]-[P1], and (<m, S_i>)_i."""
-    a = m.algebra
-    p0, p1 = min_proj_presentation(m)
-    via_presentation = tuple(x - y for x, y in zip(p0, p1))
-    via_simples = tuple(euler_form(m, simple(a, i)) for i in range(a.quiver.n))
-    return via_presentation, via_simples
+def _difference(pair: tuple[K0ProjClass, K0ProjClass]) -> K0ProjClass:
+    return tuple(x - y for x, y in zip(*pair))
 
 
-def coindex_routes(m: Representation) -> tuple[K0ProjClass, K0ProjClass]:
-    """Coindex by both routes: injective copresentation multiplicities
-    reread through I_j -> P_j, and (<S_i, m>)_i."""
-    a = m.algebra
-    i0, i1 = min_inj_copresentation(m)
-    via_copresentation = tuple(x - y for x, y in zip(i0, i1))
-    via_simples = tuple(euler_form(simple(a, i), m) for i in range(a.quiver.n))
-    return via_copresentation, via_simples
+def _agree(what: str, route: str, via_route: K0ProjClass,
+           via_simples: K0ProjClass) -> K0ProjClass:
+    """The common value of the two routes to ``what``, or raise."""
+    if via_route != via_simples:
+        raise ConsistencyError(
+            "%s mismatch: %s from the %s, %s from the simples"
+            % (what, via_route, route, via_simples)
+        )
+    return via_route
 
 
 def index(m: Representation) -> K0ProjClass:
-    via_presentation, via_simples = index_routes(m)
-    if via_presentation != via_simples:
-        raise ConsistencyError(
-            "index mismatch: %s from the presentation, %s from the simples"
-            % (via_presentation, via_simples)
-        )
-    return via_presentation
+    """Index of (a module lift of) m: [P0] - [P1], checked against
+    (<m, S_i>)_i."""
+    a = m.algebra
+    return _agree("index", "presentation", _difference(min_proj_presentation(m)),
+                  tuple(euler_form(m, simple(a, i)) for i in range(a.quiver.n)))
 
 
 def coindex(m: Representation) -> K0ProjClass:
-    via_copresentation, via_simples = coindex_routes(m)
-    if via_copresentation != via_simples:
-        raise ConsistencyError(
-            "coindex mismatch: %s from the copresentation, %s from the simples"
-            % (via_copresentation, via_simples)
-        )
-    return via_copresentation
+    """Coindex of m: [I0] - [I1] reread through I_j -> P_j, checked
+    against (<S_i, m>)_i."""
+    a = m.algebra
+    return _agree("coindex", "copresentation", _difference(min_inj_copresentation(m)),
+                  tuple(euler_form(simple(a, i), m) for i in range(a.quiver.n)))

@@ -14,11 +14,11 @@ is exactly its canonical ``terms``.  Sums and products accumulate the
 coefficients in a dict keyed by exponent tuple and sort it once.  The
 kernel is kept plain because it is no longer hot: the cluster-variable
 oracle searches on integer g-vectors and divides only once per cluster
-variable (`mutation`), and the character adds a handful of monomials
-and multiplies once per value (`character`).  Exact division is the
-one place with more structure: it pops the remainder's leading term
-from a heap, and bounds the quotient's exponents by a box computed from
-the terms of the dividend and divisor.
+variable (`mutation`), and the character builds each value from one
+term map (`character`).  Exact division is the one place with more
+structure: it pops the remainder's leading term from a heap, and bounds
+the quotient's exponents by a box computed from the terms of the
+dividend and divisor.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ ExponentVector = tuple[int, ...]
 class LaurentPoly:
     """A Laurent polynomial in ``var_count`` variables x_1..x_n.
 
-    Build values with `from_dict`, `monomial`, `variable`, `zero` or
-    `one`.  ``terms`` is the canonical tuple of ``(exponent vector,
-    coefficient)`` pairs.
+    Build values with `from_dict`, `monomial`, `variable` or `one`.
+    ``terms`` is the canonical tuple of ``(exponent vector, coefficient)``
+    pairs.
     """
 
     __slots__ = ("var_count", "terms")
@@ -129,10 +129,6 @@ def from_dict(var_count: int, terms: dict[ExponentVector, int]) -> LaurentPoly:
                 "exponent vector of length %d in %d variables" % (len(exps), var_count)
             )
     return LaurentPoly(var_count, _canonical(terms))
-
-
-def zero(var_count: int) -> LaurentPoly:
-    return from_dict(var_count, {})
 
 
 def one(var_count: int) -> LaurentPoly:

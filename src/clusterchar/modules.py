@@ -18,18 +18,11 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from pathlib import Path as FsPath
 
 from . import linalg
-from .errors import DimensionError, InputError
+from .errors import ConsistencyError, DimensionError, InputError
 from .linalg import Matrix
-from .quiver import (
-    AlgebraPresentation,
-    Path,
-    _content_lines,
-    load_algebra_file,
-    same_algebra,
-)
+from .quiver import AlgebraPresentation, Path, _content_lines, same_algebra
 
 DimVector = tuple[int, ...]
 K0ProjClass = tuple[int, ...]
@@ -70,7 +63,7 @@ class Representation:
         self._check_relations()
 
     def _check_relations(self) -> None:
-        for rel in self.algebra.relations.relations:
+        for rel in self.algebra.relations:
             acc: dict[int, linalg.Scalar] = {}
             for coeff, p in rel:
                 for k, x in enumerate(path_matrix(self, p).entries):
@@ -288,7 +281,7 @@ def _compute_syzygy(m: Representation) -> Syzygy:
         cover_map[j] = linalg.matrix(data, rows=m.dims[j], cols=cover.dims[j])
         inclusion[j] = linalg.kernel_basis(cover_map[j])
         if cover.dims[j] - inclusion[j].cols != m.dims[j]:
-            raise DimensionError("projective cover is not surjective at vertex %d" % j)
+            raise ConsistencyError("projective cover is not surjective at vertex %d" % j)
         free[j] = _free_coordinates(inclusion[j])
 
     ker_dims = tuple(inclusion[j].cols for j in range(q.n))
@@ -308,7 +301,7 @@ def _compute_syzygy(m: Representation) -> Syzygy:
             len(free[j]), mapped.cols, tuple(x for r in free[j] for x in mapped.row(r))
         )
         if linalg.mat_mul(inclusion[j], coords) != mapped:
-            raise DimensionError("cover map is not a module morphism")
+            raise ConsistencyError("cover map is not a module morphism")
         ker_mats[a.name] = coords
     kernel = Representation(m.algebra, ker_dims, ker_mats)
     return Syzygy(tuple(map(len, tops)), cover, cover_map, kernel, inclusion)
@@ -398,18 +391,14 @@ def min_inj_copresentation(m: Representation) -> tuple[K0ProjClass, K0ProjClass]
 # -- file format -------------------------------------------------------------
 
 
-def load_module(
-    text: str,
-    algebra: AlgebraPresentation | None = None,
-    base_dir: str | FsPath | None = None,
-) -> Representation:
-    """Load the ``[module]`` file format.
+def load_module(text: str, algebra: AlgebraPresentation) -> Representation:
+    """Load the ``[module]`` file format over ``algebra``.
 
-    ``algebra:`` names the algebra file (resolved against ``base_dir``)
-    and is only consulted when no algebra object is supplied.  Matrices
-    must have integer entries so that reduction mod p stays meaningful.
+    An ``algebra:`` line may name the algebra file for a reader, but the
+    loader does not consult it.  Matrices must have integer entries so
+    that reduction mod p stays meaningful.
     """
-    algebra_path: str | None = None
+    seen_algebra = False
     dims: list[int] | None = None
     raw_matrices: dict[str, str] = {}
     section = None
@@ -422,9 +411,9 @@ def load_module(
         if section != "module":
             raise InputError("line %d: content before [module]" % lineno)
         if line.startswith("algebra:"):
-            if algebra_path is not None:
+            if seen_algebra:
                 raise InputError("line %d: repeated algebra line" % lineno)
-            algebra_path = line[len("algebra:") :].strip()
+            seen_algebra = True
         elif line.startswith("dims:"):
             if dims is not None:
                 raise InputError("line %d: repeated dims line" % lineno)
@@ -444,11 +433,6 @@ def load_module(
             raw_matrices[name] = body.strip()
         else:
             raise InputError("line %d: unexpected line in [module]" % lineno)
-    if algebra is None:
-        if algebra_path is None:
-            raise InputError("module file names no algebra and none was supplied")
-        base = FsPath(base_dir) if base_dir is not None else FsPath(".")
-        algebra = load_algebra_file(base / algebra_path)
     if dims is None:
         raise InputError("missing dims line")
     q = algebra.quiver
@@ -480,7 +464,6 @@ def load_module(
     return Representation(algebra, dims, matrices)
 
 
-def load_module_file(path, algebra: AlgebraPresentation | None = None) -> Representation:
-    p = FsPath(path)
-    with open(p, "r", encoding="utf-8") as fh:
-        return load_module(fh.read(), algebra=algebra, base_dir=p.parent)
+def load_module_file(path, algebra: AlgebraPresentation) -> Representation:
+    with open(path, "r", encoding="utf-8") as fh:
+        return load_module(fh.read(), algebra)

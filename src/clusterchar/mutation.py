@@ -21,8 +21,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress
-from operator import add, itemgetter, mul, neg
+from operator import itemgetter, mul
 
 from . import laurent
 from .errors import ConsistencyError, InputError, NotFiniteTypeError
@@ -61,23 +60,20 @@ def mutate_matrix(b: ExchangeMatrix, k: int) -> ExchangeMatrix:
     if not 0 <= k < n:
         raise InputError("mutation index %d out of range" % k)
     row_k = b[k]
-    # [b_kj]_+ and [-b_kj]_+, with -2 at k: adding b_ik times either
-    # turns b_ik into -b_ik
-    plus = [x if x > 0 else 0 for x in row_k]
-    minus = [-x if x < 0 else 0 for x in row_k]
-    plus[k] = minus[k] = -2
-    steps = {}
-    out = list(b)
-    out[k] = tuple(map(neg, row_k))
-    column = list(map(itemgetter(k), b))
-    column[k] = 0
-    for i in compress(range(len(b)), column):
-        # b_ij + sign(b_ik) [b_ik b_kj]_+
-        bik = column[i]
-        step = steps.get(bik)
-        if step is None:
-            step = steps[bik] = [bik * y for y in (plus if bik > 0 else minus)]
-        out[i] = tuple(map(add, b[i], step))
+    out = []
+    for i, row in enumerate(b):
+        bik = row[k]
+        if i == k:
+            out.append(tuple(-x for x in row))
+        elif not bik:
+            out.append(row)
+        else:
+            # b_ij + sgn(b_ik) [b_ik b_kj]_+, which is b_ij + |b_ik| b_kj
+            # when b_ik b_kj > 0; and -b_ik at j = k, where b_kk = 0
+            size = abs(bik)
+            new = [x + size * y if bik * y > 0 else x for x, y in zip(row, row_k)]
+            new[k] = -bik
+            out.append(tuple(new))
     return tuple(out)
 
 

@@ -30,9 +30,9 @@ from .laurent import LaurentPoly, laurent_render
 from .linalg import identity
 from .modules import Representation, ext1_dim, zero_module
 from .mutation import ExchangeMatrix, enumerate_cluster_variables, quiver_to_matrix
-from .quiver import AlgebraPresentation, RelationSet, build_algebra, make_quiver
+from .quiver import AlgebraPresentation, build_algebra, make_quiver
 
-DEFAULT_MAX_N = 8
+MAX_N = 8
 
 
 @dataclass(frozen=True, order=True)
@@ -69,7 +69,7 @@ def linear_an_algebra(n: int) -> AlgebraPresentation:
         [str(i) for i in range(1, n + 1)],
         [("a%d" % i, str(i), str(i + 1)) for i in range(1, n)],
     )
-    return build_algebra(q, RelationSet(()))
+    return build_algebra(q, ())
 
 
 def interval_module(n: int, lo: int, hi: int) -> Representation:
@@ -183,13 +183,11 @@ class AnReport:
         )
 
 
-def verify_an(
-    n: int, max_pairs: int | None = None, max_n: int = DEFAULT_MAX_N
-) -> AnReport:
+def verify_an(n: int, max_pairs: int | None = None) -> AnReport:
     """Exhaustive check of the multiplication identity, the extension
     calibration, and the cluster-variable bijection for the A_n model."""
-    if not 2 <= n <= max_n:
-        raise InputError("n must lie in 2..%d" % max_n)
+    if not 2 <= n <= MAX_N:
+        raise InputError("n must lie in 2..%d" % MAX_N)
     if max_pairs is not None and max_pairs < 0:
         raise InputError("max_pairs must be >= 0, got %d" % max_pairs)
     arcs = all_arcs(n)

@@ -112,13 +112,8 @@ Term = tuple[int, Path]
 Relation = tuple[Term, ...]
 
 
-@dataclass(frozen=True)
-class RelationSet:
-    relations: tuple[Relation, ...]
-
-
-def _validate_relations(q: Quiver, rels: RelationSet) -> None:
-    for rel in rels.relations:
+def _validate_relations(q: Quiver, rels: tuple[Relation, ...]) -> None:
+    for rel in rels:
         if not rel:
             raise InputError("empty relation")
         sig = None
@@ -146,7 +141,7 @@ def _validate_relations(q: Quiver, rels: RelationSet) -> None:
                 )
 
 
-def _reduce_paths(q: Quiver, relations: RelationSet):
+def _reduce_paths(q: Quiver, relations: tuple[Relation, ...]):
     """The nilpotency bound and the reduction table.
 
     The ideal's part in length L is spanned by the relations of length L
@@ -162,7 +157,7 @@ def _reduce_paths(q: Quiver, relations: RelationSet):
     for k, a in enumerate(q.arrows):
         arrows_from[a.source].append(k)
         arrows_into[a.target].append(k)
-    max_rel_len = max((len(rel[0][1]) for rel in relations.relations), default=0)
+    max_rel_len = max((len(rel[0][1]) for rel in relations), default=0)
 
     paths = [Path(i, ()) for i in range(q.n)]
     table: dict[Path, dict[Path, Fraction | int]] = {p: {p: 1} for p in paths}
@@ -180,7 +175,7 @@ def _reduce_paths(q: Quiver, relations: RelationSet):
                 "algebra not finite-dimensional at this cap" % _RAW_PATH_CAP
             )
         ideal = []
-        for rel in relations.relations:
+        for rel in relations:
             if len(rel[0][1]) == length:
                 vec: dict[Path, int] = {}
                 for coeff, p in rel:
@@ -232,7 +227,7 @@ class AlgebraPresentation:
     `cached`, the one place that writes ``_memo``.
     """
 
-    def __init__(self, quiver: Quiver, relations: RelationSet,
+    def __init__(self, quiver: Quiver, relations: tuple[Relation, ...],
                  nilpotency_bound: int, reduce_table: dict[Path, dict]):
         self.quiver = quiver
         self.relations = relations
@@ -252,7 +247,7 @@ class AlgebraPresentation:
         self._check_relations_vanish()
 
     def _check_relations_vanish(self) -> None:
-        for rel in self.relations.relations:
+        for rel in self.relations:
             acc: dict[Path, Fraction | int] = {}
             for coeff, p in rel:
                 for b, c in self.reduce_path(p).items():
@@ -297,10 +292,9 @@ class AlgebraPresentation:
         def rev(p: Path) -> Path:
             return Path(path_target(q, p), p.arrows[::-1])
 
-        op_rels = RelationSet(tuple(
-            tuple((coeff, rev(p)) for coeff, p in rel)
-            for rel in self.relations.relations
-        ))
+        op_rels = tuple(
+            tuple((coeff, rev(p)) for coeff, p in rel) for rel in self.relations
+        )
         op_table = {
             rev(p): {rev(b): c for b, c in row.items()}
             for p, row in self._reduce_table.items()
@@ -319,7 +313,7 @@ class AlgebraPresentation:
         )
 
 
-def build_algebra(quiver: Quiver, relations: RelationSet) -> AlgebraPresentation:
+def build_algebra(quiver: Quiver, relations: tuple[Relation, ...]) -> AlgebraPresentation:
     return AlgebraPresentation(quiver, relations, *_reduce_paths(quiver, relations))
 
 
@@ -416,7 +410,7 @@ def load_algebra(text: str) -> AlgebraPresentation:
     if vertices is None:
         raise InputError("missing vertices line")
     q = make_quiver(vertices, arrow_triples)
-    rels = RelationSet(tuple(parse_relation_expr(q, e) for e in rel_exprs))
+    rels = tuple(parse_relation_expr(q, e) for e in rel_exprs)
     return build_algebra(q, rels)
 
 

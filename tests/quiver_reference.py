@@ -17,7 +17,7 @@ from clusterchar.quiver import (
     _RAW_PATH_CAP,
     Path,
     Quiver,
-    RelationSet,
+    Relation,
     _validate_relations,
     path_sort_key,
     path_target,
@@ -35,7 +35,7 @@ def _blocks(q: Quiver, paths_by_len):
     return blocks
 
 
-def _ideal_rows(q: Quiver, relations: RelationSet, paths_by_len):
+def _ideal_rows(q: Quiver, relations: tuple[Relation, ...], paths_by_len):
     """Vectors spanning the relation ideal inside the paths enumerated.
 
     Every padded multiple u.r.v whose monomials all fit is included:
@@ -49,7 +49,7 @@ def _ideal_rows(q: Quiver, relations: RelationSet, paths_by_len):
         for p in ps:
             paths_from.setdefault(p.source, []).append(p)
             paths_into.setdefault(path_target(q, p), []).append(p)
-    for rel in relations.relations:
+    for rel in relations:
         longest = max(len(p.arrows) for _, p in rel)
         src = rel[0][1].source
         tgt = path_target(q, rel[0][1])
@@ -73,7 +73,7 @@ def _ideal_rows(q: Quiver, relations: RelationSet, paths_by_len):
     return rows
 
 
-def _reduce_paths(q: Quiver, relations: RelationSet):
+def _reduce_paths(q: Quiver, relations: tuple[Relation, ...]):
     """The nilpotency bound and the reduction table, read off the per-block
     echelon forms of the last length climbed: a free (non-pivot) path maps
     to itself, a pivot path to minus the free part of its row."""
@@ -82,7 +82,7 @@ def _reduce_paths(q: Quiver, relations: RelationSet):
     for k, a in enumerate(q.arrows):
         out_arrows[a.source].append(k)
     max_rel_len = max(
-        (max(len(p.arrows) for _, p in rel) for rel in relations.relations),
+        (max(len(p.arrows) for _, p in rel) for rel in relations),
         default=0,
     )
 

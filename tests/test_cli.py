@@ -1,9 +1,11 @@
 import contextlib
+import importlib
 import io
+from pathlib import Path
 
 import pytest
 
-from clusterchar import cli
+from clusterchar import cli, linalg, modules
 from clusterchar.cli import run
 from clusterchar.grassmannian import CountingPolynomial
 from clusterchar.laurent import from_dict, laurent_render
@@ -465,6 +467,22 @@ def test_insufficient_primes_exit_3(capsys, data_dir, tmp_path):
     assert "primes" in err
 
 
+def test_failed_internal_check_exits_3(capsys, data_dir, monkeypatch):
+    # no input reaches the cover checks: every module satisfies the
+    # relations, so a failure is an internal fault, not a bad file
+    real = modules.path_matrix
+
+    def no_generators(m, p):
+        if p.arrows:
+            return real(m, p)
+        return linalg.zeros(m.dims[p.source], m.dims[p.source])
+
+    monkeypatch.setattr(modules, "path_matrix", no_generators)
+    code, out, err = _run(capsys, "xvalue", data_dir / "a4.alg", data_dir / "a4_M.mod")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: projective cover is not surjective")
+
+
 def test_deterministic_output(capsys, data_dir):
     _, out1, _ = _run(capsys, "xvalue", data_dir / "a4.alg", data_dir / "a4_M.mod")
     _, out2, _ = _run(capsys, "xvalue", data_dir / "a4.alg", data_dir / "a4_M.mod")
@@ -526,3 +544,11 @@ def test_entry_point_module(data_dir):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "0 1 0 0"
+
+
+def test_console_script_targets_import():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    module, _, name = scripts["clusterchar"].partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.main

@@ -7,11 +7,9 @@ from clusterchar.errors import ConsistencyError
 from clusterchar.forms import (
     antisym_form_matrix,
     coindex,
-    coindex_routes,
     euler_form,
     form_a_row,
     index,
-    index_routes,
 )
 from clusterchar.modules import (
     direct_sum,
@@ -50,8 +48,8 @@ def test_form_matrix_is_computed_once(data_dir, monkeypatch):
 
 @pytest.mark.parametrize("i, j", [(1, 1), (1, 2)], ids=["diagonal", "off-diagonal"])
 def test_corrupt_presentation_entry_is_caught(data_dir, monkeypatch, i, j):
-    # one more P_j in the cover of the simple at i: the cross-check against
-    # the Hom/Ext definition rejects the matrix, diagonal entries included
+    # one more P_j in the cover of the simple at i: the index of S_2 no
+    # longer matches its Euler forms, diagonal entries included
     real = forms.min_proj_presentation
 
     def corrupted(m):
@@ -62,7 +60,28 @@ def test_corrupt_presentation_entry_is_caught(data_dir, monkeypatch, i, j):
 
     monkeypatch.setattr(forms, "min_proj_presentation", corrupted)
     algebra = load_algebra((data_dir / "a4.alg").read_text())
-    with pytest.raises(ConsistencyError, match=r"entry \(%d, %d\) is" % (i, j)):
+    with pytest.raises(ConsistencyError, match=r"^index of S_2 mismatch: "):
+        antisym_form_matrix(algebra)
+
+
+def test_equal_fault_in_both_presentations_is_caught(data_dir, monkeypatch):
+    # one more P_3 and one more I_3 for S_2 cancel in [P0] - [P1] - [I0] + [I1],
+    # so only checking each route on its own catches them
+    s2 = (0, 1, 0, 0)
+    real_proj, real_inj = forms.min_proj_presentation, forms.min_inj_copresentation
+
+    def add_third(presentation):
+        def corrupted(m):
+            top, second = presentation(m)
+            if m.dims == s2:
+                top = tuple(x + (k == 2) for k, x in enumerate(top))
+            return top, second
+        return corrupted
+
+    monkeypatch.setattr(forms, "min_proj_presentation", add_third(real_proj))
+    monkeypatch.setattr(forms, "min_inj_copresentation", add_third(real_inj))
+    algebra = load_algebra((data_dir / "a4.alg").read_text())
+    with pytest.raises(ConsistencyError, match=r"^index of S_2 mismatch: "):
         antisym_form_matrix(algebra)
 
 
@@ -147,11 +166,12 @@ def test_both_routes_agree_everywhere(a4, d4, a4_M, d4_M):
     for alg in (a4, d4):
         for i in range(4):
             mods += [simple(alg, i), projective(alg, i), injective(alg, i)]
+    # each returns its presentation route, after checking it against the
+    # Euler forms with the simples, which this recomputes
     for m in mods:
-        r1, r2 = index_routes(m)
-        assert r1 == r2
-        c1, c2 = coindex_routes(m)
-        assert c1 == c2
+        simples = [simple(m.algebra, i) for i in range(m.algebra.quiver.n)]
+        assert index(m) == tuple(euler_form(m, s) for s in simples)
+        assert coindex(m) == tuple(euler_form(s, m) for s in simples)
 
 
 def _shipped_modules(a4, d4, a4_M, d4_M):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 import modules_reference
 from module_strategies import loop_modules, modules
 from clusterchar import linalg
-from clusterchar.errors import DimensionError, InputError
+from clusterchar.errors import ConsistencyError, DimensionError, InputError
 from clusterchar.modules import (
     Representation,
     _compute_syzygy,
@@ -242,13 +242,6 @@ def test_module_loader(a4, data_dir):
     assert m.matrices["d"].entries == (1,)
 
 
-def test_module_loader_resolves_algebra(data_dir):
-    from clusterchar.modules import load_module_file
-
-    m = load_module_file(data_dir / "a4_M.mod")
-    assert m.algebra.dim() == 9
-
-
 def test_loader_rejects_non_integer(a4):
     text = "[module]\ndims: 1 1 0 0\nmatrix d: [[0.5]]\n"
     with pytest.raises(InputError, match="non-integer"):
@@ -377,7 +370,7 @@ def test_cover_that_is_no_morphism_raises(algebras, monkeypatch):
     # the wrong projective breaks the relation, so let it be built unchecked
     monkeypatch.setattr(Representation, "_check_relations", lambda self: None)
     monkeypatch.setattr("clusterchar.modules.projective", _all_ones_projective)
-    with pytest.raises(DimensionError, match="not a module morphism"):
+    with pytest.raises(ConsistencyError, match="not a module morphism"):
         _compute_syzygy(m)
 
 
@@ -406,5 +399,5 @@ def test_cover_that_misses_the_top_raises(algebras, monkeypatch):
 
     monkeypatch.setattr("clusterchar.modules.path_matrix", no_generators)
     for m in (simple(algebras["point"], 0), simple(algebras["a4"], 1)):
-        with pytest.raises(DimensionError, match="not surjective"):
+        with pytest.raises(ConsistencyError, match="not surjective"):
             _compute_syzygy(m)

@@ -9,7 +9,6 @@ from clusterchar.modules import hom_dim, projective, simple
 from clusterchar.quiver import (
     AlgebraPresentation,
     Path,
-    RelationSet,
     build_algebra,
     load_algebra,
     load_algebra_file,
@@ -140,7 +139,7 @@ def test_derived_opposite_matches_a_fresh_build(data_dir, name):
 
 def test_opposite_checks_the_reversed_relations(data_dir):
     alg = load_algebra_file(data_dir / "a4.alg")
-    (_, p), = alg.relations.relations[0]
+    (_, p), = alg.relations[0]
     alg._reduce_table[p] = {p: 1}
     with pytest.raises(AlgebraBuildError, match="does not vanish"):
         alg.opposite()
@@ -319,7 +318,7 @@ def presentations(draw, max_vertices, max_arrows, max_len):
         ))
         rels += [((1, p),) for (_, _, length), ps in groups.items()
                  if length == cut for p in ps]
-    return q, RelationSet(tuple(rels))
+    return q, tuple(rels)
 
 
 def _climb(reduce_paths, q, rels):
@@ -367,5 +366,5 @@ def test_graded_climb_matches_the_reference_on_fixed_algebras(data_dir, name):
 
 def test_both_climbs_stop_at_the_basis_cap():
     two_loops = make_quiver(["1"], [("x", "1", "1"), ("y", "1", "1")])
-    assert _climb(quiver._reduce_paths, two_loops, RelationSet(())) is AlgebraBuildError
-    _check_against_reference(two_loops, RelationSet(()))
+    assert _climb(quiver._reduce_paths, two_loops, ()) is AlgebraBuildError
+    _check_against_reference(two_loops, ())

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -55,3 +57,10 @@ def test_run_verify_an_passes_for_small_n():
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == ["n=2", "n=3"]
     assert all("0 failed" in line and ": PASS" in line for line in lines)
+
+
+@pytest.mark.parametrize("arg", ["1", "9", "x"])
+def test_run_verify_an_refuses_n_out_of_range_before_running(arg):
+    proc = _script("run_verify_an.py", arg)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: n must lie in 2..8\n"
