@@ -11,14 +11,18 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from clusterchar.polygon import MAX_N, verify_an
+from clusterchar.quiver import ascii_int
 
 if __name__ == "__main__":
-    arg = sys.argv[1] if len(sys.argv) > 1 else "5"
-    if not (arg.isdigit() and 2 <= int(arg) <= MAX_N):
+    try:
+        max_n = ascii_int(sys.argv[1]) if len(sys.argv) > 1 else 5
+        if not 2 <= max_n <= MAX_N:
+            raise ValueError
+    except ValueError:
         print("error: n must lie in 2..%d" % MAX_N, file=sys.stderr)
         sys.exit(2)
     overall = True
-    for n in range(2, int(arg) + 1):
+    for n in range(2, max_n + 1):
         start = time.perf_counter()
         report = verify_an(n)
         elapsed = time.perf_counter() - start

@@ -59,22 +59,18 @@ def combine(a: CCObject, b: CCObject) -> CCObject:
     )
 
 
-def cc_value(obj: CCObject, primes=None) -> LaurentPoly:
-    """The character value of a formal object, as a Laurent polynomial.
-
-    Values are cached on the algebra, keyed by the module's data, the
-    shifts and the primes (None for the default ones).
-    """
+def cc_value(obj: CCObject) -> LaurentPoly:
+    """The character value of a formal object, as a Laurent polynomial,
+    cached on the algebra by the module's data and the shifts."""
     m = obj.module_part
-    primes = None if primes is None else tuple(primes)
-    key = ("cc_value", m.fingerprint(), obj.shift_multiplicities, primes)
-    return m.algebra.cached(key, lambda: _compute_value(obj, primes))
+    key = ("cc_value", m.fingerprint(), obj.shift_multiplicities)
+    return m.algebra.cached(key, lambda: _compute_value(obj))
 
 
-def _compute_value(obj: CCObject, primes) -> LaurentPoly:
+def _compute_value(obj: CCObject) -> LaurentPoly:
     m = obj.module_part
     a = m.algebra
-    classes = submodule_classes(m, primes)
+    classes = submodule_classes(m)
     base = tuple(s - c for s, c in zip(obj.shift_multiplicities, coindex(m)))
     # exponent -> coefficient; distinct classes may share an exponent
     terms: dict[tuple[int, ...], int] = {}
@@ -84,10 +80,10 @@ def _compute_value(obj: CCObject, primes) -> LaurentPoly:
     return laurent.from_dict(a.quiver.n, terms)
 
 
-def cc_product(a: CCObject, b: CCObject, primes=None) -> LaurentPoly:
+def cc_product(a: CCObject, b: CCObject) -> LaurentPoly:
     """Character of the direct sum; checked against the product of values."""
-    via_sum = cc_value(combine(a, b), primes)
-    via_product = cc_value(a, primes) * cc_value(b, primes)
+    via_sum = cc_value(combine(a, b))
+    via_product = cc_value(a) * cc_value(b)
     if via_sum != via_product:
         raise ConsistencyError(
             "character is not multiplicative on this pair: sum gives %s, "
@@ -128,7 +124,7 @@ class TriangleReport:
 
 
 def verify_triangle(
-    l: CCObject, m: CCObject, b: CCObject, b_prime: CCObject, primes=None
+    l: CCObject, m: CCObject, b: CCObject, b_prime: CCObject
 ) -> TriangleReport:
     """Check X_L * X_M = X_B + X_B' exactly.
 
@@ -137,10 +133,10 @@ def verify_triangle(
     only tests the identity.  A failing identity is a result (ok=False),
     not an error.
     """
-    xl = cc_value(l, primes)
-    xm = cc_value(m, primes)
-    xb = cc_value(b, primes)
-    xbp = cc_value(b_prime, primes)
+    xl = cc_value(l)
+    xm = cc_value(m)
+    xb = cc_value(b)
+    xbp = cc_value(b_prime)
     lhs = xl * xm
     rhs = xb + xbp
     return TriangleReport(lhs == rhs, lhs, rhs, (xl, xm, xb, xbp))

@@ -25,7 +25,7 @@ from .mutation import (
     mutate_seed,
 )
 from .polygon import verify_an
-from .quiver import load_algebra_file
+from .quiver import ascii_int, load_algebra_file
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -51,13 +51,9 @@ def _parse_shifts(algebra, text: str | None) -> tuple[int, ...]:
 
 def _parse_int_list(text: str) -> list[int]:
     try:
-        return [int(t) for t in text.split(",")]
+        return [ascii_int(t.strip()) for t in text.split(",")]
     except ValueError:
         raise InputError("expected a comma-separated integer list, got %r" % text)
-
-
-def _parse_primes(text: str | None):
-    return None if text is None else _parse_int_list(text)
 
 
 def _load_object(path, algebra, shifts_text) -> CCObject:
@@ -83,7 +79,7 @@ def _cmd_algebra(args) -> int:
 def _cmd_xvalue(args) -> int:
     algebra = load_algebra_file(args.algebra)
     obj = _load_object(args.module, algebra, args.shifts)
-    value = cc_value(obj, primes=_parse_primes(args.primes))
+    value = cc_value(obj)
     names = _var_names(algebra)
     print("X = %s" % laurent.render_fraction(value, names))
     print("laurent: %s" % laurent.laurent_render(value, names))
@@ -116,7 +112,7 @@ def _cmd_grassmannian(args) -> int:
     algebra = load_algebra_file(args.algebra)
     module = load_module_file(args.module, algebra)
     e = tuple(_parse_int_list(args.dim))
-    poly = counting_polynomial(module, e, primes=_parse_primes(args.primes))
+    poly = counting_polynomial(module, e)
     print("degree bound = %d" % degree_bound(module, e))
     print("counting polynomial: %s" % poly)
     print("chi = %d" % poly.evaluate(1))
@@ -155,13 +151,13 @@ def _cmd_verify_triangle(args) -> int:
     m = _load_object(args.middle, algebra, args.shifts_m)
     b = _load_object(args.b, algebra, args.shifts_b)
     bp = _load_object(args.b_prime, algebra, args.shifts_bp)
-    report = verify_triangle(l, m, b, bp, primes=_parse_primes(args.primes))
+    report = verify_triangle(l, m, b, bp)
     print(report.render(_var_names(algebra)))
     return EXIT_OK if report.ok else EXIT_VERIFICATION_FAILED
 
 
 def _cmd_verify_an(args) -> int:
-    report = verify_an(args.n, max_pairs=args.max_pairs)
+    report = verify_an(args.n)
     for line in report.lines:
         print(line)
     print(report.summary())
@@ -169,7 +165,6 @@ def _cmd_verify_an(args) -> int:
 
 
 _SHIFTS_HELP = "comma list of vertex labels (repeat = multiplicity)"
-_PRIMES_HELP = "count points at these primes (a comma list)"
 _MAX_SEEDS_HELP = (
     "exit 3 once more than N seeds are visited: the initial seed and "
     "every mutation result, revisits of a cluster included"
@@ -185,7 +180,6 @@ _COMMANDS = {
         (("algebra",), {}),
         (("module",), {}),
         (("--shifts",), {"help": _SHIFTS_HELP}),
-        (("--primes",), {"help": _PRIMES_HELP}),
     ]),
     "form-matrix": ("antisymmetrized form on the simples", _cmd_form_matrix, [
         (("algebra",), {}),
@@ -199,7 +193,6 @@ _COMMANDS = {
         (("algebra",), {}),
         (("module",), {}),
         (("--dim",), {"required": True, "help": "submodule dimension vector e1,e2,..."}),
-        (("--primes",), {"help": _PRIMES_HELP}),
     ]),
     "mutate": ("mutate the initial seed of a matrix file", _cmd_mutate, [
         (("matrix",), {}),
@@ -207,7 +200,7 @@ _COMMANDS = {
     ]),
     "enumerate": ("breadth-first cluster-variable enumeration", _cmd_enumerate, [
         (("matrix",), {}),
-        (("--max-seeds",), {"type": int, "default": DEFAULT_SEED_CAP, "metavar": "N",
+        (("--max-seeds",), {"type": ascii_int, "default": DEFAULT_SEED_CAP, "metavar": "N",
                             "help": _MAX_SEEDS_HELP}),
     ]),
     "verify-triangle": ("check X_L X_M = X_B + X_B'", _cmd_verify_triangle, [
@@ -220,11 +213,9 @@ _COMMANDS = {
         (("--shifts-m",), {}),
         (("--shifts-b",), {}),
         (("--shifts-bp",), {}),
-        (("--primes",), {"help": _PRIMES_HELP}),
     ]),
     "verify-an": ("exhaustive type-A verification", _cmd_verify_an, [
-        (("--n",), {"type": int, "required": True}),
-        (("--max-pairs",), {"type": int, "default": None}),
+        (("--n",), {"type": ascii_int, "required": True}),
     ]),
 }
 

@@ -8,7 +8,7 @@ coordinate subrepresentations as its finitely many fixed points, so
 chi(Gr_e(M)) is the number of successor-closed sets of basis vectors of
 dimension vector e (Cerulli Irelli, J. Algebraic Combin. 2011; Haupt,
 Algebr. Represent. Theory 2012).  `submodule_classes` takes this route
-whenever it is asked for the default primes and the module qualifies.
+whenever the module qualifies.
 
 Every other Euler characteristic comes from point counting.  Points of
 Gr_e(M) over F_p are counted exactly by a backtracking sweep over the
@@ -25,11 +25,10 @@ interpolation, and its value at 1 stands in for the Euler
 characteristic.  The substitution is exact whenever the count is
 polynomial in q; a reserved verification prime (and an integrality check
 on the fitted coefficients) turns any violation of that assumption into
-an error instead of a wrong answer.  A prime at which the matrix of a
-basis path loses rank counts another module, the reduction mod p, so the
-default primes skip such a prime and an explicit list holding one is
-refused.  One driver, `_fit_classes`, runs this sequence for one class
-and for the whole dimension box alike.
+an error instead of a wrong answer.  The primes are the smallest at
+which every basis path keeps its rank (`_good_primes`), and one driver,
+`_fit_classes`, runs this sequence for one class and for the whole
+dimension box alike.
 """
 
 from __future__ import annotations
@@ -44,9 +43,7 @@ from .errors import InputError, NonPolynomialCountError, ResourceLimitError
 from .laurent import render_terms
 from .linalg import Matrix, rank
 from .modules import DimVector, Representation, path_matrix
-from .quiver import render_path
 
-DEFAULT_PRIME_POOL: tuple[int, ...] = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 DEFAULT_BUDGET = 500_000
 
 
@@ -61,11 +58,8 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def _check_prime(p: int) -> None:
-    if type(p) is not int:
-        raise InputError("prime %r is not an int" % (p,))
-    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
-        raise InputError("%d is not prime" % p)
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 @lru_cache(maxsize=None)
@@ -216,7 +210,10 @@ def _count_backtrack(m: Representation, allowed, p: int) -> dict:
     sweep for each such choice.  ``DEFAULT_BUDGET`` caps the nodes
     visited: one per subspace tried and one per closed-form weight.
     """
-    _check_prime(p)
+    if type(p) is not int:
+        raise InputError("prime %r is not an int" % (p,))
+    if not _is_prime(p):
+        raise InputError("%d is not prime" % p)
     n = len(m.dims)
     feeds, checks, weighted = _sweep_plan(m, p)
     counts: dict[DimVector, int] = {}
@@ -360,10 +357,9 @@ def _fit_and_verify(points: list[tuple[int, int]], degree: int) -> CountingPolyn
     return poly
 
 
-def _good_primes(m: Representation, primes, needed: int) -> tuple:
-    """The primes to count m at: an explicit list whole, or the first
-    ``needed`` primes of the default pool at which the matrix of every
-    basis path of the algebra, acting on m, keeps its rank.
+def _good_primes(m: Representation, needed: int) -> tuple:
+    """The ``needed`` smallest primes at which the matrix of every basis
+    path of the algebra, acting on m, keeps its rank.
 
     Counting at p counts the reduction of m mod p.  Where a path matrix
     has a smaller rank mod p than over Q, that reduction is another
@@ -371,46 +367,21 @@ def _good_primes(m: Representation, primes, needed: int) -> tuple:
     polynomial (a4's arrow d acting as 6 counts as the split module at 2
     and at 3).  Arrows are not enough: a composite path can lose rank
     mod p while each of its arrows keeps it (b.a acting as 2 over linear
-    A3 with a = [[1], [1]] and b = [[1, 1]]).  The default pool skips
-    such a prime; an explicit list holding one is refused.
+    A3 with a = [[1], [1]] and b = [[1, 1]]).  Such a prime is skipped;
+    each divides a nonzero minor, so there are finitely many.
     """
-    if primes is None:
-        pool = DEFAULT_PRIME_POOL
-    else:
-        primes = tuple(primes)
-        for p in primes:
-            _check_prime(p)
-        pool = tuple(sorted(set(primes)))
-        if len(pool) < needed:
-            raise ResourceLimitError(
-                "need at least %d primes for this fit, got %d" % (needed, len(pool))
-            )
-    q = m.algebra.quiver
     paths = [p for row in m.algebra.paths_from for ps in row for p in ps if p.arrows]
     mats = [path_matrix(m, path) for path in paths]
     ranks = [rank(mat) for mat in mats]
-    good = []
-    for p in pool:
-        if primes is None and len(good) == needed:
-            break
-        for path, mat, r in zip(paths, mats, ranks):
-            r_p = len(_echelon(_reduced_rows(mat, p), p)[1])
-            if r_p != r:
-                if primes is None:
-                    break
-                what = "arrow" if len(path) == 1 else "path"
-                raise NonPolynomialCountError(
-                    "bad reduction at p = %d: %s %r has rank %d over Q but %d "
-                    "mod %d; pass primes that keep every rank"
-                    % (p, what, render_path(q, path), r, r_p, p)
-                )
-        else:
+    good: list[int] = []
+    p = 1
+    while len(good) < needed:
+        p += 1
+        if _is_prime(p) and all(
+            len(_echelon(_reduced_rows(mat, p), p)[1]) == r
+            for mat, r in zip(mats, ranks)
+        ):
             good.append(p)
-    if len(good) < needed:
-        raise ResourceLimitError(
-            "degree too high for the default prime pool (%d good primes "
-            "needed, %d found); pass an explicit prime list" % (needed, len(good))
-        )
     return tuple(good)
 
 
@@ -418,7 +389,7 @@ def degree_bound(m: Representation, e: DimVector) -> int:
     return sum(x * (d - x) for x, d in zip(e, m.dims))
 
 
-def _fit_classes(m: Representation, allowed, count, primes) -> dict:
+def _fit_classes(m: Representation, allowed, count) -> dict:
     """Counting polynomials of Gr_e(m), by e, for the classes e with e[v]
     in ``allowed[v]`` that ``count(m, p)`` tables.
 
@@ -428,7 +399,7 @@ def _fit_classes(m: Representation, allowed, count, primes) -> dict:
     at the primes where it has no point.
     """
     bound = sum(max(x * (d - x) for x in xs) for xs, d in zip(allowed, m.dims))
-    ps = _good_primes(m, primes, bound + 2)
+    ps = _good_primes(m, bound + 2)
     tables = [count(m, p) for p in ps]
     return {
         e: _fit_and_verify([(p, t.get(e, 0)) for p, t in zip(ps, tables)],
@@ -437,26 +408,16 @@ def _fit_classes(m: Representation, allowed, count, primes) -> dict:
     }
 
 
-def counting_polynomial(
-    m: Representation,
-    e: DimVector,
-    primes=None,
-) -> CountingPolynomial:
+def counting_polynomial(m: Representation, e: DimVector) -> CountingPolynomial:
     """Fit the point counts of Gr_e(m); raises when the fit fails to verify."""
     e = _check_dim_vector(m, e)
-    fits = _fit_classes(
-        m, [(x,) for x in e], lambda m, p: {e: count_points(m, e, p)}, primes
-    )
+    fits = _fit_classes(m, [(x,) for x in e], lambda m, p: {e: count_points(m, e, p)})
     return fits[e]
 
 
-def euler_char(
-    m: Representation,
-    e: DimVector,
-    primes=None,
-) -> int:
+def euler_char(m: Representation, e: DimVector) -> int:
     """Euler characteristic of Gr_e(m) (counting polynomial at q = 1)."""
-    return counting_polynomial(m, e, primes).evaluate(1)
+    return counting_polynomial(m, e).evaluate(1)
 
 
 def _convolve(a: dict, b: dict) -> dict:
@@ -554,21 +515,21 @@ def _fixed_point_classes(m: Representation):
     )
 
 
-def submodule_classes(
-    m: Representation,
-    primes=None,
-) -> list[tuple[DimVector, int]]:
+def submodule_classes(m: Representation) -> list[tuple[DimVector, int]]:
     """All e with nonzero Euler characteristic, with those characteristics.
 
-    With the default primes a module that qualifies for the fixed-point
-    route (`_fixed_point_classes`) is answered exactly, with no prime.
-    Otherwise one backtracking sweep per prime counts every Gr_e(m)
-    simultaneously, and each class that occurs is fitted on its own.
+    A module that qualifies for the fixed-point route
+    (`_fixed_point_classes`) is answered exactly, with no prime; every
+    other module is point-counted (`_counted_classes`).
     """
-    if primes is None:
-        classes = _fixed_point_classes(m)
-        if classes is not None:
-            return classes
+    classes = _fixed_point_classes(m)
+    return _counted_classes(m) if classes is None else classes
+
+
+def _counted_classes(m: Representation) -> list[tuple[DimVector, int]]:
+    """`submodule_classes` by point counting: one backtracking sweep per
+    prime counts every Gr_e(m) simultaneously, and each class that
+    occurs is fitted on its own."""
     box = [range(d + 1) for d in m.dims]
-    fits = _fit_classes(m, box, count_all_subreps, primes)
+    fits = _fit_classes(m, box, count_all_subreps)
     return [(e, chi) for e, poly in fits.items() if (chi := poly.evaluate(1))]

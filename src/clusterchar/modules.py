@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import ConsistencyError, DimensionError, InputError
 from .linalg import Matrix
-from .quiver import AlgebraPresentation, Path, _content_lines, same_algebra
+from .quiver import AlgebraPresentation, Path, _content_lines, ascii_int, same_algebra
 
 DimVector = tuple[int, ...]
 K0ProjClass = tuple[int, ...]
@@ -418,7 +418,7 @@ def load_module(text: str, algebra: AlgebraPresentation) -> Representation:
             if dims is not None:
                 raise InputError("line %d: repeated dims line" % lineno)
             try:
-                dims = [int(t) for t in line[len("dims:") :].split()]
+                dims = [ascii_int(t) for t in line[len("dims:") :].split()]
             except ValueError:
                 raise InputError("line %d: bad dims line" % lineno) from None
         elif line.startswith("matrix "):

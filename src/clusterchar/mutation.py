@@ -18,7 +18,6 @@ guarantees exactness) and raises immediately.
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter, mul
@@ -26,12 +25,11 @@ from operator import itemgetter, mul
 from . import laurent
 from .errors import ConsistencyError, InputError, NotFiniteTypeError
 from .laurent import LaurentPoly, laurent_divexact
-from .quiver import Quiver, _content_lines
+from .quiver import Quiver, _content_lines, ascii_int
 
 ExchangeMatrix = tuple[tuple[int, ...], ...]
 
 DEFAULT_SEED_CAP = 500_000
-_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def check_exchange_matrix(b: ExchangeMatrix) -> ExchangeMatrix:
@@ -260,22 +258,24 @@ def quiver_to_matrix(q: Quiver) -> ExchangeMatrix:
 
 def load_matrix(text: str) -> ExchangeMatrix:
     """Matrix file: n, then n whitespace-separated integer rows.  Every
-    integer, the size included, is an optional ``-`` then ASCII digits."""
+    integer, the size included, is read by `ascii_int`."""
     tokens = [line.split() for _, line in _content_lines(text)]
     if not tokens:
         raise InputError("empty matrix file")
-    head = tokens[0]
-    if len(head) != 1 or not _INTEGER.fullmatch(head[0]):
-        raise InputError("matrix file must start with the size n")
-    n = int(head[0])
+    try:
+        (n,) = map(ascii_int, tokens[0])
+    except ValueError:
+        raise InputError("matrix file must start with the size n") from None
     if n < 1:
         raise InputError("matrix size must be at least 1")
     rows = tokens[1:]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InputError("expected %d rows of %d integers" % (n, n))
-    if not all(_INTEGER.fullmatch(x) for row in rows for x in row):
-        raise InputError("non-integer matrix entry")
-    return check_exchange_matrix(tuple(tuple(map(int, row)) for row in rows))
+    try:
+        b = tuple(tuple(map(ascii_int, row)) for row in rows)
+    except ValueError:
+        raise InputError("non-integer matrix entry") from None
+    return check_exchange_matrix(b)
 
 
 def load_matrix_file(path) -> ExchangeMatrix:

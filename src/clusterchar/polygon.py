@@ -183,19 +183,23 @@ class AnReport:
         )
 
 
-def verify_an(n: int, max_pairs: int | None = None) -> AnReport:
+def verify_an(n: int) -> AnReport:
     """Exhaustive check of the multiplication identity, the extension
     calibration, and the cluster-variable bijection for the A_n model."""
     if not 2 <= n <= MAX_N:
         raise InputError("n must lie in 2..%d" % MAX_N)
-    if max_pairs is not None and max_pairs < 0:
-        raise InputError("max_pairs must be >= 0, got %d" % max_pairs)
     arcs = all_arcs(n)
     objects = {a: arc_to_object(n, a) for a in arcs}
+    pairs = [
+        (a, b)
+        for idx, a in enumerate(arcs)
+        for b in arcs[idx + 1 :]
+        if crossing(a, b)
+    ]
     report = AnReport(
         n=n,
         arc_count=len(arcs),
-        crossing_pairs=0,
+        crossing_pairs=len(pairs),
         checks_passed=0,
         checks_failed=0,
         bijection_ok=False,
@@ -211,15 +215,6 @@ def verify_an(n: int, max_pairs: int | None = None) -> AnReport:
         report.lines.append("%s %s" % ("ok  " if ok else "FAIL", line))
 
     # (a) multiplication identity on every crossing pair
-    pairs = [
-        (a, b)
-        for idx, a in enumerate(arcs)
-        for b in arcs[idx + 1 :]
-        if crossing(a, b)
-    ]
-    report.crossing_pairs = len(pairs)
-    if max_pairs is not None:
-        pairs = pairs[:max_pairs]
     for a, b in pairs:
         first, second = smoothings(n, a, b)
         tri = verify_triangle(objects[a], objects[b], first, second)

@@ -18,6 +18,7 @@ is usual for written compositions; the parser reverses it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -331,6 +332,17 @@ def _content_lines(text: str):
             yield lineno, line
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def ascii_int(text: str) -> int:
+    """The integer an optional ``-`` and ASCII digits spell, the syntax of
+    every integer a user types; anything else raises ValueError."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError("invalid integer %r" % text)
+    return int(text)
+
+
 def parse_relation_expr(q: Quiver, expr: str) -> Relation:
     """Parse ``±c*name_k.….name_1 ± …`` (rightmost arrow applied first)."""
     terms: list[Term] = []
@@ -355,9 +367,12 @@ def parse_relation_expr(q: Quiver, expr: str) -> Relation:
         coeff = 1
         if "*" in chunk:
             head, chunk = chunk.split("*", 1)
-            if not head.isdecimal():
-                raise InputError("bad relation coefficient %r" % head)
-            coeff = int(head)
+            try:
+                if head.startswith("-"):  # the term's sign is read above
+                    raise ValueError
+                coeff = ascii_int(head)
+            except ValueError:
+                raise InputError("bad relation coefficient %r" % head) from None
         names = chunk.split(".")
         if any(not n for n in names):
             raise InputError("bad path %r in relation" % chunk)

@@ -14,7 +14,7 @@ from math import comb
 from clusterchar import laurent
 from clusterchar.character import cc_value, module_object
 from clusterchar.forms import coindex, euler_form, form_a_row, index
-from clusterchar.grassmannian import DEFAULT_PRIME_POOL, submodule_classes
+from clusterchar.grassmannian import _counted_classes, submodule_classes
 from clusterchar.laurent import from_dict, laurent_render
 from clusterchar.modules import (
     direct_sum,
@@ -60,9 +60,9 @@ def test_criterion_1_a4_reproduction(data_dir):
     assert index(module) == (0, 1, -1, 0)  # [P_2] - [P_3]
     assert coindex(module) == (1, 0, 0, -1)  # [P_1] - [P_4]
 
-    # fixed points (default primes) and point counting (explicit primes)
-    for primes in (None, DEFAULT_PRIME_POOL):
-        assert submodule_classes(module, primes) == [
+    # fixed points (the route a tree module takes) and point counting
+    for classes in (submodule_classes, _counted_classes):
+        assert classes(module) == [
             ((0, 0, 0, 0), 1),
             ((1, 0, 0, 0), 1),
             ((1, 1, 0, 0), 1),
@@ -91,8 +91,8 @@ def test_criterion_2_d4_reproduction(data_dir):
     assert index(module) == (1, 0, 0, -1)  # [P_0] - [P_3]
     assert coindex(module) == (-1, 1, 1, 0)  # [P_1] + [P_2] - [P_0]
 
-    for primes in (None, DEFAULT_PRIME_POOL):
-        assert submodule_classes(module, primes) == [
+    for classes in (submodule_classes, _counted_classes):
+        assert classes(module) == [
             ((0, 0, 0, 0), 1),
             ((0, 0, 1, 0), 1),
             ((0, 1, 0, 0), 1),

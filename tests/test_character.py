@@ -13,7 +13,7 @@ from clusterchar.character import (
     verify_triangle,
 )
 from clusterchar.cli import run
-from clusterchar.errors import ConsistencyError, ResourceLimitError
+from clusterchar.errors import ConsistencyError
 from clusterchar.laurent import laurent_render
 from clusterchar.modules import Representation, load_module_file, simple, zero_module
 from clusterchar.polygon import interval_module, linear_an_algebra
@@ -38,16 +38,6 @@ def test_d4_instance_value(d4_M):
     x0, x1, x2, x3 = (laurent.variable(4, i) for i in range(4))
     numerator = (x0 + x3) * (x0 + x3) + x1 * x2 * x3
     assert value * x0 * x1 * x2 == numerator
-
-
-def test_values_are_cached_per_prime_list(a4_M):
-    obj = module_object(a4_M)
-    explicit = cc_value(obj, primes=[5, 7, 11])
-    assert cc_value(obj, primes=(5, 7, 11)) is explicit
-    assert explicit == cc_value(obj)
-    # a cached value never answers for a prime list too short to fit
-    with pytest.raises(ResourceLimitError):
-        cc_value(obj, primes=[5])
 
 
 def test_zero_object_is_one(a4):

@@ -1,6 +1,7 @@
 import contextlib
 import importlib
 import io
+import shlex
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,8 @@ from clusterchar.grassmannian import CountingPolynomial
 from clusterchar.laurent import from_dict, laurent_render
 
 pytestmark = pytest.mark.usefixtures("data_dir")
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _run(capsys, *argv):
@@ -51,21 +54,6 @@ def _a4_module_with_d(data_dir, tmp_path, entry):
 
 
 @pytest.mark.parametrize("entry", [6, 2])
-def test_bad_reduction_exits_3(capsys, data_dir, tmp_path, entry):
-    # 2 (the fit prime) and 3 (the verification prime) both divide 6, so
-    # both count the split module and agree on its wrong value; the
-    # primes are explicit because the module is a tree module, which
-    # the default primes answer by fixed points
-    mod = _a4_module_with_d(data_dir, tmp_path, entry)
-    code, out, err = _run(
-        capsys, "xvalue", data_dir / "a4.alg", mod, "--primes", "2,3"
-    )
-    assert code == 3
-    assert out == ""
-    assert "bad reduction at p = 2: arrow 'd' has rank 1 over Q but 0 mod 2" in err
-
-
-@pytest.mark.parametrize("entry", [6, 2])
 def test_tree_module_needs_no_good_prime(capsys, data_dir, tmp_path, entry):
     # the fixed-point count reads only which entries are nonzero
     mod = _a4_module_with_d(data_dir, tmp_path, entry)
@@ -86,49 +74,33 @@ def _an3_module_with_ba_2(data_dir, tmp_path):
     return mod
 
 
-def test_bad_reduction_along_a_composite_path(capsys, data_dir, tmp_path):
-    mod = _an3_module_with_ba_2(data_dir, tmp_path)
-    code, out, err = _run(
-        capsys, "xvalue", data_dir / "an3.alg", mod, "--primes", "2,3,5"
-    )
-    assert code == 3
-    assert out == ""
-    assert "bad reduction at p = 2: path 'a2.a1' has rank 1 over Q but 0 mod 2" in err
-
-
 def test_default_primes_skip_a_bad_reduction_along_a_path(capsys, data_dir, tmp_path):
-    # the fit needs three primes; the default pool skips 2 and takes 3, 5, 7
+    # the fit needs three primes and skips 2, where b.a loses its rank:
+    # counted at 3, 5 and 7, the value is the one over Q
     mod = _an3_module_with_ba_2(data_dir, tmp_path)
     code, out, _ = _run(capsys, "xvalue", data_dir / "an3.alg", mod)
-    _, expected, _ = _run(
-        capsys, "xvalue", data_dir / "an3.alg", mod, "--primes", "3,5,7"
-    )
     assert code == 0
-    assert out == expected
-    assert "X = " in out
-
-
-def test_bad_reduction_refuses_a_single_fit(capsys, data_dir, tmp_path):
-    mod = _a4_module_with_d(data_dir, tmp_path, 3)
-    code, out, err = _run(
-        capsys, "grassmannian", data_dir / "a4.alg", mod, "--dim", "1,0,0,0",
-        "--primes", "2,3",
+    assert out == (
+        "X = (x1^2*x2 + x1^2 + 2*x1*x2*x3 + 2*x1*x3 + x2*x3^2 + x3^2) / (x1*x2^2*x3)\n"
+        "laurent: x1*x2^-1*x3^-1 + x1*x2^-2*x3^-1 + 2*x2^-1 + 2*x2^-2 "
+        "+ x1^-1*x2^-1*x3 + x1^-1*x2^-2*x3\n"
     )
-    assert code == 3
-    assert out == ""
-    assert "bad reduction at p = 3: arrow 'd'" in err
 
 
 def test_default_primes_skip_a_bad_reduction_in_a_single_fit(
     capsys, data_dir, tmp_path
 ):
-    # the fit needs two primes; the default pool skips 3 and takes 2, 5
-    mod = _a4_module_with_d(data_dir, tmp_path, 3)
+    # the fit needs two primes.  Mod a prime dividing d, a line at vertex
+    # 2 is a submodule, so a fit at 2 and 3 with d acting as 6 verifies
+    # chi = 1; the fit skips the bad primes (3 for d = 3; 2 and 3 for
+    # d = 6) and finds the value over Q
     argv = ["grassmannian", data_dir / "a4.alg"]
-    code, out, _ = _run(capsys, *argv, mod, "--dim", "1,0,0,0")
-    _, expected, _ = _run(capsys, *argv, data_dir / "a4_M.mod", "--dim", "1,0,0,0")
-    assert code == 0
-    assert out == expected
+    _, expected, _ = _run(capsys, *argv, data_dir / "a4_M.mod", "--dim", "0,1,0,0")
+    assert "chi = 0" in expected
+    for entry in (3, 6):
+        mod = _a4_module_with_d(data_dir, tmp_path, entry)
+        code, out, _ = _run(capsys, *argv, mod, "--dim", "0,1,0,0")
+        assert (code, out) == (0, expected)
 
 
 def test_algebra_check_refuses_a_relation_inhomogeneous_in_length(
@@ -145,17 +117,6 @@ def test_algebra_check_refuses_a_relation_inhomogeneous_in_length(
     assert code == 2
     assert out == ""
     assert "not homogeneous in (source, target, length)" in err
-
-
-def test_bad_reduction_avoided_by_other_primes(capsys, data_dir, tmp_path):
-    mod = _a4_module_with_d(data_dir, tmp_path, 6)
-    code, out, _ = _run(
-        capsys, "xvalue", data_dir / "a4.alg", mod, "--primes", "5,7,11"
-    )
-    _, expected, _ = _run(capsys, "xvalue", data_dir / "a4.alg", data_dir / "a4_M.mod")
-    assert code == 0
-    assert out == expected
-    assert "X = (x1*x3 + x2*x4 + x4) / (x1*x2)" in out
 
 
 def test_xvalue_d4_uses_vertex_labels(capsys, data_dir):
@@ -218,21 +179,6 @@ def test_grassmannian_command(capsys, data_dir):
     )
     assert code == 0
     assert "counting polynomial: 1" in out
-    assert "chi = 1" in out
-
-
-def test_grassmannian_primes_override(capsys, data_dir):
-    code, out, _ = _run(
-        capsys,
-        "grassmannian",
-        data_dir / "a4.alg",
-        data_dir / "a4_M.mod",
-        "--dim",
-        "1,1,0,0",
-        "--primes",
-        "5,7,11",
-    )
-    assert code == 0
     assert "chi = 1" in out
 
 
@@ -316,6 +262,47 @@ def test_algebra_check_rejects_superscript_coefficient(capsys, tmp_path):
     assert "bad relation coefficient" in err
 
 
+def _module_with_dims(data_dir, tmp_path, dims):
+    mod = tmp_path / "dims.mod"
+    mod.write_text("[module]\ndims: %s\n" % dims, encoding="utf-8")
+    return ["xvalue", data_dir / "a4.alg", mod]
+
+
+def _relation_with_coefficient(data_dir, tmp_path, coeff):
+    alg = tmp_path / "coeff.alg"
+    alg.write_text(
+        "[quiver]\nvertices: 1 2 3\narrow: a 1 2\narrow: b 2 3\n"
+        "[relations]\nrel: %s*b.a\n" % coeff,
+        encoding="utf-8",
+    )
+    return ["algebra", "check", alg]
+
+
+# every integer a user types is an optional "-" and ASCII digits
+# (quiver.ascii_int); int() alone reads each of these as a number
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (lambda d, t: _module_with_dims(d, t, "\u0661 1 0 0"), "line 2: bad dims line"),
+        (lambda d, t: _module_with_dims(d, t, "1_0 0 0 0"), "line 2: bad dims line"),
+        (lambda d, t: _relation_with_coefficient(d, t, "\u0661"), "bad relation coefficient"),
+        (lambda d, t: _relation_with_coefficient(d, t, "+-1"), "bad relation coefficient"),
+        (lambda d, t: ["mutate", d / "an3.mat", "--seq", "\u0661,2"], "integer list"),
+        (lambda d, t: ["grassmannian", d / "a4.alg", d / "a4_M.mod", "--dim", "1,+1,0,0"],
+         "integer list"),
+        (lambda d, t: ["enumerate", d / "an3.mat", "--max-seeds", "\u0664\u0663"],
+         "argument --max-seeds: invalid ascii_int value"),
+        (lambda d, t: ["verify-an", "--n", "\u0663"], "argument --n: invalid ascii_int value"),
+    ],
+    ids=["dims-arabic", "dims-underscore", "coefficient-arabic", "coefficient-signed",
+         "seq", "dim", "max-seeds", "n"],
+)
+def test_integers_are_ascii_digits(capsys, data_dir, tmp_path, argv, message):
+    code, out, err = _run(capsys, *argv(data_dir, tmp_path))
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_enumerate_rejects_nonpositive_cap(capsys, data_dir, cap):
     code, out, err = _run(capsys, "enumerate", data_dir / "an3.mat", "--max-seeds", cap)
@@ -387,14 +374,6 @@ def test_verify_an_command(capsys):
     assert "5/5 cluster variables matched" in out
 
 
-@pytest.mark.parametrize("pairs", ["-1", "-5"])
-def test_verify_an_rejects_negative_max_pairs(capsys, pairs):
-    code, out, err = _run(capsys, "verify-an", "--n", "3", "--max-pairs", pairs)
-    assert code == 2
-    assert out == ""
-    assert "max_pairs" in err
-
-
 def test_verify_an_rejects_n_above_default_max(capsys):
     code, out, err = _run(capsys, "verify-an", "--n", "9")
     assert code == 2
@@ -453,18 +432,6 @@ def test_repeated_module_line_exits_2(tmp_path, capsys, data_dir, body, message)
     code, out, err = _run(capsys, "xvalue", data_dir / "a4.alg", mod)
     assert (code, out) == (2, "")
     assert "error: %s" % message in err
-
-
-def test_insufficient_primes_exit_3(capsys, data_dir, tmp_path):
-    mod = tmp_path / "ksq.mod"
-    mod.write_text("[module]\ndims: 2\n")
-    alg = tmp_path / "pt.alg"
-    alg.write_text("[quiver]\nvertices: 1\n")
-    code, _, err = _run(
-        capsys, "grassmannian", alg, mod, "--dim", "1", "--primes", "2,3"
-    )
-    assert code == 3
-    assert "primes" in err
 
 
 def test_failed_internal_check_exits_3(capsys, data_dir, monkeypatch):
@@ -548,7 +515,21 @@ def test_entry_point_module(data_dir):
 
 def test_console_script_targets_import():
     tomllib = pytest.importorskip("tomllib")
-    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    pyproject = ROOT / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
     module, _, name = scripts["clusterchar"].partition(":")
     assert getattr(importlib.import_module(module), name) is cli.main
+
+
+def test_readme_command_line_block_runs(capsys, monkeypatch):
+    # a documented command whose flag or file is gone fails here
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert commands
+    monkeypatch.chdir(ROOT)
+    for argv in commands:
+        assert argv[0] == "clusterchar"
+        code, _, err = _run(capsys, *argv[1:])
+        assert (code, err) == (0, ""), argv

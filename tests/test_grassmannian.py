@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import comb, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,8 +14,8 @@ from clusterchar.errors import (
     ResourceLimitError,
 )
 from clusterchar.grassmannian import (
-    DEFAULT_PRIME_POOL,
     CountingPolynomial,
+    _counted_classes,
     _fit_and_verify,
     _fixed_point_classes,
     _good_primes,
@@ -167,9 +168,9 @@ def test_partition_check(a4_M, d4_M):
             assert sum(count_points(m, e, p) for e in box) == sum(table.values())
 
 
-# the default primes take the fixed-point route for these tree modules;
-# the explicit pool pins point counting on the same instances
-ROUTES = (None, DEFAULT_PRIME_POOL)
+# these tree modules take the fixed-point route; _counted_classes pins
+# point counting on the same instances
+ROUTES = (submodule_classes, _counted_classes)
 
 
 def test_convolution_identity(a4, a4_M):
@@ -179,11 +180,11 @@ def test_convolution_identity(a4, a4_M):
         (a4_M, a4_M),
         (simple(a4, 1), simple(a4, 2)),
     ]
-    for primes, (m, n) in product(ROUTES, pairs):
+    for classes, (m, n) in product(ROUTES, pairs):
         s = direct_sum(m, n)
-        chi_m = dict(submodule_classes(m, primes))
-        chi_n = dict(submodule_classes(n, primes))
-        chi_s = dict(submodule_classes(s, primes))
+        chi_m = dict(classes(m))
+        chi_n = dict(classes(n))
+        chi_s = dict(classes(s))
         box = product(*[range(d + 1) for d in s.dims])
         for g in box:
             expected = 0
@@ -195,10 +196,10 @@ def test_convolution_identity(a4, a4_M):
 
 
 def test_duality(a4_M, d4_M):
-    for primes, m in product(ROUTES, (a4_M, d4_M)):
+    for classes, m in product(ROUTES, (a4_M, d4_M)):
         md = dual(m)
-        chi_m = dict(submodule_classes(m, primes))
-        chi_d = dict(submodule_classes(md, primes))
+        chi_m = dict(classes(m))
+        chi_d = dict(classes(md))
         box = product(*[range(d + 1) for d in m.dims])
         for e in box:
             co_e = tuple(d - x for d, x in zip(m.dims, e))
@@ -239,12 +240,8 @@ def test_non_prime_rejected(a4_M):
 @pytest.mark.parametrize("prime", [5.0, True], ids=["float", "bool"])
 @pytest.mark.parametrize(
     "fn",
-    [
-        lambda m, p: count_points(m, (0, 1), p),
-        lambda m, p: submodule_classes(m, primes=[p, 7, 11]),
-        lambda m, p: euler_char(m, (0, 1), primes=[p, 7, 11]),
-    ],
-    ids=["count_points", "submodule_classes", "euler_char"],
+    [lambda m, p: count_points(m, (0, 1), p)],
+    ids=["count_points"],
 )
 def test_non_int_prime_rejected(fn, prime):
     # no coercion: 5.0 is not counted modulo a float, True is not 1
@@ -263,9 +260,9 @@ def test_budget_cap(monkeypatch):
 
 
 def test_prime_pool_exhaustion(point):
+    # degree 16: the fit counts at the 18 smallest primes, 2 to 61
     big = Representation(point, (8,))
-    with pytest.raises(ResourceLimitError):
-        euler_char(big, (4,))  # degree 16 needs more than 12 primes
+    assert euler_char(big, (4,)) == comb(8, 4) == 70
 
 
 def test_default_primes_skip_bad_reductions(a4):
@@ -273,30 +270,17 @@ def test_default_primes_skip_bad_reductions(a4):
     ba_2 = Representation(
         an3, (1, 2, 1), {"a1": matrix([[1], [1]]), "a2": matrix([[1, 1]])}
     )
-    assert _good_primes(ba_2, None, 3) == (3, 5, 7)
+    assert _good_primes(ba_2, 3) == (3, 5, 7)
     d_3 = Representation(a4, (1, 1, 0, 0), {"d": matrix([[3]])})
-    assert _good_primes(d_3, None, 2) == (2, 5)
-    # an explicit list is used whole, and refused for its bad prime
-    assert _good_primes(d_3, [7, 5, 2, 5], 2) == (2, 5, 7)
-    with pytest.raises(NonPolynomialCountError, match="bad reduction at p = 3"):
-        _good_primes(d_3, [2, 3], 2)
+    assert _good_primes(d_3, 2) == (2, 5)
 
 
 def test_default_pool_without_enough_good_primes(a4):
-    every = 1
-    for p in DEFAULT_PRIME_POOL[1:]:
-        every *= p
+    # d divisible by every odd prime up to 37: the search runs past them
+    every = prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
     m = Representation(a4, (1, 1, 0, 0), {"d": matrix([[every]])})
-    assert _good_primes(m, None, 1) == (2,)
-    with pytest.raises(ResourceLimitError, match="2 good primes needed, 1 found"):
-        _good_primes(m, None, 2)
-
-
-def test_explicit_primes_must_suffice(point):
-    ksq = Representation(point, (2,))
-    with pytest.raises(ResourceLimitError):
-        euler_char(ksq, (1,), primes=[2, 3])  # degree 1 needs 3 primes
-    assert euler_char(ksq, (1,), primes=[2, 3, 5]) == 2
+    assert _good_primes(m, 1) == (2,)
+    assert _good_primes(m, 2) == (2, 41)
 
 
 def test_fit_verification_catches_non_polynomial():
@@ -360,9 +344,9 @@ def _check_route_against_fit(m):
     assume(classes is not None)
     assert submodule_classes(m) == classes
     try:
-        fit = submodule_classes(m, primes=DEFAULT_PRIME_POOL)
+        fit = _counted_classes(m)
     except (NonPolynomialCountError, ResourceLimitError):
-        return  # the fit refuses a bad reduction; the route needs no prime
+        return  # the fit may refuse (its budget, or a count it cannot verify)
     assert classes == fit
 
 
@@ -379,7 +363,7 @@ def test_equal_weights_are_refused():
     assert _fixed_point_classes(m) is None
     classes = submodule_classes(m)
     assert ((1, 0, 0), 1) in classes
-    assert classes == submodule_classes(m, primes=DEFAULT_PRIME_POOL)
+    assert classes == _counted_classes(m)
 
 
 def test_a_cycle_is_refused():
@@ -406,6 +390,4 @@ def test_interval_modules_take_the_route():
     for lo in range(1, 6):
         for hi in range(lo, 6):
             m = interval_module(5, lo, hi)
-            assert _fixed_point_classes(m) == submodule_classes(
-                m, primes=DEFAULT_PRIME_POOL
-            )
+            assert _fixed_point_classes(m) == _counted_classes(m)

@@ -20,14 +20,13 @@ from clusterchar import grassmannian, linalg
 from clusterchar.cli import run
 from clusterchar.errors import NonPolynomialCountError, ResourceLimitError
 from clusterchar.grassmannian import (
-    DEFAULT_PRIME_POOL,
     _containing,
+    _counted_classes,
     _echelon,
     count_all_subreps,
     count_points,
     counting_polynomial,
     gaussian_binomial,
-    submodule_classes,
 )
 from clusterchar.modules import Representation
 from clusterchar.polygon import linear_an_algebra
@@ -112,12 +111,14 @@ def test_small_budget_exits_3(capsys, data_dir, monkeypatch):
     assert "point-count budget exceeded (over 2 nodes visited)" in captured.err
 
 
-def test_xvalue_budget_exits_3(capsys, data_dir, monkeypatch):
+def test_xvalue_budget_exits_3(capsys, data_dir, tmp_path, monkeypatch):
     # the character's path (every class at once) honours the same cap;
-    # explicit primes make it count points although a4_M is a tree module
+    # a1 maps both basis vectors at 1 onto the one at 2, so they share a
+    # torus weight, and the module is point-counted
+    mod = tmp_path / "kernel_line.mod"
+    mod.write_text("[module]\ndims: 2 1 0\nmatrix a1: [[-1, 1]]\n")
     monkeypatch.setattr(grassmannian, "DEFAULT_BUDGET", 2)
-    code = run(["xvalue", str(data_dir / "a4.alg"), str(data_dir / "a4_M.mod"),
-                "--primes", "2,3"])
+    code = run(["xvalue", str(data_dir / "an3.alg"), str(mod)])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
@@ -131,14 +132,14 @@ def test_xvalue_budget_exits_3(capsys, data_dir, monkeypatch):
     "name, max_dim", [("point", 4), ("a3", 3), ("a4", 2), ("d4", 2)]
 )
 def test_single_class_fits_agree_with_the_box(algebras, name, max_dim):
-    # counting_polynomial fits one class from count_points; submodule_classes
+    # counting_polynomial fits one class from count_points; _counted_classes
     # fits the whole box from count_all_subreps at a superset of its primes
-    # (explicit, so that tree modules are point-counted too)
+    # (tree modules included, which submodule_classes answers by fixed points)
     @given(modules(algebras[name], max_dim))
     @settings(max_examples=40, deadline=None)
     def check(m):
         try:
-            chi = dict(submodule_classes(m, primes=DEFAULT_PRIME_POOL))
+            chi = dict(_counted_classes(m))
         except (NonPolynomialCountError, ResourceLimitError):
             return
         for e in product(*(range(d + 1) for d in m.dims)):

@@ -131,13 +131,6 @@ def test_verify_an_8():
     assert report.variable_count == 44
 
 
-def test_verify_an_max_pairs():
-    report = verify_an(3, max_pairs=2)
-    assert report.crossing_pairs == 15
-    triangle_lines = [l for l in report.lines if "triangle" in l]
-    assert len(triangle_lines) == 2
-
-
 def test_verify_an_range_check():
     with pytest.raises(InputError):
         verify_an(1)

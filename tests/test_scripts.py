@@ -59,7 +59,7 @@ def test_run_verify_an_passes_for_small_n():
     assert all("0 failed" in line and ": PASS" in line for line in lines)
 
 
-@pytest.mark.parametrize("arg", ["1", "9", "x"])
+@pytest.mark.parametrize("arg", ["1", "9", "x", "\u00b2", "\u0663"])
 def test_run_verify_an_refuses_n_out_of_range_before_running(arg):
     proc = _script("run_verify_an.py", arg)
     assert (proc.returncode, proc.stdout) == (2, "")
