@@ -51,9 +51,6 @@ class Matrix:
     def to_lists(self) -> list[list]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
-
 
 def matrix(rows_data, rows: int | None = None, cols: int | None = None) -> Matrix:
     """Build a Matrix from nested sequences, normalizing every entry.

@@ -9,9 +9,9 @@ submodule lists in the test suite.
 Hom spaces are solved exactly over Q as intertwiner systems.  Syzygies
 come from minimal projective covers (covering the top, not an arbitrary
 generating set, so that presentation multiplicities are the minimal
-ones), and Ext^1 from a single syzygy, with the maps out of its cover
-given by Yoneda rather than solved for.  Injective-side computations are
-routed through the vector-space dual over the opposite presentation.
+ones), and Ext^1 from the long exact sequence of a single syzygy, so the
+intertwiner system is the only Hom solver.  Injective-side computations
+are routed through the vector-space dual over the opposite presentation.
 """
 
 from __future__ import annotations
@@ -240,10 +240,7 @@ class Syzygy:
     """Minimal projective cover data: P0 -> m with kernel Omega m."""
 
     cover_mults: K0ProjClass
-    cover: Representation
-    cover_map: dict[int, Matrix]
     kernel: Representation
-    inclusion: dict[int, Matrix]
 
 
 def syzygy(m: Representation) -> Syzygy:
@@ -262,14 +259,12 @@ def _compute_syzygy(m: Representation) -> Syzygy:
     generators = [(i, k) for i in range(q.n) for k in tops[i]]
     cover = _block_sum(algebra, [projective(algebra, i) for i, _ in generators])
 
-    cover_map: dict[int, Matrix] = {}
+    # the kernel basis at each vertex where m is nonzero; elsewhere there
+    # is nothing to cover and the kernel is the whole cover
     inclusion: dict[int, Matrix] = {}
     free: dict[int, list[int]] = {}
     for j in range(q.n):
         if not m.dims[j]:
-            # nothing to cover: the kernel is the whole cover at j
-            cover_map[j] = linalg.zeros(0, cover.dims[j])
-            inclusion[j] = linalg.identity(cover.dims[j])
             continue
         acts = {
             i: [path_matrix(m, p) for p in algebra.paths_from[i][j]]
@@ -278,21 +273,20 @@ def _compute_syzygy(m: Representation) -> Syzygy:
         }
         cols = [(mat, k) for i, k in generators for mat in acts[i]]
         data = [[mat.entry(r, k) for mat, k in cols] for r in range(m.dims[j])]
-        cover_map[j] = linalg.matrix(data, rows=m.dims[j], cols=cover.dims[j])
-        inclusion[j] = linalg.kernel_basis(cover_map[j])
+        cover_map = linalg.matrix(data, rows=m.dims[j], cols=cover.dims[j])
+        inclusion[j] = linalg.kernel_basis(cover_map)
         if cover.dims[j] - inclusion[j].cols != m.dims[j]:
             raise ConsistencyError("projective cover is not surjective at vertex %d" % j)
         free[j] = _free_coordinates(inclusion[j])
 
-    ker_dims = tuple(inclusion[j].cols for j in range(q.n))
+    ker_dims = tuple(c - d for c, d in zip(cover.dims, m.dims))
     ker_mats: dict[str, Matrix] = {}
     for a in q.arrows:
         i, j = a.source, a.target
-        # at a zero fibre the inclusion is the identity
         mapped = cover.matrices[a.name]
-        if m.dims[i]:
+        if i in inclusion:
             mapped = linalg.mat_mul(mapped, inclusion[i])
-        if not m.dims[j]:
+        if j not in inclusion:
             ker_mats[a.name] = mapped
             continue
         # the kernel basis at j is the identity on its free coordinates, so
@@ -304,7 +298,7 @@ def _compute_syzygy(m: Representation) -> Syzygy:
             raise ConsistencyError("cover map is not a module morphism")
         ker_mats[a.name] = coords
     kernel = Representation(m.algebra, ker_dims, ker_mats)
-    return Syzygy(tuple(map(len, tops)), cover, cover_map, kernel, inclusion)
+    return Syzygy(tuple(map(len, tops)), kernel)
 
 
 def _free_coordinates(basis: Matrix) -> list[int]:
@@ -318,59 +312,20 @@ def _free_coordinates(basis: Matrix) -> list[int]:
 
 
 def ext1_dim(m: Representation, n: Representation) -> int:
-    """dim Ext^1(m, n) = dim coker( Hom(P0, n) -> Hom(Omega m, n) ).
+    """dim Ext^1(m, n), from Hom(-, n) applied to 0 -> Omega m -> P0 -> m -> 0.
 
-    Hom(Omega m, n) is solved as an intertwiner system.  Hom(P0, n) is
-    given by Yoneda: a map sends the generator of a summand P_i to any
-    vector v of n at i, and then each basis path p from i to n(p) v; the
-    unit vectors v give a basis, restricted along the inclusion of Omega m.
+    As Ext^1(P0, n) = 0, the long exact sequence ends at Ext^1(m, n), so
+    dim Ext^1(m, n) = dim Hom(Omega m, n) - dim Hom(P0, n) + dim Hom(m, n),
+    and by Yoneda dim Hom(P0, n) = sum_i [P0 : P_i] dim n_i.
     """
     _require_same_algebra(m, n)
     if m.is_zero() or n.is_zero():
         return 0
     syz = syzygy(m)
-    omega = syz.kernel
-    if omega.is_zero():
+    if syz.kernel.is_zero():
         return 0
-    dim_hom_omega = hom_dim(omega, n)
-    restricted = _restricted_cover_homs(syz, n)
-    if not restricted:
-        return dim_hom_omega
-    width = len(restricted[0])
-    mat = linalg.matrix(restricted, rows=len(restricted), cols=width)
-    return dim_hom_omega - linalg.rank(mat)
-
-
-def _restricted_cover_homs(syz: Syzygy, n: Representation) -> list[list]:
-    """One row per basis map P0 -> n (a summand P_i and a unit vector r of
-    n at i): the entries of its composite with the inclusion of Omega m,
-    vertex by vertex and row by row."""
-    algebra = n.algebra
-    q = algebra.quiver
-    acts: dict[int, list[list[Matrix]]] = {}
-    start = [0] * q.n  # the current summand's first cover coordinate
-    rows: list[list] = []
-    for i, mult in enumerate(syz.cover_mults):
-        paths = algebra.paths_from[i]
-        for _ in range(mult):
-            if n.dims[i] and i not in acts:
-                acts[i] = [[path_matrix(n, p) for p in paths[j]] for j in range(q.n)]
-            # the inclusion's rows at this summand's coordinates
-            blocks = [
-                [syz.inclusion[j].row(start[j] + t) for t in range(len(paths[j]))]
-                for j in range(q.n)
-            ]
-            for r in range(n.dims[i]):
-                vec: list = []
-                for j in range(q.n):
-                    for s in range(n.dims[j]):
-                        images = [act.entry(s, r) for act in acts[i][j]]
-                        for c in range(syz.inclusion[j].cols):
-                            vec.append(sum(x * row[c] for x, row in zip(images, blocks[j])))
-                rows.append(vec)
-            for j in range(q.n):
-                start[j] += len(paths[j])
-    return rows
+    hom_cover = sum(c * d for c, d in zip(syz.cover_mults, n.dims))
+    return hom_dim(syz.kernel, n) - hom_cover + hom_dim(m, n)
 
 
 def min_proj_presentation(m: Representation) -> tuple[K0ProjClass, K0ProjClass]:

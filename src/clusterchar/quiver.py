@@ -103,12 +103,6 @@ def path_sort_key(p: Path):
     return (len(p.arrows), p.arrows, p.source)
 
 
-def render_path(q: Quiver, p: Path) -> str:
-    if not p.arrows:
-        return "e_%s" % q.vertices[p.source]
-    return ".".join(q.arrows[k].name for k in reversed(p.arrows))
-
-
 Term = tuple[int, Path]
 Relation = tuple[Term, ...]
 

@@ -6,15 +6,18 @@ rank call and its kernel found by elimination, the kernel's arrow
 matrices are solved for, and the restriction Hom(P0, N) -> Hom(Omega M, N)
 is taken on a basis of Hom(P0, N) solved as an intertwiner system.  No
 step knows an answer in advance, so it is slow but has no shortcut to
-get wrong.  `clusterchar.modules` must agree with it field for field.
+get wrong.  `clusterchar.modules` must agree with it on the cover
+multiplicities, the kernel and dim Ext^1, which it takes from the long
+exact sequence instead of this cokernel.
 """
+
+from dataclasses import dataclass
 
 from clusterchar import linalg
 from clusterchar.errors import DimensionError
 from clusterchar.linalg import Matrix
 from clusterchar.modules import (
     Representation,
-    Syzygy,
     _intertwiner_system,
     _require_same_algebra,
     direct_sum,
@@ -71,7 +74,18 @@ def _top_coordinates(m, j: int) -> list[int]:
     return [k for k in range(m.dims[j]) if k not in pivots]
 
 
-def compute_syzygy(m) -> Syzygy:
+@dataclass(frozen=True)
+class ReferenceSyzygy:
+    """The cover P0 -> m, its multiplicities, and the kernel with its
+    inclusion into P0, vertex by vertex."""
+
+    cover_mults: tuple[int, ...]
+    cover: Representation
+    kernel: Representation
+    inclusion: dict[int, Matrix]
+
+
+def compute_syzygy(m) -> ReferenceSyzygy:
     algebra = m.algebra
     q = algebra.quiver
     tops = [_top_coordinates(m, i) for i in range(q.n)]
@@ -106,7 +120,7 @@ def compute_syzygy(m) -> Syzygy:
             raise DimensionError("cover map is not a module morphism")
         ker_mats[a.name] = sol
     kernel = Representation(m.algebra, ker_dims, ker_mats)
-    return Syzygy(tuple(map(len, tops)), cover, cover_map, kernel, inclusion)
+    return ReferenceSyzygy(tuple(map(len, tops)), cover, kernel, inclusion)
 
 
 def ext1_dim(m, n) -> int:

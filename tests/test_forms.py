@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterchar import forms
+from clusterchar import forms, modules
 from clusterchar.errors import ConsistencyError
 from clusterchar.forms import (
     antisym_form_matrix,
@@ -18,7 +18,7 @@ from clusterchar.modules import (
     simple,
 )
 from clusterchar.polygon import interval_ses, interval_module, linear_an_algebra
-from clusterchar.quiver import load_algebra
+from clusterchar.quiver import load_algebra, load_algebra_file
 
 A4_FORM_MATRIX = (
     (0, 1, 0, 0),
@@ -83,6 +83,37 @@ def test_equal_fault_in_both_presentations_is_caught(data_dir, monkeypatch):
     algebra = load_algebra((data_dir / "a4.alg").read_text())
     with pytest.raises(ConsistencyError, match=r"^index of S_2 mismatch: "):
         antisym_form_matrix(algebra)
+
+
+@pytest.mark.parametrize(
+    "alg_name, mod_name", [("a4", "a4_M"), ("a4", None), ("d4", "d4_M")],
+    ids=["a4_M", "S_1", "d4_M"],
+)
+def test_corrupt_cover_is_caught(data_dir, monkeypatch, alg_name, mod_name):
+    # one cover multiplicity moved to the next vertex in every syzygy.  When
+    # m has a nonzero syzygy, both routes of its index read that cover (Ext^1
+    # takes dim Hom(P0, -) from it) and agree, so the fault must show in the
+    # coindex, whose second route reads the covers of the simples
+    real = modules._compute_syzygy
+
+    def corrupted(m):
+        syz = real(m)
+        mults = list(syz.cover_mults)
+        i = next(k for k, c in enumerate(mults) if c)
+        mults[i] -= 1
+        mults[(i + 1) % len(mults)] += 1
+        return modules.Syzygy(tuple(mults), syz.kernel)
+
+    monkeypatch.setattr(modules, "_compute_syzygy", corrupted)
+    # a fresh algebra, so that no syzygy is already cached
+    algebra = load_algebra_file(data_dir / ("%s.alg" % alg_name))
+    if mod_name is None:
+        m = simple(algebra, 0)
+    else:
+        m = modules.load_module_file(data_dir / ("%s.mod" % mod_name), algebra)
+    with pytest.raises(ConsistencyError, match=r"^(co)?index mismatch: "):
+        index(m)
+        coindex(m)
 
 
 def test_one_vertex_form_matrix():
