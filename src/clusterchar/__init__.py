@@ -4,7 +4,7 @@ The pipeline: `laurent` and `linalg` provide exact arithmetic; `quiver`
 presents an algebra by quiver and relations and computes its path basis;
 `modules` does Hom/Ext/syzygy work in the module category; `grassmannian`
 counts submodules over prime fields and interpolates Euler
-characteristics; `forms` builds the (antisymmetrized) Euler form and
+characteristics; `forms` builds the antisymmetrized Euler form and
 index/coindex; `character` evaluates the cluster character.  `mutation`
 is an independent seed-mutation oracle and `polygon` an exhaustive
 type-A harness tying the two sides together.
@@ -22,13 +22,14 @@ from .errors import (
     NotFiniteTypeError,
     ResourceLimitError,
 )
-from .forms import antisym_form_matrix, coindex, euler_form, index
+from .forms import antisym_form_matrix, coindex, index
 from .grassmannian import count_points, euler_char, submodule_classes
 from .laurent import LaurentPoly, laurent_divexact, laurent_render
 from .modules import (
     Representation,
     direct_sum,
     dual,
+    euler_form,
     ext1_dim,
     hom_dim,
     injective,

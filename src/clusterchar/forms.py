@@ -1,4 +1,4 @@
-"""The Euler form, its antisymmetrization, and index/coindex.
+"""The antisymmetrized Euler form and index/coindex.
 
 Index and coindex are computed along two independent routes and
 compared, so a convention bug anywhere upstream turns into a hard error
@@ -6,7 +6,7 @@ here: the index [P0] - [P1] of a minimal projective presentation must
 equal (<m, S_i>)_i, and the coindex [I0] - [I1] of a minimal injective
 copresentation (reread through I_j -> P_j) must equal (<S_i, m>)_i.
 The matrix of the antisymmetrized form on the simples is E - E^T with
-E[i][j] = <S_i, S_j> from Hom/Ext dimensions; building it checks both
+E[i][j] = <S_i, S_j> from `modules.euler_form`; building it checks both
 routes on every simple, against row i and column i of E.
 """
 
@@ -17,8 +17,7 @@ from .modules import (
     DimVector,
     K0ProjClass,
     Representation,
-    ext1_dim,
-    hom_dim,
+    euler_form,
     min_inj_copresentation,
     min_proj_presentation,
     simple,
@@ -26,11 +25,6 @@ from .modules import (
 from .quiver import AlgebraPresentation
 
 FormMatrix = tuple[tuple[int, ...], ...]
-
-
-def euler_form(m: Representation, n: Representation) -> int:
-    """<m, n> = dim Hom(m, n) - dim Ext^1(m, n)."""
-    return hom_dim(m, n) - ext1_dim(m, n)
 
 
 def antisym_form_matrix(a: AlgebraPresentation) -> FormMatrix:

@@ -389,9 +389,9 @@ def degree_bound(m: Representation, e: DimVector) -> int:
     return sum(x * (d - x) for x, d in zip(e, m.dims))
 
 
-def _fit_classes(m: Representation, allowed, count) -> dict:
+def _fit_classes(m: Representation, allowed) -> dict:
     """Counting polynomials of Gr_e(m), by e, for the classes e with e[v]
-    in ``allowed[v]`` that ``count(m, p)`` tables.
+    in ``allowed[v]`` that have a point at some prime.
 
     The primes suffice for the largest degree bound among those classes
     and keep the rank of every path (`_good_primes`).  Each class that
@@ -400,7 +400,7 @@ def _fit_classes(m: Representation, allowed, count) -> dict:
     """
     bound = sum(max(x * (d - x) for x in xs) for xs, d in zip(allowed, m.dims))
     ps = _good_primes(m, bound + 2)
-    tables = [count(m, p) for p in ps]
+    tables = [_count_backtrack(m, allowed, p) for p in ps]
     return {
         e: _fit_and_verify([(p, t.get(e, 0)) for p, t in zip(ps, tables)],
                            degree_bound(m, e))
@@ -411,8 +411,8 @@ def _fit_classes(m: Representation, allowed, count) -> dict:
 def counting_polynomial(m: Representation, e: DimVector) -> CountingPolynomial:
     """Fit the point counts of Gr_e(m); raises when the fit fails to verify."""
     e = _check_dim_vector(m, e)
-    fits = _fit_classes(m, [(x,) for x in e], lambda m, p: {e: count_points(m, e, p)})
-    return fits[e]
+    fits = _fit_classes(m, [(x,) for x in e])
+    return fits.get(e, CountingPolynomial(()))
 
 
 def euler_char(m: Representation, e: DimVector) -> int:
@@ -531,5 +531,5 @@ def _counted_classes(m: Representation) -> list[tuple[DimVector, int]]:
     prime counts every Gr_e(m) simultaneously, and each class that
     occurs is fitted on its own."""
     box = [range(d + 1) for d in m.dims]
-    fits = _fit_classes(m, box, count_all_subreps)
+    fits = _fit_classes(m, box)
     return [(e, chi) for e, poly in fits.items() if (chi := poly.evaluate(1))]

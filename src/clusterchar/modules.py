@@ -9,9 +9,11 @@ submodule lists in the test suite.
 Hom spaces are solved exactly over Q as intertwiner systems.  Syzygies
 come from minimal projective covers (covering the top, not an arbitrary
 generating set, so that presentation multiplicities are the minimal
-ones), and Ext^1 from the long exact sequence of a single syzygy, so the
-intertwiner system is the only Hom solver.  Injective-side computations
-are routed through the vector-space dual over the opposite presentation.
+ones).  The Euler form <m, n> = dim Hom - dim Ext^1 comes from the long
+exact sequence of a single syzygy with one Hom solve, and Ext^1 is
+dim Hom(m, n) - <m, n>, so the intertwiner system is the only Hom
+solver.  Injective-side computations are routed through the
+vector-space dual over the opposite presentation.
 """
 
 from __future__ import annotations
@@ -311,28 +313,29 @@ def _free_coordinates(basis: Matrix) -> list[int]:
     ]
 
 
-def ext1_dim(m: Representation, n: Representation) -> int:
-    """dim Ext^1(m, n), from Hom(-, n) applied to 0 -> Omega m -> P0 -> m -> 0.
+def euler_form(m: Representation, n: Representation) -> int:
+    """<m, n> = dim Hom(m, n) - dim Ext^1(m, n), from Hom(-, n) applied to
+    0 -> Omega m -> P0 -> m -> 0.
 
     As Ext^1(P0, n) = 0, the long exact sequence ends at Ext^1(m, n), so
-    dim Ext^1(m, n) = dim Hom(Omega m, n) - dim Hom(P0, n) + dim Hom(m, n),
-    and by Yoneda dim Hom(P0, n) = sum_i [P0 : P_i] dim n_i.
+    <m, n> = dim Hom(P0, n) - dim Hom(Omega m, n), and by Yoneda
+    dim Hom(P0, n) = sum_i [P0 : P_i] dim n_i.  When Omega m is zero, m
+    is projective (or zero) and <m, n> is dim Hom(m, n) itself.
     """
-    _require_same_algebra(m, n)
-    if m.is_zero() or n.is_zero():
-        return 0
     syz = syzygy(m)
     if syz.kernel.is_zero():
-        return 0
+        return hom_dim(m, n)
     hom_cover = sum(c * d for c, d in zip(syz.cover_mults, n.dims))
-    return hom_dim(syz.kernel, n) - hom_cover + hom_dim(m, n)
+    return hom_cover - hom_dim(syz.kernel, n)
+
+
+def ext1_dim(m: Representation, n: Representation) -> int:
+    """dim Ext^1(m, n) = dim Hom(m, n) - <m, n>."""
+    return hom_dim(m, n) - euler_form(m, n)
 
 
 def min_proj_presentation(m: Representation) -> tuple[K0ProjClass, K0ProjClass]:
     """Multiplicities ([P0 : P_i]) and ([P1 : P_i]) of a minimal presentation."""
-    if m.is_zero():
-        z = (0,) * m.algebra.quiver.n
-        return z, z
     syz = syzygy(m)
     return syz.cover_mults, top_dims(syz.kernel)
 

@@ -13,9 +13,13 @@ from clusterchar.forms import (
 )
 from clusterchar.modules import (
     direct_sum,
+    ext1_dim,
     injective,
+    load_module_file,
     projective,
     simple,
+    syzygy,
+    zero_module,
 )
 from clusterchar.polygon import interval_ses, interval_module, linear_an_algebra
 from clusterchar.quiver import load_algebra, load_algebra_file
@@ -91,9 +95,9 @@ def test_equal_fault_in_both_presentations_is_caught(data_dir, monkeypatch):
 )
 def test_corrupt_cover_is_caught(data_dir, monkeypatch, alg_name, mod_name):
     # one cover multiplicity moved to the next vertex in every syzygy.  When
-    # m has a nonzero syzygy, both routes of its index read that cover (Ext^1
-    # takes dim Hom(P0, -) from it) and agree, so the fault must show in the
-    # coindex, whose second route reads the covers of the simples
+    # m has a nonzero syzygy, both routes of its index read that cover (the
+    # Euler form takes dim Hom(P0, -) from it) and agree, so the fault must
+    # show in the coindex, whose second route reads the covers of the simples
     real = modules._compute_syzygy
 
     def corrupted(m):
@@ -149,6 +153,39 @@ def test_euler_form_on_projectives(a4, a4_M):
             assert euler_form(projective(a4, i), n) == n.dims[i]
 
 
+def test_one_hom_solve_per_euler_form(data_dir, monkeypatch):
+    # <m, n> reads the cover of m and solves Hom(Omega m, n) alone, or
+    # Hom(m, n) when m is projective; the syzygies are warmed first
+    algebra = load_algebra_file(data_dir / "a4.alg")
+    m = load_module_file(data_dir / "a4_M.mod", algebra)
+    pairs = [(m, simple(algebra, i)) for i in range(4)]
+    pairs += [(simple(algebra, 1), m), (projective(algebra, 0), m)]
+    for left, _ in pairs:
+        syzygy(left)
+    calls = []
+    real = modules.hom_dim
+
+    def counted(x, y):
+        calls.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(modules, "hom_dim", counted)
+    for left, right in pairs:
+        calls.clear()
+        euler_form(left, right)
+        assert len(calls) == 1
+
+
+def test_zero_module_pairs_to_zero(a4, d4, a4_M, d4_M):
+    for alg, m in ((a4, a4_M), (d4, d4_M)):
+        zero = zero_module(alg)
+        others = [zero, m] + [simple(alg, i) for i in range(4)]
+        others += [projective(alg, i) for i in range(4)]
+        for n in others:
+            assert euler_form(zero, n) == euler_form(n, zero) == 0
+            assert ext1_dim(zero, n) == ext1_dim(n, zero) == 0
+
+
 def test_euler_form_examples(a4):
     a2 = load_algebra("[quiver]\nvertices: 1 2\narrow: a 1 2\n")
     assert euler_form(simple(a2, 0), simple(a2, 1)) == -1
@@ -195,6 +232,7 @@ def test_coindex_of_injectives(a4):
 def test_both_routes_agree_everywhere(a4, d4, a4_M, d4_M):
     mods = [a4_M, d4_M]
     for alg in (a4, d4):
+        mods.append(zero_module(alg))
         for i in range(4):
             mods += [simple(alg, i), projective(alg, i), injective(alg, i)]
     # each returns its presentation route, after checking it against the
