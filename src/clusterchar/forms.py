@@ -1,13 +1,13 @@
 """The antisymmetrized Euler form and index/coindex.
 
-Index and coindex are computed along two independent routes and
-compared, so a convention bug anywhere upstream turns into a hard error
-here: the index [P0] - [P1] of a minimal projective presentation must
-equal (<m, S_i>)_i, and the coindex [I0] - [I1] of a minimal injective
-copresentation (reread through I_j -> P_j) must equal (<S_i, m>)_i.
-The matrix of the antisymmetrized form on the simples is E - E^T with
-E[i][j] = <S_i, S_j> from `modules.euler_form`; building it checks both
-routes on every simple, against row i and column i of E.
+Each is computed along two routes that read independent data and
+compared, so a convention bug upstream turns into a hard error here.
+The coindex [I0] - [I1] (reread through I_j -> P_j) must equal
+(<S_i, m>)_i, which reads the covers of the simples.  The form matrix
+is E - E^T, with row i of E the presentation [P0] - [P1] of S_i, checked
+against the copresentations of the simples read at i.  As the form
+descends to K_0 (Palu), the index [P0] - [P1] must equal
+coind(m) - (E - E^T) dim m.
 """
 
 from __future__ import annotations
@@ -33,15 +33,14 @@ def antisym_form_matrix(a: AlgebraPresentation) -> FormMatrix:
 
 
 def _compute_form_matrix(a: AlgebraPresentation) -> FormMatrix:
+    """E - E^T; row i of E is the presentation of S_i, column j the copresentation of S_j."""
     n = a.quiver.n
     simples = [simple(a, i) for i in range(n)]
-    euler = [[euler_form(s, t) for t in simples] for s in simples]
-    for i, label in enumerate(a.quiver.vertices):
-        _agree("index of S_%s" % label, "presentation",
-               _difference(min_proj_presentation(simples[i])), tuple(euler[i]))
-        _agree("coindex of S_%s" % label, "copresentation",
-               _difference(min_inj_copresentation(simples[i])),
-               tuple(row[i] for row in euler))
+    copresented = [_difference(min_inj_copresentation(s)) for s in simples]
+    euler = [_agree("index of S_%s" % label,
+                    "presentation", _difference(min_proj_presentation(simples[i])),
+                    "copresentations", tuple(c[i] for c in copresented))
+             for i, label in enumerate(a.quiver.vertices)]
     return tuple(tuple(euler[i][j] - euler[j][i] for j in range(n)) for i in range(n))
 
 
@@ -56,22 +55,22 @@ def _difference(pair: tuple[K0ProjClass, K0ProjClass]) -> K0ProjClass:
 
 
 def _agree(what: str, route: str, via_route: K0ProjClass,
-           via_simples: K0ProjClass) -> K0ProjClass:
+           other: str, via_other: K0ProjClass) -> K0ProjClass:
     """The common value of the two routes to ``what``, or raise."""
-    if via_route != via_simples:
+    if via_route != via_other:
         raise ConsistencyError(
-            "%s mismatch: %s from the %s, %s from the simples"
-            % (what, via_route, route, via_simples)
+            "%s mismatch: %s from the %s, %s from the %s"
+            % (what, via_route, route, via_other, other)
         )
     return via_route
 
 
 def index(m: Representation) -> K0ProjClass:
     """Index of (a module lift of) m: [P0] - [P1], checked against
-    (<m, S_i>)_i."""
-    a = m.algebra
+    coind(m) - (E - E^T) dim m."""
+    descended = tuple(c - f for c, f in zip(coindex(m), form_a_row(m.algebra, m.dims)))
     return _agree("index", "presentation", _difference(min_proj_presentation(m)),
-                  tuple(euler_form(m, simple(a, i)) for i in range(a.quiver.n)))
+                  "coindex and the form matrix", descended)
 
 
 def coindex(m: Representation) -> K0ProjClass:
@@ -79,4 +78,4 @@ def coindex(m: Representation) -> K0ProjClass:
     against (<S_i, m>)_i."""
     a = m.algebra
     return _agree("coindex", "copresentation", _difference(min_inj_copresentation(m)),
-                  tuple(euler_form(simple(a, i), m) for i in range(a.quiver.n)))
+                  "simples", tuple(euler_form(simple(a, i), m) for i in range(a.quiver.n)))

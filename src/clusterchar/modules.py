@@ -319,12 +319,10 @@ def euler_form(m: Representation, n: Representation) -> int:
 
     As Ext^1(P0, n) = 0, the long exact sequence ends at Ext^1(m, n), so
     <m, n> = dim Hom(P0, n) - dim Hom(Omega m, n), and by Yoneda
-    dim Hom(P0, n) = sum_i [P0 : P_i] dim n_i.  When Omega m is zero, m
-    is projective (or zero) and <m, n> is dim Hom(m, n) itself.
+    dim Hom(P0, n) = sum_i [P0 : P_i] dim n_i.  For m projective (or
+    zero), Omega m is zero and this sum is dim Hom(m, n) itself.
     """
     syz = syzygy(m)
-    if syz.kernel.is_zero():
-        return hom_dim(m, n)
     hom_cover = sum(c * d for c, d in zip(syz.cover_mults, n.dims))
     return hom_cover - hom_dim(syz.kernel, n)
 

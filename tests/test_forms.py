@@ -94,30 +94,45 @@ def test_equal_fault_in_both_presentations_is_caught(data_dir, monkeypatch):
     ids=["a4_M", "S_1", "d4_M"],
 )
 def test_corrupt_cover_is_caught(data_dir, monkeypatch, alg_name, mod_name):
-    # one cover multiplicity moved to the next vertex in every syzygy.  When
-    # m has a nonzero syzygy, both routes of its index read that cover (the
-    # Euler form takes dim Hom(P0, -) from it) and agree, so the fault must
-    # show in the coindex, whose second route reads the covers of the simples
+    # one cover multiplicity moved to the next vertex in a syzygy.  Moved in
+    # every syzygy, the fault shows in the coindex, whose second route reads
+    # the covers of the simples.  Moved only in the syzygies of the
+    # non-simple modules over the algebra itself, it spares the simples and
+    # the opposite algebra, so the coindex and the form matrix still hold;
+    # the index must catch it, as its second route coind(m) - (E - E^T) dim m
+    # reads no cover of m
     real = modules._compute_syzygy
 
-    def corrupted(m):
-        syz = real(m)
-        mults = list(syz.cover_mults)
-        i = next(k for k, c in enumerate(mults) if c)
-        mults[i] -= 1
-        mults[(i + 1) % len(mults)] += 1
-        return modules.Syzygy(tuple(mults), syz.kernel)
+    def load():
+        # a fresh algebra, so that no syzygy is already cached
+        algebra = load_algebra_file(data_dir / ("%s.alg" % alg_name))
+        if mod_name is None:
+            return simple(algebra, 0)
+        return load_module_file(data_dir / ("%s.mod" % mod_name), algebra)
 
-    monkeypatch.setattr(modules, "_compute_syzygy", corrupted)
-    # a fresh algebra, so that no syzygy is already cached
-    algebra = load_algebra_file(data_dir / ("%s.alg" % alg_name))
-    if mod_name is None:
-        m = simple(algebra, 0)
-    else:
-        m = modules.load_module_file(data_dir / ("%s.mod" % mod_name), algebra)
+    def move_cover(hit):
+        def corrupted(m):
+            syz = real(m)
+            if not hit(m):
+                return syz
+            mults = list(syz.cover_mults)
+            i = next(k for k, c in enumerate(mults) if c)
+            mults[i] -= 1
+            mults[(i + 1) % len(mults)] += 1
+            return modules.Syzygy(tuple(mults), syz.kernel)
+
+        monkeypatch.setattr(modules, "_compute_syzygy", corrupted)
+
+    m = load()
+    move_cover(lambda x: True)
     with pytest.raises(ConsistencyError, match=r"^(co)?index mismatch: "):
         index(m)
         coindex(m)
+    if mod_name is not None:
+        m = load()
+        move_cover(lambda x: x.algebra is m.algebra and x.total_dim() > 1)
+        with pytest.raises(ConsistencyError, match=r"^index mismatch: "):
+            index(m)
 
 
 def test_one_vertex_form_matrix():
@@ -154,8 +169,8 @@ def test_euler_form_on_projectives(a4, a4_M):
 
 
 def test_one_hom_solve_per_euler_form(data_dir, monkeypatch):
-    # <m, n> reads the cover of m and solves Hom(Omega m, n) alone, or
-    # Hom(m, n) when m is projective; the syzygies are warmed first
+    # <m, n> reads the cover of m and solves Hom(Omega m, n) alone, which
+    # is Hom(0, n) when m is projective; the syzygies are warmed first
     algebra = load_algebra_file(data_dir / "a4.alg")
     m = load_module_file(data_dir / "a4_M.mod", algebra)
     pairs = [(m, simple(algebra, i)) for i in range(4)]
@@ -174,6 +189,33 @@ def test_one_hom_solve_per_euler_form(data_dir, monkeypatch):
         calls.clear()
         euler_form(left, right)
         assert len(calls) == 1
+
+
+def test_form_matrix_solves_no_hom(data_dir, monkeypatch):
+    # the form matrix reads the presentations and copresentations only
+    def no_hom(m, n):
+        raise AssertionError("Hom solved for the form matrix")
+
+    monkeypatch.setattr(modules, "hom_dim", no_hom)
+    algebra = load_algebra_file(data_dir / "a4.alg")
+    assert antisym_form_matrix(algebra) == A4_FORM_MATRIX
+
+
+def test_ext1_from_a_projective_solves_one_hom(data_dir, monkeypatch):
+    # Hom(P, n) alone: <P, n> solves only Hom(0, n)
+    algebra = load_algebra_file(data_dir / "a4.alg")
+    m = load_module_file(data_dir / "a4_M.mod", algebra)
+    calls = []
+    real = modules.hom_dim
+
+    def counted(x, y):
+        if not (x.is_zero() or y.is_zero()):
+            calls.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(modules, "hom_dim", counted)
+    assert ext1_dim(projective(algebra, 0), m) == 0
+    assert len(calls) == 1
 
 
 def test_zero_module_pairs_to_zero(a4, d4, a4_M, d4_M):
@@ -235,8 +277,9 @@ def test_both_routes_agree_everywhere(a4, d4, a4_M, d4_M):
         mods.append(zero_module(alg))
         for i in range(4):
             mods += [simple(alg, i), projective(alg, i), injective(alg, i)]
-    # each returns its presentation route, after checking it against the
-    # Euler forms with the simples, which this recomputes
+    # each returns its presentation route.  The coindex is checked against
+    # the Euler forms with the simples, which this recomputes; the index is
+    # checked through the coindex, and this pins it to (<m, S_i>)_i as well
     for m in mods:
         simples = [simple(m.algebra, i) for i in range(m.algebra.quiver.n)]
         assert index(m) == tuple(euler_form(m, s) for s in simples)

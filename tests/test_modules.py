@@ -5,11 +5,13 @@ import modules_reference
 from module_strategies import loop_modules, modules
 from clusterchar import linalg
 from clusterchar.errors import ConsistencyError, DimensionError, InputError
+from clusterchar.forms import index
 from clusterchar.modules import (
     Representation,
     _compute_syzygy,
     direct_sum,
     dual,
+    euler_form,
     ext1_dim,
     hom_dim,
     injective,
@@ -349,6 +351,19 @@ def test_ext1_matches_reference(algebras, name, max_dim):
             pairs = [(x, y), (y, x)] + [(x, s) for s in simples] + [(s, x) for s in simples]
             for a, b in pairs:
                 assert ext1_dim(a, b) == modules_reference.ext1_dim(a, b)
+
+    check()
+
+
+@pytest.mark.parametrize("name,max_dim", GENERATED)
+def test_index_matches_the_euler_forms_with_the_simples(algebras, name, max_dim):
+    # the index is checked through the coindex and the form matrix, which
+    # holds where the form descends to K_0; (<m, S_i>)_i is the reference
+    @given(_generated(algebras, name, max_dim))
+    @settings(max_examples=50, deadline=None)
+    def check(m):
+        simples = [simple(m.algebra, i) for i in range(m.algebra.quiver.n)]
+        assert index(m) == tuple(euler_form(m, s) for s in simples)
 
     check()
 
