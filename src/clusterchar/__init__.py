@@ -23,7 +23,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .forms import antisym_form_matrix, coindex, index
-from .grassmannian import count_points, euler_char, submodule_classes
+from .grassmannian import euler_char, submodule_classes
 from .laurent import LaurentPoly, laurent_divexact, laurent_render
 from .modules import (
     Representation,

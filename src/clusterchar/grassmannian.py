@@ -20,15 +20,16 @@ binomial instead, and arrows closing an oriented cycle are checked by
 membership.  ``DEFAULT_BUDGET``, read when a sweep runs, caps the nodes
 it visits.
 
-Counting at enough primes determines the counting polynomial in q by
-interpolation, and its value at 1 stands in for the Euler
-characteristic.  The substitution is exact whenever the count is
-polynomial in q; a reserved verification prime (and an integrality check
-on the fitted coefficients) turns any violation of that assumption into
-an error instead of a wrong answer.  The primes are the smallest at
-which every basis path keeps its rank (`_good_primes`), and one driver,
-`_fit_classes`, runs this sequence for one class and for the whole
-dimension box alike.
+Counting at enough primes determines the counting polynomial in q: its
+coefficients solve a Vandermonde system over Q (`linalg.row_reduce`),
+and its value at 1 stands in for the Euler characteristic.  The
+substitution is exact whenever the count is polynomial in q; a reserved
+verification prime (and an integrality check on the fitted
+coefficients) turns any violation of that assumption into an error
+instead of a wrong answer.  The primes are the smallest at which every
+basis path keeps its rank (`_good_primes`).  `_fit_classes` runs this
+sequence for one class and for the whole dimension box alike; it is the
+one way into the sweep.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from math import isqrt
 
 from .errors import InputError, NonPolynomialCountError, ResourceLimitError
 from .laurent import render_terms
-from .linalg import Matrix, rank
+from .linalg import Matrix, rank, row_reduce
 from .modules import DimVector, Representation, path_matrix
 
 DEFAULT_BUDGET = 500_000
@@ -210,10 +211,6 @@ def _count_backtrack(m: Representation, allowed, p: int) -> dict:
     sweep for each such choice.  ``DEFAULT_BUDGET`` caps the nodes
     visited: one per subspace tried and one per closed-form weight.
     """
-    if type(p) is not int:
-        raise InputError("prime %r is not an int" % (p,))
-    if not _is_prime(p):
-        raise InputError("%d is not prime" % p)
     n = len(m.dims)
     feeds, checks, weighted = _sweep_plan(m, p)
     counts: dict[DimVector, int] = {}
@@ -277,17 +274,6 @@ def _check_dim_vector(m: Representation, e: DimVector) -> DimVector:
     return e
 
 
-def count_points(m: Representation, e: DimVector, p: int) -> int:
-    """Number of F_p-points of Gr_e(m)."""
-    e = _check_dim_vector(m, e)
-    return _count_backtrack(m, [(x,) for x in e], p).get(e, 0)
-
-
-def count_all_subreps(m: Representation, p: int) -> dict[DimVector, int]:
-    """F_p-points of every Gr_e(m) at once, keyed by dimension vector."""
-    return _count_backtrack(m, [range(d + 1) for d in m.dims], p)
-
-
 @dataclass(frozen=True)
 class CountingPolynomial:
     """Integer polynomial in q interpolating the point counts."""
@@ -307,47 +293,24 @@ class CountingPolynomial:
         )
 
 
-def _interpolate(points: list[tuple[int, int]]) -> list[Fraction]:
-    """Newton-form interpolation; coefficients ascending, exact.
-
-    Only the divided differences are fractions: the Newton basis
-    polynomials have integer coefficients.
-    """
-    xs = [x for x, _ in points]
-    divided = [Fraction(y) for _, y in points]
-    for level in range(1, len(points)):
-        for i in range(len(points) - 1, level - 1, -1):
-            divided[i] = (divided[i] - divided[i - 1]) / (xs[i] - xs[i - level])
-    coeffs = [Fraction(0)] * len(points)
-    coeffs[0] = divided[0]
-    base = [1] + [0] * (len(points) - 1)
-    for level in range(1, len(points)):
-        # base <- base * (x - xs[level-1])
-        new = [0] * len(points)
-        for k in range(len(points) - 1):
-            new[k + 1] += base[k]
-            new[k] -= base[k] * xs[level - 1]
-        base = new
-        for k in range(len(points)):
-            coeffs[k] += divided[level] * base[k]
-    return coeffs
-
-
 def _fit_and_verify(points: list[tuple[int, int]], degree: int) -> CountingPolynomial:
     """Fit through the first degree+1 points, verify against the rest
     (at least one: `_fit_classes` gets bound + 2 primes, and no class's
-    degree exceeds its bound)."""
-    fit_points = points[: degree + 1]
-    coeffs = _interpolate(fit_points)
+    degree exceeds its bound).  The coefficients, ascending, are the last
+    column of the reduced Vandermonde system [x^0 ... x^degree | y]."""
+    rows, _ = row_reduce(
+        [[x**k for k in range(degree + 1)] + [y] for x, y in points[: degree + 1]],
+        degree + 1,
+    )
+    coeffs = [row[-1] for row in rows]
     for c in coeffs:
-        if c.denominator != 1:
+        if type(c) is not int:
             raise NonPolynomialCountError(
                 "interpolated count has non-integer coefficient %s" % c
             )
-    ints = [int(c) for c in coeffs]
-    while ints and ints[-1] == 0:
-        ints.pop()
-    poly = CountingPolynomial(tuple(ints))
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    poly = CountingPolynomial(tuple(coeffs))
     for x, y in points[degree + 1 :]:
         if poly.evaluate(x) != y:
             raise NonPolynomialCountError(

@@ -2,9 +2,9 @@
 
 Dense and small by design: every matrix in this package has a handful of
 rows.  Entries are Python ints or ``fractions.Fraction`` (never floats);
-a Fraction with denominator 1 is stored as an int.  Point counting over
-F_p does its own modular elimination on the bases it enumerates
-(`grassmannian`), so this module works over Q alone.
+a Fraction with denominator 1 is stored as an int.  `row_reduce` is the
+one elimination over Q, the counting-polynomial fits of `grassmannian`
+included; its point counting over F_p eliminates mod p on its own.
 """
 
 from __future__ import annotations

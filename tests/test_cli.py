@@ -103,6 +103,44 @@ def test_default_primes_skip_a_bad_reduction_in_a_single_fit(
         assert (code, out) == (0, expected)
 
 
+D4_STAR_X = (
+    "X = (x1^2*x2^2*x3^2 + 3*x1*x2*x3*x4 + 2*x1*x2*x3 + x4^3 + 3*x4^2 + 3*x4 + 1)"
+    " / (x1*x2*x3*x4^2)\n"
+    "laurent: x1*x2*x3*x4^-2 + 3*x4^-1 + 2*x4^-2 + x1^-1*x2^-1*x3^-1*x4"
+    " + 3*x1^-1*x2^-1*x3^-1 + 3*x1^-1*x2^-1*x3^-1*x4^-1 + x1^-1*x2^-1*x3^-1*x4^-2\n"
+)
+GOOD_PRIME_HOLE = pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+
+
+@pytest.mark.parametrize(
+    "k",
+    [
+        1,
+        pytest.param(614889782588491410, marks=GOOD_PRIME_HOLE, id="primorial_47"),
+        pytest.param(2, marks=GOOD_PRIME_HOLE),
+    ],
+)
+def test_d4_star_reduction_where_only_images_meet(capsys, tmp_path, k):
+    # over the D4 star 1 -> 4 <- 2, 3 -> 4 every k != 0 gives one module
+    # over Q, and every path keeps its rank mod every prime.  Mod a prime
+    # dividing k the images of c and a coincide, so the count is of
+    # another module: k = 2 fails to verify at 5, and k = 2*3*...*47
+    # verifies the other module's value at the good primes up to 47
+    alg = tmp_path / "d4_star.alg"
+    alg.write_text(
+        "[quiver]\nvertices: 1 2 3 4\narrow: a 1 4\narrow: b 2 4\narrow: c 3 4\n"
+    )
+    mod = tmp_path / "star.mod"
+    mod.write_text(
+        "[module]\ndims: 1 1 1 2\nmatrix a: [[1], [0]]\nmatrix b: [[0], [1]]\n"
+        "matrix c: [[1], [%d]]\n" % k
+    )
+    assert _run(capsys, "xvalue", alg, mod) == (0, D4_STAR_X, "")
+    assert _run(capsys, "grassmannian", alg, mod, "--dim", "1,0,1,1") == (
+        0, "degree bound = 1\ncounting polynomial: 0\nchi = 0\n", ""
+    )
+
+
 def test_algebra_check_refuses_a_relation_inhomogeneous_in_length(
     capsys, tmp_path
 ):

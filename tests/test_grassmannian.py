@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import product
 from math import comb, prod
@@ -15,13 +16,11 @@ from clusterchar.errors import (
 )
 from clusterchar.grassmannian import (
     CountingPolynomial,
+    _count_backtrack,
     _counted_classes,
     _fit_and_verify,
     _fixed_point_classes,
     _good_primes,
-    _interpolate,
-    count_all_subreps,
-    count_points,
     counting_polynomial,
     euler_char,
     gaussian_binomial,
@@ -38,6 +37,11 @@ ONE_VERTEX = "[quiver]\nvertices: 1\n"
 @pytest.fixture(scope="module")
 def point():
     return load_algebra(ONE_VERTEX)
+
+
+def _points(m, e, p):
+    """F_p-points of Gr_e(m), from a sweep over the one class e."""
+    return _count_backtrack(m, [(x,) for x in e], p).get(tuple(e), 0)
 
 
 # -- independent oracle over F_2: subspaces as addition-closed subsets -------
@@ -100,7 +104,7 @@ def test_brute_force_agreement_f2(a4_M, d4_M):
     )
     for m in (a4_M, d4_M, sum_mod):
         for e in product(*[range(d + 1) for d in m.dims]):
-            assert count_points(m, e, 2) == _brute_count_f2(m, e)
+            assert _points(m, e, 2) == _brute_count_f2(m, e)
 
 
 # -- worked instances ---------------------------------------------------------
@@ -108,8 +112,8 @@ def test_brute_force_agreement_f2(a4_M, d4_M):
 
 def test_single_vertex_counts(point):
     ksq = Representation(point, (2,))
-    assert count_points(ksq, (1,), 2) == 3
-    assert count_points(ksq, (1,), 3) == 4
+    assert _points(ksq, (1,), 2) == 3
+    assert _points(ksq, (1,), 3) == 4
     assert gaussian_binomial(2, 1, 2) == 3
     assert counting_polynomial(ksq, (1,)).coeffs == (1, 1)
     assert euler_char(ksq, (1,)) == 2
@@ -117,9 +121,9 @@ def test_single_vertex_counts(point):
 
 def test_a4_module_counts(a4_M):
     for p in (2, 3, 5):
-        assert count_points(a4_M, (0, 1, 0, 0), p) == 0
-    assert count_points(a4_M, (1, 0, 0, 0), 2) == 1
-    assert count_points(a4_M, (1, 0, 0, 0), 3) == 1
+        assert _points(a4_M, (0, 1, 0, 0), p) == 0
+    assert _points(a4_M, (1, 0, 0, 0), 2) == 1
+    assert _points(a4_M, (1, 0, 0, 0), 3) == 1
 
 
 def test_chi_of_empty_dimension_vector(a4_M):
@@ -163,9 +167,9 @@ def test_partition_check(a4_M, d4_M):
     # unconstrained enumeration of all subrepresentations
     for m in (a4_M, d4_M):
         for p in (2, 3):
-            table = count_all_subreps(m, p)
+            table = _count_backtrack(m, [range(d + 1) for d in m.dims], p)
             box = product(*[range(d + 1) for d in m.dims])
-            assert sum(count_points(m, e, p) for e in box) == sum(table.values())
+            assert sum(_points(m, e, p) for e in box) == sum(table.values())
 
 
 # these tree modules take the fixed-point route; _counted_classes pins
@@ -206,13 +210,6 @@ def test_duality(a4_M, d4_M):
             assert chi_m.get(tuple(e), 0) == chi_d.get(co_e, 0)
 
 
-def test_e_out_of_range(a4_M):
-    with pytest.raises(InputError):
-        count_points(a4_M, (2, 0, 0, 0), 2)
-    with pytest.raises(InputError):
-        count_points(a4_M, (0, 0, 0, 0, 0), 2)
-
-
 def test_counting_polynomial_checks_e_first(a4_M):
     # an entry above the module's dimension makes the degree bound negative
     with pytest.raises(InputError, match="out of range"):
@@ -222,31 +219,11 @@ def test_counting_polynomial_checks_e_first(a4_M):
 
 
 @pytest.mark.parametrize("e", [(0.9, 1.2), ("0", 1)], ids=["float", "str"])
-@pytest.mark.parametrize(
-    "fn", [lambda m, e: count_points(m, e, 5), counting_polynomial],
-    ids=["count_points", "counting_polynomial"],
-)
+@pytest.mark.parametrize("fn", [counting_polynomial], ids=["counting_polynomial"])
 def test_non_integer_dim_vector_rejected(fn, e):
     # no coercion: (0.9, 1.2) is not read as e = (0, 1)
     with pytest.raises(InputError, match="must be integers"):
         fn(interval_module(2, 1, 2), e)
-
-
-def test_non_prime_rejected(a4_M):
-    with pytest.raises(InputError):
-        count_points(a4_M, (1, 0, 0, 0), 4)
-
-
-@pytest.mark.parametrize("prime", [5.0, True], ids=["float", "bool"])
-@pytest.mark.parametrize(
-    "fn",
-    [lambda m, p: count_points(m, (0, 1), p)],
-    ids=["count_points"],
-)
-def test_non_int_prime_rejected(fn, prime):
-    # no coercion: 5.0 is not counted modulo a float, True is not 1
-    with pytest.raises(InputError, match="is not an int"):
-        fn(interval_module(2, 1, 2), prime)
 
 
 def test_budget_cap(monkeypatch):
@@ -256,7 +233,7 @@ def test_budget_cap(monkeypatch):
     monkeypatch.setattr(grassmannian, "DEFAULT_BUDGET", 100)
     big = Representation(linear_an_algebra(2), (6, 6), {"a1": identity(6)})
     with pytest.raises(ResourceLimitError):
-        count_points(big, (3, 3), 7)
+        _points(big, (3, 3), 7)
 
 
 def test_prime_pool_exhaustion(point):
@@ -295,18 +272,56 @@ def test_fit_rejects_fractional_coefficients():
         _fit_and_verify([(2, 1), (3, 2), (5, 7), (7, 14)], 2)
 
 
-@given(
-    st.lists(st.fractions(max_denominator=6), min_size=1, max_size=6),
-    st.sets(st.integers(-5, 40), min_size=6, max_size=6),
-)
+FIT_XS = st.lists(st.integers(2, 60), min_size=8, max_size=8, unique=True)
+
+
+@given(st.lists(st.integers(-9, 9), max_size=5), st.integers(0, 2), FIT_XS)
 @settings(max_examples=100, deadline=None)
-def test_interpolation_recovers_the_polynomial(coeffs, xs):
-    # rational coefficients, so values at integer points are fractions too
-    xs = sorted(xs)[: len(coeffs)]
-    points = [(x, sum(c * x**k for k, c in enumerate(coeffs))) for x in xs]
-    got = _interpolate(points)
-    assert got == coeffs
-    assert all(type(c) is Fraction for c in got)
+def test_interpolation_recovers_the_polynomial(coeffs, slack, xs):
+    # fitted at a degree bound at or above the true degree, the integer
+    # coefficients come back exactly, with trailing zeros trimmed
+    degree = max(len(coeffs) - 1, 0) + slack
+    points = [(x, sum(c * x**k for k, c in enumerate(coeffs))) for x in xs[: degree + 2]]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    assert _fit_and_verify(points, degree).coeffs == tuple(coeffs)
+
+
+@given(st.lists(st.integers(-9, 9), max_size=5), st.integers(1, 3), FIT_XS, st.data())
+@settings(max_examples=100, deadline=None)
+def test_fit_names_the_moved_verification_point(coeffs, extra, xs, data):
+    degree = max(len(coeffs) - 1, 0)
+    points = [(x, sum(c * x**k for k, c in enumerate(coeffs)))
+              for x in xs[: degree + 1 + extra]]
+    j = data.draw(st.integers(degree + 1, len(points) - 1))
+    shift = data.draw(st.integers(-5, 5).filter(bool))
+    x, y = points[j]
+    points[j] = (x, y + shift)
+    message = "count at verification prime %d is %d, fit predicts %d" % (x, y + shift, y)
+    with pytest.raises(NonPolynomialCountError, match="^%s$" % re.escape(message)):
+        _fit_and_verify(points, degree)
+
+
+@given(st.lists(st.integers(-9, 9), min_size=3, max_size=5), FIT_XS)
+@settings(max_examples=100, deadline=None)
+def test_fit_names_the_first_fractional_coefficient(binomial, xs):
+    # sum of a_k * C(q, k) is an integer at every prime, and its
+    # coefficients in q are rational once some a_k with k >= 2 is nonzero
+    coeffs = [Fraction(0)] * len(binomial)
+    basis = [Fraction(1)]  # C(q, k), ascending
+    for k, a in enumerate(binomial):
+        for i, c in enumerate(basis):
+            coeffs[i] += a * c
+        basis = [((basis[i - 1] if i else 0) - k * (basis[i] if i < len(basis) else 0))
+                 / (k + 1) for i in range(len(basis) + 1)]
+    first = next((c for c in coeffs if c.denominator != 1), None)
+    assume(first is not None)
+    degree = len(binomial) - 1
+    points = [(x, sum(a * comb(x, k) for k, a in enumerate(binomial)))
+              for x in xs[: degree + 2]]
+    message = "interpolated count has non-integer coefficient %s" % first
+    with pytest.raises(NonPolynomialCountError, match="^%s$" % re.escape(message)):
+        _fit_and_verify(points, degree)
 
 
 def test_counting_polynomial_rendering():

@@ -5,7 +5,7 @@ and the single-class fit against the whole-box fit.
 filters by arrow closure.  On hypothesis-generated small modules over
 the point, a loop, linear A3 and the shipped a4 and d4 algebras (whose
 oriented cycles exercise the membership checks) the two must produce
-identical `count_all_subreps` tables at p = 2 and 3.
+identical tables of every class's count at p = 2 and 3.
 """
 
 from itertools import product
@@ -21,10 +21,9 @@ from clusterchar.cli import run
 from clusterchar.errors import NonPolynomialCountError, ResourceLimitError
 from clusterchar.grassmannian import (
     _containing,
+    _count_backtrack,
     _counted_classes,
     _echelon,
-    count_all_subreps,
-    count_points,
     counting_polynomial,
     gaussian_binomial,
 )
@@ -63,7 +62,8 @@ def test_tables_match_reference(algebras, name, max_dim, p):
     @given(modules(algebras[name], max_dim))
     @settings(max_examples=40, deadline=None)
     def check(m):
-        assert count_all_subreps(m, p) == ref.count_all_subreps(m, p)
+        box = [range(d + 1) for d in m.dims]
+        assert _count_backtrack(m, box, p) == ref.count_all_subreps(m, p)
 
     check()
 
@@ -73,7 +73,8 @@ def test_loop_tables_match_reference(algebras, p):
     @given(loop_modules(algebras["loop"]))
     @settings(max_examples=30, deadline=None)
     def check(m):
-        assert count_all_subreps(m, p) == ref.count_all_subreps(m, p)
+        box = [range(d + 1) for d in m.dims]
+        assert _count_backtrack(m, box, p) == ref.count_all_subreps(m, p)
 
     check()
 
@@ -85,7 +86,7 @@ def test_unconstrained_vertex_is_one_node(algebras, monkeypatch):
     # no arrows: Gr_3(F_7^6) is a Gaussian binomial, not an enumeration
     monkeypatch.setattr(grassmannian, "DEFAULT_BUDGET", 1)
     big = Representation(algebras["point"], (6,))
-    assert count_points(big, (3,), 7) == gaussian_binomial(6, 3, 7)
+    assert _count_backtrack(big, [(3,)], 7) == {(3,): gaussian_binomial(6, 3, 7)}
 
 
 def test_budget_counts_nodes_visited(monkeypatch):
@@ -93,10 +94,10 @@ def test_budget_counts_nodes_visited(monkeypatch):
     # source are tried, and each forces U_2, a one-node weight: six nodes
     m = Representation(linear_an_algebra(2), (2, 2), {"a1": linalg.identity(2)})
     monkeypatch.setattr(grassmannian, "DEFAULT_BUDGET", 6)
-    assert count_points(m, (1, 1), 2) == 3
+    assert _count_backtrack(m, [(1,), (1,)], 2) == {(1, 1): 3}
     monkeypatch.setattr(grassmannian, "DEFAULT_BUDGET", 5)
     with pytest.raises(ResourceLimitError, match="over 5 nodes"):
-        count_points(m, (1, 1), 2)
+        _count_backtrack(m, [(1,), (1,)], 2)
 
 
 def test_small_budget_exits_3(capsys, data_dir, monkeypatch):
@@ -132,8 +133,8 @@ def test_xvalue_budget_exits_3(capsys, data_dir, tmp_path, monkeypatch):
     "name, max_dim", [("point", 4), ("a3", 3), ("a4", 2), ("d4", 2)]
 )
 def test_single_class_fits_agree_with_the_box(algebras, name, max_dim):
-    # counting_polynomial fits one class from count_points; _counted_classes
-    # fits the whole box from count_all_subreps at a superset of its primes
+    # counting_polynomial fits one class from its own sweeps; _counted_classes
+    # fits the whole box from sweeps over every class at a superset of its primes
     # (tree modules included, which submodule_classes answers by fixed points)
     @given(modules(algebras[name], max_dim))
     @settings(max_examples=40, deadline=None)
