@@ -11,7 +11,9 @@ The definitional form, whose exponents are <S_i,e>_a - <S_i,[module]>,
 differs from this value only in which of the two vectors it subtracts.
 Laurent polynomials form a domain, so while the sum is nonzero (its
 e = 0 term is 1) the two forms agree exactly when the routes do, and a
-disagreement raises instead of returning a wrong polynomial.
+disagreement raises instead of returning a wrong polynomial.  The form
+matrix is read off the arrows (`forms`), and each value checks its
+module's index, that is, that the form descends to K_0, or raises.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from operator import add
 
 from . import laurent
 from .errors import ConsistencyError, DimensionError
-from .forms import coindex, form_a_row
+from .forms import coindex, form_a_row, index
 from .grassmannian import submodule_classes
 from .laurent import LaurentPoly
 from .modules import Representation, direct_sum, zero_module
@@ -70,6 +72,7 @@ def cc_value(obj: CCObject) -> LaurentPoly:
 def _compute_value(obj: CCObject) -> LaurentPoly:
     m = obj.module_part
     a = m.algebra
+    index(m)  # its check is the descent check
     classes = submodule_classes(m)
     base = tuple(s - c for s, c in zip(obj.shift_multiplicities, coindex(m)))
     # exponent -> coefficient; distinct classes may share an exponent

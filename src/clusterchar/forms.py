@@ -4,9 +4,9 @@ Each is computed along two routes that read independent data and
 compared, so a convention bug upstream turns into a hard error here.
 The coindex [I0] - [I1] (reread through I_j -> P_j) must equal
 (<S_i, m>)_i, which reads the covers of the simples.  The form matrix
-is E - E^T, with row i of E the presentation [P0] - [P1] of S_i, checked
-against the copresentations of the simples read at i.  As the form
-descends to K_0 (Palu), the index [P0] - [P1] must equal
+is E - E^T with E = I - (arrows i -> j), as relations have length >= 2;
+row i of E is checked against the presentation [P0] - [P1] of S_i.  As
+the form descends to K_0 (Palu), the index [P0] - [P1] must equal
 coind(m) - (E - E^T) dim m.
 """
 
@@ -33,14 +33,14 @@ def antisym_form_matrix(a: AlgebraPresentation) -> FormMatrix:
 
 
 def _compute_form_matrix(a: AlgebraPresentation) -> FormMatrix:
-    """E - E^T; row i of E is the presentation of S_i, column j the copresentation of S_j."""
+    """E - E^T with E = I - (arrow counts), row i checked against the presentation of S_i."""
     n = a.quiver.n
-    simples = [simple(a, i) for i in range(n)]
-    copresented = [_difference(min_inj_copresentation(s)) for s in simples]
-    euler = [_agree("index of S_%s" % label,
-                    "presentation", _difference(min_proj_presentation(simples[i])),
-                    "copresentations", tuple(c[i] for c in copresented))
-             for i, label in enumerate(a.quiver.vertices)]
+    euler = [[int(i == j) for j in range(n)] for i in range(n)]
+    for arrow in a.quiver.arrows:
+        euler[arrow.source][arrow.target] -= 1
+    for i, label in enumerate(a.quiver.vertices):
+        _agree("index of S_%s" % label, "presentation",
+               _difference(min_proj_presentation(simple(a, i))), "arrows", tuple(euler[i]))
     return tuple(tuple(euler[i][j] - euler[j][i] for j in range(n)) for i in range(n))
 
 
@@ -75,7 +75,8 @@ def index(m: Representation) -> K0ProjClass:
 
 def coindex(m: Representation) -> K0ProjClass:
     """Coindex of m: [I0] - [I1] reread through I_j -> P_j, checked
-    against (<S_i, m>)_i."""
+    against (<S_i, m>)_i; cached on the algebra by the module's data."""
     a = m.algebra
-    return _agree("coindex", "copresentation", _difference(min_inj_copresentation(m)),
-                  "simples", tuple(euler_form(simple(a, i), m) for i in range(a.quiver.n)))
+    return a.cached(("coindex", m.fingerprint()), lambda: _agree(
+        "coindex", "copresentation", _difference(min_inj_copresentation(m)),
+        "simples", tuple(euler_form(simple(a, i), m) for i in range(a.quiver.n))))

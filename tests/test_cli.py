@@ -192,10 +192,8 @@ def test_index_d4(capsys, data_dir):
     assert "coind = -[P_0] + [P_1] + [P_2]" in out
 
 
-def test_index_refused_where_the_form_does_not_descend(capsys, tmp_path):
-    # linear A3 with b.a = 0 has global dimension 2, so it is no
-    # cluster-tilted algebra: ind(P_1) = [P_1], but coind - (E - E^T) dim
-    # gives [P_1] - [P_3]
+def _a3_with_zero_composite(tmp_path):
+    """Linear A3 with b.a = 0, and P_1 over it."""
     alg = tmp_path / "a3_ba.alg"
     alg.write_text(
         "[quiver]\nvertices: 1 2 3\narrow: a 1 2\narrow: b 2 3\n"
@@ -203,6 +201,14 @@ def test_index_refused_where_the_form_does_not_descend(capsys, tmp_path):
     )
     mod = tmp_path / "p1.mod"
     mod.write_text("[module]\ndims: 1 1 0\nmatrix a: [[1]]\n")
+    return alg, mod
+
+
+def test_index_refused_where_the_form_does_not_descend(capsys, tmp_path):
+    # linear A3 with b.a = 0 has global dimension 2, so it is no
+    # cluster-tilted algebra: ind(P_1) = [P_1], but coind - (E - E^T) dim
+    # gives [P_1] - [P_3]
+    alg, mod = _a3_with_zero_composite(tmp_path)
     code, out, err = _run(capsys, "index", alg, mod)
     assert code == 3
     assert out == ""
@@ -210,6 +216,16 @@ def test_index_refused_where_the_form_does_not_descend(capsys, tmp_path):
     code, out, _ = _run(capsys, "form-matrix", alg)
     assert code == 0
     assert out == "0 -1 0\n1 0 -1\n0 1 0\n"
+
+
+def test_character_refused_where_the_form_does_not_descend(capsys, tmp_path):
+    # each value checks the index of its module, so xvalue refuses what
+    # index refuses instead of printing (x1 + x2*x3 + x3) / (x1*x2)
+    alg, mod = _a3_with_zero_composite(tmp_path)
+    code, out, err = _run(capsys, "xvalue", alg, mod)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: index mismatch: ")
 
 
 def test_form_matrix_output(capsys, data_dir):

@@ -1,9 +1,9 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from clusterchar import forms, modules
-from clusterchar.errors import ConsistencyError
+from clusterchar import cli, forms, modules
+from clusterchar.errors import AlgebraBuildError, ConsistencyError
 from clusterchar.forms import (
     antisym_form_matrix,
     coindex,
@@ -22,7 +22,13 @@ from clusterchar.modules import (
     zero_module,
 )
 from clusterchar.polygon import interval_ses, interval_module, linear_an_algebra
-from clusterchar.quiver import load_algebra, load_algebra_file
+from clusterchar.quiver import (
+    AlgebraPresentation,
+    build_algebra,
+    load_algebra,
+    load_algebra_file,
+)
+from test_quiver import presentations
 
 A4_FORM_MATRIX = (
     (0, 1, 0, 0),
@@ -68,25 +74,33 @@ def test_corrupt_presentation_entry_is_caught(data_dir, monkeypatch, i, j):
         antisym_form_matrix(algebra)
 
 
-def test_equal_fault_in_both_presentations_is_caught(data_dir, monkeypatch):
-    # one more P_3 and one more I_3 for S_2 cancel in [P0] - [P1] - [I0] + [I1],
-    # so only checking each route on its own catches them
-    s2 = (0, 1, 0, 0)
-    real_proj, real_inj = forms.min_proj_presentation, forms.min_inj_copresentation
+def test_form_matrix_reads_no_copresentation(data_dir, monkeypatch):
+    # the arrows are the second route: no dual, no opposite algebra
+    def refuse(*args):
+        raise AssertionError("copresentation read for the form matrix")
 
-    def add_third(presentation):
-        def corrupted(m):
-            top, second = presentation(m)
-            if m.dims == s2:
-                top = tuple(x + (k == 2) for k, x in enumerate(top))
-            return top, second
-        return corrupted
-
-    monkeypatch.setattr(forms, "min_proj_presentation", add_third(real_proj))
-    monkeypatch.setattr(forms, "min_inj_copresentation", add_third(real_inj))
+    monkeypatch.setattr(forms, "min_inj_copresentation", refuse)
+    monkeypatch.setattr(AlgebraPresentation, "opposite", refuse)
     algebra = load_algebra((data_dir / "a4.alg").read_text())
-    with pytest.raises(ConsistencyError, match=r"^index of S_2 mismatch: "):
-        antisym_form_matrix(algebra)
+    assert antisym_form_matrix(algebra) == A4_FORM_MATRIX
+
+
+def test_coindex_is_computed_once_per_module(capsys, data_dir, monkeypatch):
+    # `index` reads the coindex, and the CLI prints it as well: the Euler
+    # forms against the simples are solved once
+    calls = []
+    real = forms.euler_form
+
+    def counted(m, n):
+        if m.total_dim() == 1:
+            calls.append(m.dims)
+        return real(m, n)
+
+    monkeypatch.setattr(forms, "euler_form", counted)
+    code = cli.run(["index", str(data_dir / "a4.alg"), str(data_dir / "a4_M.mod")])
+    capsys.readouterr()
+    assert code == 0
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize(
@@ -96,11 +110,12 @@ def test_equal_fault_in_both_presentations_is_caught(data_dir, monkeypatch):
 def test_corrupt_cover_is_caught(data_dir, monkeypatch, alg_name, mod_name):
     # one cover multiplicity moved to the next vertex in a syzygy.  Moved in
     # every syzygy, the fault shows in the coindex, whose second route reads
-    # the covers of the simples.  Moved only in the syzygies of the
-    # non-simple modules over the algebra itself, it spares the simples and
-    # the opposite algebra, so the coindex and the form matrix still hold;
-    # the index must catch it, as its second route coind(m) - (E - E^T) dim m
-    # reads no cover of m
+    # the covers of the simples, and in the form matrix, whose rows from the
+    # presentations of the simples are checked against the arrows.  Moved
+    # only in the syzygies of the non-simple modules over the algebra
+    # itself, it spares the simples and the opposite algebra, so the
+    # coindex and the form matrix still hold; the index must catch it, as
+    # its second route coind(m) - (E - E^T) dim m reads no cover of m
     real = modules._compute_syzygy
 
     def load():
@@ -156,6 +171,18 @@ def test_hereditary_form_is_arrow_count_antisymmetrization():
         assert antisym_form_matrix(alg) == _arrow_count_antisym(alg)
 
 
+@given(presentations(max_vertices=3, max_arrows=4, max_len=3))
+@settings(max_examples=60, deadline=None)
+def test_form_matrix_is_arrow_count_antisymmetrization(presentation):
+    # loops, 2-cycles and parallel arrows included: every relation has
+    # length >= 2, so each simple's presentation agrees with the arrows
+    try:
+        alg = build_algebra(*presentation)
+    except AlgebraBuildError:
+        assume(False)
+    assert antisym_form_matrix(alg) == _arrow_count_antisym(alg)
+
+
 def test_cluster_tilted_instances_match_arrow_counts(a4, d4):
     # holds for the shipped cluster-tilted instances; checked per instance
     assert antisym_form_matrix(a4) == _arrow_count_antisym(a4)
@@ -192,7 +219,7 @@ def test_one_hom_solve_per_euler_form(data_dir, monkeypatch):
 
 
 def test_form_matrix_solves_no_hom(data_dir, monkeypatch):
-    # the form matrix reads the presentations and copresentations only
+    # the form matrix reads the arrows and the presentations of the simples only
     def no_hom(m, n):
         raise AssertionError("Hom solved for the form matrix")
 
