@@ -143,8 +143,8 @@ def variable(var_count: int, i: int) -> LaurentPoly:
     return monomial(var_count, exps)
 
 
-def monomial(var_count: int, exps: ExponentVector, coeff: int = 1) -> LaurentPoly:
-    return from_dict(var_count, {tuple(exps): coeff})
+def monomial(var_count: int, exps: ExponentVector) -> LaurentPoly:
+    return from_dict(var_count, {tuple(exps): 1})
 
 
 def laurent_divexact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:

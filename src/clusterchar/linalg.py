@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import DimensionError
 
@@ -85,14 +86,15 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise DimensionError("shape mismatch in product: %dx%d by %dx%d"
                              % (a.rows, a.cols, b.rows, b.cols))
+    if not (a.rows and b.cols):  # empty, as most products in a character pass are
+        return Matrix(a.rows, b.cols, ())
+    cols = [b.entries[j::b.cols] for j in range(b.cols)]
     out = []
     for i in range(a.rows):
         ra = a.row(i)
-        for j in range(b.cols):
-            s = 0
-            for k in range(a.cols):
-                s += ra[k] * b.entry(k, j)
-            out.append(normalize(s))
+        for col in cols:
+            s = sum(map(mul, ra, col))
+            out.append(s if type(s) is int else normalize(s))
     return Matrix(a.rows, b.cols, tuple(out))
 
 

@@ -73,12 +73,6 @@ class Representation:
             if any(acc.values()):
                 raise InputError("module does not satisfy the algebra relations")
 
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
-    def is_zero(self) -> bool:
-        return self.total_dim() == 0
-
     def fingerprint(self):
         """Hashable identity of the underlying data (same-algebra scope)."""
         mats = tuple(

@@ -6,9 +6,9 @@ generated by the relations.  Every relation is homogeneous in (source,
 target, length), so the ideal is graded by length and the basis is found
 one length at a time; the first length contributing nothing to the
 quotient is the nilpotency bound, and a growth cap turns an algebra that
-is not finite-dimensional into a loud error.  The reduction runs once
-per algebra; the opposite presentation reverses its paths, relations and
-reduction table instead of reducing again.
+is not finite-dimensional into a loud error.  Every algebra, the
+opposite presentation included, reduces its own relations; the opposite's
+graded basis counts must mirror the algebra's.
 
 Paths store their arrows in application order: ``Path(v, (a, b))`` starts
 at vertex ``v``, applies arrow ``a`` first, then ``b``.  The textual
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import AlgebraBuildError, InputError
+from .errors import AlgebraBuildError, ConsistencyError, InputError
 
 DEFAULT_BASIS_CAP = 64
 _RAW_PATH_CAP = 20000
@@ -214,25 +214,24 @@ def _reduce_paths(q: Quiver, relations: tuple[Relation, ...]):
 
 class AlgebraPresentation:
     """A quiver algebra with relations and its path basis: the paths that
-    ``reduce_table`` (every path of length <= ``nilpotency_bound`` to its
-    class) maps to themselves.  Every relation must reduce to 0.
+    the reduction table (every path of length <= ``nilpotency_bound`` to
+    its class) maps to themselves.  Every relation must reduce to 0.
 
     ``paths_from[i][j]`` lists the basis paths i -> j in basis order.
     Immutable after construction; data derived from it is cached through
     `cached`, the one place that writes ``_memo``.
     """
 
-    def __init__(self, quiver: Quiver, relations: tuple[Relation, ...],
-                 nilpotency_bound: int, reduce_table: dict[Path, dict]):
+    def __init__(self, quiver: Quiver, relations: tuple[Relation, ...]):
         self.quiver = quiver
         self.relations = relations
-        self.nilpotency_bound = nilpotency_bound
-        self._reduce_table = reduce_table
+        self.nilpotency_bound, self._reduce_table = _reduce_paths(quiver, relations)
         self._memo: dict = {}
         basis = sorted(
-            (p for p, row in reduce_table.items() if row == {p: 1}), key=path_sort_key
+            (p for p, row in self._reduce_table.items() if row == {p: 1}),
+            key=path_sort_key,
         )
-        if any(len(p.arrows) >= nilpotency_bound for p in basis):
+        if any(len(p.arrows) >= self.nilpotency_bound for p in basis):
             raise AlgebraBuildError("basis path at or above the nilpotency bound")
         self.basis = tuple(basis)
         paths_from = [[[] for _ in range(quiver.n)] for _ in range(quiver.n)]
@@ -276,27 +275,21 @@ class AlgebraPresentation:
         return self._memo[key]
 
     def opposite(self) -> "AlgebraPresentation":
-        """The opposite presentation; an involution on instances.  Paths,
-        relations and the reduction table are reversed (an anti-isomorphism
-        of path algebras), and the reversed relations must vanish."""
+        """The opposite presentation, reduced on its own; an involution on
+        instances.  Its basis must have as many paths j -> i of each length
+        as this one has i -> j, and the same nilpotency bound."""
         return self.cached("op", self._reversed)
 
     def _reversed(self) -> "AlgebraPresentation":
         q = self.quiver
-
-        def rev(p: Path) -> Path:
-            return Path(path_target(q, p), p.arrows[::-1])
-
-        op_rels = tuple(
-            tuple((coeff, rev(p)) for coeff, p in rel) for rel in self.relations
-        )
-        op_table = {
-            rev(p): {rev(b): c for b, c in row.items()}
-            for p, row in self._reduce_table.items()
-        }
-        op = AlgebraPresentation(
-            q.opposite(), op_rels, self.nilpotency_bound, op_table
-        )
+        op = AlgebraPresentation(q.opposite(), tuple(
+            tuple((c, Path(path_target(q, p), p.arrows[::-1])) for c, p in rel)
+            for rel in self.relations
+        ))
+        graded = sorted((p.source, path_target(q, p), len(p)) for p in self.basis)
+        mirrored = sorted((path_target(op.quiver, p), p.source, len(p)) for p in op.basis)
+        if (op.nilpotency_bound, mirrored) != (self.nilpotency_bound, graded):
+            raise ConsistencyError("the opposite's basis does not mirror the algebra's")
         op.cached("op", lambda: self)
         return op
 
@@ -309,7 +302,7 @@ class AlgebraPresentation:
 
 
 def build_algebra(quiver: Quiver, relations: tuple[Relation, ...]) -> AlgebraPresentation:
-    return AlgebraPresentation(quiver, relations, *_reduce_paths(quiver, relations))
+    return AlgebraPresentation(quiver, relations)
 
 
 def same_algebra(a: AlgebraPresentation, b: AlgebraPresentation) -> bool:

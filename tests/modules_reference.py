@@ -126,11 +126,11 @@ def compute_syzygy(m) -> ReferenceSyzygy:
 def ext1_dim(m, n) -> int:
     """dim Ext^1(m, n) = dim coker( Hom(P0, n) -> Hom(Omega m, n) )."""
     _require_same_algebra(m, n)
-    if m.is_zero() or n.is_zero():
+    if not (any(m.dims) and any(n.dims)):
         return 0
     syz = compute_syzygy(m)
     omega = syz.kernel
-    if omega.is_zero():
+    if not any(omega.dims):
         return 0
     dim_hom_omega = hom_dim(omega, n)
     restricted: list[list] = []

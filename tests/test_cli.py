@@ -110,16 +110,16 @@ D4_STAR_X = (
     " + 3*x1^-1*x2^-1*x3^-1 + 3*x1^-1*x2^-1*x3^-1*x4^-1 + x1^-1*x2^-1*x3^-1*x4^-2\n"
 )
 GOOD_PRIME_HOLE = pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+# k = 1 pins the value over Q; the product of the primes up to 47 and 2
+# reduce to another module mod some good prime
+GOOD_PRIME_CASES = [
+    1,
+    pytest.param(614889782588491410, marks=GOOD_PRIME_HOLE, id="primorial_47"),
+    pytest.param(2, marks=GOOD_PRIME_HOLE),
+]
 
 
-@pytest.mark.parametrize(
-    "k",
-    [
-        1,
-        pytest.param(614889782588491410, marks=GOOD_PRIME_HOLE, id="primorial_47"),
-        pytest.param(2, marks=GOOD_PRIME_HOLE),
-    ],
-)
+@pytest.mark.parametrize("k", GOOD_PRIME_CASES)
 def test_d4_star_reduction_where_only_images_meet(capsys, tmp_path, k):
     # over the D4 star 1 -> 4 <- 2, 3 -> 4 every k != 0 gives one module
     # over Q, and every path keeps its rank mod every prime.  Mod a prime
@@ -138,6 +138,32 @@ def test_d4_star_reduction_where_only_images_meet(capsys, tmp_path, k):
     assert _run(capsys, "xvalue", alg, mod) == (0, D4_STAR_X, "")
     assert _run(capsys, "grassmannian", alg, mod, "--dim", "1,0,1,1") == (
         0, "degree bound = 1\ncounting polynomial: 0\nchi = 0\n", ""
+    )
+
+
+KRONECKER_X_DELTA_SQUARED = (
+    "X = (x1^4 + 2*x1^2*x2^2 + 2*x1^2 + x2^4 + 2*x2^2 + 1) / (x1^2*x2^2)\n"
+    "laurent: x1^2*x2^-2 + 2 + 2*x2^-2 + x1^-2*x2^2 + 2*x1^-2 + x1^-2*x2^-2\n"
+)
+
+
+@pytest.mark.parametrize("k", GOOD_PRIME_CASES)
+def test_kronecker_sum_of_two_regular_simples(capsys, tmp_path, k):
+    # a = 1 and b = [[0, 1], [0, k]] give R_0 + R_k over the Kronecker
+    # quiver, not rigid.  Every arrow keeps its rank mod every prime and
+    # dim End is 2 on both sides, yet mod a prime dividing k the module is
+    # the self-extension R_0[2]: k = 2*3*...*47 prints its counts (constant
+    # term 1, chi = 1), and k = 2 fails to interpolate
+    alg = tmp_path / "kronecker.alg"
+    alg.write_text("[quiver]\nvertices: 1 2\narrow: a 1 2\narrow: b 1 2\n")
+    mod = tmp_path / "r0_rk.mod"
+    mod.write_text(
+        "[module]\ndims: 2 2\nmatrix a: [[1, 0], [0, 1]]\n"
+        "matrix b: [[0, 1], [0, %d]]\n" % k
+    )
+    assert _run(capsys, "xvalue", alg, mod) == (0, KRONECKER_X_DELTA_SQUARED, "")
+    assert _run(capsys, "grassmannian", alg, mod, "--dim", "1,1") == (
+        0, "degree bound = 2\ncounting polynomial: 2\nchi = 2\n", ""
     )
 
 

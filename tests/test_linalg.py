@@ -92,6 +92,29 @@ def test_row_reduce_matches_reference(case, limit):
     assert _typed(got[0]) == _typed(want[0])
 
 
+@st.composite
+def products(draw):
+    # zero rows, zero inner size and zero columns included
+    n, k, m = (draw(st.integers(0, 3)) for _ in range(3))
+    a = [[draw(scalars) for _ in range(k)] for _ in range(n)]
+    b = [[draw(scalars) for _ in range(m)] for _ in range(k)]
+    return matrix(a, rows=n, cols=k), matrix(b, rows=k, cols=m)
+
+
+@given(products())
+@settings(max_examples=150, deadline=None)
+def test_mat_mul_matches_the_definition(ab):
+    a, b = ab
+    want = matrix(
+        [[sum(a.entry(i, k) * b.entry(k, j) for k in range(a.cols))
+          for j in range(b.cols)] for i in range(a.rows)],
+        rows=a.rows, cols=b.cols,
+    )
+    got = linalg.mat_mul(a, b)
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert [(type(x), x) for x in got.entries] == [(type(x), x) for x in want.entries]
+
+
 @given(st.integers(-12, 12), st.integers(-12, 12).filter(bool))
 def test_div_is_exact(a, b):
     q = linalg.div(a, b)

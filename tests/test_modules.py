@@ -101,13 +101,13 @@ def test_syzygy_of_projective_has_zero_kernel(a4):
     for i in range(4):
         syz = syzygy(projective(a4, i))
         assert syz.cover_mults == tuple(1 if j == i else 0 for j in range(4))
-        assert syz.kernel.is_zero()
+        assert not any(syz.kernel.dims)
 
 
 def test_syzygy_of_zero(a4):
     syz = syzygy(zero_module(a4))
     assert syz.cover_mults == (0, 0, 0, 0)
-    assert syz.kernel.is_zero()
+    assert not any(syz.kernel.dims)
 
 
 def _cover_dims(m, syz):

@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quiver_reference
-from clusterchar import cli, linalg, quiver
-from clusterchar.errors import AlgebraBuildError, InputError
+from clusterchar import cli, quiver
+from clusterchar.errors import AlgebraBuildError, ConsistencyError, InputError
 from clusterchar.modules import hom_dim, projective, simple
 from clusterchar.quiver import (
     AlgebraPresentation,
@@ -13,7 +13,6 @@ from clusterchar.quiver import (
     load_algebra,
     load_algebra_file,
     make_quiver,
-    path_sort_key,
     path_target,
     same_algebra,
 )
@@ -22,7 +21,7 @@ ONE_VERTEX = "[quiver]\nvertices: v\n"
 LOOP_CUBE = "[quiver]\nvertices: 1\narrow: x 1 1\n[relations]\nrel: x.x.x\n"
 # arrows declared so that the two sides of the square sort one way and
 # their reversals the other: the opposite keeps the other side as basis
-# path than a fresh reduction of the opposite would
+# path, so only the graded counts of the two bases mirror, not the paths
 FLIPPED_SQUARE = (
     "[quiver]\nvertices: 1 2 3 4\n"
     "arrow: a 1 2\narrow: a2 1 3\narrow: c 3 4\narrow: b 2 4\n"
@@ -57,9 +56,7 @@ def test_d4_loads(d4):
 
 def test_dim_b_is_sum_of_projective_dims(a4, d4):
     for alg in (a4, d4):
-        total = sum(
-            projective(alg, i).total_dim() for i in range(alg.quiver.n)
-        )
+        total = sum(sum(projective(alg, i).dims) for i in range(alg.quiver.n))
         assert alg.dim() == total
 
 
@@ -96,57 +93,41 @@ def test_paths_from_groups_the_basis(data_dir, name):
                 )
 
 
-def _ideal_blocks(alg):
-    """Per (source, target) block: the paths of length <= the nilpotency
-    bound, and the vectors p - reduce(p) spanning the ideal there."""
-    blocks: dict = {}
-    for p in alg._reduce_table:
-        blocks.setdefault((p.source, path_target(alg.quiver, p)), []).append(p)
-    out = {}
-    for key, paths in blocks.items():
-        paths.sort(key=path_sort_key)
-        rows = []
-        for p in paths:
-            vec = {p: 1}
-            for b, c in alg.reduce_path(p).items():
-                vec[b] = vec.get(b, 0) - c
-            rows.append([vec.get(x, 0) for x in paths])
-        out[key] = (paths, rows)
-    return out
-
-
-def _rank(rows, width):
-    return linalg.rank(linalg.matrix(rows, rows=len(rows), cols=width))
-
-
 @pytest.mark.parametrize(
     "name", ["a4", "d4", "an2", "an3", "an4", "an5", "loop", "flipped_square"]
 )
 def test_derived_opposite_matches_a_fresh_build(data_dir, name):
     alg = _load(data_dir, name)
+    q = alg.quiver
+    reversed_relations = tuple(
+        tuple((c, Path(path_target(q, p), p.arrows[::-1])) for c, p in rel)
+        for rel in alg.relations
+    )
+    fresh = build_algebra(q.opposite(), reversed_relations)
     op = alg.opposite()
-    fresh = build_algebra(op.quiver, op.relations)
-    assert op.quiver == fresh.quiver and op.relations == fresh.relations
-    assert op.nilpotency_bound == fresh.nilpotency_bound
-    assert op.dim() == fresh.dim() == alg.dim()
-    derived, rebuilt = _ideal_blocks(op), _ideal_blocks(fresh)
-    assert derived.keys() == rebuilt.keys()
-    for key, (paths, rows) in derived.items():
-        assert rebuilt[key][0] == paths
-        # the same ideal span, whichever basis paths each side kept
-        width = len(paths)
-        assert _rank(rows, width) == _rank(rebuilt[key][1], width)
-        assert _rank(rows, width) == _rank(rows + rebuilt[key][1], width)
-    if name == "flipped_square":
-        assert op.basis != fresh.basis
+    assert op.opposite() is alg
+    assert (op.quiver, op.relations) == (fresh.quiver, fresh.relations)
+    assert op.nilpotency_bound == fresh.nilpotency_bound == alg.nilpotency_bound
+    assert op.basis == fresh.basis and op._reduce_table == fresh._reduce_table
 
 
-def test_opposite_checks_the_reversed_relations(data_dir):
-    alg = load_algebra_file(data_dir / "a4.alg")
-    (_, p), = alg.relations[0]
-    alg._reduce_table[p] = {p: 1}
-    with pytest.raises(AlgebraBuildError, match="does not vanish"):
-        alg.opposite()
+def test_opposite_checks_that_the_bases_mirror(data_dir, monkeypatch):
+    # the opposite's reduction loses one basis path of top length
+    real, calls = quiver._reduce_paths, []
+
+    def drop_a_top_path(q, rels):
+        bound, table = real(q, rels)
+        calls.append(q)
+        if len(calls) == 2:
+            top = next(p for p, row in table.items()
+                       if row == {p: 1} and len(p) == bound - 1)
+            table[top] = {}
+        return bound, table
+
+    monkeypatch.setattr(quiver, "_reduce_paths", drop_a_top_path)
+    a4 = load_algebra_file(data_dir / "a4.alg")
+    with pytest.raises(ConsistencyError, match="does not mirror"):
+        a4.opposite()
 
 
 def test_one_reduction_per_loaded_algebra(capsys, data_dir, monkeypatch):
@@ -161,7 +142,8 @@ def test_one_reduction_per_loaded_algebra(capsys, data_dir, monkeypatch):
     code = cli.run(["xvalue", str(data_dir / "a4.alg"), str(data_dir / "a4_M.mod")])
     assert code == 0
     assert "X = " in capsys.readouterr().out
-    assert len(calls) == 1
+    # the algebra and its opposite
+    assert len(calls) == 2
 
 
 def test_double_dual_fingerprints(a4, a4_M):
@@ -334,8 +316,9 @@ def _check_against_reference(q, rels):
     got = _climb(quiver._reduce_paths, q, rels)
     assert got == _climb(quiver_reference._reduce_paths, q, rels)
     if isinstance(got, tuple):
-        op = AlgebraPresentation(q, rels, *quiver._reduce_paths(q, rels)).opposite()
-        assert _climb(quiver._reduce_paths, op.quiver, op.relations) == _climb(
+        op = AlgebraPresentation(q, rels).opposite()
+        assert _climb(lambda *_: (op.nilpotency_bound, op._reduce_table),
+                      op.quiver, op.relations) == _climb(
             quiver_reference._reduce_paths, op.quiver, op.relations
         )
 
