@@ -86,16 +86,16 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise DimensionError("shape mismatch in product: %dx%d by %dx%d"
                              % (a.rows, a.cols, b.rows, b.cols))
-    if not (a.rows and b.cols):  # empty, as most products in a character pass are
-        return Matrix(a.rows, b.cols, ())
-    cols = [b.entries[j::b.cols] for j in range(b.cols)]
+    n = b.cols
+    cols = []  # a loop, not a comprehension: cheaper for the tiny shapes of most calls
+    for j in range(n):
+        cols.append(b.entries[j::n])
     out = []
     for i in range(a.rows):
         ra = a.row(i)
         for col in cols:
-            s = sum(map(mul, ra, col))
-            out.append(s if type(s) is int else normalize(s))
-    return Matrix(a.rows, b.cols, tuple(out))
+            out.append(normalize(sum(map(mul, ra, col))))
+    return Matrix(a.rows, n, tuple(out))
 
 
 def transpose(a: Matrix) -> Matrix:

@@ -130,6 +130,29 @@ def test_opposite_checks_that_the_bases_mirror(data_dir, monkeypatch):
         a4.opposite()
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("relation", "relation does not vanish in the basis"),
+    ("too_long", "basis path at or above the nilpotency bound"),
+], ids=["relation", "too_long"])
+def test_constructor_checks_its_reduction(data_dir, monkeypatch, fault, message):
+    # the reduction keeps as basis path one it should not: a path of a
+    # relation, or a path as long as the nilpotency bound
+    real = quiver._reduce_paths
+
+    def keep_a_path(q, rels):
+        bound, table = real(q, rels)
+        if fault == "relation":
+            kept = rels[0][0][1]
+        else:
+            kept = next(p for p in table if len(p) == bound)
+        table[kept] = {kept: 1}
+        return bound, table
+
+    monkeypatch.setattr(quiver, "_reduce_paths", keep_a_path)
+    with pytest.raises(AlgebraBuildError, match=message):
+        load_algebra_file(data_dir / "a4.alg")
+
+
 def test_one_reduction_per_loaded_algebra(capsys, data_dir, monkeypatch):
     calls = []
     real = quiver._reduce_paths
