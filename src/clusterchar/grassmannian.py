@@ -26,10 +26,12 @@ and its value at 1 stands in for the Euler characteristic.  The
 substitution is exact whenever the count is polynomial in q; a reserved
 verification prime (and an integrality check on the fitted
 coefficients) turns any violation of that assumption into an error
-instead of a wrong answer.  The primes are the smallest at which every
-basis path keeps its rank (`_good_primes`).  `_fit_classes` runs this
-sequence for one class and for the whole dimension box alike; it is the
-one way into the sweep.
+instead of a wrong answer.  Each class is fitted at its fibre bound, the
+degree the sweep's own choices allow once the arrows' nullities are
+taken into account, which is at most the ambient `degree_bound`.  The
+primes are the smallest at which every basis path keeps its rank
+(`_good_primes`).  `_fit_classes` runs this sequence for one class and
+for the whole dimension box alike; it is the one way into the sweep.
 """
 
 from __future__ import annotations
@@ -293,31 +295,40 @@ class CountingPolynomial:
         )
 
 
-def _fit_and_verify(points: list[tuple[int, int]], degree: int) -> CountingPolynomial:
-    """Fit through the first degree+1 points, verify against the rest
-    (at least one: `_fit_classes` gets bound + 2 primes, and no class's
-    degree exceeds its bound).  The coefficients, ascending, are the last
-    column of the reduced Vandermonde system [x^0 ... x^degree | y]."""
+def _fit_and_verify(xs, columns, degree: int):
+    """Fit each column of counts at the points xs by a polynomial of the
+    given degree, yielding the polynomials column by column.
+
+    One elimination of [x^0 ... x^degree | y_1 ... y_k] through the first
+    degree+1 points fits every column; the ascending coefficients of
+    column j are the reduced system's column degree+1+j.  Each column is
+    checked when its polynomial is asked for: its coefficients must be
+    integers, and it must match the counts at the remaining points (at
+    least one: `_fit_classes` takes the largest fibre bound + 2 primes).
+    So a caller reading columns in order meets the first failure first.
+    """
     rows, _ = row_reduce(
-        [[x**k for k in range(degree + 1)] + [y] for x, y in points[: degree + 1]],
+        [[x**k for k in range(degree + 1)] + [ys[i] for ys in columns]
+         for i, x in enumerate(xs[: degree + 1])],
         degree + 1,
     )
-    coeffs = [row[-1] for row in rows]
-    for c in coeffs:
-        if type(c) is not int:
-            raise NonPolynomialCountError(
-                "interpolated count has non-integer coefficient %s" % c
-            )
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    poly = CountingPolynomial(tuple(coeffs))
-    for x, y in points[degree + 1 :]:
-        if poly.evaluate(x) != y:
-            raise NonPolynomialCountError(
-                "count at verification prime %d is %d, fit predicts %d"
-                % (x, y, poly.evaluate(x))
-            )
-    return poly
+    for j, ys in enumerate(columns):
+        coeffs = [row[degree + 1 + j] for row in rows]
+        for c in coeffs:
+            if type(c) is not int:
+                raise NonPolynomialCountError(
+                    "interpolated count has non-integer coefficient %s" % c
+                )
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        poly = CountingPolynomial(tuple(coeffs))
+        for x, y in zip(xs[degree + 1 :], ys[degree + 1 :]):
+            if poly.evaluate(x) != y:
+                raise NonPolynomialCountError(
+                    "count at verification prime %d is %d, fit predicts %d"
+                    % (x, y, poly.evaluate(x))
+                )
+        yield poly
 
 
 def _good_primes(m: Representation, needed: int) -> tuple:
@@ -349,6 +360,9 @@ def _good_primes(m: Representation, needed: int) -> tuple:
 
 
 def degree_bound(m: Representation, e: DimVector) -> int:
+    """The dimension of the product of the ordinary Grassmannians Gr(e_v,
+    d_v): the ambient bound that `grassmannian` prints.  The fit itself
+    uses the sharper fibre bound of `_fit_classes`."""
     return sum(x * (d - x) for x, d in zip(e, m.dims))
 
 
@@ -356,19 +370,41 @@ def _fit_classes(m: Representation, allowed) -> dict:
     """Counting polynomials of Gr_e(m), by e, for the classes e with e[v]
     in ``allowed[v]`` that have a point at some prime.
 
-    The primes suffice for the largest degree bound among those classes
-    and keep the rank of every path (`_good_primes`).  Each class that
-    occurs at some prime is fitted at its own degree bound, counting 0
-    at the primes where it has no point.
+    The sweep tries at v only subspaces containing the image W_v of the
+    subspaces already chosen, and an arrow a: s -> v with s < v maps an
+    e_s-dimensional U_s onto at least e_s - nullity(a) dimensions, so
+    dim W_v >= r_v, the largest such difference (at least 0).  The
+    e_v-dimensional subspaces containing W_v number at most a constant
+    times p^((e_v - r_v)(d_v - e_v)), and the checks only remove points,
+    so a polynomial count has degree at most the fibre bound T(e), the
+    sum of those exponents (at most `degree_bound`).  The nullities are
+    taken over Q; every arrow is a basis path, whose rank a good prime
+    keeps (`_good_primes`).  The primes suffice for the largest T(e)
+    among the classes asked about.  Each class that occurs at some prime
+    is fitted at its own T(e), counting 0 at the primes where it has no
+    point; the classes sharing a T(e) share one elimination, and they
+    are checked in sorted order.
     """
-    bound = sum(max(x * (d - x) for x in xs) for xs, d in zip(allowed, m.dims))
-    ps = _good_primes(m, bound + 2)
+    feeds = [
+        (a.source, a.target, m.dims[a.source] - rank(m.matrices[a.name]))
+        for a in m.algebra.quiver.arrows
+        if a.source < a.target
+    ]
+
+    def fibre_bound(e) -> int:
+        r = [0] * len(e)
+        for s, t, nullity in feeds:
+            r[t] = max(r[t], e[s] - nullity)
+        return sum(max(0, x - w) * (d - x) for x, w, d in zip(e, r, m.dims))
+
+    ps = _good_primes(m, max(map(fibre_bound, product(*allowed))) + 2)
     tables = [_count_backtrack(m, allowed, p) for p in ps]
-    return {
-        e: _fit_and_verify([(p, t.get(e, 0)) for p, t in zip(ps, tables)],
-                           degree_bound(m, e))
-        for e in sorted(set().union(*tables))
-    }
+    classes = sorted(set().union(*tables))
+    groups: dict[int, list] = {}
+    for e in classes:
+        groups.setdefault(fibre_bound(e), []).append([t.get(e, 0) for t in tables])
+    fits = {bound: _fit_and_verify(ps, columns, bound) for bound, columns in groups.items()}
+    return {e: next(fits[fibre_bound(e)]) for e in classes}
 
 
 def counting_polynomial(m: Representation, e: DimVector) -> CountingPolynomial:

@@ -65,9 +65,14 @@ class Representation:
         self._check_relations()
 
     def _check_relations(self) -> None:
+        arrows = self.algebra.quiver.arrows
         for rel in self.algebra.relations:
             acc: dict[int, linalg.Scalar] = {}
             for coeff, p in rel:
+                if not self.dims[p.source] or not all(
+                    self.dims[arrows[k].target] for k in p.arrows
+                ):
+                    continue  # the path runs through a zero space: it acts as 0
                 for k, x in enumerate(path_matrix(self, p).entries):
                     acc[k] = acc.get(k, 0) + coeff * x
             if any(acc.values()):

@@ -22,11 +22,12 @@ from clusterchar.grassmannian import (
     _fixed_point_classes,
     _good_primes,
     counting_polynomial,
+    degree_bound,
     euler_char,
     gaussian_binomial,
     submodule_classes,
 )
-from clusterchar.linalg import identity, matrix
+from clusterchar.linalg import identity, matrix, rank
 from clusterchar.modules import Representation, direct_sum, dual, simple
 from clusterchar.polygon import interval_module, linear_an_algebra
 from clusterchar.quiver import load_algebra
@@ -260,16 +261,21 @@ def test_default_pool_without_enough_good_primes(a4):
     assert _good_primes(m, 2) == (2, 41)
 
 
+def _fit(points, degree):
+    """The fit of one column of counts, given as (x, y) points."""
+    return next(_fit_and_verify([x for x, _ in points], [[y for _, y in points]], degree))
+
+
 def test_fit_verification_catches_non_polynomial():
     # counts that no degree-1 polynomial can match at the extra prime
     with pytest.raises(NonPolynomialCountError):
-        _fit_and_verify([(2, 3), (3, 4), (5, 7)], 1)
+        _fit([(2, 3), (3, 4), (5, 7)], 1)
 
 
 def test_fit_rejects_fractional_coefficients():
     # degree-2 fit through three points with a half-integer leading term
     with pytest.raises(NonPolynomialCountError):
-        _fit_and_verify([(2, 1), (3, 2), (5, 7), (7, 14)], 2)
+        _fit([(2, 1), (3, 2), (5, 7), (7, 14)], 2)
 
 
 FIT_XS = st.lists(st.integers(2, 60), min_size=8, max_size=8, unique=True)
@@ -284,7 +290,7 @@ def test_interpolation_recovers_the_polynomial(coeffs, slack, xs):
     points = [(x, sum(c * x**k for k, c in enumerate(coeffs))) for x in xs[: degree + 2]]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
-    assert _fit_and_verify(points, degree).coeffs == tuple(coeffs)
+    assert _fit(points, degree).coeffs == tuple(coeffs)
 
 
 @given(st.lists(st.integers(-9, 9), max_size=5), st.integers(1, 3), FIT_XS, st.data())
@@ -299,7 +305,7 @@ def test_fit_names_the_moved_verification_point(coeffs, extra, xs, data):
     points[j] = (x, y + shift)
     message = "count at verification prime %d is %d, fit predicts %d" % (x, y + shift, y)
     with pytest.raises(NonPolynomialCountError, match="^%s$" % re.escape(message)):
-        _fit_and_verify(points, degree)
+        _fit(points, degree)
 
 
 @given(st.lists(st.integers(-9, 9), min_size=3, max_size=5), FIT_XS)
@@ -321,7 +327,7 @@ def test_fit_names_the_first_fractional_coefficient(binomial, xs):
               for x in xs[: degree + 2]]
     message = "interpolated count has non-integer coefficient %s" % first
     with pytest.raises(NonPolynomialCountError, match="^%s$" % re.escape(message)):
-        _fit_and_verify(points, degree)
+        _fit(points, degree)
 
 
 def test_counting_polynomial_rendering():
@@ -363,6 +369,81 @@ def _check_route_against_fit(m):
     except (NonPolynomialCountError, ResourceLimitError):
         return  # the fit may refuse (its budget, or a count it cannot verify)
     assert classes == fit
+
+
+# -- the fibre bound ------------------------------------------------------
+
+
+def _fibre_bound(m, e):
+    """T(e): the sum over v of max(0, e_v - r_v)(d_v - e_v), with r_v the
+    largest e_s - nullity(a) over the arrows a: s -> v with s < v."""
+    r = [0] * len(e)
+    for a in m.algebra.quiver.arrows:
+        if a.source < a.target:
+            nullity = m.dims[a.source] - rank(m.matrices[a.name])
+            r[a.target] = max(r[a.target], e[a.source] - nullity)
+    return sum(max(0, x - w) * (d - x) for x, w, d in zip(e, r, m.dims))
+
+
+def _check_fit_at_the_fibre_bound(m):
+    # refitted at its ambient degree bound, on the primes the largest such
+    # bound needs, every class has degree at most its fibre bound, and the
+    # fit at the fibre bound is the same polynomial
+    box = [range(d + 1) for d in m.dims]
+    needed = sum(max(x * (d - x) for x in range(d + 1)) for d in m.dims) + 2
+    try:
+        ps = _good_primes(m, needed)
+        tables = [_count_backtrack(m, box, p) for p in ps]
+        ambient = {
+            e: _fit([(p, t.get(e, 0)) for p, t in zip(ps, tables)], degree_bound(m, e))
+            for e in sorted(set().union(*tables))
+        }
+    except (NonPolynomialCountError, ResourceLimitError):
+        return  # the reference refuses (its budget, or a count it cannot verify)
+    for e, poly in ambient.items():
+        assert len(poly.coeffs) - 1 <= _fibre_bound(m, e)
+    assert grassmannian._fit_classes(m, box) == ambient
+
+
+@pytest.mark.parametrize(
+    "name, max_dim", [("point", 4), ("a3", 3), ("a4", 2), ("d4", 2)]
+)
+def test_fibre_bound_keeps_every_fit(algebras, name, max_dim):
+    @given(modules(algebras[name], max_dim))
+    @settings(max_examples=40, deadline=None)
+    def check(m):
+        _check_fit_at_the_fibre_bound(m)
+
+    check()
+
+
+def test_fibre_bound_keeps_every_fit_on_a_loop(algebras):
+    @given(loop_modules(algebras["loop"]))
+    @settings(max_examples=40, deadline=None)
+    def check(m):
+        _check_fit_at_the_fibre_bound(m)
+
+    check()
+
+
+def test_fit_counts_at_the_primes_its_fibre_bound_needs(monkeypatch):
+    # a1 is injective and a2 has a one-dimensional kernel, so (1, 2, 1) has
+    # fibre bound 1 + 1 + 0 = 2 against a degree bound of 4: four good
+    # primes, not six.  a2.a1 = [[2, 1], [1, 2]] loses rank mod 3.
+    m = Representation(
+        linear_an_algebra(3),
+        (2, 3, 2),
+        {"a1": matrix([[1, 0], [0, 1], [1, 1]]), "a2": matrix([[1, 0, 1], [0, 1, 1]])},
+    )
+    primes = []
+
+    def counted(m, allowed, p):
+        primes.append(p)
+        return _count_backtrack(m, allowed, p)
+
+    monkeypatch.setattr(grassmannian, "_count_backtrack", counted)
+    assert str(counting_polynomial(m, (1, 2, 1))) == "q + 1"
+    assert tuple(primes) == (2, 5, 7, 11)
 
 
 def test_equal_weights_are_refused():

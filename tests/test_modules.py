@@ -273,6 +273,22 @@ def test_loader_rejects_relation_violation(a4):
         load_module(text, algebra=a4)
 
 
+def test_relation_check_skips_paths_through_zero_spaces(a4, monkeypatch):
+    # every relation of a4 passes through vertex 3 (b.a in its middle), so
+    # a module that is zero there acts as 0 along each term, with no product
+    products = []
+    mat_mul = linalg.mat_mul
+
+    def counted(a, b):
+        products.append((a, b))
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(linalg, "mat_mul", counted)
+    one = linalg.matrix([[1]])
+    m = Representation(a4, (1, 1, 0, 1), {"d": one, "g": one})
+    assert m.dims == (1, 1, 0, 1) and products == []
+
+
 @pytest.mark.parametrize("dims", [(1.7, 1), ("1", 1)], ids=["float", "str"])
 def test_representation_rejects_non_integer_dims(a2h, dims):
     # no coercion: 1.7 is not read as 1, nor "1" as 1
