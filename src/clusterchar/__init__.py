@@ -35,7 +35,6 @@ from .modules import (
     injective,
     load_module,
     load_module_file,
-    min_inj_copresentation,
     min_proj_presentation,
     projective,
     simple,

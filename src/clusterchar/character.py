@@ -5,15 +5,10 @@ data is visible to the character.  Its value is
 
     x^shifts * x^(-coindex) * sum_e chi(Gr_e) prod_i x_i^<S_i,e>_a
 
-with the coindex checked along both of its routes (`forms.coindex`):
-the injective copresentation and the plain Euler form (<S_i, m>)_i.
-The definitional form, whose exponents are <S_i,e>_a - <S_i,[module]>,
-differs from this value only in which of the two vectors it subtracts.
-Laurent polynomials form a domain, so while the sum is nonzero (its
-e = 0 term is 1) the two forms agree exactly when the routes do, and a
-disagreement raises instead of returning a wrong polynomial.  The form
-matrix is read off the arrows (`forms`), and each value checks its
-module's index, that is, that the form descends to K_0, or raises.
+where the coindex is (<S_i, m>)_i, so that the exponents are those of
+the definitional form, <S_i,e>_a - <S_i,[module]>.  `forms.coindex`
+returns it only once the module's index has passed the descent check
+(`forms`); a module that fails it raises instead of getting a value.
 """
 
 from __future__ import annotations
@@ -23,7 +18,7 @@ from operator import add
 
 from . import laurent
 from .errors import ConsistencyError, DimensionError
-from .forms import coindex, form_a_row, index
+from .forms import coindex, form_a_row
 from .grassmannian import submodule_classes
 from .laurent import LaurentPoly
 from .modules import Representation, direct_sum, zero_module
@@ -72,9 +67,8 @@ def cc_value(obj: CCObject) -> LaurentPoly:
 def _compute_value(obj: CCObject) -> LaurentPoly:
     m = obj.module_part
     a = m.algebra
-    index(m)  # its check is the descent check
-    classes = submodule_classes(m)
     base = tuple(s - c for s, c in zip(obj.shift_multiplicities, coindex(m)))
+    classes = submodule_classes(m)
     # exponent -> coefficient; distinct classes may share an exponent
     terms: dict[tuple[int, ...], int] = {}
     for e, chi in classes:

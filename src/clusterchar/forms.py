@@ -2,12 +2,11 @@
 
 Each is computed along two routes that read independent data and
 compared, so a convention bug upstream turns into a hard error here.
-The coindex [I0] - [I1] (reread through I_j -> P_j) must equal
-(<S_i, m>)_i, which reads the covers of the simples.  The form matrix
-is E - E^T with E = I - (arrows i -> j), as relations have length >= 2;
-row i of E is checked against the presentation [P0] - [P1] of S_i.  As
-the form descends to K_0 (Palu), the index [P0] - [P1] must equal
-coind(m) - (E - E^T) dim m.
+The form matrix is E - E^T with E = I - (arrows i -> j), as relations
+have length >= 2; row i of E is checked against the presentation
+[P0] - [P1] of S_i.  The coindex (<S_i, m>)_i reads the covers of the
+simples.  As the form descends to K_0 (Palu), the index [P0] - [P1]
+must equal coind(m) - (E - E^T) dim m, one check of both vectors.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from .modules import (
     K0ProjClass,
     Representation,
     euler_form,
-    min_inj_copresentation,
     min_proj_presentation,
     simple,
 )
@@ -68,15 +66,22 @@ def _agree(what: str, route: str, via_route: K0ProjClass,
 def index(m: Representation) -> K0ProjClass:
     """Index of (a module lift of) m: [P0] - [P1], checked against
     coind(m) - (E - E^T) dim m."""
-    descended = tuple(c - f for c, f in zip(coindex(m), form_a_row(m.algebra, m.dims)))
-    return _agree("index", "presentation", _difference(min_proj_presentation(m)),
-                  "coindex and the form matrix", descended)
+    return _indices(m)[0]
 
 
 def coindex(m: Representation) -> K0ProjClass:
-    """Coindex of m: [I0] - [I1] reread through I_j -> P_j, checked
-    against (<S_i, m>)_i; cached on the algebra by the module's data."""
+    """Coindex of m: (<S_i, m>)_i, checked together with the index."""
+    return _indices(m)[1]
+
+
+def _indices(m: Representation) -> tuple[K0ProjClass, K0ProjClass]:
+    """(index, coindex) of m once their descent check passes, cached by the module's data."""
     a = m.algebra
-    return a.cached(("coindex", m.fingerprint()), lambda: _agree(
-        "coindex", "copresentation", _difference(min_inj_copresentation(m)),
-        "simples", tuple(euler_form(simple(a, i), m) for i in range(a.quiver.n))))
+
+    def compute():
+        coind = tuple(euler_form(simple(a, i), m) for i in range(a.quiver.n))
+        descended = tuple(c - f for c, f in zip(coind, form_a_row(a, m.dims)))
+        return _agree("index", "presentation", _difference(min_proj_presentation(m)),
+                      "coindex and the form matrix", descended), coind
+
+    return a.cached(("indices", m.fingerprint()), compute)

@@ -331,9 +331,16 @@ def _fit_and_verify(xs, columns, degree: int):
         yield poly
 
 
-def _good_primes(m: Representation, needed: int) -> tuple:
+def _ranked_paths(m: Representation) -> list[tuple]:
+    """(path, its matrix on m, that matrix's rank over Q) per basis path of positive length."""
+    paths = [p for row in m.algebra.paths_from for ps in row for p in ps if p.arrows]
+    mats = [path_matrix(m, path) for path in paths]
+    return [(path, mat, rank(mat)) for path, mat in zip(paths, mats)]
+
+
+def _good_primes(ranked: list[tuple], needed: int) -> tuple:
     """The ``needed`` smallest primes at which the matrix of every basis
-    path of the algebra, acting on m, keeps its rank.
+    path, as `_ranked_paths` gives it, keeps its rank.
 
     Counting at p counts the reduction of m mod p.  Where a path matrix
     has a smaller rank mod p than over Q, that reduction is another
@@ -344,16 +351,12 @@ def _good_primes(m: Representation, needed: int) -> tuple:
     A3 with a = [[1], [1]] and b = [[1, 1]]).  Such a prime is skipped;
     each divides a nonzero minor, so there are finitely many.
     """
-    paths = [p for row in m.algebra.paths_from for ps in row for p in ps if p.arrows]
-    mats = [path_matrix(m, path) for path in paths]
-    ranks = [rank(mat) for mat in mats]
     good: list[int] = []
     p = 1
     while len(good) < needed:
         p += 1
         if _is_prime(p) and all(
-            len(_echelon(_reduced_rows(mat, p), p)[1]) == r
-            for mat, r in zip(mats, ranks)
+            len(_echelon(_reduced_rows(mat, p), p)[1]) == r for _, mat, r in ranked
         ):
             good.append(p)
     return tuple(good)
@@ -378,17 +381,19 @@ def _fit_classes(m: Representation, allowed) -> dict:
     times p^((e_v - r_v)(d_v - e_v)), and the checks only remove points,
     so a polynomial count has degree at most the fibre bound T(e), the
     sum of those exponents (at most `degree_bound`).  The nullities are
-    taken over Q; every arrow is a basis path, whose rank a good prime
-    keeps (`_good_primes`).  The primes suffice for the largest T(e)
-    among the classes asked about.  Each class that occurs at some prime
-    is fitted at its own T(e), counting 0 at the primes where it has no
-    point; the classes sharing a T(e) share one elimination, and they
-    are checked in sorted order.
+    taken over Q, from the ranks `_good_primes` reads: every arrow is a
+    basis path, whose rank a good prime keeps.  The primes suffice for
+    the largest T(e) among the classes asked about.  Each class that
+    occurs at some prime is fitted at its own T(e), counting 0 at the
+    primes where it has no point; the classes sharing a T(e) share one
+    elimination, and they are checked in sorted order.
     """
+    arrows = m.algebra.quiver.arrows
+    ranked = _ranked_paths(m)
     feeds = [
-        (a.source, a.target, m.dims[a.source] - rank(m.matrices[a.name]))
-        for a in m.algebra.quiver.arrows
-        if a.source < a.target
+        (p.source, arrows[p.arrows[0]].target, m.dims[p.source] - r)
+        for p, _, r in ranked
+        if len(p.arrows) == 1 and p.source < arrows[p.arrows[0]].target
     ]
 
     def fibre_bound(e) -> int:
@@ -397,7 +402,7 @@ def _fit_classes(m: Representation, allowed) -> dict:
             r[t] = max(r[t], e[s] - nullity)
         return sum(max(0, x - w) * (d - x) for x, w, d in zip(e, r, m.dims))
 
-    ps = _good_primes(m, max(map(fibre_bound, product(*allowed))) + 2)
+    ps = _good_primes(ranked, max(map(fibre_bound, product(*allowed))) + 2)
     tables = [_count_backtrack(m, allowed, p) for p in ps]
     classes = sorted(set().union(*tables))
     groups: dict[int, list] = {}

@@ -12,8 +12,8 @@ generating set, so that presentation multiplicities are the minimal
 ones).  The Euler form <m, n> = dim Hom - dim Ext^1 comes from the long
 exact sequence of a single syzygy with one Hom solve, and Ext^1 is
 dim Hom(m, n) - <m, n>, so the intertwiner system is the only Hom
-solver.  Injective-side computations are routed through the
-vector-space dual over the opposite presentation.
+solver.  The injectives I_i, duals of the projectives of the opposite
+presentation, are the one use of that presentation here.
 """
 
 from __future__ import annotations
@@ -290,12 +290,12 @@ def _compute_syzygy(m: Representation) -> Syzygy:
         if j not in inclusion:
             ker_mats[a.name] = mapped
             continue
-        # the kernel basis at j is the identity on its free coordinates, so
-        # those rows of the image are its coordinates, if it lies in the kernel
+        # the kernel basis at j is the identity on its free coordinates, so those rows
+        # are the image's coordinates if it lies in the kernel (none with no kernel at i)
         coords = Matrix(
             len(free[j]), mapped.cols, tuple(x for r in free[j] for x in mapped.row(r))
         )
-        if linalg.mat_mul(inclusion[j], coords) != mapped:
+        if mapped.cols and linalg.mat_mul(inclusion[j], coords) != mapped:
             raise ConsistencyError("cover map is not a module morphism")
         ker_mats[a.name] = coords
     kernel = Representation(m.algebra, ker_dims, ker_mats)
@@ -335,12 +335,6 @@ def min_proj_presentation(m: Representation) -> tuple[K0ProjClass, K0ProjClass]:
     """Multiplicities ([P0 : P_i]) and ([P1 : P_i]) of a minimal presentation."""
     syz = syzygy(m)
     return syz.cover_mults, top_dims(syz.kernel)
-
-
-def min_inj_copresentation(m: Representation) -> tuple[K0ProjClass, K0ProjClass]:
-    """Multiplicities ([I0 : I_i]) and ([I1 : I_i]); computed as the minimal
-    projective presentation of the dual module over the opposite algebra."""
-    return min_proj_presentation(dual(m))
 
 
 # -- file format -------------------------------------------------------------

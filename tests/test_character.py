@@ -204,20 +204,20 @@ def test_value_cache_is_per_algebra():
 
 
 def test_coindex_mismatch_is_caught(capsys, data_dir, monkeypatch):
-    # one more copy of the first injective in every I0 of a copresentation:
-    # the coindex routes disagree, and the character refuses instead of returning a value
-    real = forms.min_inj_copresentation
+    # one more in the Euler form of the first simple against every module:
+    # the coindex no longer meets the index through the form matrix, and
+    # the character refuses instead of returning a value
+    real = forms.euler_form
 
-    def corrupted(m):
-        i0, i1 = real(m)
-        return (i0[0] + 1,) + i0[1:], i1
+    def corrupted(m, n):
+        return real(m, n) + (m.dims == (1, 0, 0, 0))
 
-    monkeypatch.setattr(forms, "min_inj_copresentation", corrupted)
+    monkeypatch.setattr(forms, "euler_form", corrupted)
     algebra = load_algebra_file(data_dir / "a4.alg")
     module = load_module_file(data_dir / "a4_M.mod", algebra=algebra)
-    with pytest.raises(ConsistencyError, match="coindex mismatch"):
+    with pytest.raises(ConsistencyError, match=r"^index mismatch: "):
         cc_value(module_object(module))
     assert run(["xvalue", str(data_dir / "a4.alg"), str(data_dir / "a4_M.mod")]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "coindex mismatch" in captured.err
+    assert "index mismatch: " in captured.err

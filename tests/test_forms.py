@@ -2,7 +2,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from module_strategies import loop_modules
+from module_strategies import modules as generated_modules
 from clusterchar import cli, forms, modules
+from clusterchar.character import cc_value, module_object
 from clusterchar.errors import AlgebraBuildError, ConsistencyError
 from clusterchar.forms import (
     antisym_form_matrix,
@@ -11,17 +14,20 @@ from clusterchar.forms import (
     form_a_row,
     index,
 )
+from clusterchar.laurent import render_fraction
 from clusterchar.modules import (
     direct_sum,
+    dual,
     ext1_dim,
     injective,
     load_module_file,
+    min_proj_presentation,
     projective,
     simple,
     syzygy,
     zero_module,
 )
-from clusterchar.polygon import interval_ses, interval_module, linear_an_algebra
+from clusterchar.polygon import interval_ses, interval_module, linear_an_algebra, verify_an
 from clusterchar.quiver import (
     AlgebraPresentation,
     build_algebra,
@@ -74,15 +80,23 @@ def test_corrupt_presentation_entry_is_caught(data_dir, monkeypatch, i, j):
         antisym_form_matrix(algebra)
 
 
-def test_form_matrix_reads_no_copresentation(data_dir, monkeypatch):
-    # the arrows are the second route: no dual, no opposite algebra
+def test_form_matrix_reads_no_copresentation(capsys, data_dir, monkeypatch):
+    # the arrows are the form matrix's second route, and the Euler forms
+    # with the simples the coindex's only one: neither the form matrix, a
+    # character value, the index command nor the type-A check builds the
+    # opposite algebra
     def refuse(*args):
-        raise AssertionError("copresentation read for the form matrix")
+        raise AssertionError("opposite algebra built")
 
-    monkeypatch.setattr(forms, "min_inj_copresentation", refuse)
     monkeypatch.setattr(AlgebraPresentation, "opposite", refuse)
     algebra = load_algebra((data_dir / "a4.alg").read_text())
     assert antisym_form_matrix(algebra) == A4_FORM_MATRIX
+    module = load_module_file(data_dir / "a4_M.mod", algebra)
+    value = cc_value(module_object(module))
+    assert render_fraction(value, ("x1", "x2", "x3", "x4")) == "(x1*x3 + x2*x4 + x4) / (x1*x2)"
+    code = cli.run(["index", str(data_dir / "a4.alg"), str(data_dir / "a4_M.mod")])
+    assert (code, capsys.readouterr().out) == (0, "ind = [P_2] - [P_3]\ncoind = [P_1] - [P_4]\n")
+    assert verify_an(3).ok
 
 
 def test_coindex_is_computed_once_per_module(capsys, data_dir, monkeypatch):
@@ -109,13 +123,13 @@ def test_coindex_is_computed_once_per_module(capsys, data_dir, monkeypatch):
 )
 def test_corrupt_cover_is_caught(data_dir, monkeypatch, alg_name, mod_name):
     # one cover multiplicity moved to the next vertex in a syzygy.  Moved in
-    # every syzygy, the fault shows in the coindex, whose second route reads
-    # the covers of the simples, and in the form matrix, whose rows from the
-    # presentations of the simples are checked against the arrows.  Moved
-    # only in the syzygies of the non-simple modules over the algebra
-    # itself, it spares the simples and the opposite algebra, so the
-    # coindex and the form matrix still hold; the index must catch it, as
-    # its second route coind(m) - (E - E^T) dim m reads no cover of m
+    # every syzygy, the fault shows first in the form matrix, whose rows
+    # from the presentations of the simples are checked against the arrows;
+    # asking for the coindex alone reaches that check.  Moved only in the
+    # syzygies of the non-simple modules, it spares the simples, so the
+    # form matrix and the coindex (<S_i, m>)_i still hold; the index must
+    # catch it, as its second route coind(m) - (E - E^T) dim m reads no
+    # cover of m, and the coindex is only returned once that check passes
     real = modules._compute_syzygy
 
     def load():
@@ -140,14 +154,31 @@ def test_corrupt_cover_is_caught(data_dir, monkeypatch, alg_name, mod_name):
 
     m = load()
     move_cover(lambda x: True)
-    with pytest.raises(ConsistencyError, match=r"^(co)?index mismatch: "):
-        index(m)
+    with pytest.raises(ConsistencyError, match=r"^index of S_\w+ mismatch: .* from the arrows$"):
         coindex(m)
     if mod_name is not None:
-        m = load()
-        move_cover(lambda x: x.algebra is m.algebra and sum(x.dims) > 1)
-        with pytest.raises(ConsistencyError, match=r"^index mismatch: "):
-            index(m)
+        for read in (index, coindex):
+            m = load()
+            move_cover(lambda x: sum(x.dims) > 1)
+            with pytest.raises(ConsistencyError, match=r"^index mismatch: "):
+                read(m)
+
+
+@pytest.mark.parametrize("name, max_dim", [("loop", 3), ("a4", 2), ("d4", 2)])
+def test_coindex_matches_the_injective_copresentation(algebras, name, max_dim):
+    # the coindex has one route in the program; the injective
+    # copresentation, as the presentation of the dual over the opposite
+    # algebra, is the reference
+    algebra = algebras[name]
+    strategy = loop_modules(algebra) if name == "loop" else generated_modules(algebra, max_dim)
+
+    @given(strategy)
+    @settings(max_examples=50, deadline=None)
+    def check(m):
+        i0, i1 = min_proj_presentation(dual(m))
+        assert coindex(m) == tuple(x - y for x, y in zip(i0, i1))
+
+    check()
 
 
 def test_one_vertex_form_matrix():

@@ -21,6 +21,7 @@ from clusterchar.grassmannian import (
     _fit_and_verify,
     _fixed_point_classes,
     _good_primes,
+    _ranked_paths,
     counting_polynomial,
     degree_bound,
     euler_char,
@@ -248,17 +249,37 @@ def test_default_primes_skip_bad_reductions(a4):
     ba_2 = Representation(
         an3, (1, 2, 1), {"a1": matrix([[1], [1]]), "a2": matrix([[1, 1]])}
     )
-    assert _good_primes(ba_2, 3) == (3, 5, 7)
+    assert _good_primes(_ranked_paths(ba_2), 3) == (3, 5, 7)
     d_3 = Representation(a4, (1, 1, 0, 0), {"d": matrix([[3]])})
-    assert _good_primes(d_3, 2) == (2, 5)
+    assert _good_primes(_ranked_paths(d_3), 2) == (2, 5)
 
 
 def test_default_pool_without_enough_good_primes(a4):
     # d divisible by every odd prime up to 37: the search runs past them
     every = prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
     m = Representation(a4, (1, 1, 0, 0), {"d": matrix([[every]])})
-    assert _good_primes(m, 1) == (2,)
-    assert _good_primes(m, 2) == (2, 41)
+    assert _good_primes(_ranked_paths(m), 1) == (2,)
+    assert _good_primes(_ranked_paths(m), 2) == (2, 41)
+
+
+def test_each_path_is_ranked_once_per_fit(d4, monkeypatch):
+    # the fibre bound's arrow nullities come from the ranks the good-prime
+    # search reads: one rank per basis path of positive length
+    ranked = []
+    real = grassmannian.rank
+
+    def counted(mat):
+        ranked.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(grassmannian, "rank", counted)
+    m = Representation(d4, (2, 1, 1, 1), {
+        "p": matrix([[1, 1]]), "q": matrix([[1, 1]]), "r": matrix([[1]]), "s": matrix([[1]]),
+    })
+    fits = grassmannian._fit_classes(m, [range(d + 1) for d in m.dims])
+    assert fits
+    paths = [p for row in d4.paths_from for ps in row for p in ps if p.arrows]
+    assert len(ranked) == len(paths)
 
 
 def _fit(points, degree):
@@ -392,7 +413,7 @@ def _check_fit_at_the_fibre_bound(m):
     box = [range(d + 1) for d in m.dims]
     needed = sum(max(x * (d - x) for x in range(d + 1)) for d in m.dims) + 2
     try:
-        ps = _good_primes(m, needed)
+        ps = _good_primes(_ranked_paths(m), needed)
         tables = [_count_backtrack(m, box, p) for p in ps]
         ambient = {
             e: _fit([(p, t.get(e, 0)) for p, t in zip(ps, tables)], degree_bound(m, e))

@@ -16,7 +16,6 @@ from clusterchar.modules import (
     hom_dim,
     injective,
     load_module,
-    min_inj_copresentation,
     min_proj_presentation,
     path_matrix,
     projective,
@@ -209,12 +208,14 @@ def test_min_proj_presentation(a4):
 
 
 def test_min_inj_copresentation(a4):
+    # the minimal injective copresentation of m is the minimal projective
+    # presentation of its dual over the opposite algebra
     for i in range(4):
-        i0, i1 = min_inj_copresentation(injective(a4, i))
+        i0, i1 = min_proj_presentation(dual(injective(a4, i)))
         assert i0 == tuple(1 if j == i else 0 for j in range(4))
         assert i1 == (0, 0, 0, 0)
-    assert min_inj_copresentation(simple(a4, 0)) == ((1, 0, 0, 0), (0, 1, 0, 0))
-    assert min_inj_copresentation(simple(a4, 2)) == ((0, 0, 1, 0), (0, 1, 0, 0))
+    assert min_proj_presentation(dual(simple(a4, 0))) == ((1, 0, 0, 0), (0, 1, 0, 0))
+    assert min_proj_presentation(dual(simple(a4, 2))) == ((0, 0, 1, 0), (0, 1, 0, 0))
 
 
 def test_direct_sum(a4, a4_M):
@@ -404,6 +405,17 @@ def test_cover_that_is_no_morphism_raises(algebras, monkeypatch):
     # the wrong projective breaks the relation, so let it be built unchecked
     monkeypatch.setattr(Representation, "_check_relations", lambda self: None)
     monkeypatch.setattr("clusterchar.modules.projective", _all_ones_projective)
+    with pytest.raises(ConsistencyError, match="not a module morphism"):
+        _compute_syzygy(m)
+    # over the square 1 -> 2 -> 4, 1 -> 3 -> 4 with b.a = 0, the cover of
+    # P_1 / aP_1 is P_1 with kernel aP_1 at 2, which b must send to the zero
+    # kernel at 4; the all-ones P_1 sends it onto c.a2, which m keeps
+    square = load_algebra(
+        "[quiver]\nvertices: 1 2 3 4\narrow: a 1 2\narrow: a2 1 3\narrow: b 2 4\n"
+        "arrow: c 3 4\n[relations]\nrel: b.a\n"
+    )
+    one = linalg.matrix([[1]])
+    m = Representation(square, (1, 0, 1, 1), {"a2": one, "c": one})
     with pytest.raises(ConsistencyError, match="not a module morphism"):
         _compute_syzygy(m)
 

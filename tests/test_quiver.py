@@ -165,8 +165,8 @@ def test_one_reduction_per_loaded_algebra(capsys, data_dir, monkeypatch):
     code = cli.run(["xvalue", str(data_dir / "a4.alg"), str(data_dir / "a4_M.mod")])
     assert code == 0
     assert "X = " in capsys.readouterr().out
-    # the algebra and its opposite
-    assert len(calls) == 2
+    # the algebra alone: the coindex needs no opposite algebra
+    assert len(calls) == 1
 
 
 def test_double_dual_fingerprints(a4, a4_M):
