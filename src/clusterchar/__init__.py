@@ -50,7 +50,7 @@ from .mutation import (
     quiver_to_matrix,
 )
 from .polygon import Arc, all_arcs, arc_to_object, crossing, smoothings, verify_an
-from .quiver import AlgebraPresentation, Quiver, build_algebra, load_algebra, load_algebra_file
+from .quiver import AlgebraPresentation, Quiver, load_algebra, load_algebra_file
 
 __version__ = "0.1.0"
 

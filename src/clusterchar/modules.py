@@ -12,8 +12,10 @@ generating set, so that presentation multiplicities are the minimal
 ones).  The Euler form <m, n> = dim Hom - dim Ext^1 comes from the long
 exact sequence of a single syzygy with one Hom solve, and Ext^1 is
 dim Hom(m, n) - <m, n>, so the intertwiner system is the only Hom
-solver.  The injectives I_i, duals of the projectives of the opposite
-presentation, are the one use of that presentation here.
+solver.  Ext^1 is the form's one program use: `forms` reads the
+coindex (<S_i, m>)_i off the relations instead.  The injectives I_i,
+duals of the projectives of the opposite presentation, are the one use
+of that presentation here.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from .laurent import LaurentPoly, laurent_render
 from .linalg import identity
 from .modules import Representation, ext1_dim, zero_module
 from .mutation import ExchangeMatrix, enumerate_cluster_variables, quiver_to_matrix
-from .quiver import AlgebraPresentation, build_algebra, make_quiver
+from .quiver import AlgebraPresentation, make_quiver
 
 MAX_N = 8
 
@@ -69,7 +69,7 @@ def linear_an_algebra(n: int) -> AlgebraPresentation:
         [str(i) for i in range(1, n + 1)],
         [("a%d" % i, str(i), str(i + 1)) for i in range(1, n)],
     )
-    return build_algebra(q, ())
+    return AlgebraPresentation(q, ())
 
 
 def interval_module(n: int, lo: int, hi: int) -> Representation:

@@ -301,10 +301,6 @@ class AlgebraPresentation:
         )
 
 
-def build_algebra(quiver: Quiver, relations: tuple[Relation, ...]) -> AlgebraPresentation:
-    return AlgebraPresentation(quiver, relations)
-
-
 def same_algebra(a: AlgebraPresentation, b: AlgebraPresentation) -> bool:
     return a is b or (a.quiver == b.quiver and a.relations == b.relations)
 
@@ -413,7 +409,7 @@ def load_algebra(text: str) -> AlgebraPresentation:
         raise InputError("missing vertices line")
     q = make_quiver(vertices, arrow_triples)
     rels = tuple(parse_relation_expr(q, e) for e in rel_exprs)
-    return build_algebra(q, rels)
+    return AlgebraPresentation(q, rels)
 
 
 def load_algebra_file(path) -> AlgebraPresentation:

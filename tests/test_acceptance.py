@@ -13,11 +13,12 @@ from math import comb
 
 from clusterchar import laurent
 from clusterchar.character import cc_value, module_object
-from clusterchar.forms import coindex, euler_form, form_a_row, index
+from clusterchar.forms import coindex, form_a_row, index
 from clusterchar.grassmannian import _counted_classes, submodule_classes
 from clusterchar.laurent import from_dict, laurent_render
 from clusterchar.modules import (
     direct_sum,
+    euler_form,
     injective,
     load_module_file,
     projective,

@@ -204,15 +204,15 @@ def test_value_cache_is_per_algebra():
 
 
 def test_coindex_mismatch_is_caught(capsys, data_dir, monkeypatch):
-    # one more in the Euler form of the first simple against every module:
-    # the coindex no longer meets the index through the form matrix, and
-    # the character refuses instead of returning a value
-    real = forms.euler_form
+    # one more in the coindex read off the relations, at the first vertex
+    # of every module: the coindex no longer meets the index through the
+    # form matrix, and the character refuses instead of returning a value
+    real = forms._relation_coindex
 
-    def corrupted(m, n):
-        return real(m, n) + (m.dims == (1, 0, 0, 0))
+    def corrupted(m):
+        return tuple(c + (i == 0) for i, c in enumerate(real(m)))
 
-    monkeypatch.setattr(forms, "euler_form", corrupted)
+    monkeypatch.setattr(forms, "_relation_coindex", corrupted)
     algebra = load_algebra_file(data_dir / "a4.alg")
     module = load_module_file(data_dir / "a4_M.mod", algebra=algebra)
     with pytest.raises(ConsistencyError, match=r"^index mismatch: "):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -7,17 +9,12 @@ from module_strategies import modules as generated_modules
 from clusterchar import cli, forms, modules
 from clusterchar.character import cc_value, module_object
 from clusterchar.errors import AlgebraBuildError, ConsistencyError
-from clusterchar.forms import (
-    antisym_form_matrix,
-    coindex,
-    euler_form,
-    form_a_row,
-    index,
-)
+from clusterchar.forms import antisym_form_matrix, coindex, form_a_row, index
 from clusterchar.laurent import render_fraction
 from clusterchar.modules import (
     direct_sum,
     dual,
+    euler_form,
     ext1_dim,
     injective,
     load_module_file,
@@ -28,12 +25,7 @@ from clusterchar.modules import (
     zero_module,
 )
 from clusterchar.polygon import interval_ses, interval_module, linear_an_algebra, verify_an
-from clusterchar.quiver import (
-    AlgebraPresentation,
-    build_algebra,
-    load_algebra,
-    load_algebra_file,
-)
+from clusterchar.quiver import AlgebraPresentation, load_algebra, load_algebra_file
 from test_quiver import presentations
 
 A4_FORM_MATRIX = (
@@ -65,7 +57,8 @@ def test_form_matrix_is_computed_once(data_dir, monkeypatch):
 @pytest.mark.parametrize("i, j", [(1, 1), (1, 2)], ids=["diagonal", "off-diagonal"])
 def test_corrupt_presentation_entry_is_caught(data_dir, monkeypatch, i, j):
     # one more P_j in the cover of the simple at i: the index of S_2 no
-    # longer matches its Euler forms, diagonal entries included
+    # longer matches its coindex, column 2 of E, through the descent check,
+    # which compares it with row 2 of E, diagonal entries included
     real = forms.min_proj_presentation
 
     def corrupted(m):
@@ -81,9 +74,9 @@ def test_corrupt_presentation_entry_is_caught(data_dir, monkeypatch, i, j):
 
 
 def test_form_matrix_reads_no_copresentation(capsys, data_dir, monkeypatch):
-    # the arrows are the form matrix's second route, and the Euler forms
-    # with the simples the coindex's only one: neither the form matrix, a
-    # character value, the index command nor the type-A check builds the
+    # the arrows are the form matrix's second route, and the relations
+    # acting on the module the coindex's only one: neither the form matrix,
+    # a character value, the index command nor the type-A check builds the
     # opposite algebra
     def refuse(*args):
         raise AssertionError("opposite algebra built")
@@ -100,36 +93,63 @@ def test_form_matrix_reads_no_copresentation(capsys, data_dir, monkeypatch):
 
 
 def test_coindex_is_computed_once_per_module(capsys, data_dir, monkeypatch):
-    # `index` reads the coindex, and the CLI prints it as well: the Euler
-    # forms against the simples are solved once
+    # `index` reads the coindex, and the CLI prints it as well: the
+    # coindex is read off the relations once
     calls = []
-    real = forms.euler_form
+    real = forms._relation_coindex
 
-    def counted(m, n):
-        if sum(m.dims) == 1:
-            calls.append(m.dims)
-        return real(m, n)
+    def counted(m):
+        calls.append(m.dims)
+        return real(m)
 
-    monkeypatch.setattr(forms, "euler_form", counted)
+    monkeypatch.setattr(forms, "_relation_coindex", counted)
     code = cli.run(["index", str(data_dir / "a4.alg"), str(data_dir / "a4_M.mod")])
     capsys.readouterr()
     assert code == 0
-    assert len(calls) == 4
+    assert calls == [(1, 1, 0, 0)]
+
+
+def test_a_value_builds_only_its_module_syzygy(capsys, data_dir, monkeypatch):
+    # the coindex reads the relations acting on the module, and the form
+    # matrix the arrows: a value takes the syzygy of its module alone and
+    # solves no Hom space.  Printing the form matrix still checks the
+    # presentation of every simple
+    syzygies, homs = [], []
+    real_syzygy, real_hom = modules._compute_syzygy, modules.hom_dim
+
+    def counted_syzygy(m):
+        syzygies.append(m.dims)
+        return real_syzygy(m)
+
+    def counted_hom(m, n):
+        homs.append((m.dims, n.dims))
+        return real_hom(m, n)
+
+    monkeypatch.setattr(modules, "_compute_syzygy", counted_syzygy)
+    monkeypatch.setattr(modules, "hom_dim", counted_hom)
+    code = cli.run(["xvalue", str(data_dir / "a4.alg"), str(data_dir / "a4_M.mod")])
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert (syzygies, homs) == ([(1, 1, 0, 0)], [])
+    syzygies.clear()
+    assert cli.run(["form-matrix", str(data_dir / "a4.alg")]) == 0
+    assert capsys.readouterr().out == "0 1 0 0\n-1 0 -1 1\n0 1 0 -1\n0 -1 1 0\n"
+    assert sorted(syzygies) == sorted(tuple(int(j == i) for j in range(4)) for i in range(4))
+    assert homs == []
 
 
 @pytest.mark.parametrize(
     "alg_name, mod_name", [("a4", "a4_M"), ("a4", None), ("d4", "d4_M")],
     ids=["a4_M", "S_1", "d4_M"],
 )
-def test_corrupt_cover_is_caught(data_dir, monkeypatch, alg_name, mod_name):
+def test_corrupt_cover_is_caught(capsys, data_dir, monkeypatch, alg_name, mod_name):
     # one cover multiplicity moved to the next vertex in a syzygy.  Moved in
-    # every syzygy, the fault shows first in the form matrix, whose rows
-    # from the presentations of the simples are checked against the arrows;
-    # asking for the coindex alone reaches that check.  Moved only in the
+    # every syzygy, the fault shows in the index of the module asked for,
+    # and in the printed form matrix, whose rows from the presentations of
+    # the simples are checked against the arrows.  Moved only in the
     # syzygies of the non-simple modules, it spares the simples, so the
-    # form matrix and the coindex (<S_i, m>)_i still hold; the index must
-    # catch it, as its second route coind(m) - (E - E^T) dim m reads no
-    # cover of m, and the coindex is only returned once that check passes
+    # form matrix still holds; the index must catch it either way, as its
+    # second route coind(m) - (E - E^T) dim m reads no cover, and the
+    # coindex is only returned once that check passes
     real = modules._compute_syzygy
 
     def load():
@@ -154,14 +174,66 @@ def test_corrupt_cover_is_caught(data_dir, monkeypatch, alg_name, mod_name):
 
     m = load()
     move_cover(lambda x: True)
-    with pytest.raises(ConsistencyError, match=r"^index of S_\w+ mismatch: .* from the arrows$"):
+    with pytest.raises(ConsistencyError, match=r"^index mismatch: "):
         coindex(m)
+    assert cli.run(["form-matrix", str(data_dir / ("%s.alg" % alg_name))]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.match(r"error: index of S_\w+ mismatch: .* from the presentation, ", captured.err)
     if mod_name is not None:
         for read in (index, coindex):
             m = load()
             move_cover(lambda x: sum(x.dims) > 1)
             with pytest.raises(ConsistencyError, match=r"^index mismatch: "):
                 read(m)
+
+
+# algebras whose form does not descend, so that the descent check refuses
+# some of their modules: linear A3 with b.a, and two relations that share
+# their paths, which rank gamma_1 tells apart only by their coefficients
+OFF_CONTRACT = {
+    "a3_ba": "[quiver]\nvertices: 1 2 3\narrow: a 1 2\narrow: b 2 3\n[relations]\nrel: b.a\n",
+    "two_relations": "[quiver]\nvertices: 1 2 3\narrow: a 1 2\narrow: b 1 2\narrow: c 2 3\n"
+                     "[relations]\nrel: c.a - c.b\nrel: c.a - 2*c.b\n",
+}
+
+
+@pytest.mark.parametrize(
+    "name, max_dim",
+    [("loop", 3), ("a4", 2), ("d4", 2), ("a3_ba", 2), ("two_relations", 2)],
+)
+def test_coindex_matches_the_euler_forms_with_the_simples(algebras, name, max_dim):
+    # the coindex read off the relations against the Euler forms
+    # (<S_i, m>)_i, each from the cover of S_i and one Hom solve.  Off the
+    # contract the route is called directly
+    if name in OFF_CONTRACT:
+        algebra, route = load_algebra(OFF_CONTRACT[name]), forms._relation_coindex
+    else:
+        algebra, route = algebras[name], coindex
+    strategy = loop_modules(algebra) if name == "loop" else generated_modules(algebra, max_dim)
+
+    @given(strategy)
+    @settings(max_examples=50, deadline=None)
+    def check(m):
+        simples = [simple(algebra, i) for i in range(algebra.quiver.n)]
+        assert route(m) == tuple(euler_form(s, m) for s in simples)
+
+    check()
+
+
+@given(presentations(max_vertices=3, max_arrows=4, max_len=3), st.data())
+@settings(max_examples=30, deadline=None)
+def test_relation_coindex_matches_the_euler_forms_on_random_presentations(presentation, data):
+    # several relations from one vertex, coefficients up to 3 in size,
+    # loops and monomial cuts: a relation enters gamma_i with its
+    # coefficients, which one binomial alone could not tell from its signs
+    try:
+        alg = AlgebraPresentation(*presentation)
+    except AlgebraBuildError:
+        assume(False)
+    m = data.draw(generated_modules(alg, 2))
+    simples = [simple(alg, i) for i in range(alg.quiver.n)]
+    assert forms._relation_coindex(m) == tuple(euler_form(s, m) for s in simples)
 
 
 @pytest.mark.parametrize("name, max_dim", [("loop", 3), ("a4", 2), ("d4", 2)])
@@ -208,7 +280,7 @@ def test_form_matrix_is_arrow_count_antisymmetrization(presentation):
     # loops, 2-cycles and parallel arrows included: every relation has
     # length >= 2, so each simple's presentation agrees with the arrows
     try:
-        alg = build_algebra(*presentation)
+        alg = AlgebraPresentation(*presentation)
     except AlgebraBuildError:
         assume(False)
     assert antisym_form_matrix(alg) == _arrow_count_antisym(alg)
@@ -335,9 +407,9 @@ def test_both_routes_agree_everywhere(a4, d4, a4_M, d4_M):
         mods.append(zero_module(alg))
         for i in range(4):
             mods += [simple(alg, i), projective(alg, i), injective(alg, i)]
-    # each returns its presentation route.  The coindex is checked against
-    # the Euler forms with the simples, which this recomputes; the index is
-    # checked through the coindex, and this pins it to (<m, S_i>)_i as well
+    # each returns its presentation route.  The coindex, read off the
+    # relations, is pinned to the Euler forms with the simples; the index
+    # is checked through the coindex, and this pins it to (<m, S_i>)_i as well
     for m in mods:
         simples = [simple(m.algebra, i) for i in range(m.algebra.quiver.n)]
         assert index(m) == tuple(euler_form(m, s) for s in simples)

@@ -9,7 +9,6 @@ from clusterchar.modules import hom_dim, projective, simple
 from clusterchar.quiver import (
     AlgebraPresentation,
     Path,
-    build_algebra,
     load_algebra,
     load_algebra_file,
     make_quiver,
@@ -103,7 +102,7 @@ def test_derived_opposite_matches_a_fresh_build(data_dir, name):
         tuple((c, Path(path_target(q, p), p.arrows[::-1])) for c, p in rel)
         for rel in alg.relations
     )
-    fresh = build_algebra(q.opposite(), reversed_relations)
+    fresh = AlgebraPresentation(q.opposite(), reversed_relations)
     op = alg.opposite()
     assert op.opposite() is alg
     assert (op.quiver, op.relations) == (fresh.quiver, fresh.relations)
