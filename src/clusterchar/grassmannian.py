@@ -8,9 +8,15 @@ coordinate subrepresentations as its finitely many fixed points, so
 chi(Gr_e(M)) is the number of successor-closed sets of basis vectors of
 dimension vector e (Cerulli Irelli, J. Algebraic Combin. 2011; Haupt,
 Algebr. Represent. Theory 2012).  `submodule_classes` takes this route
-whenever the module qualifies.
+whenever the module qualifies.  Otherwise it splits the module by the
+Fitting lemma (`modules.fitting_split`), answers each summand by fixed
+points where it qualifies, and convolves the summands' tables, since
+chi is multiplicative on direct sums.
 
-Every other Euler characteristic comes from point counting.  Points of
+Every other Euler characteristic comes from point counting: of a summand
+that neither route answers, and of the whole module for the counting
+polynomial that `counting_polynomial` prints, as point counts do not
+multiply over a split.  Points of
 Gr_e(M) over F_p are counted exactly by a backtracking sweep over the
 vertices that tries only admissible subspaces: at each vertex, those
 containing the images of the subspaces already chosen, found as the
@@ -29,23 +35,24 @@ coefficients) turns any violation of that assumption into an error
 instead of a wrong answer.  Each class is fitted at its fibre bound, the
 degree the sweep's own choices allow once the arrows' nullities are
 taken into account, which is at most the ambient `degree_bound`.  The
-primes are the smallest at which every basis path keeps its rank
-(`_good_primes`).  `_fit_classes` runs this sequence for one class and
-for the whole dimension box alike; it is the one way into the sweep.
+primes are the smallest at which every basis path keeps its rank and
+no entry has the prime in its denominator (`_good_primes`), so that a
+summand, in the rational basis of its split, is counted too.
+`_fit_classes` runs this sequence for one class and for the whole
+dimension box alike; it is the one way into the sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import InputError, NonPolynomialCountError, ResourceLimitError
 from .laurent import render_terms
 from .linalg import Matrix, rank, row_reduce
-from .modules import DimVector, Representation, path_matrix
+from .modules import DimVector, Representation, fitting_split, path_matrix
 
 DEFAULT_BUDGET = 500_000
 
@@ -152,12 +159,14 @@ def _containing(w, d: int, k: int, p: int):
 
 
 def _reduced_rows(mat: Matrix, p: int) -> tuple:
-    """The rows of an integer matrix reduced mod p."""
-    for x in mat.entries:
-        if isinstance(x, Fraction):
-            raise InputError("module matrix has non-integer entry %s" % x)
+    """The rows of a matrix over Q reduced mod p, a/b as a * b^-1 (p must
+    not divide b: `_good_primes` skips such primes)."""
     return tuple(
-        tuple(mat.entry(r, c) % p for c in range(mat.cols)) for r in range(mat.rows)
+        tuple(
+            x % p if type(x) is int else x.numerator * pow(x.denominator, -1, p) % p
+            for x in mat.row(r)
+        )
+        for r in range(mat.rows)
     )
 
 
@@ -349,13 +358,16 @@ def _good_primes(ranked: list[tuple], needed: int) -> tuple:
     and at 3).  Arrows are not enough: a composite path can lose rank
     mod p while each of its arrows keeps it (b.a acting as 2 over linear
     A3 with a = [[1], [1]] and b = [[1, 1]]).  Such a prime is skipped;
-    each divides a nonzero minor, so there are finitely many.
+    each divides a nonzero minor, so there are finitely many.  So is a
+    prime dividing the denominator of an entry, where the matrix has no
+    reduction.
     """
+    denominators = lcm(*(x.denominator for _, mat, _ in ranked for x in mat.entries))
     good: list[int] = []
     p = 1
     while len(good) < needed:
         p += 1
-        if _is_prime(p) and all(
+        if _is_prime(p) and denominators % p and all(
             len(_echelon(_reduced_rows(mat, p), p)[1]) == r for _, mat, r in ranked
         ):
             good.append(p)
@@ -453,10 +465,9 @@ def _fixed_point_classes(m: Representation):
     q = m.algebra.quiver
     vertex = [v for v, d in enumerate(m.dims) for _ in range(d)]
     offsets = [0]
-    strides = [1]
     for d in m.dims:
         offsets.append(offsets[-1] + d)
-        strides.append(strides[-1] * (d + 1))
+    strides = _strides(m.dims)
     size = len(vertex)
     adjacent: list[list[tuple[int, int, int, int]]] = [[] for _ in range(size)]
     edges = 0
@@ -513,9 +524,25 @@ def _fixed_point_classes(m: Representation):
         else:  # x in the set forces p in
             inside[p] = _convolve(inside[p], either)
             outside[p] = _convolve(outside[p], outside[x])
+    return _decoded(total, m.dims)
+
+
+def _strides(dims) -> list[int]:
+    """The mixed radix that encodes a dimension vector e <= dims as one
+    integer: entry v weighs the product of dims[u] + 1 over u < v."""
+    strides = [1]
+    for d in dims[:-1]:
+        strides.append(strides[-1] * (d + 1))
+    return strides
+
+
+def _decoded(table: dict, dims) -> list[tuple[DimVector, int]]:
+    """Sorted (e, chi) with chi nonzero from a table keyed by encoded e."""
+    strides = _strides(dims)
     return sorted(
-        (tuple(code // s % (d + 1) for s, d in zip(strides, m.dims)), chi)
-        for code, chi in total.items()
+        (tuple(code // s % (d + 1) for s, d in zip(strides, dims)), chi)
+        for code, chi in table.items()
+        if chi
     )
 
 
@@ -523,11 +550,31 @@ def submodule_classes(m: Representation) -> list[tuple[DimVector, int]]:
     """All e with nonzero Euler characteristic, with those characteristics.
 
     A module that qualifies for the fixed-point route
-    (`_fixed_point_classes`) is answered exactly, with no prime; every
-    other module is point-counted (`_counted_classes`).
+    (`_fixed_point_classes`) is answered exactly, with no prime.  Any
+    other is split by the Fitting lemma (`modules.fitting_split`); each
+    summand is answered by fixed points where it qualifies and
+    point-counted (`_counted_classes`) where not, and the tables
+    convolve: chi(Gr_e(L + M)) = sum_f chi(Gr_f L) chi(Gr_(e-f) M), as a
+    torus scaling M acts on Gr_e(L + M) with the pairs of
+    subrepresentations as its fixed points.  Only a module that does not
+    split is point-counted whole.
     """
     classes = _fixed_point_classes(m)
-    return _counted_classes(m) if classes is None else classes
+    if classes is not None:
+        return classes
+    summands = fitting_split(m)
+    if len(summands) == 1:
+        return _counted_classes(m)
+    strides = _strides(m.dims)
+    total = {0: 1}
+    for s in summands:
+        classes = _fixed_point_classes(s)
+        if classes is None:
+            classes = _counted_classes(s)
+        total = _convolve(
+            total, {sum(x * w for x, w in zip(e, strides)): chi for e, chi in classes}
+        )
+    return _decoded(total, m.dims)
 
 
 def _counted_classes(m: Representation) -> list[tuple[DimVector, int]]:

@@ -6,7 +6,10 @@ the space at j; paths act by composing matrices in application order.
 This one convention is used everywhere and is calibrated against known
 submodule lists in the test suite.
 
-Hom spaces are solved exactly over Q as intertwiner systems.  Syzygies
+Hom spaces are solved exactly over Q as intertwiner systems; the one
+for End(m) also gives the endomorphisms by which `fitting_split` splits
+m into summands (im phi^N and ker phi^N), which `grassmannian` tries
+after the torus fixed points and before point counting.  Syzygies
 come from minimal projective covers (covering the top, not an arbitrary
 generating set, so that presentation multiplicities are the minimal
 ones).  The Euler form <m, n> = dim Hom - dim Ext^1 comes from the long
@@ -214,6 +217,125 @@ def hom_dim(m: Representation, n: Representation) -> int:
     _require_same_algebra(m, n)
     system, _ = _intertwiner_system(m, n)
     return system.cols - linalg.rank(system)
+
+
+def fitting_split(m: Representation) -> list[Representation]:
+    """Summands of m, split off by the Fitting lemma until none splits.
+
+    For an endomorphism phi of m, m is im phi^N (+) ker phi^N, a direct
+    sum of submodules, once N is at least every dimension (N = d_j at
+    vertex j); the split is proper when phi is neither nilpotent nor
+    invertible.  The candidates are a basis of End(m), the kernel of the
+    intertwiner system, and then phi - lambda for each rational
+    eigenvalue lambda of a basis element phi with more than one
+    eigenvalue.  Each summand is split again, in the basis [im | ker]
+    (`_fitting_parts`), so its entries may be rational.  A module that
+    no candidate splits is returned whole: an indecomposable one has a
+    local endomorphism ring, so none can, but not every module that none
+    splits is indecomposable, and Krull-Schmidt completeness is not
+    claimed.
+    """
+    system, offsets = _intertwiner_system(m, m)
+    basis = linalg.kernel_basis(system)
+    endos = [
+        [Matrix(d, d, tuple(basis.entry(offsets[j] + k, t) for k in range(d * d)))
+         for j, d in enumerate(m.dims)]
+        for t in range(basis.cols)
+    ]
+    for phi in _split_candidates(endos):
+        parts = _fitting_parts(m, phi)
+        if parts is not None:
+            return [s for part in parts for s in fitting_split(part)]
+    return [m]
+
+
+def _split_candidates(endos):
+    """The basis of End(m), then phi - lambda for each rational eigenvalue
+    lambda of each basis element phi.
+
+    A phi with a single eigenvalue, which is then tr phi / dim m, leaves
+    phi - lambda nilpotent, so it is skipped before its eigenvalues are
+    sought (a brick's one basis element is the identity).
+    """
+    yield from endos
+    for phi in endos:
+        trace = sum(a.entry(k, k) for a in phi for k in range(a.rows))
+        mean = linalg.div(trace, sum(a.rows for a in phi))
+        if all(not any(_stable_power(a).entries) for a in _shifted(phi, mean)):
+            continue
+        for lam in sorted({x for a in phi for x in linalg.rational_eigenvalues(a)}):
+            yield _shifted(phi, lam)
+
+
+def _shifted(phi, lam) -> list[Matrix]:
+    """phi - lam * id, vertex by vertex."""
+    return [
+        linalg.matrix(
+            [[a.entry(r, c) - (lam if r == c else 0) for c in range(a.cols)]
+             for r in range(a.rows)],
+            rows=a.rows, cols=a.cols,
+        )
+        for a in phi
+    ]
+
+
+def _stable_power(a: Matrix) -> Matrix:
+    """a^d for a d x d matrix, past which its image and kernel stay put."""
+    acc = linalg.identity(a.rows)
+    for _ in range(a.rows):
+        acc = linalg.mat_mul(a, acc)
+    return acc
+
+
+def _fitting_parts(m: Representation, phi):
+    """(im phi^N, ker phi^N) as modules, or None when phi is nilpotent or
+    invertible.
+
+    At each vertex the columns of phi^N at its pivot columns span the
+    image, and `linalg.kernel_basis` spans the kernel; each arrow is
+    conjugated into the bases [im | ker].  The two must make a basis
+    there, and an arrow must map image into image and kernel into
+    kernel, which holds when phi is an endomorphism: either failure
+    raises `ConsistencyError`.
+    """
+    powers = [_stable_power(a) for a in phi]
+    pivots = [linalg.row_reduce(power.to_lists(), power.cols)[1] for power in powers]
+    ranks = list(map(len, pivots))
+    if not any(ranks) or ranks == list(m.dims):
+        return None
+    bases, inverses = [], []
+    for j, (power, columns) in enumerate(zip(powers, pivots)):
+        d = power.rows
+        kernel = linalg.kernel_basis(power)
+        if len(columns) + kernel.cols != d:
+            raise ConsistencyError("Fitting summands do not add up at vertex %d" % j)
+        cols = [[power.entry(r, c) for r in range(d)] for c in columns]
+        cols += [[kernel.entry(r, c) for r in range(d)] for c in range(kernel.cols)]
+        basis = [[col[r] for col in cols] for r in range(d)]
+        reduced, full = linalg.row_reduce(
+            [row + [int(r == c) for c in range(d)] for r, row in enumerate(basis)], d
+        )
+        if len(full) != d:
+            raise ConsistencyError("Fitting summands meet at vertex %d" % j)
+        bases.append(linalg.matrix(basis, rows=d, cols=d))
+        inverses.append(linalg.matrix([row[d:] for row in reduced], rows=d, cols=d))
+    image: dict[str, Matrix] = {}
+    rest: dict[str, Matrix] = {}
+    for a in m.algebra.quiver.arrows:
+        i, j = a.source, a.target
+        x = linalg.mat_mul(linalg.mat_mul(inverses[j], m.matrices[a.name]), bases[i])
+        if any(x.entry(r, c) for r in range(x.rows) for c in range(x.cols)
+               if (r < ranks[j]) != (c < ranks[i])):
+            raise ConsistencyError("Fitting summands are not submodules at arrow %r" % a.name)
+        image[a.name] = linalg.matrix(
+            [x.row(r)[: ranks[i]] for r in range(ranks[j])], rows=ranks[j], cols=ranks[i]
+        )
+        rest[a.name] = linalg.matrix(
+            [x.row(r)[ranks[i] :] for r in range(ranks[j], x.rows)],
+            rows=x.rows - ranks[j], cols=x.cols - ranks[i],
+        )
+    rest_dims = [d - r for d, r in zip(m.dims, ranks)]
+    return Representation(m.algebra, ranks, image), Representation(m.algebra, rest_dims, rest)
 
 
 def _top_coordinates(m: Representation, j: int) -> list[int]:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from module_strategies import conjugate
 from clusterchar import forms, laurent, linalg
 from clusterchar.character import (
     CCObject,
@@ -84,35 +85,6 @@ def test_monomial_denominator_property(a4, d4, a4_M, d4_M):
         )
 
 
-def _random_unimodular(rng, n):
-    """A random integer matrix with determinant 1 and its integer inverse."""
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    inv = [row[:] for row in m]
-    for _ in range(3 * n):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        # m <- (I + c e_ij) m and inv <- inv (I - c e_ij)
-        c = rng.choice((-2, -1, 1, 2))
-        for k in range(n):
-            m[i][k] += c * m[j][k]
-            inv[k][j] -= c * inv[k][i]
-    return m, inv
-
-
-def _conjugate(module, rng):
-    """Base change by unimodular matrices at every vertex."""
-    n_v = module.algebra.quiver.n
-    pairs = [_random_unimodular(rng, module.dims[i]) for i in range(n_v)]
-    mats = {}
-    for a in module.algebra.quiver.arrows:
-        d_t, d_s = module.dims[a.target], module.dims[a.source]
-        u_t = linalg.matrix(pairs[a.target][0], rows=d_t, cols=d_t)
-        inv_s = linalg.matrix(pairs[a.source][1], rows=d_s, cols=d_s)
-        mats[a.name] = linalg.mat_mul(linalg.mat_mul(u_t, module.matrices[a.name]), inv_s)
-    return Representation(module.algebra, module.dims, mats)
-
-
 def test_base_change_invariance(a4_M, d4_M):
     rng = random.Random(20240811)
     from clusterchar.modules import direct_sum
@@ -121,7 +93,7 @@ def test_base_change_invariance(a4_M, d4_M):
     for m in (a4_M, d4_M, doubled, interval_module(4, 1, 3)):
         reference = cc_value(module_object(m))
         for _ in range(3):
-            conjugated = _conjugate(m, rng)
+            conjugated = conjugate(m, rng)
             assert cc_value(module_object(conjugated)) == reference
 
 

@@ -65,7 +65,9 @@ def test_tree_module_needs_no_good_prime(capsys, data_dir, tmp_path, entry):
 
 def _an3_module_with_ba_2(data_dir, tmp_path):
     """Each arrow keeps its rank mod 2, but b.a acts as 2; the coefficient
-    quiver has a cycle, so the module is point-counted."""
+    quiver has a cycle.  The module is P_1 + S_2 (ker a2 misses the image
+    of a1): the character counts it as the Fitting split's summands, the
+    `grassmannian` fit whole, at the primes `test_grassmannian` pins."""
     mod = tmp_path / "ba2.mod"
     mod.write_text(
         "[module]\nalgebra: %s\ndims: 1 2 1\nmatrix a1: [[1], [1]]\n"
@@ -75,8 +77,9 @@ def _an3_module_with_ba_2(data_dir, tmp_path):
 
 
 def test_default_primes_skip_a_bad_reduction_along_a_path(capsys, data_dir, tmp_path):
-    # the fit needs three primes and skips 2, where b.a loses its rank:
-    # counted at 3, 5 and 7, the value is the one over Q
+    # counted whole, the fit needs three primes and skips 2, where b.a
+    # loses its rank; split, both summands are tree modules, answered with
+    # no prime.  Either way the value is the one over Q
     mod = _an3_module_with_ba_2(data_dir, tmp_path)
     code, out, _ = _run(capsys, "xvalue", data_dir / "an3.alg", mod)
     assert code == 0
@@ -147,13 +150,11 @@ KRONECKER_X_DELTA_SQUARED = (
 )
 
 
-@pytest.mark.parametrize("k", GOOD_PRIME_CASES)
-def test_kronecker_sum_of_two_regular_simples(capsys, tmp_path, k):
-    # a = 1 and b = [[0, 1], [0, k]] give R_0 + R_k over the Kronecker
-    # quiver, not rigid.  Every arrow keeps its rank mod every prime and
-    # dim End is 2 on both sides, yet mod a prime dividing k the module is
-    # the self-extension R_0[2]: k = 2*3*...*47 prints its counts (constant
-    # term 1, chi = 1), and k = 2 fails to interpolate
+def _kronecker_r0_rk(tmp_path, k):
+    """a = 1 and b = [[0, 1], [0, k]] give R_0 + R_k over the Kronecker
+    quiver, not rigid.  Every arrow keeps its rank mod every prime and
+    dim End is 2 on both sides, yet mod a prime dividing k the module is
+    the self-extension R_0[2]."""
     alg = tmp_path / "kronecker.alg"
     alg.write_text("[quiver]\nvertices: 1 2\narrow: a 1 2\narrow: b 1 2\n")
     mod = tmp_path / "r0_rk.mod"
@@ -161,7 +162,24 @@ def test_kronecker_sum_of_two_regular_simples(capsys, tmp_path, k):
         "[module]\ndims: 2 2\nmatrix a: [[1, 0], [0, 1]]\n"
         "matrix b: [[0, 1], [0, %d]]\n" % k
     )
+    return alg, mod
+
+
+@pytest.mark.parametrize("k", [1, 614889782588491410, 2], ids=["1", "primorial_47", "2"])
+def test_xvalue_splits_a_kronecker_sum_of_two_regular_simples(capsys, tmp_path, k):
+    # the character splits the module into R_0 and R_k by the Fitting
+    # lemma and counts R_k alone, where b loses its rank mod a prime
+    # dividing k, so such a prime is skipped
+    alg, mod = _kronecker_r0_rk(tmp_path, k)
     assert _run(capsys, "xvalue", alg, mod) == (0, KRONECKER_X_DELTA_SQUARED, "")
+
+
+@pytest.mark.parametrize("k", GOOD_PRIME_CASES)
+def test_kronecker_sum_of_two_regular_simples(capsys, tmp_path, k):
+    # `grassmannian` counts the whole module: k = 2*3*...*47 prints the
+    # counts of R_0[2] (constant term 1, chi = 1), and k = 2 fails to
+    # interpolate
+    alg, mod = _kronecker_r0_rk(tmp_path, k)
     assert _run(capsys, "grassmannian", alg, mod, "--dim", "1,1") == (
         0, "degree bound = 2\ncounting polynomial: 2\nchi = 2\n", ""
     )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from module_strategies import loop_modules, modules
+from module_strategies import conjugate, loop_modules, modules
 from clusterchar import grassmannian
 from clusterchar.errors import (
     InputError,
@@ -252,6 +252,21 @@ def test_default_primes_skip_bad_reductions(a4):
     assert _good_primes(_ranked_paths(ba_2), 3) == (3, 5, 7)
     d_3 = Representation(a4, (1, 1, 0, 0), {"d": matrix([[3]])})
     assert _good_primes(_ranked_paths(d_3), 2) == (2, 5)
+
+
+def test_primes_dividing_a_denominator_are_skipped():
+    # the regular simple with b/a = 1/2 over the Kronecker quiver: with a
+    # acting as 1 and b as 1/2 it has no reduction mod 2, and scaled at
+    # vertex 2 to a = 2 and b = 1, a loses its rank mod 2
+    kronecker = load_algebra("[quiver]\nvertices: 1 2\narrow: a 1 2\narrow: b 1 2\n")
+    halves = Representation(
+        kronecker, (1, 1), {"a": matrix([[1]]), "b": matrix([[Fraction(1, 2)]])}
+    )
+    whole = Representation(kronecker, (1, 1), {"a": matrix([[2]]), "b": matrix([[1]])})
+    assert _fixed_point_classes(halves) is None
+    assert _good_primes(_ranked_paths(halves), 2) == (3, 5)
+    assert _good_primes(_ranked_paths(whole), 2) == (3, 5)
+    assert _counted_classes(halves) == _counted_classes(whole)
 
 
 def test_default_pool_without_enough_good_primes(a4):
@@ -508,3 +523,26 @@ def test_interval_modules_take_the_route():
         for hi in range(lo, 6):
             m = interval_module(5, lo, hi)
             assert _fixed_point_classes(m) == _counted_classes(m)
+
+
+# -- the Fitting split ------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, max_dim", [("a3", 2), ("a4", 1), ("d4", 1)])
+def test_split_classes_match_the_count_of_conjugated_sums(algebras, name, max_dim):
+    # the block sum of two drawn modules, its blocks hidden by a unimodular
+    # base change: the split convolves its summands' classes, and the count
+    # of the whole module is the reference wherever it answers
+    algebra = algebras[name]
+
+    @given(modules(algebra, max_dim), modules(algebra, 1), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def check(a, b, rng):
+        m = conjugate(direct_sum(a, b), rng)
+        try:
+            reference = _counted_classes(m)
+        except (NonPolynomialCountError, ResourceLimitError):
+            return  # the count may refuse (its budget, or a count it cannot verify)
+        assert submodule_classes(m) == reference
+
+    check()

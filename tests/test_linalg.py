@@ -120,3 +120,35 @@ def test_div_is_exact(a, b):
     q = linalg.div(a, b)
     assert q == Fraction(a, b)
     assert type(q) is (int if a % b == 0 else Fraction)
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(0, 4))
+    data = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
+    return matrix(data, rows=n, cols=n)
+
+
+@given(square_matrices(), st.integers(1, 6))
+@settings(max_examples=150, deadline=None)
+def test_rational_eigenvalues_are_where_the_rank_drops(a, scale):
+    # an integer matrix has a monic integer characteristic polynomial, so
+    # its rational eigenvalues are integers, within the largest row sum;
+    # dividing the matrix by ``scale`` divides them too
+    n = a.rows
+    bound = max((sum(map(abs, a.row(i))) for i in range(n)), default=0)
+    expected = [
+        lam for lam in range(-bound, bound + 1)
+        if rank(matrix([[a.entry(i, j) - (lam if i == j else 0) for j in range(n)]
+                        for i in range(n)], rows=n, cols=n)) < n
+    ]
+    assert linalg.rational_eigenvalues(a) == expected
+    scaled = matrix([[Fraction(x, scale) for x in a.row(i)] for i in range(n)], rows=n, cols=n)
+    assert linalg.rational_eigenvalues(scaled) == [Fraction(lam, scale) for lam in expected]
+
+
+def test_rational_eigenvalues_of_large_entries():
+    # Sturm bisection, not a divisor search: 10^18 takes some 60 halvings
+    big = 10**18
+    assert linalg.rational_eigenvalues(matrix([[big, 5], [0, 1 - big]])) == [1 - big, big]
+    assert linalg.rational_eigenvalues(matrix([[0, 1], [2, 0]])) == []  # +-sqrt(2)

@@ -1,18 +1,21 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import modules_reference
-from module_strategies import loop_modules, modules
+from module_strategies import conjugate, loop_modules, modules
 from clusterchar import linalg
 from clusterchar.errors import ConsistencyError, DimensionError, InputError
 from clusterchar.forms import index
 from clusterchar.modules import (
     Representation,
     _compute_syzygy,
+    _fitting_parts,
     direct_sum,
     dual,
     euler_form,
     ext1_dim,
+    fitting_split,
     hom_dim,
     injective,
     load_module,
@@ -447,3 +450,81 @@ def test_cover_that_misses_the_top_raises(algebras, monkeypatch):
     for m in (simple(algebras["point"], 0), simple(algebras["a4"], 1)):
         with pytest.raises(ConsistencyError, match="not surjective"):
             _compute_syzygy(m)
+
+
+# -- the Fitting split --------------------------------------------------------
+
+KRONECKER = "[quiver]\nvertices: 1 2\narrow: a 1 2\narrow: b 1 2\n"
+
+
+@pytest.mark.parametrize("name, max_dim", [("a3", 2), ("a4", 1), ("d4", 1)])
+def test_fitting_summands_add_up(algebras, name, max_dim):
+    algebra = algebras[name]
+
+    @given(modules(algebra, max_dim), modules(algebra, 1), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def check(a, b, rng):
+        m = conjugate(direct_sum(a, b), rng)
+        summands = fitting_split(m)
+        # no summand is zero, unless m is, which comes back whole
+        assert all(sum(s.dims) for s in summands) or summands == [m]
+        assert tuple(map(sum, zip(*(s.dims for s in summands)))) == m.dims
+        for s in summands:
+            assert fitting_split(s) == [s]
+
+    check()
+
+
+def _regular_simples(summands):
+    """The points b/a of summands of dimension (1, 1) over the Kronecker quiver."""
+    assert [s.dims for s in summands] == [(1, 1)] * len(summands)
+    return sorted(
+        linalg.div(s.matrices["b"].entry(0, 0), s.matrices["a"].entry(0, 0))
+        for s in summands
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 614889782588491410])
+def test_fitting_split_of_two_regular_simples(k):
+    # a = 1 and b = [[0, 1], [0, k]]: R_0 + R_k
+    m = Representation(
+        load_algebra(KRONECKER),
+        (2, 2),
+        {"a": linalg.identity(2), "b": linalg.matrix([[0, 1], [0, k]])},
+    )
+    assert _regular_simples(fitting_split(m)) == [0, k]
+
+
+def test_fitting_split_shifts_by_a_rational_eigenvalue(monkeypatch):
+    # b has eigenvalues 1 and 2, so the module is R_1 + R_2.  End is
+    # spanned by 1 and b, and its echelon basis, b - 3 (eigenvalues -2 and
+    # -1) and 1, holds no element that is neither nilpotent nor invertible:
+    # only b - 3 + 2 splits the module
+    m = Representation(
+        load_algebra(KRONECKER),
+        (2, 2),
+        {"a": linalg.identity(2), "b": linalg.matrix([[0, 1], [-2, 3]])},
+    )
+    sought = []
+    eigenvalues = linalg.rational_eigenvalues
+    monkeypatch.setattr(
+        linalg, "rational_eigenvalues", lambda a: sought.append(a) or eigenvalues(a)
+    )
+    assert _regular_simples(fitting_split(m)) == [1, 2]
+    assert sought
+
+
+def test_fitting_parts_of_a_non_endomorphism_raise():
+    # the coordinate projection onto the first basis vector at both
+    # vertices of R_0 + R_1 (a = 1, b = [[0, 1], [0, 1]]) is no module map:
+    # b sends the kernel's vector into the image
+    m = Representation(
+        load_algebra(KRONECKER),
+        (2, 2),
+        {"a": linalg.identity(2), "b": linalg.matrix([[0, 1], [0, 1]])},
+    )
+    projection = linalg.matrix([[1, 0], [0, 0]])
+    with pytest.raises(
+        ConsistencyError, match="^Fitting summands are not submodules at arrow 'b'$"
+    ):
+        _fitting_parts(m, [projection, projection])

@@ -8,6 +8,7 @@ oriented cycles exercise the membership checks) the two must produce
 identical tables of every class's count at p = 2 and 3.
 """
 
+import random
 from itertools import product
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import grassmannian_reference as ref
-from module_strategies import loop_modules, modules
+from module_strategies import conjugate, loop_modules, modules
 from clusterchar import grassmannian, linalg
 from clusterchar.cli import run
 from clusterchar.errors import NonPolynomialCountError, ResourceLimitError
@@ -24,11 +25,12 @@ from clusterchar.grassmannian import (
     _count_backtrack,
     _counted_classes,
     _echelon,
+    _fixed_point_classes,
     counting_polynomial,
     gaussian_binomial,
 )
-from clusterchar.modules import Representation
-from clusterchar.polygon import linear_an_algebra
+from clusterchar.modules import Representation, direct_sum
+from clusterchar.polygon import interval_module, linear_an_algebra
 
 @given(
     st.integers(2, 3).flatmap(
@@ -114,16 +116,62 @@ def test_small_budget_exits_3(capsys, data_dir, monkeypatch):
 
 def test_xvalue_budget_exits_3(capsys, data_dir, tmp_path, monkeypatch):
     # the character's path (every class at once) honours the same cap;
-    # a1 maps both basis vectors at 1 onto the one at 2, so they share a
-    # torus weight, and the module is point-counted
-    mod = tmp_path / "kernel_line.mod"
-    mod.write_text("[module]\ndims: 2 1 0\nmatrix a1: [[-1, 1]]\n")
+    # over the D4 star c maps its basis vector onto both at 4, which then
+    # share a torus weight, and the module is a brick, which no Fitting
+    # split reaches: it is point-counted whole
+    alg = tmp_path / "d4_star.alg"
+    alg.write_text(
+        "[quiver]\nvertices: 1 2 3 4\narrow: a 1 4\narrow: b 2 4\narrow: c 3 4\n"
+    )
+    mod = tmp_path / "star.mod"
+    mod.write_text(
+        "[module]\ndims: 1 1 1 2\nmatrix a: [[1], [0]]\nmatrix b: [[0], [1]]\n"
+        "matrix c: [[1], [1]]\n"
+    )
     monkeypatch.setattr(grassmannian, "DEFAULT_BUDGET", 2)
-    code = run(["xvalue", str(data_dir / "an3.alg"), str(mod)])
+    code = run(["xvalue", str(alg), str(mod)])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert "point-count budget exceeded (over 2 nodes visited)" in captured.err
+
+
+def _write_module(path, m):
+    path.write_text(
+        "[module]\ndims: %s\n" % " ".join(map(str, m.dims))
+        + "".join("matrix %s: %s\n" % (name, mat.to_lists()) for name, mat in m.matrices.items())
+    )
+    return str(path)
+
+
+def test_xvalue_counts_no_points_of_a_conjugated_interval_sum(
+    capsys, data_dir, tmp_path, monkeypatch
+):
+    # M[1,3] + M[1,2] + M[2,3] over linear A3, conjugated off the
+    # fixed-point route: the character splits it into intervals and
+    # sweeps nothing, while `grassmannian` still counts the whole module
+    intervals = [interval_module(3, 1, 3), interval_module(3, 1, 2), interval_module(3, 2, 3)]
+    plain = direct_sum(direct_sum(*intervals[:2]), intervals[2])
+    m = conjugate(plain, random.Random(3))
+    assert _fixed_point_classes(plain) is not None
+    assert _fixed_point_classes(m) is None
+    alg = str(data_dir / "an3.alg")
+    plain_mod = _write_module(tmp_path / "plain.mod", plain)
+    mod = _write_module(tmp_path / "conjugated.mod", m)
+    assert run(["xvalue", alg, plain_mod]) == 0
+    expected = capsys.readouterr().out
+    sweeps = []
+    count = grassmannian._count_backtrack
+    monkeypatch.setattr(
+        grassmannian, "_count_backtrack", lambda *args: sweeps.append(args[2]) or count(*args)
+    )
+    assert run(["xvalue", alg, mod]) == 0
+    assert capsys.readouterr().out == expected
+    assert sweeps == []
+    assert run(["grassmannian", alg, mod, "--dim", "1,2,1"]) == 0
+    chi = dict(_fixed_point_classes(plain))[1, 2, 1]
+    assert capsys.readouterr().out.endswith("chi = %d\n" % chi)
+    assert sweeps
 
 
 # -- one driver behind both fitting entry points ---------------------------
