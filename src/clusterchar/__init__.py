@@ -28,7 +28,6 @@ from .laurent import LaurentPoly, laurent_divexact, laurent_render
 from .modules import (
     Representation,
     direct_sum,
-    dual,
     euler_form,
     ext1_dim,
     hom_dim,

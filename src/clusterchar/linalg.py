@@ -100,11 +100,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.rows, n, tuple(out))
 
 
-def transpose(a: Matrix) -> Matrix:
-    ent = tuple(a.entry(i, j) for j in range(a.cols) for i in range(a.rows))
-    return Matrix(a.cols, a.rows, ent)
-
-
 def row_reduce(data: list[list], limit_cols: int) -> tuple[list[list], list[int]]:
     """In-place reduced row echelon form; pivots chosen among the first
     ``limit_cols`` columns only (row operations act on full rows).

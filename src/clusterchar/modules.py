@@ -16,9 +16,9 @@ ones).  The Euler form <m, n> = dim Hom - dim Ext^1 comes from the long
 exact sequence of a single syzygy with one Hom solve, and Ext^1 is
 dim Hom(m, n) - <m, n>, so the intertwiner system is the only Hom
 solver.  Ext^1 is the form's one program use: `forms` reads the
-coindex (<S_i, m>)_i off the relations instead.  The injectives I_i,
-duals of the projectives of the opposite presentation, are the one use
-of that presentation here.
+coindex (<S_i, m>)_i off the relations instead.  Projectives and
+injectives are built from the algebra's own basis: P_i from the paths
+out of i, I_i from the duals of the paths into i.
 """
 
 from __future__ import annotations
@@ -119,8 +119,9 @@ def projective(algebra: AlgebraPresentation, i: int) -> Representation:
 
 
 def injective(algebra: AlgebraPresentation, i: int) -> Representation:
-    """I_i: the dual of the projective at i over the opposite presentation."""
-    return algebra.cached(("inj", i), lambda: dual(projective(algebra.opposite(), i)))
+    """I_i: the space at j is dual to the span of basis paths j -> i; an
+    arrow acts by the transpose of precomposition, reduced to the basis."""
+    return algebra.cached(("inj", i), lambda: _build_injective(algebra, i))
 
 
 def _build_projective(algebra: AlgebraPresentation, i: int) -> Representation:
@@ -140,12 +141,21 @@ def _build_projective(algebra: AlgebraPresentation, i: int) -> Representation:
     return Representation(algebra, dims, mats)
 
 
-def dual(m: Representation) -> Representation:
-    """Vector-space dual, a module over the opposite presentation
-    (arrow matrices transpose; dimensions per vertex are unchanged)."""
-    op = m.algebra.opposite()
-    mats = {name: linalg.transpose(mat) for name, mat in m.matrices.items()}
-    return Representation(op, m.dims, mats)
+def _build_injective(algebra: AlgebraPresentation, i: int) -> Representation:
+    q = algebra.quiver
+    by_source = [algebra.paths_from[j][i] for j in range(q.n)]
+    dims = tuple(map(len, by_source))
+    pos = [{p: k for k, p in enumerate(paths)} for paths in by_source]
+    mats: dict[str, Matrix] = {}
+    for k, a in enumerate(q.arrows):
+        rows, cols = dims[a.target], dims[a.source]
+        data = [[0] * cols for _ in range(rows)]
+        for r, p in enumerate(by_source[a.target]):
+            ext = Path(a.source, (k,) + p.arrows)
+            for b, coeff in algebra.reduce_path(ext).items():
+                data[r][pos[a.source][b]] = coeff
+        mats[a.name] = linalg.matrix(data, rows=rows, cols=cols)
+    return Representation(algebra, dims, mats)
 
 
 def direct_sum(m: Representation, n: Representation) -> Representation:

@@ -6,9 +6,8 @@ generated by the relations.  Every relation is homogeneous in (source,
 target, length), so the ideal is graded by length and the basis is found
 one length at a time; the first length contributing nothing to the
 quotient is the nilpotency bound, and a growth cap turns an algebra that
-is not finite-dimensional into a loud error.  Every algebra, the
-opposite presentation included, reduces its own relations; the opposite's
-graded basis counts must mirror the algebra's.
+is not finite-dimensional into a loud error.  Every algebra reduces its
+own relations, once; its projectives and injectives read that basis.
 
 Paths store their arrows in application order: ``Path(v, (a, b))`` starts
 at vertex ``v``, applies arrow ``a`` first, then ``b``.  The textual
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import AlgebraBuildError, ConsistencyError, InputError
+from .errors import AlgebraBuildError, InputError
 
 DEFAULT_BASIS_CAP = 64
 _RAW_PATH_CAP = 20000
@@ -56,12 +55,6 @@ class Quiver:
             if a.name == name:
                 return k
         raise InputError("unknown arrow %r" % name)
-
-    def opposite(self) -> "Quiver":
-        return Quiver(
-            self.vertices,
-            tuple(Arrow(a.name, a.target, a.source) for a in self.arrows),
-        )
 
 
 def make_quiver(vertex_labels, arrow_triples) -> Quiver:
@@ -273,25 +266,6 @@ class AlgebraPresentation:
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
-
-    def opposite(self) -> "AlgebraPresentation":
-        """The opposite presentation, reduced on its own; an involution on
-        instances.  Its basis must have as many paths j -> i of each length
-        as this one has i -> j, and the same nilpotency bound."""
-        return self.cached("op", self._reversed)
-
-    def _reversed(self) -> "AlgebraPresentation":
-        q = self.quiver
-        op = AlgebraPresentation(q.opposite(), tuple(
-            tuple((c, Path(path_target(q, p), p.arrows[::-1])) for c, p in rel)
-            for rel in self.relations
-        ))
-        graded = sorted((p.source, path_target(q, p), len(p)) for p in self.basis)
-        mirrored = sorted((path_target(op.quiver, p), p.source, len(p)) for p in op.basis)
-        if (op.nilpotency_bound, mirrored) != (self.nilpotency_bound, graded):
-            raise ConsistencyError("the opposite's basis does not mirror the algebra's")
-        op.cached("op", lambda: self)
-        return op
 
     def __repr__(self) -> str:
         return "AlgebraPresentation(%d vertices, %d arrows, dim %d)" % (

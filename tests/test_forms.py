@@ -1,4 +1,5 @@
 import re
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, given, settings
@@ -6,14 +7,11 @@ from hypothesis import strategies as st
 
 from module_strategies import loop_modules
 from module_strategies import modules as generated_modules
-from clusterchar import cli, forms, modules
-from clusterchar.character import cc_value, module_object
+from clusterchar import cli, forms, modules, polygon, quiver
 from clusterchar.errors import AlgebraBuildError, ConsistencyError
 from clusterchar.forms import antisym_form_matrix, coindex, form_a_row, index
-from clusterchar.laurent import render_fraction
 from clusterchar.modules import (
     direct_sum,
-    dual,
     euler_form,
     ext1_dim,
     injective,
@@ -26,6 +24,7 @@ from clusterchar.modules import (
 )
 from clusterchar.polygon import interval_ses, interval_module, linear_an_algebra, verify_an
 from clusterchar.quiver import AlgebraPresentation, load_algebra, load_algebra_file
+from opposite_reference import dual
 from test_quiver import presentations
 
 A4_FORM_MATRIX = (
@@ -74,22 +73,36 @@ def test_corrupt_presentation_entry_is_caught(data_dir, monkeypatch, i, j):
 
 
 def test_form_matrix_reads_no_copresentation(capsys, data_dir, monkeypatch):
-    # the arrows are the form matrix's second route, and the relations
-    # acting on the module the coindex's only one: neither the form matrix,
-    # a character value, the index command nor the type-A check builds the
-    # opposite algebra
-    def refuse(*args):
-        raise AssertionError("opposite algebra built")
+    # the arrows are the form matrix's second route, the relations acting
+    # on the module the coindex's only one, and I_i is read off the
+    # algebra's own basis: each call reduces the one presentation it
+    # loads, and no second one
+    reduced = []
+    real = quiver._reduce_paths
 
-    monkeypatch.setattr(AlgebraPresentation, "opposite", refuse)
-    algebra = load_algebra((data_dir / "a4.alg").read_text())
-    assert antisym_form_matrix(algebra) == A4_FORM_MATRIX
-    module = load_module_file(data_dir / "a4_M.mod", algebra)
-    value = cc_value(module_object(module))
-    assert render_fraction(value, ("x1", "x2", "x3", "x4")) == "(x1*x3 + x2*x4 + x4) / (x1*x2)"
-    code = cli.run(["index", str(data_dir / "a4.alg"), str(data_dir / "a4_M.mod")])
-    assert (code, capsys.readouterr().out) == (0, "ind = [P_2] - [P_3]\ncoind = [P_1] - [P_4]\n")
+    def counted(q, rels):
+        reduced.append(q)
+        return real(q, rels)
+
+    monkeypatch.setattr(quiver, "_reduce_paths", counted)
+    # verify_an keeps its algebra for the process: a fresh store makes it
+    # load the algebra here
+    monkeypatch.setattr(polygon, "linear_an_algebra",
+                        lru_cache(maxsize=None)(polygon.linear_an_algebra.__wrapped__))
+    alg, mod = str(data_dir / "a4.alg"), str(data_dir / "a4_M.mod")
+    for argv, head in [
+        (["form-matrix", alg], "0 1 0 0\n-1 0 -1 1\n0 1 0 -1\n0 -1 1 0\n"),
+        (["index", alg, mod], "ind = [P_2] - [P_3]\ncoind = [P_1] - [P_4]\n"),
+        (["xvalue", alg, mod], "X = (x1*x3 + x2*x4 + x4) / (x1*x2)\n"),
+        (["algebra", "check", alg], "vertices: 1 2 3 4\n"),
+    ]:
+        reduced.clear()
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out.startswith(head)
+        assert len(reduced) == 1, argv
+    reduced.clear()
     assert verify_an(3).ok
+    assert len(reduced) == 1
 
 
 def test_coindex_is_computed_once_per_module(capsys, data_dir, monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from module_strategies import conjugate, loop_modules, modules
+from opposite_reference import dual
 from clusterchar import grassmannian
 from clusterchar.errors import (
     InputError,
@@ -29,7 +30,7 @@ from clusterchar.grassmannian import (
     submodule_classes,
 )
 from clusterchar.linalg import identity, matrix, rank
-from clusterchar.modules import Representation, direct_sum, dual, simple
+from clusterchar.modules import Representation, direct_sum, simple
 from clusterchar.polygon import interval_module, linear_an_algebra
 from clusterchar.quiver import load_algebra
 

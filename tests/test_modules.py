@@ -1,18 +1,18 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import modules_reference
 from module_strategies import conjugate, loop_modules, modules
-from clusterchar import linalg
-from clusterchar.errors import ConsistencyError, DimensionError, InputError
+from clusterchar import linalg, quiver
+from clusterchar import modules as program_modules
+from clusterchar.errors import AlgebraBuildError, ConsistencyError, DimensionError, InputError
 from clusterchar.forms import index
 from clusterchar.modules import (
     Representation,
     _compute_syzygy,
     _fitting_parts,
     direct_sum,
-    dual,
     euler_form,
     ext1_dim,
     fitting_split,
@@ -27,7 +27,9 @@ from clusterchar.modules import (
     top_dims,
     zero_module,
 )
-from clusterchar.quiver import load_algebra
+from clusterchar.quiver import AlgebraPresentation, load_algebra, path_target
+from opposite_reference import dual, opposite
+from test_quiver import load_named, presentations
 
 A2_HEREDITARY = "[quiver]\nvertices: 1 2\narrow: a1 1 2\n"
 A3_HEREDITARY = "[quiver]\nvertices: 1 2 3\narrow: a1 1 2\narrow: a2 2 3\n"
@@ -57,6 +59,43 @@ def test_injective_dims_a4(a4):
     assert injective(a4, 3).dims == (0, 0, 1, 1)  # matches P_3
     assert injective(a4, 1).dims == (0, 1, 0, 1)
     assert injective(a4, 2).dims == (0, 1, 1, 0)
+
+
+def _check_injectives(alg):
+    # I_i, read off the algebra's own basis, against the dual of P_i over
+    # the opposite, which reduces its own presentation: the two may keep
+    # different basis paths (the flipped square), but the graded counts
+    # of their bases mirror, and the modules are isomorphic injective
+    # hulls of S_i
+    q, op = alg.quiver, opposite(alg)
+    graded = sorted((p.source, path_target(q, p), len(p)) for p in alg.basis)
+    mirrored = sorted((path_target(op.quiver, p), p.source, len(p)) for p in op.basis)
+    assert (op.nilpotency_bound, mirrored) == (alg.nilpotency_bound, graded)
+    simples = [simple(alg, j) for j in range(q.n)]
+    for i in range(q.n):
+        inj, ref = injective(alg, i), dual(projective(op, i))
+        assert inj.dims == ref.dims
+        end = hom_dim(inj, inj)
+        assert hom_dim(inj, ref) == hom_dim(ref, inj) == hom_dim(ref, ref) == end
+        assert [hom_dim(s, inj) for s in simples] == [int(j == i) for j in range(q.n)]
+        assert not any(ext1_dim(s, inj) for s in simples)
+
+
+@pytest.mark.parametrize("name", [
+    "a4", "d4", "an2", "an3", "an4", "an5", "loop", "flipped_square", "fractions", "a3_ba",
+])
+def test_injective_matches_the_dual_over_the_opposite(data_dir, name):
+    _check_injectives(load_named(data_dir, name))
+
+
+@given(presentations(max_vertices=3, max_arrows=4, max_len=3))
+@settings(max_examples=40, deadline=None)
+def test_injective_matches_the_dual_over_the_opposite_on_random_presentations(presentation):
+    try:
+        alg = AlgebraPresentation(*presentation)
+    except AlgebraBuildError:
+        assume(False)
+    _check_injectives(alg)
 
 
 def test_one_vertex_p_equals_i_equals_s():
@@ -135,20 +174,28 @@ def _syzygy_data(syz):
 
 
 def test_canonical_modules_are_built_once(data_dir, monkeypatch):
-    from clusterchar.modules import _build_projective
+    built, reduced = [], []
 
-    built = []
+    def counting(name):
+        real = getattr(program_modules, name)
 
-    def counted(algebra, i):
-        built.append((algebra, i))
-        return _build_projective(algebra, i)
+        def counted(algebra, i):
+            built.append((name, algebra, i))
+            return real(algebra, i)
 
-    monkeypatch.setattr("clusterchar.modules._build_projective", counted)
+        return counted
+
+    for name in ("_build_projective", "_build_injective"):
+        monkeypatch.setattr(program_modules, name, counting(name))
     algebra = load_algebra((data_dir / "d4.alg").read_text())
+    real_reduce = quiver._reduce_paths
+    monkeypatch.setattr(quiver, "_reduce_paths",
+                        lambda *args: reduced.append(args) or real_reduce(*args))
     assert projective(algebra, 1) is projective(algebra, 1)
     assert injective(algebra, 1) is injective(algebra, 1)
-    # the injective is the dual of a projective over the opposite
-    assert built == [(algebra, 1), (algebra.opposite(), 1)]
+    # the injective reads the algebra's own basis: no second presentation
+    assert built == [("_build_projective", algebra, 1), ("_build_injective", algebra, 1)]
+    assert reduced == []
 
 
 def test_syzygy_is_memoized_by_fingerprint(data_dir):
