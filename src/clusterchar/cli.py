@@ -167,7 +167,9 @@ def _cmd_verify_an(args) -> int:
 _SHIFTS_HELP = "comma list of vertex labels (repeat = multiplicity)"
 _MAX_SEEDS_HELP = (
     "exit 3 once more than N seeds are visited: the initial seed and "
-    "every mutation result, revisits of a cluster included"
+    "every mutation result, revisits of a cluster included; a matrix with "
+    "an entry of absolute value 2 or more, or an acyclic one that is not "
+    "Dynkin, is infinite type and exits 3 at once"
 )
 
 # subcommand -> (help, handler, its add_argument calls as (names, options))

@@ -46,4 +46,5 @@ class ResourceLimitError(ClusterCharError):
 
 
 class NotFiniteTypeError(ResourceLimitError):
-    """Seed enumeration did not close up within the seed cap."""
+    """Seed enumeration did not close up within the seed cap, or its
+    initial seed proves infinite type, so that it never would."""

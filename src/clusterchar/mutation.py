@@ -11,8 +11,10 @@ once per cluster and checking at run time the theorems that make this
 sound, and records how each new g-vector was first reached.  Only once
 the search closes within its cap does it compute the Laurent
 polynomials, one exact division per cluster variable rather than one per
-edge of the exchange graph; a capped run divides nothing.  An inexact
-division can only mean an arithmetic bug (the Laurent phenomenon
+edge of the exchange graph; a capped run divides nothing.  An initial
+seed that a theorem places outside finite type (an entry |b_ij| >= 2, or
+an acyclic quiver that is not Dynkin) is refused before any search.  An
+inexact division can only mean an arithmetic bug (the Laurent phenomenon
 guarantees exactness) and raises immediately.
 """
 
@@ -158,6 +160,13 @@ def enumerate_cluster_variables(
     the direction it was reached by returns its parent (mutation is an
     involution), so that seed is counted as visited but not computed or
     checked: a finite type with C clusters of rank n visits n C + 1 seeds.
+
+    Where ``b`` itself rules out finite type (`_infinite_type`: some
+    |b_ij| >= 2, or b acyclic and 2I - |b| not positive definite), the
+    same ``NotFiniteTypeError`` is raised at once, before any g-vector
+    step, whatever the cap: an infinite type has more seeds than any cap.
+    An infinite type whose initial seed is cyclic with every |b_ij| <= 1
+    still runs to the cap.
     """
     if seed_cap < 1:
         raise InputError("seed cap must be at least 1, got %d" % seed_cap)
@@ -165,6 +174,8 @@ def enumerate_cluster_variables(
     n = len(b)
     if n == 0:
         return frozenset()
+    if _infinite_type(b):
+        raise _cap_exceeded(seed_cap)
     unit = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     variables = {g: laurent.variable(n, i) for i, g in enumerate(unit)}
     # new g-vector -> (parent g-vectors, k, column k of the parent's B)
@@ -178,9 +189,7 @@ def enumerate_cluster_variables(
         for k in range(n):
             visited += 1
             if visited > seed_cap:
-                raise NotFiniteTypeError(
-                    "not finite within cap: more than %d seeds" % seed_cap
-                )
+                raise _cap_exceeded(seed_cap)
             if k == back:
                 continue  # mutation is an involution: this is the parent seed
             g = _g_vector(gs, m, k)
@@ -197,6 +206,66 @@ def enumerate_cluster_variables(
     for g, (gs, k, bk) in recipes.items():
         variables[g] = _exchange(bk, [variables[h] for h in gs], k)
     return frozenset(variables.values())
+
+
+def _cap_exceeded(seed_cap: int) -> NotFiniteTypeError:
+    return NotFiniteTypeError("not finite within cap: more than %d seeds" % seed_cap)
+
+
+def _infinite_type(b: ExchangeMatrix) -> bool:
+    """Whether a theorem rules out finite type for the initial seed ``b``.
+
+    Finite type needs every seed 2-finite, |b_ij b_ji| <= 3 (Fomin and
+    Zelevinsky, "Cluster algebras II", Invent. Math. 2003, Thm 1.8),
+    which for a skew-symmetric B is |b_ij| <= 1.  An acyclic B is of
+    finite type exactly when its quiver is Dynkin (Caldero and Keller,
+    "From triangulated categories to cluster algebras II", Ann. Sci. ENS
+    2006), that is, when 2I - |B| is positive definite.  A cyclic B with
+    every |b_ij| <= 1 is not decided here.
+    """
+    if any(abs(x) >= 2 for row in b for x in row):
+        return True
+    return _acyclic(b) and not _positive_definite(
+        [[2 * (i == j) - abs(x) for j, x in enumerate(row)] for i, row in enumerate(b)]
+    )
+
+
+def _acyclic(b: ExchangeMatrix) -> bool:
+    """Whether the quiver of ``b``, an arrow i -> j where b_ij > 0, has no
+    oriented cycle: removing sources one at a time removes every vertex."""
+    indegree = [sum(x < 0 for x in row) for row in b]
+    sources = [i for i, d in enumerate(indegree) if not d]
+    removed = 0
+    while sources:
+        i = sources.pop()
+        removed += 1
+        for j, x in enumerate(b[i]):
+            if x > 0:
+                indegree[j] -= 1
+                if not indegree[j]:
+                    sources.append(j)
+    return removed == len(b)
+
+
+def _positive_definite(a) -> bool:
+    """Whether the symmetric integer matrix ``a`` is positive definite.
+
+    Sylvester's criterion: every leading principal minor is positive.
+    The minors are the pivots of fraction-free (Bareiss) elimination, in
+    which each division is exact, so every entry stays an integer.
+    """
+    a = [list(row) for row in a]
+    n = len(a)
+    previous = 1
+    for k in range(n):
+        pivot = a[k][k]  # the leading principal minor of order k + 1
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // previous
+        previous = pivot
+    return True
 
 
 def _g_vector(gs, m: ExchangeMatrix, k: int) -> tuple[int, ...]:

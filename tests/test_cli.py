@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from clusterchar import cli, linalg, modules
+from clusterchar import cli, grassmannian, linalg, modules
 from clusterchar.cli import run
 from clusterchar.grassmannian import CountingPolynomial
 from clusterchar.laurent import from_dict, laurent_render
@@ -88,6 +88,38 @@ def test_default_primes_skip_a_bad_reduction_along_a_path(capsys, data_dir, tmp_
         "laurent: x1*x2^-1*x3^-1 + x1*x2^-2*x3^-1 + 2*x2^-1 + 2*x2^-2 "
         "+ x1^-1*x2^-1*x3 + x1^-1*x2^-2*x3\n"
     )
+
+
+KRONECKER_ALG = "[quiver]\nvertices: 1 2\narrow: a 1 2\narrow: b 1 2\n"
+KRONECKER_JORDAN_X = (
+    "X = (x1^4 + x1^2*x2^2 + 2*x1^2 + x2^4 + 2*x2^2 + 1) / (x1^2*x2^2)\n"
+    "laurent: x1^2*x2^-2 + 1 + 2*x2^-2 + x1^-2*x2^2 + 2*x1^-2 + x1^-2*x2^-2\n"
+)
+
+
+@pytest.mark.parametrize("b,primes", [
+    ("[[2, 1], [0, 2]]", (3, 5, 7)),
+    ("[[1, 1], [0, 1]]", (2, 3, 5)),
+])
+def test_xvalue_skips_a_bad_reduction_along_a_path(monkeypatch, capsys, tmp_path, b, primes):
+    # a = I and b a Jordan block: indecomposable, so it does not split,
+    # and not a tree module, so it is point-counted whole.  With
+    # eigenvalue 2, b loses its rank mod 2, which the fit skips; with
+    # eigenvalue 1 it keeps it.  Both lie in a homogeneous tube at its
+    # second level, so X is the same
+    alg, mod = tmp_path / "kronecker.alg", tmp_path / "jordan.mod"
+    alg.write_text(KRONECKER_ALG)
+    mod.write_text("[module]\ndims: 2 2\nmatrix a: [[1, 0], [0, 1]]\nmatrix b: %s\n" % b)
+    chosen = []
+
+    def recording(ranked, needed):
+        chosen.append(good_primes(ranked, needed))
+        return chosen[-1]
+
+    good_primes = grassmannian._good_primes
+    monkeypatch.setattr(grassmannian, "_good_primes", recording)
+    assert _run(capsys, "xvalue", alg, mod) == (0, KRONECKER_JORDAN_X, "")
+    assert chosen == [primes]
 
 
 def test_default_primes_skip_a_bad_reduction_in_a_single_fit(

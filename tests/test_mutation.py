@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -273,7 +274,144 @@ def test_capped_run_computes_no_laurent_polynomial(monkeypatch, b, seed_cap):
     log = _log_work(monkeypatch)
     with pytest.raises(NotFiniteTypeError, match=_cap_message(seed_cap)):
         enumerate_cluster_variables(b, seed_cap=seed_cap)
-    assert set(log) == {"mutate"}
+    assert "divide" not in log and "mul" not in log
+
+
+def _affine(arms):
+    """An acyclic star: arms of the given lengths, each oriented away
+    from the centre, vertex 0."""
+    edges, n = [], 1
+    for length in arms:
+        previous = 0
+        for _ in range(length):
+            edges.append((previous, n))
+            previous, n = n, n + 1
+    return _dynkin(n, edges)
+
+
+# Kronecker and Markov have an entry 2; acyclic affine A2 and the stars
+# with arms (2, 2, 2), (1, 3, 3) and (1, 2, 5), the extended Dynkin
+# diagrams of E6, E7 and E8, have a singular 2I - |B|
+REFUSED_AT_ONCE = {
+    "kronecker": KRONECKER,
+    "markov": MARKOV,
+    "affine-a2": AFFINE_A2,
+    "affine-e6": _affine((2, 2, 2)),
+    "affine-e7": _affine((1, 3, 3)),
+    "affine-e8": _affine((1, 2, 5)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REFUSED_AT_ONCE))
+def test_infinite_type_is_refused_at_the_initial_seed(monkeypatch, capsys, tmp_path, kind):
+    # at the default cap of 500,000 seeds Markov used to take seconds and
+    # hundreds of megabytes to refuse; a theorem refuses these at once
+    b = REFUSED_AT_ONCE[kind]
+    log = _log_work(monkeypatch)
+    with pytest.raises(NotFiniteTypeError, match=_cap_message(mutation.DEFAULT_SEED_CAP)):
+        enumerate_cluster_variables(b)
+    path = tmp_path / "b.mat"
+    path.write_text("%d\n%s\n" % (len(b), "\n".join(" ".join(map(str, r)) for r in b)))
+    assert cli.run(["enumerate", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: not finite within cap: more than 500000 seeds\n")
+    assert log == []
+
+
+# affine A3, 0 -> 1 -> 2 -> 3 and 0 -> 3, mutated at vertex 1: every
+# |b_ij| <= 1 and an oriented cycle 0 -> 2 -> 1 -> 0, so the initial seed
+# decides nothing and the search runs to the cap
+CYCLIC_AFFINE_A3 = ((0, -1, 1, 1), (1, 0, -1, 0), (-1, 1, 0, 1), (-1, 0, -1, 0))
+
+
+def test_cyclic_infinite_type_runs_to_the_cap(monkeypatch):
+    assert not mutation._infinite_type(CYCLIC_AFFINE_A3)
+    log = _log_work(monkeypatch)
+    with pytest.raises(NotFiniteTypeError, match=_cap_message(400)):
+        enumerate_cluster_variables(CYCLIC_AFFINE_A3, seed_cap=400)
+    assert log and set(log) == {"mutate"}
+
+
+def test_e8_is_not_refused():
+    # E8, the largest finite type, is enumerated only by a slow test
+    assert not mutation._infinite_type(_type_e(8))
+
+
+# the most clusters of a finite type of rank n (A1, A2, A3, D4 and D5;
+# a product of types has fewer), so that a finite type of rank n closes
+# within n * CLUSTERS_MAX[n] + 1 seeds
+CLUSTERS_MAX = {1: 2, 2: 5, 3: 14, 4: 50, 5: 182}
+
+
+@st.composite
+def exchange_matrices_up_to_rank_5(draw):
+    """Skew-symmetric matrices of rank 1 to 5: entries in -2..2, or an
+    acyclic quiver with single arrows, its vertices relabelled."""
+    n = draw(st.integers(1, 5))
+    acyclic = draw(st.booleans())
+    order = draw(st.permutations(range(n)))
+    b = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = draw(st.integers(0, 1) if acyclic else st.integers(-2, 2))
+            b[order[i]][order[j]], b[order[j]][order[i]] = x, -x
+    return tuple(map(tuple, b))
+
+
+@given(exchange_matrices_up_to_rank_5())
+@settings(max_examples=150, deadline=None)
+def test_refused_matrices_do_not_close_in_the_search(b):
+    # what the theorems refuse at the initial seed, the g-vector search
+    # itself, with the check off, fails to close at a cap that every
+    # finite type of that rank closes within
+    if not mutation._infinite_type(b):
+        return
+    seed_cap = len(b) * CLUSTERS_MAX[len(b)] + 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mutation, "_infinite_type", lambda b: False)
+        with pytest.raises(NotFiniteTypeError, match=_cap_message(seed_cap)):
+            enumerate_cluster_variables(b, seed_cap)
+
+
+def _positive_definite_ldlt(a):
+    """Positive definiteness by an LDL^T factorization over Fraction:
+    every pivot d_j must be positive."""
+    n = len(a)
+    low = [[Fraction(0)] * n for _ in range(n)]
+    d = []
+    for j in range(n):
+        dj = a[j][j] - sum(low[j][k] ** 2 * d[k] for k in range(j))
+        if dj <= 0:
+            return False
+        d.append(dj)
+        for i in range(j + 1, n):
+            low[i][j] = (a[i][j] - sum(low[i][k] * low[j][k] * d[k] for k in range(j))) / dj
+    return True
+
+
+@st.composite
+def symmetric_integer_matrices(draw):
+    """Symmetric integer matrices of size 1 to 6: random ones, and Gram
+    matrices M^T M plus a diagonal in -2..2, about half of them definite."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        m = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
+        shift = [draw(st.integers(-2, 2)) for _ in range(n)]
+        return [
+            [sum(m[k][i] * m[k][j] for k in range(n)) + (i == j) * shift[i] for j in range(n)]
+            for i in range(n)
+        ]
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = draw(st.integers(-4, 9 if i == j else 4))
+    return a
+
+
+@given(symmetric_integer_matrices())
+@settings(max_examples=300, deadline=None)
+def test_integer_definiteness_matches_a_fraction_ldlt(a):
+    assert mutation._positive_definite(a) == _positive_definite_ldlt(a)
 
 
 def _divide_faulty_on_fifth_call(monkeypatch):
