@@ -2,8 +2,8 @@
 
 The pipeline: `laurent` and `linalg` provide exact arithmetic; `quiver`
 presents an algebra by quiver and relations and computes its path basis;
-`modules` does Hom/Ext/syzygy work in the module category; `grassmannian`
-counts submodules over prime fields and interpolates Euler
+`modules` solves Hom spaces and reads the Euler form off the relations;
+`grassmannian` counts submodules over prime fields and interpolates Euler
 characteristics; `forms` builds the antisymmetrized Euler form and
 index/coindex; `character` evaluates the cluster character.  `mutation`
 is an independent seed-mutation oracle and `polygon` an exhaustive
@@ -34,10 +34,8 @@ from .modules import (
     injective,
     load_module,
     load_module_file,
-    min_proj_presentation,
     projective,
     simple,
-    syzygy,
     zero_module,
 )
 from .mutation import (

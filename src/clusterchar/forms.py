@@ -1,60 +1,64 @@
 """The antisymmetrized Euler form and index/coindex.
 
 The form matrix is E - E^T with E = I - (arrows i -> j), as relations
-have length >= 2.  The coindex (<S_i, m>)_i is read off the relations:
-the arrows and the relations starting at i give the start
-(+)_rho P_t(rho) -> (+)_a P_t(a) -> P_i -> S_i -> 0 of a projective
-resolution, and Hom(-, m) of it gives
-
-    <S_i, m> = dim m_i - sum_{a: i -> j} dim m_j + rank gamma_i(m),
-
-where gamma_i(m): (+)_a m_t(a) -> (+)_rho m_t(rho) has as (rho, a) block
-the sum of c * (p with its first arrow a removed) acting on m, over the
-terms c * p of rho.  As the form descends to K_0 (Palu), the index
-[P0] - [P1] must equal coind(m) - (E - E^T) dim m, one check that reads
-m's cover, the relations acting on m and the arrows.  The coindex of S_i
-is column i of E, so for a simple this check compares its presentation
-with row i of E; `antisym_form_matrix` makes it for every simple.
+have length >= 2.  Both indices are restrictions of the one Euler form
+read off the relations (`modules.euler_form`): the coindex is
+(<S_i, m>)_i and the index (<m, S_i>)_i, which is [P0] - [P1] for a
+minimal presentation P1 -> P0 -> m, as P_i appears in P0
+dim Hom(m, S_i) times and in P1 dim Ext^1(m, S_i) times.  The two
+restrictions are different maps: for the coindex, d1 reads the
+relations starting at i with the module on their tails, and for the
+index the relations ending at i with the module on their heads.  As the
+form descends to K_0 (Palu), the index must equal
+coind(m) - (E - E^T) dim m, one check that reads both and the arrows.
+The form matrix is checked entry by entry: every <S_i, S_j> read off
+the relations must equal E_ij, the diagonal included.
 """
 
 from __future__ import annotations
 
-from . import linalg
 from .errors import ConsistencyError
-from .modules import (
-    DimVector,
-    K0ProjClass,
-    Representation,
-    min_proj_presentation,
-    path_matrix,
-    simple,
-)
-from .quiver import AlgebraPresentation, Path, path_target
+from .modules import DimVector, K0ProjClass, Representation, euler_form, simple
+from .quiver import AlgebraPresentation
 
 FormMatrix = tuple[tuple[int, ...], ...]
 
 
 def antisym_form_matrix(a: AlgebraPresentation) -> FormMatrix:
-    """Matrix of the antisymmetrized form on the simples, each simple's
-    index checked against its presentation (cached per algebra)."""
+    """Matrix of the antisymmetrized form on the simples, each entry of E
+    checked against the relations (cached per algebra)."""
     return a.cached("form_matrix", lambda: _compute_form_matrix(a))
 
 
 def _compute_form_matrix(a: AlgebraPresentation) -> FormMatrix:
-    """E - E^T once each simple's presentation has matched its row of E."""
-    for i, label in enumerate(a.quiver.vertices):
-        _indices(simple(a, i), "index of S_%s" % label)
+    """E - E^T once every <S_i, S_j> has matched E_ij = I - (arrow counts)."""
+    labels, euler = a.quiver.vertices, _arrow_euler_matrix(a)
+    simples = [simple(a, i) for i in range(a.quiver.n)]
+    for i, s in enumerate(simples):
+        for j, t in enumerate(simples):
+            got = euler_form(s, t)
+            if got != euler[i][j]:
+                raise ConsistencyError(
+                    "form matrix mismatch: <S_%s, S_%s> = %d from the relations, %d from "
+                    "the arrows" % (labels[i], labels[j], got, euler[i][j])
+                )
     return _arrow_form_matrix(a)
 
 
+def _arrow_euler_matrix(a: AlgebraPresentation) -> list[list[int]]:
+    """E = I - (arrow counts i -> j)."""
+    n = a.quiver.n
+    euler = [[int(i == j) for j in range(n)] for i in range(n)]
+    for arrow in a.quiver.arrows:
+        euler[arrow.source][arrow.target] -= 1
+    return euler
+
+
 def _arrow_form_matrix(a: AlgebraPresentation) -> FormMatrix:
-    """E - E^T with E = I - (arrow counts), cached per algebra."""
+    """E - E^T from the arrows alone, cached per algebra."""
 
     def compute():
-        n = a.quiver.n
-        euler = [[int(i == j) for j in range(n)] for i in range(n)]
-        for arrow in a.quiver.arrows:
-            euler[arrow.source][arrow.target] -= 1
+        euler, n = _arrow_euler_matrix(a), a.quiver.n
         return tuple(tuple(euler[i][j] - euler[j][i] for j in range(n)) for i in range(n))
 
     return a.cached("arrow_form_matrix", compute)
@@ -66,39 +70,9 @@ def form_a_row(a: AlgebraPresentation, e: DimVector) -> tuple[int, ...]:
     return tuple(sum(row[j] * e[j] for j in range(len(e))) for row in matrix)
 
 
-def _relation_coindex(m: Representation) -> K0ProjClass:
-    """(<S_i, m>)_i from the arrows and relations starting at each i."""
-    a = m.algebra
-    q = a.quiver
-    arrows, n, dims = q.arrows, q.n, m.dims
-    # the columns of gamma_i: one block m_t(b) per arrow b from i
-    offset, width = [], [0] * n
-    for arrow in arrows:
-        offset.append(width[arrow.source])
-        width[arrow.source] += dims[arrow.target]
-    gamma: list[list[list]] = [[] for _ in range(n)]
-    for rel in a.relations:
-        i, j = rel[0][1].source, path_target(q, rel[0][1])
-        block = [[0] * width[i] for _ in range(dims[j])]
-        for coeff, p in rel:
-            first, rest = p.arrows[0], p.arrows[1:]
-            if not all(dims[arrows[k].target] for k in p.arrows):
-                continue  # the path runs through a zero space: its block is 0
-            mat = path_matrix(m, Path(arrows[first].target, rest))
-            for r, row in enumerate(block):
-                for c, x in enumerate(mat.row(r), offset[first]):
-                    row[c] += coeff * x
-        gamma[i] += block
-    return tuple(
-        dims[i] - width[i]
-        + (linalg.rank(linalg.matrix(rows, cols=width[i])) if rows and width[i] else 0)
-        for i, rows in enumerate(gamma)
-    )
-
-
 def index(m: Representation) -> K0ProjClass:
-    """Index of (a module lift of) m: [P0] - [P1], checked against
-    coind(m) - (E - E^T) dim m."""
+    """Index of (a module lift of) m: (<m, S_i>)_i = [P0] - [P1], checked
+    against coind(m) - (E - E^T) dim m."""
     return _indices(m)[0]
 
 
@@ -107,19 +81,20 @@ def coindex(m: Representation) -> K0ProjClass:
     return _indices(m)[1]
 
 
-def _indices(m: Representation, what: str = "index") -> tuple[K0ProjClass, K0ProjClass]:
+def _indices(m: Representation) -> tuple[K0ProjClass, K0ProjClass]:
     """(index, coindex) of m once their descent check passes, cached by
-    the module's data; a failing check raises "``what`` mismatch"."""
+    the module's data; a failing check raises "index mismatch"."""
     a = m.algebra
 
     def compute():
-        coind = _relation_coindex(m)
-        presented = tuple(x - y for x, y in zip(*min_proj_presentation(m)))
+        simples = [simple(a, i) for i in range(a.quiver.n)]
+        presented = tuple(euler_form(m, s) for s in simples)
+        coind = tuple(euler_form(s, m) for s in simples)
         descended = tuple(c - f for c, f in zip(coind, form_a_row(a, m.dims)))
         if presented != descended:
             raise ConsistencyError(
-                "%s mismatch: %s from the presentation, %s from the coindex and "
-                "the form matrix" % (what, presented, descended)
+                "index mismatch: %s from the presentation, %s from the coindex and "
+                "the form matrix" % (presented, descended)
             )
         return presented, coind
 

@@ -9,14 +9,12 @@ submodule lists in the test suite.
 Hom spaces are solved exactly over Q as intertwiner systems; the one
 for End(m) also gives the endomorphisms by which `fitting_split` splits
 m into summands (im phi^N and ker phi^N), which `grassmannian` tries
-after the torus fixed points and before point counting.  Syzygies
-come from minimal projective covers (covering the top, not an arbitrary
-generating set, so that presentation multiplicities are the minimal
-ones).  The Euler form <m, n> = dim Hom - dim Ext^1 comes from the long
-exact sequence of a single syzygy with one Hom solve, and Ext^1 is
-dim Hom(m, n) - <m, n>, so the intertwiner system is the only Hom
-solver.  Ext^1 is the form's one program use: `forms` reads the
-coindex (<S_i, m>)_i off the relations instead.  Projectives and
+after the torus fixed points and before point counting.  The Euler
+form <m, n> = dim Hom - dim Ext^1 is one rank, of the map the relations
+induce between Hom spaces (`euler_form`), and Ext^1 is
+dim Hom(m, n) - <m, n>: the intertwiner system is the only Hom solver,
+and no projective cover is built.  `forms` reads the coindex and the
+index off this form, with a simple on either side.  Projectives and
 injectives are built from the algebra's own basis: P_i from the paths
 out of i, I_i from the duals of the paths into i.
 """
@@ -24,12 +22,12 @@ out of i, I_i from the duals of the paths into i.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
+from operator import mul
 
 from . import linalg
 from .errors import ConsistencyError, DimensionError, InputError
 from .linalg import Matrix
-from .quiver import AlgebraPresentation, Path, _content_lines, ascii_int, same_algebra
+from .quiver import AlgebraPresentation, Path, _content_lines, ascii_int, path_target, same_algebra
 
 DimVector = tuple[int, ...]
 K0ProjClass = tuple[int, ...]
@@ -159,33 +157,17 @@ def _build_injective(algebra: AlgebraPresentation, i: int) -> Representation:
 
 
 def direct_sum(m: Representation, n: Representation) -> Representation:
+    """m (+) n: each arrow matrix is block-diagonal, m's block first."""
     _require_same_algebra(m, n)
-    return _block_sum(m.algebra, (m, n))
-
-
-def _block_sum(algebra: AlgebraPresentation, summands) -> Representation:
-    """The direct sum of ``summands`` over ``algebra``: each arrow matrix
-    is block-diagonal, one block per summand in the order given (a single
-    summand is returned as it is)."""
-    if len(summands) == 1:
-        return summands[0]
-    q = algebra.quiver
-    dims = tuple(sum(s.dims[j] for s in summands) for j in range(q.n))
+    q = m.algebra.quiver
+    dims = tuple(x + y for x, y in zip(m.dims, n.dims))
     mats: dict[str, Matrix] = {}
     for a in q.arrows:
-        cols = dims[a.source]
-        entries: list = []
-        left = 0
-        for s in summands:
-            A = s.matrices[a.name]
-            pad = [0] * (cols - left - A.cols)
-            for r in range(A.rows):
-                entries += [0] * left
-                entries += A.row(r)
-                entries += pad
-            left += A.cols
-        mats[a.name] = Matrix(dims[a.target], cols, tuple(entries))
-    return Representation(algebra, dims, mats)
+        A, B = m.matrices[a.name], n.matrices[a.name]
+        entries = [x for r in range(A.rows) for x in A.row(r) + (0,) * B.cols]
+        entries += [x for r in range(B.rows) for x in (0,) * A.cols + B.row(r)]
+        mats[a.name] = Matrix(dims[a.target], dims[a.source], tuple(entries))
+    return Representation(m.algebra, dims, mats)
 
 
 def _require_same_algebra(m: Representation, n: Representation) -> None:
@@ -348,127 +330,63 @@ def _fitting_parts(m: Representation, phi):
     return Representation(m.algebra, ranks, image), Representation(m.algebra, rest_dims, rest)
 
 
-def _top_coordinates(m: Representation, j: int) -> list[int]:
-    """Coordinates at vertex j whose unit vectors complete rad m to m.
-
-    The columns of the arrow matrices into j span the radical there; the
-    non-pivot columns of one echelon form of them are the top.
-    """
-    if not m.dims[j]:
-        return []
-    rad: list[list] = []
-    for a in m.algebra.quiver.arrows:
-        if a.target == j:
-            A = m.matrices[a.name]
-            rad.extend([A.entry(r, c) for r in range(A.rows)] for c in range(A.cols))
-    _, pivots = linalg.row_reduce(rad, m.dims[j])
-    return [k for k in range(m.dims[j]) if k not in pivots]
-
-
-def top_dims(m: Representation) -> DimVector:
-    """Dimension vector of m / rad m (radical = sum of arrow images)."""
-    return tuple(len(_top_coordinates(m, j)) for j in range(m.algebra.quiver.n))
-
-
-@dataclass(frozen=True)
-class Syzygy:
-    """Minimal projective cover data: P0 -> m with kernel Omega m."""
-
-    cover_mults: K0ProjClass
-    kernel: Representation
-
-
-def syzygy(m: Representation) -> Syzygy:
-    """Minimal projective cover of m and its kernel, computed once per
-    module and cached on the algebra under the module's fingerprint."""
-    return m.algebra.cached(("syzygy", m.fingerprint()), lambda: _compute_syzygy(m))
-
-
-def _compute_syzygy(m: Representation) -> Syzygy:
-    algebra = m.algebra
-    q = algebra.quiver
-    tops = [_top_coordinates(m, i) for i in range(q.n)]
-
-    # cover = one P_i per top coordinate k at i, sent to the unit vector
-    # e_k; the column of a basis path p from i is column k of p's matrix
-    generators = [(i, k) for i in range(q.n) for k in tops[i]]
-    cover = _block_sum(algebra, [projective(algebra, i) for i, _ in generators])
-
-    # the kernel basis at each vertex where m is nonzero; elsewhere there
-    # is nothing to cover and the kernel is the whole cover
-    inclusion: dict[int, Matrix] = {}
-    free: dict[int, list[int]] = {}
-    for j in range(q.n):
-        if not m.dims[j]:
-            continue
-        acts = {
-            i: [path_matrix(m, p) for p in algebra.paths_from[i][j]]
-            for i in range(q.n)
-            if tops[i]
-        }
-        cols = [(mat, k) for i, k in generators for mat in acts[i]]
-        data = [[mat.entry(r, k) for mat, k in cols] for r in range(m.dims[j])]
-        cover_map = linalg.matrix(data, rows=m.dims[j], cols=cover.dims[j])
-        inclusion[j] = linalg.kernel_basis(cover_map)
-        if cover.dims[j] - inclusion[j].cols != m.dims[j]:
-            raise ConsistencyError("projective cover is not surjective at vertex %d" % j)
-        free[j] = _free_coordinates(inclusion[j])
-
-    ker_dims = tuple(c - d for c, d in zip(cover.dims, m.dims))
-    ker_mats: dict[str, Matrix] = {}
-    for a in q.arrows:
-        i, j = a.source, a.target
-        mapped = cover.matrices[a.name]
-        if i in inclusion:
-            mapped = linalg.mat_mul(mapped, inclusion[i])
-        if j not in inclusion:
-            ker_mats[a.name] = mapped
-            continue
-        # the kernel basis at j is the identity on its free coordinates, so those rows
-        # are the image's coordinates if it lies in the kernel (none with no kernel at i)
-        coords = Matrix(
-            len(free[j]), mapped.cols, tuple(x for r in free[j] for x in mapped.row(r))
-        )
-        if mapped.cols and linalg.mat_mul(inclusion[j], coords) != mapped:
-            raise ConsistencyError("cover map is not a module morphism")
-        ker_mats[a.name] = coords
-    kernel = Representation(m.algebra, ker_dims, ker_mats)
-    return Syzygy(tuple(map(len, tops)), kernel)
-
-
-def _free_coordinates(basis: Matrix) -> list[int]:
-    """The free coordinate of each vector of a `linalg.kernel_basis`: its
-    last nonzero entry, as the pivot coordinates it solves for all come
-    before it."""
-    return [
-        max(r for r in range(basis.rows) if basis.entry(r, t))
-        for t in range(basis.cols)
-    ]
-
-
 def euler_form(m: Representation, n: Representation) -> int:
-    """<m, n> = dim Hom(m, n) - dim Ext^1(m, n), from Hom(-, n) applied to
-    0 -> Omega m -> P0 -> m -> 0.
+    """<m, n> = dim Hom(m, n) - dim Ext^1(m, n), read off the relations.
 
-    As Ext^1(P0, n) = 0, the long exact sequence ends at Ext^1(m, n), so
-    <m, n> = dim Hom(P0, n) - dim Hom(Omega m, n), and by Yoneda
-    dim Hom(P0, n) = sum_i [P0 : P_i] dim n_i.  For m projective (or
-    zero), Omega m is zero and this sum is dim Hom(m, n) itself.
+    The bimodule resolution of the algebra, tensored with m, starts
+
+        (+)_rho P_t(rho) (x) m_s(rho) -> (+)_a P_t(a) (x) m_s(a) -> (+)_i P_i (x) m_i -> m,
+
+    and is exact there for any relations that generate the ideal
+    (Butler-King).  Hom(-, n) of it gives Hom(m, n) as the kernel of
+    (+)_i Hom(m_i, n_i) -> (+)_a Hom(m_s(a), n_t(a)), and Ext^1(m, n) as
+    the cohomology at the arrows, where the next map d1 goes to
+    (+)_rho Hom(m_s(rho), n_t(rho)).  With d = dim m and e = dim n,
+
+        <m, n> = sum_i d_i e_i - sum_a d_s(a) e_t(a) + rank d1.
+
+    d1 sends (f_a) to the sum of c * n(tail) . f_a . m(head) over the
+    terms c * p of rho and the positions of a in p, head being the part
+    of p before a and tail the part after it.  A (term, position) is
+    skipped only where its head runs through a zero space of m or its
+    tail through a zero space of n, as it then acts as 0.
     """
-    syz = syzygy(m)
-    hom_cover = sum(c * d for c, d in zip(syz.cover_mults, n.dims))
-    return hom_cover - hom_dim(syz.kernel, n)
+    _require_same_algebra(m, n)
+    q = m.algebra.quiver
+    arrows, d, e = q.arrows, m.dims, n.dims
+    # the columns of d1: one block Hom(m_s(a), n_t(a)) per arrow, row-major
+    offset, width = [], 0
+    for a in arrows:
+        offset.append(width)
+        width += e[a.target] * d[a.source]
+    rows: list[list] = []
+    for rel in m.algebra.relations:
+        s, t = rel[0][1].source, path_target(q, rel[0][1])
+        block = [[0] * width for _ in range(e[t] * d[s])]
+        for coeff, p in rel:
+            for k, b in enumerate(p.arrows):
+                if not (all(d[arrows[h].source] for h in p.arrows[: k + 1])
+                        and all(e[arrows[h].target] for h in p.arrows[k:])):
+                    continue  # the head or the tail runs through a zero space
+                head = path_matrix(m, Path(s, p.arrows[:k]))
+                tail = path_matrix(n, Path(arrows[b].target, p.arrows[k + 1 :]))
+                cols = d[arrows[b].source]
+                for c in range(d[s]):
+                    column = [coeff * head.entry(y, c) for y in range(cols)]
+                    for r in range(e[t]):
+                        row = block[r * d[s] + c]
+                        for x, tx in enumerate(tail.row(r)):
+                            start = offset[b] + x * cols
+                            for y, hy in enumerate(column):
+                                row[start + y] += tx * hy
+        rows += block
+    rank = linalg.rank(linalg.matrix(rows, cols=width)) if rows and width else 0
+    return sum(map(mul, d, e)) - sum(d[a.source] * e[a.target] for a in arrows) + rank
 
 
 def ext1_dim(m: Representation, n: Representation) -> int:
     """dim Ext^1(m, n) = dim Hom(m, n) - <m, n>."""
     return hom_dim(m, n) - euler_form(m, n)
-
-
-def min_proj_presentation(m: Representation) -> tuple[K0ProjClass, K0ProjClass]:
-    """Multiplicities ([P0 : P_i]) and ([P1 : P_i]) of a minimal presentation."""
-    syz = syzygy(m)
-    return syz.cover_mults, top_dims(syz.kernel)
 
 
 # -- file format -------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Reference syzygy and Ext^1 for the differential tests.
+"""Reference syzygy, presentation and Ext^1 for the differential tests.
 
 The generic route: the projective cover is summed one projective at a
 time from the zero module, every vertex's cover map is checked by a
@@ -6,9 +6,10 @@ rank call and its kernel found by elimination, the kernel's arrow
 matrices are solved for, and the restriction Hom(P0, N) -> Hom(Omega M, N)
 is taken on a basis of Hom(P0, N) solved as an intertwiner system.  No
 step knows an answer in advance, so it is slow but has no shortcut to
-get wrong.  `clusterchar.modules` must agree with it on the cover
-multiplicities, the kernel and dim Ext^1, which it takes from the long
-exact sequence instead of this cokernel.
+get wrong.  The program builds no cover: it reads the Euler form off the
+relations, so these checks are the only ones a cover gets.  Its index
+must equal [P0] - [P1] of `presentation`, and dim Hom - <M, N> must
+equal this cokernel's dim Ext^1.
 """
 
 from dataclasses import dataclass
@@ -74,6 +75,11 @@ def _top_coordinates(m, j: int) -> list[int]:
     return [k for k in range(m.dims[j]) if k not in pivots]
 
 
+def top_dims(m) -> tuple[int, ...]:
+    """Dimension vector of m / rad m (radical = sum of arrow images)."""
+    return tuple(len(_top_coordinates(m, j)) for j in range(m.algebra.quiver.n))
+
+
 @dataclass(frozen=True)
 class ReferenceSyzygy:
     """The cover P0 -> m, its multiplicities, and the kernel with its
@@ -121,6 +127,12 @@ def compute_syzygy(m) -> ReferenceSyzygy:
         ker_mats[a.name] = sol
     kernel = Representation(m.algebra, ker_dims, ker_mats)
     return ReferenceSyzygy(tuple(map(len, tops)), cover, kernel, inclusion)
+
+
+def presentation(m) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Multiplicities ([P0 : P_i]) and ([P1 : P_i]) of a minimal presentation."""
+    syz = compute_syzygy(m)
+    return syz.cover_mults, top_dims(syz.kernel)
 
 
 def ext1_dim(m, n) -> int:

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from module_strategies import conjugate
+from module_strategies import modules as generated_modules
 from clusterchar import forms, laurent, linalg
 from clusterchar.character import (
     CCObject,
@@ -14,7 +17,7 @@ from clusterchar.character import (
     verify_triangle,
 )
 from clusterchar.cli import run
-from clusterchar.errors import ConsistencyError
+from clusterchar.errors import ClusterCharError, ConsistencyError
 from clusterchar.laurent import laurent_render
 from clusterchar.modules import Representation, load_module_file, simple, zero_module
 from clusterchar.polygon import interval_module, linear_an_algebra
@@ -176,15 +179,17 @@ def test_value_cache_is_per_algebra():
 
 
 def test_coindex_mismatch_is_caught(capsys, data_dir, monkeypatch):
-    # one more in the coindex read off the relations, at the first vertex
-    # of every module: the coindex no longer meets the index through the
-    # form matrix, and the character refuses instead of returning a value
-    real = forms._relation_coindex
+    # one more in <S_1, m>, the coindex's role of the Euler form, and not
+    # in <m, S_i>, the index's: the coindex no longer meets the index
+    # through the form matrix, and the character refuses instead of
+    # returning a value
+    real = forms.euler_form
 
-    def corrupted(m):
-        return tuple(c + (i == 0) for i, c in enumerate(real(m)))
+    def corrupted(m, n):
+        first_simple = m.dims == tuple(int(i == 0) for i in range(len(m.dims)))
+        return real(m, n) + first_simple
 
-    monkeypatch.setattr(forms, "_relation_coindex", corrupted)
+    monkeypatch.setattr(forms, "euler_form", corrupted)
     algebra = load_algebra_file(data_dir / "a4.alg")
     module = load_module_file(data_dir / "a4_M.mod", algebra=algebra)
     with pytest.raises(ConsistencyError, match=r"^index mismatch: "):
@@ -193,3 +198,62 @@ def test_coindex_mismatch_is_caught(capsys, data_dir, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "index mismatch: " in captured.err
+
+
+def _shuffled(text, rng):
+    """An algebra file with its vertex labels, its arrow lines and its
+    relation lines each put in an order drawn from ``rng``."""
+    lines = text.splitlines()
+    for prefix in ("arrow:", "rel:"):
+        at = [k for k, line in enumerate(lines) if line.startswith(prefix)]
+        for k, line in zip(at, rng.sample([lines[k] for k in at], len(at))):
+            lines[k] = line
+    k = next(k for k, line in enumerate(lines) if line.startswith("vertices:"))
+    labels = lines[k].split()[1:]
+    lines[k] = "vertices: " + " ".join(rng.sample(labels, len(labels)))
+    return "\n".join(lines) + "\n"
+
+
+# the D4 star, whose module with c = [[1], [2]] is refused with
+# NonPolynomialCountError (ROADMAP item 1), and with c = [[1], [1]] is not
+D4_STAR = "[quiver]\nvertices: 1 2 3 4\narrow: a 1 4\narrow: b 2 4\narrow: c 3 4\n"
+
+
+def _star_modules(algebra):
+    a, b = linalg.matrix([[1], [0]]), linalg.matrix([[0], [1]])
+    return st.sampled_from([1, 2]).map(lambda k: Representation(
+        algebra, (1, 1, 1, 2), {"a": a, "b": b, "c": linalg.matrix([[1], [k]])}
+    ))
+
+
+@pytest.mark.parametrize("name, max_dim", [("a4", 2), ("d4", 2), ("an3", 2), ("d4_star", None)])
+def test_value_does_not_depend_on_the_order_of_the_presentation(data_dir, name, max_dim):
+    # the sweep order, the fibre bound, the path basis, the good primes and
+    # the Euler form's matrix all follow the order of vertices, arrows or
+    # relations; X_M must only permute its variables with the vertices, or
+    # raise the same error under every order
+    text = D4_STAR if name == "d4_star" else (data_dir / ("%s.alg" % name)).read_text()
+    algebra = load_algebra(text)
+    strategy = _star_modules(algebra) if max_dim is None else generated_modules(algebra, max_dim)
+
+    def value(m):
+        try:
+            return cc_value(module_object(m))
+        except ClusterCharError as exc:
+            return type(exc)
+
+    @given(strategy, st.randoms(use_true_random=False))
+    @settings(max_examples=20, deadline=None)
+    def check(m, rng):
+        other = load_algebra(_shuffled(text, rng))
+        # vertex k of the shuffled algebra is vertex at[k] of the original
+        at = [algebra.quiver.vertices.index(v) for v in other.quiver.vertices]
+        want = value(m)
+        got = value(Representation(other, [m.dims[i] for i in at], m.matrices))
+        if isinstance(want, type):
+            assert got is want
+        else:
+            terms = {tuple(exps[i] for i in at): c for exps, c in want.terms}
+            assert got == laurent.from_dict(len(at), terms)
+
+    check()

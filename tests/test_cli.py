@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from clusterchar import cli, grassmannian, linalg, modules
+from clusterchar import cli, forms, grassmannian, modules
 from clusterchar.cli import run
 from clusterchar.grassmannian import CountingPolynomial
 from clusterchar.laurent import from_dict, laurent_render
@@ -585,19 +585,15 @@ def test_repeated_module_line_exits_2(tmp_path, capsys, data_dir, body, message)
 
 
 def test_failed_internal_check_exits_3(capsys, data_dir, monkeypatch):
-    # no input reaches the cover checks: every module satisfies the
-    # relations, so a failure is an internal fault, not a bad file
-    real = modules.path_matrix
-
-    def no_generators(m, p):
-        if p.arrows:
-            return real(m, p)
-        return linalg.zeros(m.dims[p.source], m.dims[p.source])
-
-    monkeypatch.setattr(modules, "path_matrix", no_generators)
-    code, out, err = _run(capsys, "xvalue", data_dir / "a4.alg", data_dir / "a4_M.mod")
+    # no input reaches the form matrix's check: every relation has length
+    # >= 2, so each <S_i, S_j> equals E_ij on any algebra, and a failure is
+    # an internal fault, not a bad file.  Here P_i stands in for S_i
+    monkeypatch.setattr(forms, "simple", modules.projective)
+    code, out, err = _run(capsys, "form-matrix", data_dir / "a4.alg")
     assert (code, out) == (3, "")
-    assert err.startswith("error: projective cover is not surjective")
+    assert err == (
+        "error: form matrix mismatch: <S_1, S_2> = 1 from the relations, 0 from the arrows\n"
+    )
 
 
 def test_deterministic_output(capsys, data_dir):

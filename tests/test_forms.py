@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import modules_reference
 from module_strategies import loop_modules
 from module_strategies import modules as generated_modules
 from clusterchar import cli, forms, modules, polygon, quiver
@@ -14,12 +15,11 @@ from clusterchar.modules import (
     direct_sum,
     euler_form,
     ext1_dim,
+    hom_dim,
     injective,
     load_module_file,
-    min_proj_presentation,
     projective,
     simple,
-    syzygy,
     zero_module,
 )
 from clusterchar.polygon import interval_ses, interval_module, linear_an_algebra, verify_an
@@ -32,6 +32,13 @@ A4_FORM_MATRIX = (
     (-1, 0, -1, 1),
     (0, 1, 0, -1),
     (0, -1, 1, 0),
+)
+# E = I - (arrow counts i -> j) over a4, row i being the index of S_i
+A4_EULER = (
+    (1, 0, 0, 0),
+    (-1, 1, -1, 0),
+    (0, 0, 1, -1),
+    (0, -1, 0, 1),
 )
 
 
@@ -55,21 +62,26 @@ def test_form_matrix_is_computed_once(data_dir, monkeypatch):
 
 @pytest.mark.parametrize("i, j", [(1, 1), (1, 2)], ids=["diagonal", "off-diagonal"])
 def test_corrupt_presentation_entry_is_caught(data_dir, monkeypatch, i, j):
-    # one more P_j in the cover of the simple at i: the index of S_2 no
-    # longer matches its coindex, column 2 of E, through the descent check,
-    # which compares it with row 2 of E, diagonal entries included
-    real = forms.min_proj_presentation
+    # one more P_j in the presentation of the simple at i, as one more in
+    # <S_i, S_j>: the form matrix checks every entry of E against the
+    # arrows and refuses it.  The descent check of S_i alone would miss
+    # the diagonal entry, which moves its index and its coindex alike
+    real = forms.euler_form
+    unit = [tuple(int(v == k) for v in range(4)) for k in range(4)]
 
-    def corrupted(m):
-        p0, p1 = real(m)
-        if m.dims == tuple(int(v == i) for v in range(len(m.dims))):
-            p0 = tuple(x + (k == j) for k, x in enumerate(p0))
-        return p0, p1
+    def corrupted(m, n):
+        return real(m, n) + (m.dims == unit[i] and n.dims == unit[j])
 
-    monkeypatch.setattr(forms, "min_proj_presentation", corrupted)
+    monkeypatch.setattr(forms, "euler_form", corrupted)
     algebra = load_algebra((data_dir / "a4.alg").read_text())
-    with pytest.raises(ConsistencyError, match=r"^index of S_2 mismatch: "):
+    with pytest.raises(ConsistencyError, match=r"^form matrix mismatch: <S_2, S_%d> = " % (j + 1)):
         antisym_form_matrix(algebra)
+    if i == j:
+        moved = tuple(x + (k == i) for k, x in enumerate(A4_EULER[i]))
+        assert index(simple(algebra, i)) == moved
+    else:
+        with pytest.raises(ConsistencyError, match=r"^index mismatch: "):
+            index(simple(algebra, i))
 
 
 def test_form_matrix_reads_no_copresentation(capsys, data_dir, monkeypatch):
@@ -106,48 +118,47 @@ def test_form_matrix_reads_no_copresentation(capsys, data_dir, monkeypatch):
 
 
 def test_coindex_is_computed_once_per_module(capsys, data_dir, monkeypatch):
-    # `index` reads the coindex, and the CLI prints it as well: the
-    # coindex is read off the relations once
+    # `index` reads the coindex, and the CLI prints it as well: each
+    # <S_i, m> and each <m, S_i> is read off the relations once
     calls = []
-    real = forms._relation_coindex
+    real = forms.euler_form
 
-    def counted(m):
-        calls.append(m.dims)
-        return real(m)
+    def counted(m, n):
+        calls.append((m.dims, n.dims))
+        return real(m, n)
 
-    monkeypatch.setattr(forms, "_relation_coindex", counted)
+    monkeypatch.setattr(forms, "euler_form", counted)
     code = cli.run(["index", str(data_dir / "a4.alg"), str(data_dir / "a4_M.mod")])
     capsys.readouterr()
     assert code == 0
-    assert calls == [(1, 1, 0, 0)]
+    simples = [tuple(int(j == i) for j in range(4)) for i in range(4)]
+    m = (1, 1, 0, 0)
+    assert sorted(calls) == sorted([(m, s) for s in simples] + [(s, m) for s in simples])
 
 
-def test_a_value_builds_only_its_module_syzygy(capsys, data_dir, monkeypatch):
-    # the coindex reads the relations acting on the module, and the form
-    # matrix the arrows: a value takes the syzygy of its module alone and
-    # solves no Hom space.  Printing the form matrix still checks the
-    # presentation of every simple
-    syzygies, homs = [], []
-    real_syzygy, real_hom = modules._compute_syzygy, modules.hom_dim
+def test_a_value_builds_no_projective_and_solves_no_hom(capsys, data_dir, monkeypatch):
+    # the index and the coindex are both read off the relations acting on
+    # the module, and the form matrix off the arrows: a value builds no
+    # projective and solves no Hom space, and neither does printing the
+    # form matrix, which checks every <S_i, S_j>
+    built, homs = [], []
+    real_build, real_hom = modules._build_projective, modules.hom_dim
 
-    def counted_syzygy(m):
-        syzygies.append(m.dims)
-        return real_syzygy(m)
+    def counted_build(algebra, i):
+        built.append(i)
+        return real_build(algebra, i)
 
     def counted_hom(m, n):
         homs.append((m.dims, n.dims))
         return real_hom(m, n)
 
-    monkeypatch.setattr(modules, "_compute_syzygy", counted_syzygy)
+    monkeypatch.setattr(modules, "_build_projective", counted_build)
     monkeypatch.setattr(modules, "hom_dim", counted_hom)
     code = cli.run(["xvalue", str(data_dir / "a4.alg"), str(data_dir / "a4_M.mod")])
     assert (code, capsys.readouterr().err) == (0, "")
-    assert (syzygies, homs) == ([(1, 1, 0, 0)], [])
-    syzygies.clear()
     assert cli.run(["form-matrix", str(data_dir / "a4.alg")]) == 0
     assert capsys.readouterr().out == "0 1 0 0\n-1 0 -1 1\n0 1 0 -1\n0 -1 1 0\n"
-    assert sorted(syzygies) == sorted(tuple(int(j == i) for j in range(4)) for i in range(4))
-    assert homs == []
+    assert (built, homs) == ([], [])
 
 
 @pytest.mark.parametrize(
@@ -155,35 +166,36 @@ def test_a_value_builds_only_its_module_syzygy(capsys, data_dir, monkeypatch):
     ids=["a4_M", "S_1", "d4_M"],
 )
 def test_corrupt_cover_is_caught(capsys, data_dir, monkeypatch, alg_name, mod_name):
-    # one cover multiplicity moved to the next vertex in a syzygy.  Moved in
-    # every syzygy, the fault shows in the index of the module asked for,
-    # and in the printed form matrix, whose rows from the presentations of
-    # the simples are checked against the arrows.  Moved only in the
-    # syzygies of the non-simple modules, it spares the simples, so the
-    # form matrix still holds; the index must catch it either way, as its
-    # second route coind(m) - (E - E^T) dim m reads no cover, and the
-    # coindex is only returned once that check passes
-    real = modules._compute_syzygy
+    # one P_i of the cover moved to the next vertex, as a unit of the
+    # index (<m, S_i>)_i = [P0] - [P1] moved.  Moved for every module, the
+    # fault shows in the index of the module asked for, and in the printed
+    # form matrix, whose entries <S_i, S_j> are checked against the
+    # arrows.  Moved only for the non-simple modules, it spares the
+    # simples, so the form matrix still holds; the index must catch it
+    # either way, as its second route coind(m) - (E - E^T) dim m reads the
+    # module on the other side of the form, and the coindex is only
+    # returned once that check passes
+    real = forms.euler_form
 
     def load():
-        # a fresh algebra, so that no syzygy is already cached
+        # a fresh algebra, so that no index is already cached
         algebra = load_algebra_file(data_dir / ("%s.alg" % alg_name))
         if mod_name is None:
             return simple(algebra, 0)
         return load_module_file(data_dir / ("%s.mod" % mod_name), algebra)
 
     def move_cover(hit):
-        def corrupted(m):
-            syz = real(m)
-            if not hit(m):
-                return syz
-            mults = list(syz.cover_mults)
-            i = next(k for k, c in enumerate(mults) if c)
-            mults[i] -= 1
-            mults[(i + 1) % len(mults)] += 1
-            return modules.Syzygy(tuple(mults), syz.kernel)
+        def corrupted(m, n):
+            if sum(n.dims) != 1 or not hit(m):
+                return real(m, n)
+            simples = [simple(m.algebra, j) for j in range(len(m.dims))]
+            ind = [real(m, s) for s in simples]
+            i = next(k for k, c in enumerate(ind) if c)
+            ind[i] -= 1
+            ind[(i + 1) % len(ind)] += 1
+            return ind[n.dims.index(1)]
 
-        monkeypatch.setattr(modules, "_compute_syzygy", corrupted)
+        monkeypatch.setattr(forms, "euler_form", corrupted)
 
     m = load()
     move_cover(lambda x: True)
@@ -192,7 +204,7 @@ def test_corrupt_cover_is_caught(capsys, data_dir, monkeypatch, alg_name, mod_na
     assert cli.run(["form-matrix", str(data_dir / ("%s.alg" % alg_name))]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert re.match(r"error: index of S_\w+ mismatch: .* from the presentation, ", captured.err)
+    assert re.match(r"error: form matrix mismatch: <S_\w+, S_\w+> = ", captured.err)
     if mod_name is not None:
         for read in (index, coindex):
             m = load()
@@ -217,50 +229,38 @@ OFF_CONTRACT = {
 )
 def test_coindex_matches_the_euler_forms_with_the_simples(algebras, name, max_dim):
     # the coindex read off the relations against the Euler forms
-    # (<S_i, m>)_i, each from the cover of S_i and one Hom solve.  Off the
-    # contract the route is called directly
+    # (<S_i, m>)_i of the reference, dim Hom - dim Ext^1 with Ext^1 from
+    # the reference syzygy.  Off the contract the form is read directly
     if name in OFF_CONTRACT:
-        algebra, route = load_algebra(OFF_CONTRACT[name]), forms._relation_coindex
+        algebra = load_algebra(OFF_CONTRACT[name])
     else:
-        algebra, route = algebras[name], coindex
+        algebra = algebras[name]
+    simples = [simple(algebra, i) for i in range(algebra.quiver.n)]
+    route = coindex if name not in OFF_CONTRACT else (
+        lambda m: tuple(euler_form(s, m) for s in simples)
+    )
     strategy = loop_modules(algebra) if name == "loop" else generated_modules(algebra, max_dim)
 
     @given(strategy)
     @settings(max_examples=50, deadline=None)
     def check(m):
-        simples = [simple(algebra, i) for i in range(algebra.quiver.n)]
-        assert route(m) == tuple(euler_form(s, m) for s in simples)
+        reference = tuple(hom_dim(s, m) - modules_reference.ext1_dim(s, m) for s in simples)
+        assert route(m) == reference
 
     check()
 
 
-@given(presentations(max_vertices=3, max_arrows=4, max_len=3), st.data())
-@settings(max_examples=30, deadline=None)
-def test_relation_coindex_matches_the_euler_forms_on_random_presentations(presentation, data):
-    # several relations from one vertex, coefficients up to 3 in size,
-    # loops and monomial cuts: a relation enters gamma_i with its
-    # coefficients, which one binomial alone could not tell from its signs
-    try:
-        alg = AlgebraPresentation(*presentation)
-    except AlgebraBuildError:
-        assume(False)
-    m = data.draw(generated_modules(alg, 2))
-    simples = [simple(alg, i) for i in range(alg.quiver.n)]
-    assert forms._relation_coindex(m) == tuple(euler_form(s, m) for s in simples)
-
-
 @pytest.mark.parametrize("name, max_dim", [("loop", 3), ("a4", 2), ("d4", 2)])
 def test_coindex_matches_the_injective_copresentation(algebras, name, max_dim):
-    # the coindex has one route in the program; the injective
-    # copresentation, as the presentation of the dual over the opposite
-    # algebra, is the reference
+    # the injective copresentation, as the reference presentation of the
+    # dual over the opposite algebra
     algebra = algebras[name]
     strategy = loop_modules(algebra) if name == "loop" else generated_modules(algebra, max_dim)
 
     @given(strategy)
     @settings(max_examples=50, deadline=None)
     def check(m):
-        i0, i1 = min_proj_presentation(dual(m))
+        i0, i1 = modules_reference.presentation(dual(m))
         assert coindex(m) == tuple(x - y for x, y in zip(i0, i1))
 
     check()
@@ -311,27 +311,18 @@ def test_euler_form_on_projectives(a4, a4_M):
             assert euler_form(projective(a4, i), n) == n.dims[i]
 
 
-def test_one_hom_solve_per_euler_form(data_dir, monkeypatch):
-    # <m, n> reads the cover of m and solves Hom(Omega m, n) alone, which
-    # is Hom(0, n) when m is projective; the syzygies are warmed first
+def test_euler_form_solves_no_hom(data_dir, monkeypatch):
+    # <m, n> is one rank, of the map the relations induce; no Hom space
+    # is solved for it, projective or not
+    def no_hom(m, n):
+        raise AssertionError("Hom solved for an Euler form")
+
+    monkeypatch.setattr(modules, "hom_dim", no_hom)
     algebra = load_algebra_file(data_dir / "a4.alg")
     m = load_module_file(data_dir / "a4_M.mod", algebra)
     pairs = [(m, simple(algebra, i)) for i in range(4)]
-    pairs += [(simple(algebra, 1), m), (projective(algebra, 0), m)]
-    for left, _ in pairs:
-        syzygy(left)
-    calls = []
-    real = modules.hom_dim
-
-    def counted(x, y):
-        calls.append((x, y))
-        return real(x, y)
-
-    monkeypatch.setattr(modules, "hom_dim", counted)
-    for left, right in pairs:
-        calls.clear()
-        euler_form(left, right)
-        assert len(calls) == 1
+    pairs += [(simple(algebra, 1), m), (projective(algebra, 0), m), (m, m)]
+    assert [euler_form(x, y) for x, y in pairs] == [0, 1, -1, 0, 0, 1, 1]
 
 
 def test_form_matrix_solves_no_hom(data_dir, monkeypatch):
@@ -345,7 +336,7 @@ def test_form_matrix_solves_no_hom(data_dir, monkeypatch):
 
 
 def test_ext1_from_a_projective_solves_one_hom(data_dir, monkeypatch):
-    # Hom(P, n) alone: <P, n> solves only Hom(0, n)
+    # Hom(P, n) alone: <P, n> solves none
     algebra = load_algebra_file(data_dir / "a4.alg")
     m = load_module_file(data_dir / "a4_M.mod", algebra)
     calls = []
@@ -420,13 +411,16 @@ def test_both_routes_agree_everywhere(a4, d4, a4_M, d4_M):
         mods.append(zero_module(alg))
         for i in range(4):
             mods += [simple(alg, i), projective(alg, i), injective(alg, i)]
-    # each returns its presentation route.  The coindex, read off the
-    # relations, is pinned to the Euler forms with the simples; the index
-    # is checked through the coindex, and this pins it to (<m, S_i>)_i as well
+    # both are read off the relations; the reference takes each Euler form
+    # with a simple as dim Hom - dim Ext^1, Ext^1 from its syzygy
     for m in mods:
         simples = [simple(m.algebra, i) for i in range(m.algebra.quiver.n)]
-        assert index(m) == tuple(euler_form(m, s) for s in simples)
-        assert coindex(m) == tuple(euler_form(s, m) for s in simples)
+        assert index(m) == tuple(
+            hom_dim(m, s) - modules_reference.ext1_dim(m, s) for s in simples
+        )
+        assert coindex(m) == tuple(
+            hom_dim(s, m) - modules_reference.ext1_dim(s, m) for s in simples
+        )
 
 
 def _shipped_modules(a4, d4, a4_M, d4_M):
