@@ -13,7 +13,7 @@ returns it only once the module's index has passed the descent check
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add
 
 from . import laurent
@@ -24,19 +24,17 @@ from .laurent import LaurentPoly
 from .modules import Representation, direct_sum, zero_module
 
 
-@dataclass(frozen=True)
-class CCObject:
+class CCObject(namedtuple("CCObject", "module_part shift_multiplicities")):
     """A formal object: module part plus multiplicities of shifts."""
 
-    module_part: Representation
-    shift_multiplicities: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.module_part.algebra.quiver.n
-        if len(self.shift_multiplicities) != n:
+    def __new__(cls, module_part: Representation, shift_multiplicities: tuple[int, ...]):
+        if len(shift_multiplicities) != module_part.algebra.quiver.n:
             raise DimensionError("shift multiplicities have wrong length")
-        if any(s < 0 for s in self.shift_multiplicities):
+        if any(s < 0 for s in shift_multiplicities):
             raise DimensionError("negative shift multiplicity")
+        return super().__new__(cls, module_part, shift_multiplicities)
 
 
 def module_object(m: Representation) -> CCObject:
@@ -93,12 +91,10 @@ def cc_product(a: CCObject, b: CCObject) -> LaurentPoly:
     return via_sum
 
 
-@dataclass(frozen=True)
-class TriangleReport:
-    ok: bool
-    lhs: LaurentPoly  # X_L * X_M
-    rhs: LaurentPoly  # X_B + X_B'
-    values: tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]
+class TriangleReport(namedtuple("TriangleReport", "ok lhs rhs values")):
+    """Whether lhs = X_L * X_M equals rhs = X_B + X_B', with the four values."""
+
+    __slots__ = ()
 
     def render(self, names=None) -> str:
         xl, xm, xb, xbp = (laurent.laurent_render(v, names) for v in self.values)

@@ -44,7 +44,6 @@ dimension box alike; it is the one way into the sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import isqrt, lcm
@@ -285,11 +284,25 @@ def _check_dim_vector(m: Representation, e: DimVector) -> DimVector:
     return e
 
 
-@dataclass(frozen=True)
 class CountingPolynomial:
-    """Integer polynomial in q interpolating the point counts."""
+    """Integer polynomial in q interpolating the point counts.  Not a
+    tuple, so that ``"%s" % poly`` renders the polynomial."""
 
-    coeffs: tuple[int, ...]  # ascending degree, no trailing zeros
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        self.coeffs = coeffs  # ascending degree, no trailing zeros
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __repr__(self) -> str:
+        return "CountingPolynomial(coeffs=%r)" % (self.coeffs,)
 
     def evaluate(self, x: int) -> int:
         acc = 0

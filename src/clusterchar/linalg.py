@@ -10,7 +10,7 @@ included; its point counting over F_p eliminates mod p on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -37,13 +37,10 @@ def div(a: Scalar, b: Scalar) -> Scalar:
     return normalize(Fraction(a) / Fraction(b))
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(namedtuple("Matrix", "rows cols entries")):
     """Row-major dense matrix over Q."""
 
-    rows: int
-    cols: int
-    entries: tuple
+    __slots__ = ()
 
     def entry(self, i: int, j: int) -> Scalar:
         return self.entries[i * self.cols + j]

@@ -68,18 +68,29 @@ class Representation:
         self._check_relations()
 
     def _check_relations(self) -> None:
-        arrows = self.algebra.quiver.arrows
+        """Each relation must send every basis vector at its source to 0:
+        the vector is pushed through each term's arrows, column by sparse
+        column, and the terms are summed."""
+        if not self.algebra.relations:
+            return
+        # per arrow, in arrow order, column c as its nonzero (row, entry) pairs
+        cols = [[[(r, x) for r, x in enumerate(m.entries[c::m.cols]) if x] for c in range(m.cols)]
+                for m in self.matrices.values()]
         for rel in self.algebra.relations:
-            acc: dict[int, linalg.Scalar] = {}
-            for coeff, p in rel:
-                if not self.dims[p.source] or not all(
-                    self.dims[arrows[k].target] for k in p.arrows
-                ):
-                    continue  # the path runs through a zero space: it acts as 0
-                for k, x in enumerate(path_matrix(self, p).entries):
-                    acc[k] = acc.get(k, 0) + coeff * x
-            if any(acc.values()):
-                raise InputError("module does not satisfy the algebra relations")
+            for c in range(self.dims[rel[0][1].source]):
+                acc: dict[int, linalg.Scalar] = {}
+                for coeff, p in rel:
+                    vec = {c: coeff}
+                    for k in p.arrows:
+                        out: dict[int, linalg.Scalar] = {}
+                        for j, x in vec.items():
+                            for r, y in cols[k][j]:
+                                out[r] = out.get(r, 0) + x * y
+                        vec = out
+                    for r, x in vec.items():
+                        acc[r] = acc.get(r, 0) + x
+                if any(acc.values()):
+                    raise InputError("module does not satisfy the algebra relations")
 
     def fingerprint(self):
         """Hashable identity of the underlying data (same-algebra scope)."""

@@ -20,8 +20,7 @@ guarantees exactness) and raises immediately.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from operator import itemgetter, mul
 
 from . import laurent
@@ -77,17 +76,16 @@ def mutate_matrix(b: ExchangeMatrix, k: int) -> ExchangeMatrix:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(namedtuple("Seed", "matrix variables")):
     """An exchange matrix with its tuple of cluster variables."""
 
-    matrix: ExchangeMatrix
-    variables: tuple[LaurentPoly, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.variables) != len(self.matrix):
+    def __new__(cls, matrix: ExchangeMatrix, variables: tuple[LaurentPoly, ...]):
+        if len(variables) != len(matrix):
             raise InputError("seed has %d variables for a %dx%d matrix"
-                             % (len(self.variables), len(self.matrix), len(self.matrix)))
+                             % (len(variables), len(matrix), len(matrix)))
+        return super().__new__(cls, matrix, variables)
 
 
 def initial_seed(b: ExchangeMatrix) -> Seed:

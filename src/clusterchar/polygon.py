@@ -14,7 +14,7 @@ extension data and fail loudly on any mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 
 from .character import (
@@ -35,12 +35,10 @@ from .quiver import AlgebraPresentation, make_quiver
 MAX_N = 8
 
 
-@dataclass(frozen=True, order=True)
-class Arc:
-    """A diagonal {i, j} of the (n+3)-gon, stored with i < j."""
+class Arc(namedtuple("Arc", "i j")):
+    """A diagonal {i, j} of the (n+3)-gon, stored with i < j; ordered as (i, j)."""
 
-    i: int
-    j: int
+    __slots__ = ()
 
 
 def all_arcs(n: int) -> list[Arc]:
@@ -149,17 +147,27 @@ def interval_ses(n: int):
                 yield sub, total, quot
 
 
-@dataclass
 class AnReport:
-    n: int
-    arc_count: int
-    crossing_pairs: int
-    checks_passed: int
-    checks_failed: int
-    bijection_ok: bool
-    variable_count: int
-    expected_variable_count: int
-    lines: list[str] = field(default_factory=list)
+    """The counts of `verify_an`, which fills in the checks, the bijection
+    and the lines as they run."""
+
+    __slots__ = ("n", "arc_count", "crossing_pairs", "checks_passed", "checks_failed",
+                 "bijection_ok", "variable_count", "expected_variable_count", "lines")
+    __hash__ = None  # mutable
+
+    def __init__(self, n, arc_count, crossing_pairs, expected_variable_count):
+        self.n, self.arc_count, self.crossing_pairs = n, arc_count, crossing_pairs
+        self.expected_variable_count = expected_variable_count
+        self.checks_passed = self.checks_failed = self.variable_count = 0
+        self.bijection_ok, self.lines = False, []
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        return "AnReport(%s)" % ", ".join("%s=%r" % (f, getattr(self, f)) for f in self.__slots__)
 
     @property
     def ok(self) -> bool:
@@ -196,16 +204,7 @@ def verify_an(n: int) -> AnReport:
         for b in arcs[idx + 1 :]
         if crossing(a, b)
     ]
-    report = AnReport(
-        n=n,
-        arc_count=len(arcs),
-        crossing_pairs=len(pairs),
-        checks_passed=0,
-        checks_failed=0,
-        bijection_ok=False,
-        variable_count=0,
-        expected_variable_count=n * (n + 3) // 2,
-    )
+    report = AnReport(n, len(arcs), len(pairs), n * (n + 3) // 2)
 
     def record(ok: bool, line: str) -> None:
         if ok:

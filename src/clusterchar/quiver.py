@@ -18,7 +18,7 @@ is usual for written compositions; the parser reverses it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
@@ -28,17 +28,12 @@ DEFAULT_BASIS_CAP = 64
 _RAW_PATH_CAP = 20000
 
 
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    source: int
-    target: int
+class Arrow(namedtuple("Arrow", "name source target")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Quiver:
-    vertices: tuple[str, ...]
-    arrows: tuple[Arrow, ...]
+class Quiver(namedtuple("Quiver", "vertices arrows")):
+    __slots__ = ()
 
     @property
     def n(self) -> int:
@@ -77,15 +72,10 @@ def make_quiver(vertex_labels, arrow_triples) -> Quiver:
     return Quiver(labels, tuple(arrows))
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(namedtuple("Path", "source arrows")):
     """A path in a quiver; ``arrows`` are arrow indices in application order."""
 
-    source: int
-    arrows: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.arrows)
+    __slots__ = ()
 
 
 def path_target(q: Quiver, p: Path) -> int:
@@ -145,7 +135,7 @@ def _reduce_paths(q: Quiver, relations: tuple[Relation, ...]):
     for k, a in enumerate(q.arrows):
         arrows_from[a.source].append(k)
         arrows_into[a.target].append(k)
-    max_rel_len = max((len(rel[0][1]) for rel in relations), default=0)
+    max_rel_len = max((len(rel[0][1].arrows) for rel in relations), default=0)
 
     paths = [Path(i, ()) for i in range(q.n)]
     table: dict[Path, dict[Path, Fraction | int]] = {p: {p: 1} for p in paths}
@@ -164,7 +154,7 @@ def _reduce_paths(q: Quiver, relations: tuple[Relation, ...]):
             )
         ideal = []
         for rel in relations:
-            if len(rel[0][1]) == length:
+            if len(rel[0][1].arrows) == length:
                 vec: dict[Path, int] = {}
                 for coeff, p in rel:
                     vec[p] = vec.get(p, 0) + coeff

@@ -29,6 +29,17 @@ from clusterchar.modules import (
 )
 
 
+def satisfies_relations(m) -> bool:
+    """Whether every relation acts on m as the zero matrix, each term's
+    full path matrix summed.  ``m`` needs only ``algebra``, ``dims`` and
+    ``matrices``, so that data the program would refuse can be tested."""
+    for rel in m.algebra.relations:
+        terms = [(coeff, path_matrix(m, p).entries) for coeff, p in rel]
+        if any(sum(c * e[k] for c, e in terms) for k in range(len(terms[0][1]))):
+            return False
+    return True
+
+
 def solve(a: Matrix, rhs: Matrix) -> Matrix | None:
     """One solution X of a·X = rhs (column-wise), or None if inconsistent."""
     if rhs.rows != a.rows:

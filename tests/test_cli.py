@@ -659,6 +659,21 @@ def test_entry_point_module(data_dir):
     assert proc.stdout.splitlines()[0] == "0 1 0 0"
 
 
+def test_cli_imports_without_dataclasses():
+    # every call starts a process, so start-up is part of every call's
+    # cost; -S keeps modules that a site .pth file would load out of view
+    import os
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, clusterchar.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_console_script_targets_import():
     tomllib = pytest.importorskip("tomllib")
     pyproject = ROOT / "pyproject.toml"

@@ -371,6 +371,8 @@ def test_counting_polynomial_rendering():
     assert str(CountingPolynomial((1, 1))) == "q + 1"
     assert str(CountingPolynomial(())) == "0"
     assert str(CountingPolynomial((2, 0, 3))) == "3*q^2 + 2"
+    # not a tuple, so that %-formatting takes it as one argument (the CLI)
+    assert "%s" % CountingPolynomial((1, 1)) == "q + 1"
 
 
 # -- torus fixed points ----------------------------------------------------

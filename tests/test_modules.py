@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -64,8 +66,8 @@ def _check_injectives(alg):
     # of their bases mirror, and the modules are isomorphic injective
     # hulls of S_i
     q, op = alg.quiver, opposite(alg)
-    graded = sorted((p.source, path_target(q, p), len(p)) for p in alg.basis)
-    mirrored = sorted((path_target(op.quiver, p), p.source, len(p)) for p in op.basis)
+    graded = sorted((p.source, path_target(q, p), len(p.arrows)) for p in alg.basis)
+    mirrored = sorted((path_target(op.quiver, p), p.source, len(p.arrows)) for p in op.basis)
     assert (op.nilpotency_bound, mirrored) == (alg.nilpotency_bound, graded)
     simples = [simple(alg, j) for j in range(q.n)]
     for i in range(q.n):
@@ -328,6 +330,57 @@ def test_relation_check_skips_paths_through_zero_spaces(a4, monkeypatch):
     one = linalg.matrix([[1]])
     m = Representation(a4, (1, 1, 0, 1), {"d": one, "g": one})
     assert m.dims == (1, 1, 0, 1) and products == []
+
+
+def _perturbed(data, m):
+    """m's algebra, dims and arrow matrices, with one entry changed when
+    the draw asks for it: data the relations may or may not still hold on."""
+    mats = dict(m.matrices)
+    names = [name for name, mat in mats.items() if mat.entries]
+    if names and data.draw(st.booleans()):
+        name = data.draw(st.sampled_from(names))
+        entries = list(mats[name].entries)
+        entries[data.draw(st.integers(0, len(entries) - 1))] += data.draw(st.sampled_from([-1, 1, 2]))
+        mats[name] = mats[name]._replace(entries=tuple(entries))
+    return SimpleNamespace(algebra=m.algebra, dims=m.dims, matrices=mats)
+
+
+def test_relation_check_matches_the_reference(algebras):
+    # the program pushes basis vectors through sparse arrow columns, the
+    # reference sums full path matrices: they accept and refuse alike, on
+    # drawn modules (which hold) and on ones with one entry changed, over
+    # random presentations and the fixture algebras with relations
+    outcomes = set()
+
+    def check(raw):
+        try:
+            Representation(raw.algebra, raw.dims, raw.matrices)
+            accepted = True
+        except InputError:
+            accepted = False
+        assert accepted == modules_reference.satisfies_relations(raw)
+        outcomes.add(accepted)
+
+    @given(presentations(max_vertices=3, max_arrows=4, max_len=3), st.data())
+    @settings(max_examples=80, deadline=None)
+    def check_presentations(presentation, data):
+        try:
+            alg = AlgebraPresentation(*presentation)
+        except AlgebraBuildError:
+            assume(False)
+        check(_perturbed(data, data.draw(modules(alg, 3))))
+
+    check_presentations()
+    for name, max_dim in [("loop", 3), ("a4", 2), ("d4", 2)]:
+
+        @given(_generated(algebras, name, max_dim), st.data())
+        @settings(max_examples=60, deadline=None)
+        def check_generated(m, data):
+            check(_perturbed(data, m))
+
+        check_generated()
+    # k[x]/x^3 refuses most changed strictly upper-triangular loops
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("dims", [(1.7, 1), ("1", 1)], ids=["float", "str"])

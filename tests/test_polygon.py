@@ -25,6 +25,13 @@ def test_arc_counts(n, count):
     assert len(set(arcs)) == count
 
 
+def test_arcs_print_and_order_as_pairs():
+    # the repr appears in InputError messages; arcs sort as (i, j) tuples
+    assert repr(Arc(0, 2)) == "Arc(i=0, j=2)"
+    arcs = all_arcs(4)
+    assert sorted(reversed(arcs)) == arcs == sorted(arcs, key=lambda a: (a.i, a.j))
+
+
 def test_arc_to_object_conventions():
     obj = arc_to_object(4, Arc(1, 6))
     assert not any(obj.module_part.dims)

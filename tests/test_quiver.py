@@ -121,7 +121,7 @@ def test_constructor_checks_its_reduction(data_dir, monkeypatch, fault, message)
         if fault == "relation":
             kept = rels[0][0][1]
         else:
-            kept = next(p for p in table if len(p) == bound)
+            kept = next(p for p in table if len(p.arrows) == bound)
         table[kept] = {kept: 1}
         return bound, table
 
@@ -158,6 +158,10 @@ def test_double_dual_fingerprints(a4, a4_M):
 def test_same_algebra_structural(a4, data_dir):
     other = load_algebra((data_dir / "a4.alg").read_text())
     assert same_algebra(a4, other)
+
+
+def test_paths_print_their_fields():
+    assert repr(Path(0, (1,))) == "Path(source=0, arrows=(1,))"
 
 
 def test_unknown_vertex_in_arrow():
