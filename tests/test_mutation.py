@@ -380,7 +380,7 @@ def _positive_definite_ldlt(a):
     low = [[Fraction(0)] * n for _ in range(n)]
     d = []
     for j in range(n):
-        dj = a[j][j] - sum(low[j][k] ** 2 * d[k] for k in range(j))
+        dj = Fraction(a[j][j]) - sum(low[j][k] ** 2 * d[k] for k in range(j))
         if dj <= 0:
             return False
         d.append(dj)
