@@ -11,8 +11,11 @@ relations starting at i with the module on their tails, and for the
 index the relations ending at i with the module on their heads.  As the
 form descends to K_0 (Palu), the index must equal
 coind(m) - (E - E^T) dim m, one check that reads both and the arrows.
-The form matrix is checked entry by entry: every <S_i, S_j> read off
-the relations must equal E_ij, the diagonal included.
+The form matrix, which `form-matrix` prints, is checked entry by entry:
+every <S_i, S_j> read off the relations must equal E_ij, the diagonal
+included.  The character and the descent check apply E - E^T to a
+dimension vector straight from the arrows (`form_a_row`), with no
+matrix.
 """
 
 from __future__ import annotations
@@ -32,8 +35,11 @@ def antisym_form_matrix(a: AlgebraPresentation) -> FormMatrix:
 
 def _compute_form_matrix(a: AlgebraPresentation) -> FormMatrix:
     """E - E^T once every <S_i, S_j> has matched E_ij = I - (arrow counts)."""
-    labels, euler = a.quiver.vertices, _arrow_euler_matrix(a)
-    simples = [simple(a, i) for i in range(a.quiver.n)]
+    labels, n = a.quiver.vertices, a.quiver.n
+    euler = [[int(i == j) for j in range(n)] for i in range(n)]
+    for arrow in a.quiver.arrows:
+        euler[arrow.source][arrow.target] -= 1
+    simples = [simple(a, i) for i in range(n)]
     for i, s in enumerate(simples):
         for j, t in enumerate(simples):
             got = euler_form(s, t)
@@ -42,32 +48,17 @@ def _compute_form_matrix(a: AlgebraPresentation) -> FormMatrix:
                     "form matrix mismatch: <S_%s, S_%s> = %d from the relations, %d from "
                     "the arrows" % (labels[i], labels[j], got, euler[i][j])
                 )
-    return _arrow_form_matrix(a)
-
-
-def _arrow_euler_matrix(a: AlgebraPresentation) -> list[list[int]]:
-    """E = I - (arrow counts i -> j)."""
-    n = a.quiver.n
-    euler = [[int(i == j) for j in range(n)] for i in range(n)]
-    for arrow in a.quiver.arrows:
-        euler[arrow.source][arrow.target] -= 1
-    return euler
-
-
-def _arrow_form_matrix(a: AlgebraPresentation) -> FormMatrix:
-    """E - E^T from the arrows alone, cached per algebra."""
-
-    def compute():
-        euler, n = _arrow_euler_matrix(a), a.quiver.n
-        return tuple(tuple(euler[i][j] - euler[j][i] for j in range(n)) for i in range(n))
-
-    return a.cached("arrow_form_matrix", compute)
+    return tuple(tuple(euler[i][j] - euler[j][i] for j in range(n)) for i in range(n))
 
 
 def form_a_row(a: AlgebraPresentation, e: DimVector) -> tuple[int, ...]:
-    """The vector (<S_i, e>_a)_i, i.e. the form matrix applied to e."""
-    matrix = _arrow_form_matrix(a)
-    return tuple(sum(row[j] * e[j] for j in range(len(e))) for row in matrix)
+    """The vector (<S_i, e>_a)_i = (E - E^T) e, read off the arrows: an
+    arrow j -> i adds e_j at i and takes e_i off at j (a loop cancels)."""
+    row = [0] * a.quiver.n
+    for arrow in a.quiver.arrows:
+        row[arrow.target] += e[arrow.source]
+        row[arrow.source] -= e[arrow.target]
+    return tuple(row)
 
 
 def index(m: Representation) -> K0ProjClass:

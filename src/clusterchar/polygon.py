@@ -5,7 +5,8 @@ by the character over the linear A_n algebra (vertices 1..n, arrows
 i -> i+1, no relations): arcs ending at the distinguished corner n+2 are
 the shifted summands, every other arc {i, j} is the interval module
 supported on i+1 .. j-1.  Crossing arcs have one-dimensional extension
-space, and smoothing a crossing produces the two middle terms, so every
+space, and smoothing a crossing produces the two middle terms (each the
+direct sum of its sides that are diagonals), so every
 multiplication-formula instance at this scale can be generated and
 checked exhaustively.  The arc/object convention is not trusted: the
 calibration checks in `verify_an` compare it against module-computed
@@ -15,7 +16,7 @@ extension data and fail loudly on any mismatch.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .character import (
     CCObject,
@@ -96,38 +97,25 @@ def crossing(a: Arc, b: Arc) -> bool:
     return a.i < b.i < a.j < b.j or b.i < a.i < b.j < a.j
 
 
-def _side_object(n: int, i: int, j: int) -> CCObject | None:
-    """Arc object for {i, j}, or None when that pair is a boundary edge."""
-    lo, hi = min(i, j), max(i, j)
-    if hi - lo == 1 or (lo, hi) == (0, n + 2):
-        return None
-    return arc_to_object(n, Arc(lo, hi))
-
-
 def smoothings(n: int, a: Arc, b: Arc) -> tuple[CCObject, CCObject]:
     """The two middle-term objects obtained by smoothing a crossing.
 
     With endpoints p < q < r < s the first smoothing joins {p,q} and
-    {r,s}, the second {p,s} and {q,r}; boundary edges contribute the zero
-    object."""
+    {r,s}, the second {p,s} and {q,r}.  A side that is a boundary edge
+    adds nothing; two of them give the zero object."""
     if not crossing(a, b):
         raise InputError("arcs %r and %r do not cross" % (a, b))
-    p, r = a.i, a.j
-    q, s = b.i, b.j
-    if not p < q:
-        p, q, r, s = q, p, s, r
-    # now p < q < r < s
-    first = combine_all(n, [_side_object(n, p, q), _side_object(n, r, s)])
-    second = combine_all(n, [_side_object(n, p, s), _side_object(n, q, r)])
-    return first, second
+    p, q, r, s = sorted((a.i, a.j, b.i, b.j))
 
+    def smoothing(*sides):
+        diagonals = [
+            arc_to_object(n, Arc(i, j)) for i, j in sides if j - i > 1 and (i, j) != (0, n + 2)
+        ]
+        if not diagonals:
+            return module_object(zero_module(linear_an_algebra(n)))
+        return reduce(combine, diagonals)
 
-def combine_all(n: int, objects) -> CCObject:
-    acc = module_object(zero_module(linear_an_algebra(n)))
-    for obj in objects:
-        if obj is not None:
-            acc = combine(acc, obj)
-    return acc
+    return smoothing((p, q), (r, s)), smoothing((p, s), (q, r))
 
 
 def linear_an_matrix(n: int) -> ExchangeMatrix:
@@ -147,47 +135,24 @@ def interval_ses(n: int):
                 yield sub, total, quot
 
 
-class AnReport:
-    """The counts of `verify_an`, which fills in the checks, the bijection
-    and the lines as they run."""
+class AnReport(namedtuple("AnReport", "n arc_count crossing_pairs checks_passed checks_failed "
+                          "bijection_ok variable_count expected_variable_count lines")):
+    """The counts and lines of `verify_an`; `variable_count` counts the
+    character values that the mutation oracle also has."""
 
-    __slots__ = ("n", "arc_count", "crossing_pairs", "checks_passed", "checks_failed",
-                 "bijection_ok", "variable_count", "expected_variable_count", "lines")
-    __hash__ = None  # mutable
-
-    def __init__(self, n, arc_count, crossing_pairs, expected_variable_count):
-        self.n, self.arc_count, self.crossing_pairs = n, arc_count, crossing_pairs
-        self.expected_variable_count = expected_variable_count
-        self.checks_passed = self.checks_failed = self.variable_count = 0
-        self.bijection_ok, self.lines = False, []
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
-    def __repr__(self) -> str:
-        return "AnReport(%s)" % ", ".join("%s=%r" % (f, getattr(self, f)) for f in self.__slots__)
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.checks_failed == 0 and self.bijection_ok
 
     def summary(self) -> str:
-        verdict = "PASS" if self.ok else "FAIL"
         return (
             "n=%d: %d arcs, %d crossing pairs, %d checks passed, %d failed, "
             "%d/%d cluster variables matched: %s"
-            % (
-                self.n,
-                self.arc_count,
-                self.crossing_pairs,
-                self.checks_passed,
-                self.checks_failed,
-                self.variable_count,
-                self.expected_variable_count,
-                verdict,
-            )
+            % (self.n, self.arc_count, self.crossing_pairs, self.checks_passed,
+               self.checks_failed, self.variable_count, self.expected_variable_count,
+               "PASS" if self.ok else "FAIL")
         )
 
 
@@ -204,14 +169,12 @@ def verify_an(n: int) -> AnReport:
         for b in arcs[idx + 1 :]
         if crossing(a, b)
     ]
-    report = AnReport(n, len(arcs), len(pairs), n * (n + 3) // 2)
+    lines: list[str] = []
+    outcomes: list[bool] = []
 
     def record(ok: bool, line: str) -> None:
-        if ok:
-            report.checks_passed += 1
-        else:
-            report.checks_failed += 1
-        report.lines.append("%s %s" % ("ok  " if ok else "FAIL", line))
+        outcomes.append(ok)
+        lines.append("%s %s" % ("ok  " if ok else "FAIL", line))
 
     # (a) multiplication identity on every crossing pair
     for a, b in pairs:
@@ -253,16 +216,19 @@ def verify_an(n: int) -> AnReport:
     # (c) bijection with the mutation oracle
     values: set[LaurentPoly] = {cc_value(obj) for obj in objects.values()}
     oracle = enumerate_cluster_variables(linear_an_matrix(n))
-    report.variable_count = len(values)
-    same = values == set(oracle) and len(values) == report.expected_variable_count
-    report.bijection_ok = same
-    report.lines.append(
+    expected = n * (n + 3) // 2
+    same = values == oracle and len(values) == expected
+    lines.append(
         "%s bijection: %d character values vs %d cluster variables"
         % ("ok  " if same else "FAIL", len(values), len(oracle))
     )
     if not same:
-        for v in sorted(laurent_render(x) for x in values - set(oracle)):
-            report.lines.append("     only from arcs: %s" % v)
-        for v in sorted(laurent_render(x) for x in set(oracle) - values):
-            report.lines.append("     only from mutation: %s" % v)
-    return report
+        for v in sorted(laurent_render(x) for x in values - oracle):
+            lines.append("     only from arcs: %s" % v)
+        for v in sorted(laurent_render(x) for x in oracle - values):
+            lines.append("     only from mutation: %s" % v)
+    passed = outcomes.count(True)
+    return AnReport(
+        n, len(arcs), len(pairs), passed, len(outcomes) - passed, same,
+        len(values & oracle), expected, tuple(lines),
+    )

@@ -150,6 +150,43 @@ def test_values_are_cluster_variables_of_tilted_matrices(data_dir, a4, d4, a4_M,
             assert cc_value(shift_object(algebra, i)) in variables
 
 
+def test_kronecker_values_lie_on_the_alternating_mutation_walks():
+    # the acyclic case: the preprojectives of dims (n, n+1) with a = [I; 0]
+    # and b = [0; I], the preinjectives of dims (n+1, n) with a = [I | 0]
+    # and b = [0 | I], for n <= 4, and the two shifts.  The walk
+    # mu1 mu2 ... reaches the preinjectives in order, mu2 mu1 ... the
+    # preprojectives
+    from clusterchar.mutation import initial_seed, mutate_seed, quiver_to_matrix
+
+    kronecker = load_algebra("[quiver]\nvertices: 1 2\narrow: a 1 2\narrow: b 1 2\n")
+
+    def module(dims, a, b):
+        mats = {"a": linalg.matrix(a), "b": linalg.matrix(b)} if min(dims) else {}
+        return module_object(Representation(kronecker, dims, mats))
+
+    shifts = [shift_object(kronecker, 0), shift_object(kronecker, 1)]
+    preinjectives, preprojectives = [], []
+    for n in range(5):
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        preprojectives.append(module((n, n + 1), eye + [[0] * n], [[0] * n] + eye))
+        preinjectives.append(module((n + 1, n), [r + [0] for r in eye], [[0] + r for r in eye]))
+    variables = set()
+    for first, named in ((0, preinjectives), (1, preprojectives)):
+        seed = initial_seed(quiver_to_matrix(kronecker.quiver))
+        variables.update(seed.variables)
+        for step in range(7):
+            k = (first + step) % 2
+            seed = mutate_seed(seed, k)
+            variables.update(seed.variables)
+            if step < len(named):
+                assert seed.variables[k] == cc_value(named[step])
+    assert len(variables) == 16
+    objects = shifts + preinjectives + preprojectives
+    values = {cc_value(obj) for obj in objects}
+    assert len(values) == len(objects) == 12
+    assert values <= variables
+
+
 def _three_cycle_object(relations):
     """dims (1,1,0), a=[[1]] over the 3-cycle a: 1->2, b: 2->3, c: 3->1."""
     algebra = load_algebra(

@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from clusterchar import cli, forms, grassmannian, modules
+from clusterchar import cli, forms, grassmannian, modules, polygon
 from clusterchar.cli import run
 from clusterchar.grassmannian import CountingPolynomial
-from clusterchar.laurent import from_dict, laurent_render
+from clusterchar.laurent import from_dict, laurent_render, variable
 
 pytestmark = pytest.mark.usefixtures("data_dir")
 
@@ -522,6 +522,37 @@ def test_verify_an_command(capsys):
     assert code == 0
     assert "PASS" in out
     assert "5/5 cluster variables matched" in out
+
+
+def test_verify_an_reports_a_failed_triangle_and_bijection(capsys, monkeypatch):
+    # the oracle has x1*x2 in place of x1, and the third triangle fails
+    x1, x2 = variable(2, 0), variable(2, 1)
+    oracle = polygon.enumerate_cluster_variables
+    monkeypatch.setattr(
+        polygon, "enumerate_cluster_variables",
+        lambda b: frozenset(x1 * x2 if v == x1 else v for v in oracle(b)),
+    )
+    check, calls = polygon.verify_triangle, []
+
+    def verify_triangle(*objects):
+        calls.append(objects)
+        report = check(*objects)
+        return report._replace(ok=False) if len(calls) == 3 else report
+
+    monkeypatch.setattr(polygon, "verify_triangle", verify_triangle)
+    code, out, err = _run(capsys, "verify-an", "--n", "2")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL triangle {0,3} x {1,4}",
+        "FAIL bijection: 5 character values vs 5 cluster variables",
+    ]
+    assert lines[-3:] == [
+        "     only from arcs: x1",
+        "     only from mutation: x1*x2",
+        "n=2: 5 arcs, 5 crossing pairs, 13 checks passed, 1 failed, "
+        "4/5 cluster variables matched: FAIL",
+    ]
 
 
 def test_verify_an_rejects_n_above_default_max(capsys):

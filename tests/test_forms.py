@@ -299,6 +299,20 @@ def test_form_matrix_is_arrow_count_antisymmetrization(presentation):
     assert antisym_form_matrix(alg) == _arrow_count_antisym(alg)
 
 
+@given(presentations(max_vertices=3, max_arrows=4, max_len=3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_form_row_read_off_the_arrows_is_the_checked_matrix_applied(presentation, data):
+    # loops cancel, parallel arrows and oriented cycles add up
+    try:
+        alg = AlgebraPresentation(*presentation)
+    except AlgebraBuildError:
+        assume(False)
+    matrix = antisym_form_matrix(alg)
+    vectors = st.tuples(*[st.integers(-4, 4)] * alg.quiver.n)
+    for e in data.draw(st.lists(vectors, min_size=1, max_size=4)):
+        assert form_a_row(alg, e) == tuple(sum(x * y for x, y in zip(row, e)) for row in matrix)
+
+
 def test_cluster_tilted_instances_match_arrow_counts(a4, d4):
     # holds for the shipped cluster-tilted instances; checked per instance
     assert antisym_form_matrix(a4) == _arrow_count_antisym(a4)

@@ -473,15 +473,11 @@ def test_euler_form_matches_the_reference_on_random_presentations(presentation, 
     # loops, cycles, several relations from one vertex, coefficients up to
     # 3 in size and monomial cuts: <m, n> read off the relations against
     # dim Hom less the reference's dim Ext^1, both ways round and with
-    # every simple on either side.  The reference checks the relations on
-    # a cover and a kernel of up to 2 dim B per vertex, which takes seconds
-    # a pair past 16 basis paths and a minute past 40, so larger algebras
-    # are left out
+    # every simple on either side
     try:
         alg = AlgebraPresentation(*presentation)
     except AlgebraBuildError:
         assume(False)
-    assume(alg.dim() <= 16)
     m, n = data.draw(modules(alg, 2)), data.draw(modules(alg, 2))
     simples = [simple(alg, i) for i in range(alg.quiver.n)]
     for x, y in [(m, n), (n, m)] + [(m, s) for s in simples] + [(s, m) for s in simples]:
