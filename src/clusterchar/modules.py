@@ -7,11 +7,12 @@ This one convention is used everywhere and is calibrated against known
 submodule lists in the test suite.
 
 Hom spaces are solved exactly over Q as intertwiner systems; the one
-for End(m) also gives the endomorphisms by which `fitting_split` splits
-m into summands (im phi^N and ker phi^N), which `grassmannian` tries
-after the torus fixed points and before point counting.  The Euler
-form <m, n> = dim Hom - dim Ext^1 is one rank, of the map the relations
-induce between Hom spaces (`euler_form`), and Ext^1 is
+for End(m) also gives the endomorphisms by which `fitting_parts` splits
+m in two (im phi^N and ker phi^N), one level at a time: `grassmannian`
+tries a split after the torus fixed points and before point counting,
+and splits a part again only where the fixed points do not answer it.
+The Euler form <m, n> = dim Hom - dim Ext^1 is one rank, of the map the
+relations induce between Hom spaces (`euler_form`), and Ext^1 is
 dim Hom(m, n) - <m, n>: the intertwiner system is the only Hom solver,
 and no projective cover is built.  `forms` reads the coindex and the
 index off this form, with a simple on either side.  Projectives and
@@ -194,23 +195,26 @@ def _intertwiner_system(m: Representation, n: Representation) -> tuple[Matrix, l
     a: i -> j.  Returns the system matrix and the per-vertex unknown offsets;
     unknown (j, r, c) (entry of phi_j) sits at offset[j] + r*m.dims[j] + c.
     """
-    q = m.algebra.quiver
+    md, nd = m.dims, n.dims
     offsets = []
     total = 0
-    for j in range(q.n):
+    for d, e in zip(md, nd):
         offsets.append(total)
-        total += n.dims[j] * m.dims[j]
+        total += d * e
     rows: list[list] = []
-    for a in q.arrows:
+    for a in m.algebra.quiver.arrows:
         i, j = a.source, a.target
-        Ma, Na = m.matrices[a.name], n.matrices[a.name]
-        for r in range(n.dims[j]):
-            for c in range(m.dims[i]):
+        mi, mj, ni = md[i], md[j], nd[i]  # ma is mj x mi, na is n_j x ni
+        if not mi:
+            continue
+        ma, na = m.matrices[a.name].entries, n.matrices[a.name].entries
+        for r in range(nd[j]):
+            for c in range(mi):
                 row = [0] * total
-                for k in range(m.dims[j]):
-                    row[offsets[j] + r * m.dims[j] + k] += Ma.entry(k, c)
-                for k in range(n.dims[i]):
-                    row[offsets[i] + k * m.dims[i] + c] -= Na.entry(r, k)
+                for k in range(mj):
+                    row[offsets[j] + r * mj + k] += ma[k * mi + c]
+                for k in range(ni):
+                    row[offsets[i] + k * mi + c] -= na[r * ni + k]
                 rows.append(row)
     return linalg.matrix(rows, rows=len(rows), cols=total), offsets
 
@@ -222,8 +226,9 @@ def hom_dim(m: Representation, n: Representation) -> int:
     return system.cols - linalg.rank(system)
 
 
-def fitting_split(m: Representation) -> list[Representation]:
-    """Summands of m, split off by the Fitting lemma until none splits.
+def fitting_parts(m: Representation) -> tuple[Representation, Representation] | None:
+    """One Fitting split of m: (im phi^N, ker phi^N) for the first
+    candidate phi that splits it, or None when none does.
 
     For an endomorphism phi of m, m is im phi^N (+) ker phi^N, a direct
     sum of submodules, once N is at least every dimension (N = d_j at
@@ -231,12 +236,11 @@ def fitting_split(m: Representation) -> list[Representation]:
     invertible.  The candidates are a basis of End(m), the kernel of the
     intertwiner system, and then phi - lambda for each rational
     eigenvalue lambda of a basis element phi with more than one
-    eigenvalue.  Each summand is split again, in the basis [im | ker]
-    (`_fitting_parts`), so its entries may be rational.  A module that
-    no candidate splits is returned whole: an indecomposable one has a
-    local endomorphism ring, so none can, but not every module that none
-    splits is indecomposable, and Krull-Schmidt completeness is not
-    claimed.
+    eigenvalue.  The parts are in the basis [im | ker]
+    (`_fitting_parts`), so their entries may be rational; a caller that
+    wants every summand splits each part again.  None comes back for an
+    indecomposable m, whose local endomorphism ring holds no such phi,
+    but not only for one: Krull-Schmidt completeness is not claimed.
     """
     system, offsets = _intertwiner_system(m, m)
     basis = linalg.kernel_basis(system)
@@ -248,8 +252,8 @@ def fitting_split(m: Representation) -> list[Representation]:
     for phi in _split_candidates(endos):
         parts = _fitting_parts(m, phi)
         if parts is not None:
-            return [s for part in parts for s in fitting_split(part)]
-    return [m]
+            return parts
+    return None
 
 
 def _split_candidates(endos):
@@ -294,34 +298,31 @@ def _fitting_parts(m: Representation, phi):
     """(im phi^N, ker phi^N) as modules, or None when phi is nilpotent or
     invertible.
 
-    At each vertex the columns of phi^N at its pivot columns span the
-    image, and `linalg.kernel_basis` spans the kernel; each arrow is
-    conjugated into the bases [im | ker].  The two must make a basis
-    there, and an arrow must map image into image and kernel into
-    kernel, which holds when phi is an endomorphism: either failure
-    raises `ConsistencyError`.
+    At each vertex one row reduction of phi^N gives both: the columns of
+    phi^N at its pivot columns span the image, and `linalg.null_vectors`
+    of the reduced form span the kernel.  Each arrow is conjugated into
+    the bases [im | ker].  The two must make a basis there, and an arrow
+    must map image into image and kernel into kernel, which holds when
+    phi is an endomorphism: either failure raises `ConsistencyError`.
     """
     powers = [_stable_power(a) for a in phi]
-    pivots = [linalg.row_reduce(power.to_lists(), power.cols)[1] for power in powers]
-    ranks = list(map(len, pivots))
+    reduced = [linalg.row_reduce(power.to_lists(), power.cols) for power in powers]
+    ranks = [len(pivots) for _, pivots in reduced]
     if not any(ranks) or ranks == list(m.dims):
         return None
     bases, inverses = [], []
-    for j, (power, columns) in enumerate(zip(powers, pivots)):
+    for j, (power, (red, columns)) in enumerate(zip(powers, reduced)):
         d = power.rows
-        kernel = linalg.kernel_basis(power)
-        if len(columns) + kernel.cols != d:
-            raise ConsistencyError("Fitting summands do not add up at vertex %d" % j)
         cols = [[power.entry(r, c) for r in range(d)] for c in columns]
-        cols += [[kernel.entry(r, c) for r in range(d)] for c in range(kernel.cols)]
+        cols += linalg.null_vectors(red, columns, d)
         basis = [[col[r] for col in cols] for r in range(d)]
-        reduced, full = linalg.row_reduce(
+        inverted, full = linalg.row_reduce(
             [row + [int(r == c) for c in range(d)] for r, row in enumerate(basis)], d
         )
         if len(full) != d:
             raise ConsistencyError("Fitting summands meet at vertex %d" % j)
         bases.append(linalg.matrix(basis, rows=d, cols=d))
-        inverses.append(linalg.matrix([row[d:] for row in reduced], rows=d, cols=d))
+        inverses.append(linalg.matrix([row[d:] for row in inverted], rows=d, cols=d))
     image: dict[str, Matrix] = {}
     rest: dict[str, Matrix] = {}
     for a in m.algebra.quiver.arrows:

@@ -1,8 +1,11 @@
 """Reference row reduction for the differential tests.
 
-Gauss-Jordan elimination that scales every pivot row by the exact
-inverse of its pivot and normalizes every entry it writes, with no fast
-path for integers, so it is slow but has no shortcut to get wrong.
+Gauss-Jordan elimination over Q that scales every pivot row by the
+exact inverse of its pivot and normalizes every entry it writes, with no
+fast path for integers, so it is slow but has no shortcut to get wrong.
+The program eliminates over the integers instead and must leave every
+row, those past the rank included, as this does.  `kernel_basis` reads
+the null space off this elimination.
 """
 
 from fractions import Fraction
@@ -28,3 +31,20 @@ def row_reduce(data: list[list], limit_cols: int) -> tuple[list[list], list[int]
         pivots.append(c)
         r += 1
     return data, pivots
+
+
+def kernel_basis(rows: list[list], cols: int) -> list[list]:
+    """The right null space of a matrix, one vector per free column: 1
+    there, 0 at the other free columns, minus the pivot rows' entries in
+    that column at the pivot columns."""
+    red, pivots = row_reduce([list(r) for r in rows], cols)
+    vectors = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        v = [0] * cols
+        v[f] = 1
+        for row, c in zip(red, pivots):
+            v[c] = normalize(-row[f])
+        vectors.append(v)
+    return vectors

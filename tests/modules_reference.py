@@ -10,6 +10,10 @@ get wrong.  The program builds no cover: it reads the Euler form off the
 relations, so these checks are the only ones a cover gets.  Its index
 must equal [P0] - [P1] of `presentation`, and dim Hom - <M, N> must
 equal this cokernel's dim Ext^1.
+
+`fitting_split` splits a module into summands all the way down, where
+the program splits one level at a time (`modules.fitting_parts`) and
+stops at parts the torus fixed points answer.
 """
 
 from dataclasses import dataclass
@@ -19,8 +23,10 @@ from clusterchar.errors import DimensionError
 from clusterchar.linalg import Matrix
 from clusterchar.modules import (
     Representation,
+    _fitting_parts,
     _intertwiner_system,
     _require_same_algebra,
+    _split_candidates,
     direct_sum,
     hom_dim,
     path_matrix,
@@ -168,3 +174,20 @@ def ext1_dim(m, n) -> int:
     width = len(restricted[0])
     mat = linalg.matrix(restricted, rows=len(restricted), cols=width)
     return dim_hom_omega - linalg.rank(mat)
+
+
+def fitting_split(m) -> list[Representation]:
+    """Summands of m, split off by the Fitting lemma until none splits.
+
+    The program's candidates (`_split_candidates`) on the basis of End(m)
+    that `hom_basis` gives; the first that splits m (`_fitting_parts`)
+    gives two parts, and each is split again.  A module that no
+    candidate splits comes back whole.
+    """
+    q = m.algebra.quiver
+    endos = [[phi[j] for j in range(q.n)] for phi in hom_basis(m, m)]
+    for phi in _split_candidates(endos):
+        parts = _fitting_parts(m, phi)
+        if parts is not None:
+            return [s for part in parts for s in fitting_split(part)]
+    return [m]

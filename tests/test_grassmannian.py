@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import modules_reference
 from module_strategies import conjugate, loop_modules, modules
 from opposite_reference import dual
 from clusterchar import grassmannian
@@ -35,6 +36,7 @@ from clusterchar.polygon import interval_module, linear_an_algebra
 from clusterchar.quiver import load_algebra
 
 ONE_VERTEX = "[quiver]\nvertices: 1\n"
+KRONECKER = "[quiver]\nvertices: 1 2\narrow: a 1 2\narrow: b 1 2\n"
 
 
 @pytest.fixture(scope="module")
@@ -547,5 +549,46 @@ def test_split_classes_match_the_count_of_conjugated_sums(algebras, name, max_di
         except (NonPolynomialCountError, ResourceLimitError):
             return  # the count may refuse (its budget, or a count it cannot verify)
         assert submodule_classes(m) == reference
+
+    check()
+
+
+def _convolved(tables, dims):
+    """The classes of a direct sum from its summands' classes."""
+    total = {(0,) * len(dims): 1}
+    for classes in tables:
+        out: dict = {}
+        for e, x in total.items():
+            for f, y in classes:
+                key = tuple(a + b for a, b in zip(e, f))
+                out[key] = out.get(key, 0) + x * y
+        total = out
+    return sorted((e, chi) for e, chi in total.items() if chi)
+
+
+@pytest.mark.parametrize(
+    "name, max_dim", [("a3", 2), ("a4", 1), ("d4", 1), ("kronecker", 2)]
+)
+def test_split_classes_match_the_full_split(algebras, name, max_dim):
+    # submodule_classes splits one level at a time and stops at a part the
+    # fixed points answer; the reference splits all the way down, and the
+    # classes of its summands, each by fixed points or by a count, convolve
+    # to the same table
+    algebra = algebras[name] if name in algebras else load_algebra(KRONECKER)
+
+    @given(modules(algebra, max_dim), modules(algebra, 1), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def check(a, b, rng):
+        m = conjugate(direct_sum(a, b), rng)
+        tables = []
+        for s in modules_reference.fitting_split(m):
+            classes = _fixed_point_classes(s)
+            if classes is None:
+                try:
+                    classes = _counted_classes(s)
+                except (NonPolynomialCountError, ResourceLimitError):
+                    return  # the count may refuse (its budget, or a count it cannot verify)
+            tables.append(classes)
+        assert submodule_classes(m) == _convolved(tables, m.dims)
 
     check()

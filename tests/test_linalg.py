@@ -93,6 +93,55 @@ def test_row_reduce_matches_reference(case, limit):
     assert _typed(got[0]) == _typed(want[0])
 
 
+big_scalars = st.one_of(
+    st.just(0),
+    st.integers(-10**12, 10**12),
+    st.fractions(min_value=-10**12, max_value=10**12, max_denominator=10**6),
+)
+
+
+@st.composite
+def large_rational_rows(draw):
+    """Up to 8 rows of up to 12 columns with large entries; a row may be
+    zero or a multiple of an earlier one, so that ranks drop."""
+    cols = draw(st.integers(1, 12))
+    rows: list[list] = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("fresh", "zero", "multiple")))
+        if kind == "zero":
+            rows.append([0] * cols)
+        elif kind == "multiple" and rows:
+            factor = draw(scalars.filter(bool))
+            rows.append([x * factor for x in draw(st.sampled_from(rows))])
+        else:
+            rows.append(draw(st.lists(big_scalars, min_size=cols, max_size=cols)))
+    return [[linalg.normalize(x) for x in row] for row in rows], cols
+
+
+@given(large_rational_rows(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_row_reduce_matches_reference_past_the_limit(case, data):
+    # pivots only among the first limit columns, so that the rows past the
+    # rank keep entries, which must come out as the reference leaves them
+    rows, cols = case
+    limit = data.draw(st.integers(0, max(cols - 1, 0)))
+    got = linalg.row_reduce([list(r) for r in rows], limit)
+    want = linalg_reference.row_reduce([list(r) for r in rows], limit)
+    assert got[1] == want[1]
+    assert _typed(got[0]) == _typed(want[0])
+
+
+@given(large_rational_rows())
+@settings(max_examples=150, deadline=None)
+def test_rank_and_kernel_match_reference(case):
+    rows, cols = case
+    a = matrix(rows, rows=len(rows), cols=cols)
+    assert rank(a) == len(linalg_reference.row_reduce([list(r) for r in rows], cols)[1])
+    k = kernel_basis(a)
+    got = [[k.entry(i, j) for i in range(k.rows)] for j in range(k.cols)]
+    assert _typed(got) == _typed(linalg_reference.kernel_basis(rows, cols))
+
+
 @st.composite
 def products(draw):
     # zero rows, zero inner size and zero columns included
