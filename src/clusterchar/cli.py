@@ -222,36 +222,48 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser, with every subcommand or with ``command`` alone.
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+    _, func, arguments = _COMMANDS[name]
+    for names, options in arguments:
+        parser.add_argument(*names, **options)
+    parser.set_defaults(func=func)
 
-    A call naming a subcommand parses with that subcommand only: building
-    the other eight is most of the parser's cost.  Its usage line still
-    lists every subcommand, so messages are the same either way.
-    """
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="clusterchar",
         description="cluster characters over quiver algebras, with oracles",
     )
-    sub = parser.add_subparsers(
-        dest="command",
-        required=True,
-        metavar=None if command is None else "{%s}" % ",".join(_COMMANDS),
-    )
-    for name, (help_text, func, arguments) in _COMMANDS.items():
-        if command is None or name == command:
-            p = sub.add_parser(name, help=help_text)
-            for names, options in arguments:
-                p.add_argument(*names, **options)
-            p.set_defaults(func=func)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
-def run(argv) -> int:
+def parse_args(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building one parser, not ten.
+
+    A call naming a subcommand parses the rest of ``argv`` with that
+    subcommand's parser alone, which is what the full parser hands it:
+    help, missing arguments and bad values are that parser's to report.
+    Only arguments left over, and an ``argv`` without a subcommand, take
+    the full parser, whose usage line lists every subcommand.
+    """
     argv = list(argv)
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog="clusterchar " + argv[0])
+        _add_arguments(parser, argv[0])
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
+def run(argv) -> int:
     try:
-        args = build_parser(command).parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:

@@ -22,7 +22,7 @@ out of i, I_i from the duals of the paths into i.
 
 from __future__ import annotations
 
-import ast
+import re
 from operator import mul
 
 from . import linalg
@@ -404,6 +404,37 @@ def ext1_dim(m: Representation, n: Representation) -> int:
 # -- file format -------------------------------------------------------------
 
 
+_GAP = "[ \t]*"
+_ROW = r"%s\[[^\[\]]*\]%s" % (_GAP, _GAP)
+_MATRIX = re.compile(r"\[(?:%s(?:,%s)*)?%s\]" % (_ROW, _ROW, _GAP))
+_ROW_BODY = re.compile(r"\[([^\[\]]*)\]")
+_NESTED = re.compile(r"\[%s[\[\]]" % _GAP)
+
+
+def _matrix_rows(body: str, name: str) -> list[list[int]]:
+    """The rows ``[[a, b], [c, d]]`` spells, with spaces and tabs allowed
+    around brackets and commas; each entry is read by `ascii_int`."""
+    if not _MATRIX.fullmatch(body):
+        if _NESTED.match(body):
+            raise InputError("unreadable matrix data for arrow %r" % name)
+        raise InputError("matrix for arrow %r is not a list of rows" % name)
+    rows = []
+    for row in _ROW_BODY.findall(body, 1, len(body) - 1):
+        entries = []
+        for t in row.split(",") if row.strip(" \t") else ():
+            t = t.strip(" \t")
+            if not t:
+                raise InputError("unreadable matrix data for arrow %r" % name)
+            try:
+                entries.append(ascii_int(t))
+            except ValueError:
+                raise InputError(
+                    "non-integer entry %s in matrix for arrow %r" % (t, name)
+                ) from None
+        rows.append(entries)
+    return rows
+
+
 def load_module(text: str, algebra: AlgebraPresentation) -> Representation:
     """Load the ``[module]`` file format over ``algebra``.
 
@@ -459,20 +490,7 @@ def load_module(text: str, algebra: AlgebraPresentation) -> Representation:
             raise InputError(
                 "matrix for arrow %r with a 0-dimensional endpoint" % name
             )
-        try:
-            data = ast.literal_eval(body)
-        except (ValueError, SyntaxError):
-            raise InputError("unreadable matrix data for arrow %r" % name) from None
-        if not isinstance(data, (list, tuple)) or not all(
-            isinstance(r, (list, tuple)) for r in data
-        ):
-            raise InputError("matrix for arrow %r is not a list of rows" % name)
-        for row in data:
-            for x in row:
-                if type(x) is not int:
-                    raise InputError(
-                        "non-integer entry %r in matrix for arrow %r" % (x, name)
-                    )
+        data = _matrix_rows(body, name)
         matrices[name] = linalg.matrix(data, rows=dims[a.target], cols=dims[a.source])
     return Representation(algebra, dims, matrices)
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib
 import io
@@ -41,6 +42,26 @@ def test_boolean_matrix_entry_exits_2(capsys, data_dir, tmp_path):
     assert code == 2
     assert out == ""
     assert "non-integer entry True in matrix for arrow 'd'" in err
+
+
+@pytest.mark.parametrize("body, message", [
+    ("[[1_0]]", "non-integer entry 1_0"),
+    ("[[+1]]", "non-integer entry +1"),
+    ("[[0x1]]", "non-integer entry 0x1"),
+    ("[[0b1]]", "non-integer entry 0b1"),
+    ("[[- 1]]", "non-integer entry - 1"),
+    ("((1,),)", "is not a list of rows"),
+    ("[[1,]]", "unreadable matrix data"),
+    ("[[1],]", "unreadable matrix data"),
+    ("[(1,)]", "is not a list of rows"),
+])
+def test_matrix_spelling_outside_the_grammar_exits_2(capsys, data_dir, tmp_path, body, message):
+    # entries are read by ascii_int, as every integer a user types
+    mod = tmp_path / "spelling.mod"
+    mod.write_text("[module]\ndims: 1 1 0 0\nmatrix d: %s\n" % body)
+    code, out, err = _run(capsys, "xvalue", data_dir / "a4.alg", mod)
+    assert (code, out) == (2, "")
+    assert message in err and "arrow 'd'" in err
 
 
 def _a4_module_with_d(data_dir, tmp_path, entry):
@@ -645,26 +666,87 @@ def test_parser_state_does_not_leak_between_calls(capsys, data_dir):
     assert forward[0][1] != forward[1][1]
 
 
-def _parse(parser, argv):
-    """Exit code, stdout and stderr of parsing argv (0 when it parses)."""
+def _parse(parse, argv):
+    """Exit code, stdout, stderr and namespace (without ``func``) of
+    ``parse(argv)``: code 0 when it parses, namespace None when it exits."""
     out, err = io.StringIO(), io.StringIO()
+    namespace = None
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            parser.parse_args(argv)
+            namespace = vars(parse(argv))
+            namespace.pop("func")
             code = 0
         except SystemExit as exc:
             code = exc.code
-    return code, out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue(), namespace
+
+
+def _argv_shapes(command):
+    """argv shapes for ``command``: help anywhere, missing and extra
+    positionals, unknown, abbreviated, ``=``-joined and repeated options,
+    ``--`` and bad values."""
+    _, _, arguments = cli._COMMANDS[command]
+    positionals = [names[0] for names, _ in arguments if not names[0].startswith("-")]
+    options = [names[0] for names, _ in arguments if names[0].startswith("-")]
+    given = ["check" if p == "action" else "f_" + p for p in positionals]
+    required = []
+    for names, spec in arguments:
+        if spec.get("required"):
+            required += [names[0], "3"]
+    valid = [command] + given + required
+    shapes = [
+        [command], valid, valid + ["-h"], valid + ["--help"],
+        [command, "-h"], [command, "--help"], [command] + given[:1] + ["-h"],
+        valid + ["extra"], valid + ["--bogus"], valid + ["--bogus=1"], valid + ["-x"],
+        valid + ["--shif", "1"], valid + ["--max", "5"], valid + ["--n", "x"],
+        valid + ["--n", "-3"], valid + ["--"], [command, "--"],
+        [command] + required + ["--"] + given, [command] + required + ["--", "-h"],
+        [command, "bogus"] + given[1:] + required,
+    ]
+    if given:
+        shapes.append([command] + given[:-1] + required)
+    for opt in options:
+        shapes += [
+            valid + [opt], valid + [opt + "=1"], valid + [opt, "1", opt, "2"],
+            valid + [opt[:-1], "1"], valid + [opt, "x"], valid + [opt, "+1"],
+            valid + [opt, "1_0"], valid + [opt, "-1"],
+        ]
+    return shapes
+
+
+def _full_parse(argv):
+    return cli.build_parser().parse_args(argv)
 
 
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
-def test_one_subcommand_parser_matches_the_full_parser(command):
-    alone = cli.build_parser(command)
-    (sub,) = alone._subparsers._group_actions
-    assert list(sub.choices) == [command]
-    for rest in ([], ["-h"], ["a", "b", "c", "d", "e", "--bogus"], ["--n", "x"]):
-        argv = [command] + rest
-        assert _parse(alone, argv) == _parse(cli.build_parser(), argv), argv
+def test_one_subcommand_parser_matches_the_full_parser(command, monkeypatch):
+    # usage lines wrap with the terminal width
+    for columns in ("80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in _argv_shapes(command):
+            assert _parse(cli.parse_args, argv) == _parse(_full_parse, argv), (columns, argv)
+
+
+def test_a_call_without_a_subcommand_parses_as_the_full_parser(monkeypatch):
+    shapes = [[], ["-h"], ["--help"], ["bogus"], ["xval", "a"], ["-x"],
+              ["--", "xvalue", "a", "m"], ["-h", "xvalue"], ["--help=1"]]
+    for columns in ("80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in shapes:
+            assert _parse(cli.parse_args, argv) == _parse(_full_parse, argv), (columns, argv)
+
+
+def test_a_parsing_call_builds_one_parser(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    args = cli.parse_args(["xvalue", "a.alg", "m.mod", "--shifts", "1"])
+    assert (args.command, args.shifts, built) == ("xvalue", "1", ["clusterchar xvalue"])
 
 
 def test_extra_arguments_show_every_subcommand(capsys, data_dir):
@@ -699,7 +781,8 @@ def test_cli_imports_without_dataclasses():
 
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
-         "import sys, clusterchar.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+         "import sys, clusterchar.cli; "
+         "print(sorted({'ast', 'dataclasses', 'inspect'} & set(sys.modules)))"],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

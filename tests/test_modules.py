@@ -1,3 +1,5 @@
+import ast
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -294,6 +296,27 @@ def test_loader_rejects_non_integer(a4):
     text = "[module]\ndims: 1 1 0 0\nmatrix d: [[0.5]]\n"
     with pytest.raises(InputError, match="non-integer"):
         load_module(text, algebra=a4)
+
+
+_SPACES = st.text(alphabet=" \t", max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(lambda cols: st.lists(
+        st.lists(st.integers(-10**12, 10**12), min_size=cols, max_size=cols),
+        min_size=1, max_size=4,
+    )),
+    st.data(),
+)
+def test_loader_reads_matrix_rows_as_literal_eval_does(a2h, rows, data):
+    tokens = re.findall(r"[\[\],]|-?[0-9]+", str(rows))
+    gaps = data.draw(st.lists(_SPACES, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    body = "".join(g + t for g, t in zip(gaps, tokens + [""]))
+    text = "[module]\ndims: %d %d\nmatrix a1: %s\n" % (len(rows[0]), len(rows), body)
+    m = load_module(text, algebra=a2h)
+    # literal_eval is the reference here only: the loader does not use it
+    assert m.matrices["a1"] == linalg.matrix(ast.literal_eval(body.strip()))
 
 
 def test_loader_rejects_matrix_on_zero_space(a4):
