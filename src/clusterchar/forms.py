@@ -28,13 +28,9 @@ FormMatrix = tuple[tuple[int, ...], ...]
 
 
 def antisym_form_matrix(a: AlgebraPresentation) -> FormMatrix:
-    """Matrix of the antisymmetrized form on the simples, each entry of E
-    checked against the relations (cached per algebra)."""
-    return a.cached("form_matrix", lambda: _compute_form_matrix(a))
-
-
-def _compute_form_matrix(a: AlgebraPresentation) -> FormMatrix:
-    """E - E^T once every <S_i, S_j> has matched E_ij = I - (arrow counts)."""
+    """Matrix of the antisymmetrized form on the simples, E - E^T once
+    every <S_i, S_j> read off the relations has matched E_ij = I -
+    (arrow counts)."""
     labels, n = a.quiver.vertices, a.quiver.n
     euler = [[int(i == j) for j in range(n)] for i in range(n)]
     for arrow in a.quiver.arrows:

@@ -573,13 +573,6 @@ def submodule_classes(m: Representation) -> list[tuple[DimVector, int]]:
     route answers and that does not split is point-counted
     (`_counted_classes`).
     """
-    return _split_classes(m)
-
-
-def _split_classes(m: Representation) -> list[tuple[DimVector, int]]:
-    """`submodule_classes`, recursing into the parts of a split here, so
-    that `submodule_classes` itself is entered once per module (the
-    benchmark's spans count its calls by name)."""
     classes = _fixed_point_classes(m)
     if classes is not None:
         return classes
@@ -591,7 +584,7 @@ def _split_classes(m: Representation) -> list[tuple[DimVector, int]]:
     for part in parts:
         total = _convolve(
             total,
-            {sum(x * w for x, w in zip(e, strides)): chi for e, chi in _split_classes(part)},
+            {sum(x * w for x, w in zip(e, strides)): chi for e, chi in submodule_classes(part)},
         )
     return _decoded(total, m.dims)
 

@@ -7,7 +7,9 @@ one elimination over Q, the counting-polynomial fits of `grassmannian`
 included; its point counting over F_p eliminates mod p on its own.  It
 eliminates over the integers and divides only at the end, so a call
 builds Fractions only for the entries of its result that are not
-integers.  `rational_eigenvalues` serves the Fitting split of `modules`.
+integers.  It returns the pivot rows alone: every caller reads a rank,
+a null space (`null_vectors`) or the solution of a system of full
+rank.  `rational_eigenvalues` serves the Fitting split of `modules`.
 """
 
 from __future__ import annotations
@@ -100,8 +102,10 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def row_reduce(data: list[list], limit_cols: int) -> tuple[list[list], list[int]]:
-    """In-place reduced row echelon form; pivots chosen among the first
-    ``limit_cols`` columns only (row operations act on full rows).
+    """The pivot rows of the reduced row echelon form of ``data``, one per
+    pivot and each divided by its pivot, and the pivot columns; pivots
+    are chosen among the first ``limit_cols`` columns only (row
+    operations act on full rows).  ``data`` is not changed.
 
     Entries must be normalized, as a Matrix's are; those of the result
     are too.  The elimination is fraction-free (Bareiss, Math. Comp. 22,
@@ -109,28 +113,19 @@ def row_reduce(data: list[list], limit_cols: int) -> tuple[list[list], list[int]
     a row by the pivot row P, whose entry there is p, takes it to
     (p/g)*row - (f/g)*P with f its entry and g = gcd(p, f), over the
     nonzero support of P; the row's content is then divided out.  Each
-    pivot row is divided by its pivot at the end, which gives the unique
-    reduced echelon form.  A row past the rank keeps a rational scale,
-    num/den, by which it is multiplied back, so that it too comes out as
-    the Gauss-Jordan elimination over Q leaves it; a row no step touched
-    comes out as it went in.
+    row so stays a multiple of the row that elimination over Q leaves,
+    and each pivot row is divided by its pivot at the end, which gives
+    the unique reduced echelon form.
     """
-    nrows = len(data)
-    if not nrows or not limit_cols:
-        return data, []
-    # data[i] is rows[i] * nums[i] / dens[i]; nums[i] is 0 while no step
-    # has touched the row, which then stands for 1
-    rows, dens = [], []
+    rows = []
     for row in data:
-        den = 1
         try:
             gcd(*row)  # takes integers only, so a Fraction raises
         except TypeError:
             den = lcm(*[x.denominator for x in row])
             row = [x.numerator * (den // x.denominator) for x in row]
         rows.append(row)
-        dens.append(den)
-    nums = [0] * nrows
+    nrows = len(rows)
     pivots: list[int] = []
     r = 0
     for c in range(limit_cols):
@@ -139,9 +134,7 @@ def row_reduce(data: list[list], limit_cols: int) -> tuple[list[list], list[int]
                 break
         else:
             continue
-        if pr != r:
-            for seq in (data, rows, nums, dens):
-                seq[r], seq[pr] = seq[pr], seq[r]
+        rows[r], rows[pr] = rows[pr], rows[r]
         # a pivot row's scale no longer matters: it is divided by its
         # pivot at the end, so it is made primitive with a positive pivot
         pivot_row = rows[r]
@@ -168,19 +161,13 @@ def row_reduce(data: list[list], limit_cols: int) -> tuple[list[list], list[int]
             if content > 1:
                 row = [x // content for x in row]
             rows[i] = row
-            nums[i] = (nums[i] or 1) * g * content
-            dens[i] *= p
         pivots.append(c)
         r += 1
-    for k, c in enumerate(pivots):
-        row = rows[k]
+    out = []
+    for row, c in zip(rows, pivots):
         p = row[c]
-        data[k] = row if p == 1 else [_ratio(x, p) for x in row]
-    for i in range(r, nrows):
-        if nums[i]:
-            row = rows[i]
-            data[i] = [_ratio(x * nums[i], dens[i]) for x in row] if any(row) else row
-    return data, pivots
+        out.append(row if p == 1 else [_ratio(x, p) for x in row])
+    return out, pivots
 
 
 def _ratio(x: int, d: int) -> Scalar:
@@ -192,15 +179,6 @@ def _ratio(x: int, d: int) -> Scalar:
 def rank(a: Matrix) -> int:
     _, pivots = row_reduce(a.to_lists(), a.cols)
     return len(pivots)
-
-
-def kernel_basis(a: Matrix) -> Matrix:
-    """Columns form a basis of the right null space (cols - rank of them),
-    `null_vectors` of the reduced echelon form of a."""
-    red, pivots = row_reduce(a.to_lists(), a.cols)
-    vectors = null_vectors(red, pivots, a.cols)
-    ent = tuple(v[i] for i in range(a.cols) for v in vectors)
-    return Matrix(a.cols, len(vectors), ent)
 
 
 def null_vectors(red: list[list], pivots: list[int], cols: int) -> list[list]:

@@ -125,16 +125,6 @@ def path_matrix(m: Representation, p: Path) -> Matrix:
 def projective(algebra: AlgebraPresentation, i: int) -> Representation:
     """P_i: the space at j is spanned by basis paths i -> j; arrows act by
     composition, reduced to the basis."""
-    return algebra.cached(("proj", i), lambda: _build_projective(algebra, i))
-
-
-def injective(algebra: AlgebraPresentation, i: int) -> Representation:
-    """I_i: the space at j is dual to the span of basis paths j -> i; an
-    arrow acts by the transpose of precomposition, reduced to the basis."""
-    return algebra.cached(("inj", i), lambda: _build_injective(algebra, i))
-
-
-def _build_projective(algebra: AlgebraPresentation, i: int) -> Representation:
     q = algebra.quiver
     by_target = algebra.paths_from[i]
     dims = tuple(map(len, by_target))
@@ -151,7 +141,9 @@ def _build_projective(algebra: AlgebraPresentation, i: int) -> Representation:
     return Representation(algebra, dims, mats)
 
 
-def _build_injective(algebra: AlgebraPresentation, i: int) -> Representation:
+def injective(algebra: AlgebraPresentation, i: int) -> Representation:
+    """I_i: the space at j is dual to the span of basis paths j -> i; an
+    arrow acts by the transpose of precomposition, reduced to the basis."""
     q = algebra.quiver
     by_source = [algebra.paths_from[j][i] for j in range(q.n)]
     dims = tuple(map(len, by_source))
@@ -243,11 +235,10 @@ def fitting_parts(m: Representation) -> tuple[Representation, Representation] | 
     but not only for one: Krull-Schmidt completeness is not claimed.
     """
     system, offsets = _intertwiner_system(m, m)
-    basis = linalg.kernel_basis(system)
+    red, pivots = linalg.row_reduce(system.to_lists(), system.cols)
     endos = [
-        [Matrix(d, d, tuple(basis.entry(offsets[j] + k, t) for k in range(d * d)))
-         for j, d in enumerate(m.dims)]
-        for t in range(basis.cols)
+        [Matrix(d, d, tuple(v[offsets[j] : offsets[j] + d * d])) for j, d in enumerate(m.dims)]
+        for v in linalg.null_vectors(red, pivots, system.cols)
     ]
     for phi in _split_candidates(endos):
         parts = _fitting_parts(m, phi)
@@ -428,8 +419,10 @@ def _matrix_rows(body: str, name: str) -> list[list[int]]:
             try:
                 entries.append(ascii_int(t))
             except ValueError:
+                # quoted unless plain to read, so that a blank or invisible token shows
+                shown = t if t.isascii() and t.isprintable() else repr(t)
                 raise InputError(
-                    "non-integer entry %s in matrix for arrow %r" % (t, name)
+                    "non-integer entry %s in matrix for arrow %r" % (shown, name)
                 ) from None
         rows.append(entries)
     return rows

@@ -3,9 +3,9 @@
 Gauss-Jordan elimination over Q that scales every pivot row by the
 exact inverse of its pivot and normalizes every entry it writes, with no
 fast path for integers, so it is slow but has no shortcut to get wrong.
-The program eliminates over the integers instead and must leave every
-row, those past the rank included, as this does.  `kernel_basis` reads
-the null space off this elimination.
+The program eliminates over the integers instead and returns only the
+pivot rows, which must be the first rows this leaves, one per pivot.
+`kernel_basis` reads the null space off this elimination.
 """
 
 from fractions import Fraction

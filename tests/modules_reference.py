@@ -18,6 +18,7 @@ stops at parts the torus fixed points answer.
 
 from dataclasses import dataclass
 
+from linalg_reference import kernel_basis
 from clusterchar import linalg
 from clusterchar.errors import DimensionError
 from clusterchar.linalg import Matrix
@@ -51,10 +52,9 @@ def solve(a: Matrix, rhs: Matrix) -> Matrix | None:
     if rhs.rows != a.rows:
         raise DimensionError("rhs has %d rows, expected %d" % (rhs.rows, a.rows))
     aug = [list(a.row(i)) + list(rhs.row(i)) for i in range(a.rows)]
-    red, pivots = linalg.row_reduce(aug, a.cols)
-    for i in range(len(pivots), a.rows):
-        if any(x != 0 for x in red[i][a.cols :]):
-            return None
+    red, pivots = linalg.row_reduce(aug, a.cols + rhs.cols)
+    if pivots and pivots[-1] >= a.cols:
+        return None  # a pivot among the right-hand columns: 0 = nonzero
     out = [[0] * rhs.cols for _ in range(a.cols)]
     for k, c in enumerate(pivots):
         for j in range(rhs.cols):
@@ -66,15 +66,14 @@ def hom_basis(m, n) -> list[dict[int, Matrix]]:
     """A basis of Hom(m, n) as per-vertex matrix families."""
     _require_same_algebra(m, n)
     system, offsets = _intertwiner_system(m, n)
-    kern = linalg.kernel_basis(system)
     q = m.algebra.quiver
     out = []
-    for col in range(kern.cols):
+    for vec in kernel_basis(system.to_lists(), system.cols):
         phi: dict[int, Matrix] = {}
         for j in range(q.n):
             rows_j, cols_j = n.dims[j], m.dims[j]
             data = [
-                [kern.entry(offsets[j] + r * cols_j + c, col) for c in range(cols_j)]
+                [vec[offsets[j] + r * cols_j + c] for c in range(cols_j)]
                 for r in range(rows_j)
             ]
             phi[j] = linalg.matrix(data, rows=rows_j, cols=cols_j)
@@ -132,7 +131,10 @@ def compute_syzygy(m) -> ReferenceSyzygy:
         if linalg.rank(cover_map[j]) != m.dims[j]:
             raise DimensionError("projective cover is not surjective at vertex %d" % j)
 
-    inclusion = {j: linalg.kernel_basis(cover_map[j]) for j in range(q.n)}
+    inclusion = {}
+    for j in range(q.n):
+        vectors = kernel_basis(cover_map[j].to_lists(), cover.dims[j])
+        inclusion[j] = linalg.matrix(zip(*vectors), rows=cover.dims[j], cols=len(vectors))
     ker_dims = tuple(inclusion[j].cols for j in range(q.n))
     ker_mats: dict[str, Matrix] = {}
     for a in q.arrows:

@@ -44,6 +44,20 @@ def test_boolean_matrix_entry_exits_2(capsys, data_dir, tmp_path):
     assert "non-integer entry True in matrix for arrow 'd'" in err
 
 
+@pytest.mark.parametrize("body, shown", [
+    ("[[1,\xa0]]", r"'\xa0'"),
+    ("[[\u200b1]]", r"'\u200b1'"),
+    ("[[\u0661]]", "'\u0661'"),
+])
+def test_a_matrix_entry_not_plain_ascii_is_quoted(capsys, data_dir, tmp_path, body, shown):
+    # white space and invisible characters would otherwise print blank or vanish
+    mod = tmp_path / "unicode.mod"
+    mod.write_text("[module]\ndims: 1 1 0 0\nmatrix d: %s\n" % body, encoding="utf-8")
+    code, out, err = _run(capsys, "xvalue", data_dir / "a4.alg", mod)
+    assert (code, out) == (2, "")
+    assert "non-integer entry %s in matrix for arrow 'd'" % shown in err
+
+
 @pytest.mark.parametrize("body, message", [
     ("[[1_0]]", "non-integer entry 1_0"),
     ("[[+1]]", "non-integer entry +1"),

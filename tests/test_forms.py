@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import modules_reference
 from module_strategies import loop_modules
 from module_strategies import modules as generated_modules
+import clusterchar
 from clusterchar import cli, forms, modules, polygon, quiver
 from clusterchar.errors import AlgebraBuildError, ConsistencyError
 from clusterchar.forms import antisym_form_matrix, coindex, form_a_row, index
@@ -44,20 +45,6 @@ A4_EULER = (
 
 def test_a4_form_matrix(a4):
     assert antisym_form_matrix(a4) == A4_FORM_MATRIX
-
-
-def test_form_matrix_is_computed_once(data_dir, monkeypatch):
-    computed = []
-    real = forms._compute_form_matrix
-
-    def counted(algebra):
-        computed.append(algebra)
-        return real(algebra)
-
-    monkeypatch.setattr(forms, "_compute_form_matrix", counted)
-    algebra = load_algebra((data_dir / "a4.alg").read_text())
-    assert antisym_form_matrix(algebra) is antisym_form_matrix(algebra)
-    assert computed == [algebra]
 
 
 @pytest.mark.parametrize("i, j", [(1, 1), (1, 2)], ids=["diagonal", "off-diagonal"])
@@ -117,6 +104,15 @@ def test_form_matrix_reads_no_copresentation(capsys, data_dir, monkeypatch):
     assert len(reduced) == 1
 
 
+def test_the_algebra_keeps_only_values_and_indices(monkeypatch):
+    # the character values and the indices are the derived values read
+    # again, so they are all that a run stores on its algebra
+    monkeypatch.setattr(polygon, "linear_an_algebra",
+                        lru_cache(maxsize=None)(polygon.linear_an_algebra.__wrapped__))
+    assert verify_an(4).ok
+    assert {key[0] for key in polygon.linear_an_algebra(4)._memo} == {"cc_value", "indices"}
+
+
 def test_coindex_is_computed_once_per_module(capsys, data_dir, monkeypatch):
     # `index` reads the coindex, and the CLI prints it as well: each
     # <S_i, m> and each <m, S_i> is read off the relations once
@@ -142,7 +138,7 @@ def test_a_value_builds_no_projective_and_solves_no_hom(capsys, data_dir, monkey
     # projective and solves no Hom space, and neither does printing the
     # form matrix, which checks every <S_i, S_j>
     built, homs = [], []
-    real_build, real_hom = modules._build_projective, modules.hom_dim
+    real_build, real_hom = modules.projective, modules.hom_dim
 
     def counted_build(algebra, i):
         built.append(i)
@@ -152,7 +148,9 @@ def test_a_value_builds_no_projective_and_solves_no_hom(capsys, data_dir, monkey
         homs.append((m.dims, n.dims))
         return real_hom(m, n)
 
-    monkeypatch.setattr(modules, "_build_projective", counted_build)
+    # every name the package binds the builder to, the command line's included
+    for module in (modules, cli, clusterchar):
+        monkeypatch.setattr(module, "projective", counted_build)
     monkeypatch.setattr(modules, "hom_dim", counted_hom)
     code = cli.run(["xvalue", str(data_dir / "a4.alg"), str(data_dir / "a4_M.mod")])
     assert (code, capsys.readouterr().err) == (0, "")

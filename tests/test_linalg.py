@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -8,17 +9,22 @@ import linalg_reference
 from opposite_reference import transpose
 from clusterchar import linalg
 from clusterchar.errors import DimensionError
-from clusterchar.linalg import identity, kernel_basis, matrix, rank, zeros
+from clusterchar.linalg import identity, matrix, rank, zeros
+
+
+def _kernel(a):
+    """The null space of a as the program reads it: `null_vectors` of the
+    reduced echelon form."""
+    red, pivots = linalg.row_reduce(a.to_lists(), a.cols)
+    return linalg.null_vectors(red, pivots, a.cols)
 
 
 def test_kernel_of_identity_is_trivial():
-    assert kernel_basis(identity(2)).cols == 0
+    assert _kernel(identity(2)) == []
 
 
 def test_kernel_of_zero_is_everything():
-    k = kernel_basis(zeros(2, 3))
-    assert k.cols == 3
-    assert k.rows == 3
+    assert _kernel(zeros(2, 3)) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_rank_examples():
@@ -52,9 +58,9 @@ def small_matrices(draw):
 @given(small_matrices())
 @settings(max_examples=150, deadline=None)
 def test_kernel_annihilates_and_dimension_formula(m):
-    k = kernel_basis(m)
-    assert not any(linalg.mat_mul(m, k).entries)
-    assert rank(m) + k.cols == m.cols
+    k = _kernel(m)
+    assert not any(sum(map(mul, m.row(i), v)) for v in k for i in range(m.rows))
+    assert rank(m) + len(k) == m.cols
 
 
 @given(small_matrices())
@@ -87,10 +93,18 @@ def rational_rows(draw):
 def test_row_reduce_matches_reference(case, limit):
     rows, cols = case
     limit = min(limit, cols)
-    got = linalg.row_reduce([list(r) for r in rows], limit)
-    want = linalg_reference.row_reduce([list(r) for r in rows], limit)
-    assert got[1] == want[1]
-    assert _typed(got[0]) == _typed(want[0])
+    _assert_pivot_rows_match_reference(rows, limit)
+
+
+def _assert_pivot_rows_match_reference(rows, limit):
+    """The program returns the reference's pivots and its first
+    len(pivots) rows, typed, and leaves its input as it was."""
+    data = [list(r) for r in rows]
+    got, pivots = linalg.row_reduce(data, limit)
+    assert data == rows
+    want, want_pivots = linalg_reference.row_reduce([list(r) for r in rows], limit)
+    assert pivots == want_pivots
+    assert _typed(got) == _typed(want[: len(pivots)])
 
 
 big_scalars = st.one_of(
@@ -121,14 +135,10 @@ def large_rational_rows(draw):
 @given(large_rational_rows(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_row_reduce_matches_reference_past_the_limit(case, data):
-    # pivots only among the first limit columns, so that the rows past the
-    # rank keep entries, which must come out as the reference leaves them
+    # pivots only among the first limit columns, so that the pivot rows
+    # keep entries past the limit, which must come out as the reference's
     rows, cols = case
-    limit = data.draw(st.integers(0, max(cols - 1, 0)))
-    got = linalg.row_reduce([list(r) for r in rows], limit)
-    want = linalg_reference.row_reduce([list(r) for r in rows], limit)
-    assert got[1] == want[1]
-    assert _typed(got[0]) == _typed(want[0])
+    _assert_pivot_rows_match_reference(rows, data.draw(st.integers(0, max(cols - 1, 0))))
 
 
 @given(large_rational_rows())
@@ -137,9 +147,7 @@ def test_rank_and_kernel_match_reference(case):
     rows, cols = case
     a = matrix(rows, rows=len(rows), cols=cols)
     assert rank(a) == len(linalg_reference.row_reduce([list(r) for r in rows], cols)[1])
-    k = kernel_basis(a)
-    got = [[k.entry(i, j) for i in range(k.rows)] for j in range(k.cols)]
-    assert _typed(got) == _typed(linalg_reference.kernel_basis(rows, cols))
+    assert _typed(_kernel(a)) == _typed(linalg_reference.kernel_basis(rows, cols))
 
 
 @st.composite
