@@ -12,7 +12,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from clusterchar.character import cc_value, module_object
-from clusterchar.forms import coindex, index
+from clusterchar.forms import indices
 from clusterchar.grassmannian import submodule_classes
 from clusterchar.laurent import laurent_render, render_fraction
 from clusterchar.modules import load_module_file
@@ -30,8 +30,9 @@ def show(stem: str, module_file: str) -> None:
     print("== %s, module with dims %s ==" % (stem, module.dims))
     print("X        = %s" % render_fraction(value, names))
     print("laurent  = %s" % laurent_render(value, names))
-    print("index    = %s" % (dict(zip(labels, index(module))),))
-    print("coindex  = %s" % (dict(zip(labels, coindex(module))),))
+    ind, coind = indices(module)
+    print("index    = %s" % (dict(zip(labels, ind)),))
+    print("coindex  = %s" % (dict(zip(labels, coind)),))
     for e, chi in submodule_classes(module):
         print("chi(Gr_%s) = %d" % (e, chi))
     print()

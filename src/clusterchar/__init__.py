@@ -22,7 +22,7 @@ from .errors import (
     NotFiniteTypeError,
     ResourceLimitError,
 )
-from .forms import antisym_form_matrix, coindex, index
+from .forms import antisym_form_matrix, indices
 from .grassmannian import euler_char, submodule_classes
 from .laurent import LaurentPoly, laurent_divexact, laurent_render
 from .modules import (

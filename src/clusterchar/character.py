@@ -6,9 +6,12 @@ data is visible to the character.  Its value is
     x^shifts * x^(-coindex) * sum_e chi(Gr_e) prod_i x_i^<S_i,e>_a
 
 where the coindex is (<S_i, m>)_i, so that the exponents are those of
-the definitional form, <S_i,e>_a - <S_i,[module]>.  `forms.coindex`
+the definitional form, <S_i,e>_a - <S_i,[module]>.  `forms.indices`
 returns it only once the module's index has passed the descent check
 (`forms`); a module that fails it raises instead of getting a value.
+The shifts are only the monomial factor x^shifts (X is multiplicative
+on direct sums and X(Sigma P_i) = x_i), so the value without them is
+cached per module and multiplied by it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from operator import add
 
 from . import laurent
 from .errors import ConsistencyError, DimensionError
-from .forms import coindex, form_a_row
+from .forms import form_a_row, indices
 from .grassmannian import submodule_classes
 from .laurent import LaurentPoly
 from .modules import Representation, direct_sum, zero_module
@@ -32,6 +35,8 @@ class CCObject(namedtuple("CCObject", "module_part shift_multiplicities")):
     def __new__(cls, module_part: Representation, shift_multiplicities: tuple[int, ...]):
         if len(shift_multiplicities) != module_part.algebra.quiver.n:
             raise DimensionError("shift multiplicities have wrong length")
+        if any(type(s) is not int for s in shift_multiplicities):
+            raise DimensionError("shift multiplicities must be integers")
         if any(s < 0 for s in shift_multiplicities):
             raise DimensionError("negative shift multiplicity")
         return super().__new__(cls, module_part, shift_multiplicities)
@@ -55,17 +60,17 @@ def combine(a: CCObject, b: CCObject) -> CCObject:
 
 
 def cc_value(obj: CCObject) -> LaurentPoly:
-    """The character value of a formal object, as a Laurent polynomial,
-    cached on the algebra by the module's data and the shifts."""
-    m = obj.module_part
-    key = ("cc_value", m.fingerprint(), obj.shift_multiplicities)
-    return m.algebra.cached(key, lambda: _compute_value(obj))
+    """The character value of a formal object, as a Laurent polynomial:
+    x^shifts times the module part's value, which is cached on the
+    algebra by the module's data."""
+    m, shifts = obj
+    value = m.algebra.cached(("cc_value", m.fingerprint()), lambda: _compute_value(m))
+    return value * laurent.monomial(m.algebra.quiver.n, shifts) if any(shifts) else value
 
 
-def _compute_value(obj: CCObject) -> LaurentPoly:
-    m = obj.module_part
+def _compute_value(m: Representation) -> LaurentPoly:
     a = m.algebra
-    base = tuple(s - c for s, c in zip(obj.shift_multiplicities, coindex(m)))
+    base = tuple(-c for c in indices(m)[1])
     classes = submodule_classes(m)
     # exponent -> coefficient; distinct classes may share an exponent
     terms: dict[tuple[int, ...], int] = {}

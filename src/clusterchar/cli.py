@@ -14,7 +14,7 @@ import sys
 from . import laurent
 from .character import CCObject, cc_value, verify_triangle
 from .errors import ClusterCharError, InputError
-from .forms import antisym_form_matrix, coindex, index
+from .forms import antisym_form_matrix, indices
 from .grassmannian import counting_polynomial, degree_bound
 from .modules import injective, load_module_file, projective
 from .mutation import (
@@ -97,8 +97,7 @@ def _cmd_index(args) -> int:
     algebra = load_algebra_file(args.algebra)
     module = load_module_file(args.module, algebra)
     shifts = _parse_shifts(algebra, args.shifts)
-    ind = index(module)
-    coind = coindex(module)
+    ind, coind = indices(module)
     # a shifted summand contributes -[P_i] to both (its own index/coindex)
     ind = tuple(x - s for x, s in zip(ind, shifts))
     coind = tuple(x - s for x, s in zip(coind, shifts))

@@ -11,6 +11,8 @@ relations starting at i with the module on their tails, and for the
 index the relations ending at i with the module on their heads.  As the
 form descends to K_0 (Palu), the index must equal
 coind(m) - (E - E^T) dim m, one check that reads both and the arrows.
+`indices` returns the pair only once it passes, and runs it on every
+call: nothing here is cached, as the character caches its value whole.
 The form matrix, which `form-matrix` prints, is checked entry by entry:
 every <S_i, S_j> read off the relations must equal E_ij, the diagonal
 included.  The character and the descent check apply E - E^T to a
@@ -57,32 +59,19 @@ def form_a_row(a: AlgebraPresentation, e: DimVector) -> tuple[int, ...]:
     return tuple(row)
 
 
-def index(m: Representation) -> K0ProjClass:
-    """Index of (a module lift of) m: (<m, S_i>)_i = [P0] - [P1], checked
-    against coind(m) - (E - E^T) dim m."""
-    return _indices(m)[0]
-
-
-def coindex(m: Representation) -> K0ProjClass:
-    """Coindex of m: (<S_i, m>)_i, checked together with the index."""
-    return _indices(m)[1]
-
-
-def _indices(m: Representation) -> tuple[K0ProjClass, K0ProjClass]:
-    """(index, coindex) of m once their descent check passes, cached by
-    the module's data; a failing check raises "index mismatch"."""
+def indices(m: Representation) -> tuple[K0ProjClass, K0ProjClass]:
+    """(index, coindex) of (a module lift of) m: (<m, S_i>)_i = [P0] - [P1]
+    and (<S_i, m>)_i, returned once the descent check
+    ind(m) = coind(m) - (E - E^T) dim m passes; a failing check raises
+    "index mismatch"."""
     a = m.algebra
-
-    def compute():
-        simples = [simple(a, i) for i in range(a.quiver.n)]
-        presented = tuple(euler_form(m, s) for s in simples)
-        coind = tuple(euler_form(s, m) for s in simples)
-        descended = tuple(c - f for c, f in zip(coind, form_a_row(a, m.dims)))
-        if presented != descended:
-            raise ConsistencyError(
-                "index mismatch: %s from the presentation, %s from the coindex and "
-                "the form matrix" % (presented, descended)
-            )
-        return presented, coind
-
-    return a.cached(("indices", m.fingerprint()), compute)
+    simples = [simple(a, i) for i in range(a.quiver.n)]
+    presented = tuple(euler_form(m, s) for s in simples)
+    coind = tuple(euler_form(s, m) for s in simples)
+    descended = tuple(c - f for c, f in zip(coind, form_a_row(a, m.dims)))
+    if presented != descended:
+        raise ConsistencyError(
+            "index mismatch: %s from the presentation, %s from the coindex and "
+            "the form matrix" % (presented, descended)
+        )
+    return presented, coind

@@ -202,7 +202,9 @@ class AlgebraPresentation:
 
     ``paths_from[i][j]`` lists the basis paths i -> j in basis order.
     Immutable after construction; data derived from it is cached through
-    `cached`, the one place that writes ``_memo``.
+    `cached`, the one place that writes ``_memo``.  The program caches
+    one kind: each module's character value, under
+    ``("cc_value", module.fingerprint())``.
     """
 
     def __init__(self, quiver: Quiver, relations: tuple[Relation, ...]):

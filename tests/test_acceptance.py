@@ -14,7 +14,7 @@ from math import comb
 from module_strategies import conjugate
 from clusterchar import laurent
 from clusterchar.character import cc_value, module_object
-from clusterchar.forms import coindex, form_a_row, index
+from clusterchar.forms import form_a_row, indices
 from clusterchar.grassmannian import _counted_classes, submodule_classes
 from clusterchar.laurent import from_dict, laurent_render
 from clusterchar.modules import (
@@ -59,8 +59,8 @@ def test_criterion_1_a4_reproduction(data_dir):
     assert laurent_render(num) == "x1*x3 + x2*x4 + x4"
     assert den == (1, 1, 0, 0)
 
-    assert index(module) == (0, 1, -1, 0)  # [P_2] - [P_3]
-    assert coindex(module) == (1, 0, 0, -1)  # [P_1] - [P_4]
+    # ([P_2] - [P_3], [P_1] - [P_4])
+    assert indices(module) == ((0, 1, -1, 0), (1, 0, 0, -1))
 
     # fixed points (the route a tree module takes) and point counting
     for classes in (submodule_classes, _counted_classes):
@@ -90,8 +90,8 @@ def test_criterion_2_d4_reproduction(data_dir):
     )
     assert value == expected
 
-    assert index(module) == (1, 0, 0, -1)  # [P_0] - [P_3]
-    assert coindex(module) == (-1, 1, 1, 0)  # [P_1] + [P_2] - [P_0]
+    # ([P_0] - [P_3], [P_1] + [P_2] - [P_0])
+    assert indices(module) == ((1, 0, 0, -1), (-1, 1, 1, 0))
 
     for classes in (submodule_classes, _counted_classes):
         assert classes(module) == [
@@ -155,7 +155,8 @@ def test_criterion_5_descent_to_k0(data_dir):
         )
         via_matrix = form_a_row(algebra, module.dims)
         assert direct == via_matrix
-        delta = tuple(c - i for c, i in zip(coindex(module), index(module)))
+        ind, coind = indices(module)
+        delta = tuple(c - i for c, i in zip(coind, ind))
         assert delta == via_matrix
     _report("5 (form descends to K_0)", start, 10.0)
 
@@ -210,9 +211,7 @@ def test_criterion_6_property_bundle(data_dir):
 
     # index/coindex additivity on harness short exact sequences
     for sub, total, quot in interval_ses(4):
-        assert index(total) == tuple(a + b for a, b in zip(index(sub), index(quot)))
-        assert coindex(total) == tuple(
-            a + b for a, b in zip(coindex(sub), coindex(quot))
-        )
+        for whole, part, rest in zip(indices(total), indices(sub), indices(quot)):
+            assert whole == tuple(a + b for a, b in zip(part, rest))
 
     _report("6 (property bundle)", start, 180.0)

@@ -17,11 +17,11 @@ from clusterchar.character import (
     verify_triangle,
 )
 from clusterchar.cli import run
-from clusterchar.errors import ClusterCharError, ConsistencyError
+from clusterchar.errors import ClusterCharError, ConsistencyError, DimensionError
 from clusterchar.laurent import laurent_render
 from clusterchar.modules import Representation, load_module_file, simple, zero_module
 from clusterchar.polygon import interval_module, linear_an_algebra
-from clusterchar.quiver import load_algebra, load_algebra_file
+from clusterchar.quiver import AlgebraPresentation, load_algebra, load_algebra_file
 
 
 def test_shift_objects_give_variables(a4):
@@ -125,10 +125,42 @@ def test_verify_triangle_detects_wrong_middle_term():
 
 
 def test_shift_vector_validation(a4):
-    from clusterchar.errors import DimensionError
-
     with pytest.raises(DimensionError):
         CCObject(zero_module(a4), (1, 0, 0))
+
+
+@pytest.mark.parametrize("shifts", [(0.5, 0, 0, 0), (1.0, 0, 0, 0), (True, 0, 0, 0)],
+                         ids=["half", "float_one", "bool"])
+def test_shift_multiplicities_must_be_integers(a4_M, shifts):
+    # a shift is a number of summands Sigma P_i: neither a fraction, nor
+    # a float exponent, nor a truth value read as 1
+    with pytest.raises(DimensionError, match=r"^shift multiplicities must be integers$"):
+        CCObject(a4_M, shifts)
+
+
+@pytest.mark.parametrize("name", ["a4", "d4"])
+def test_shifts_are_a_monomial_factor(algebras, name):
+    # X(M + sum_i s_i Sigma P_i) = x^s X(M), on fresh algebras, with the
+    # shifted value asked for first (it fills the module's cached value)
+    # and last (it reads that value)
+    algebra = algebras[name]
+    n = algebra.quiver.n
+
+    @given(generated_modules(algebra, 2), st.tuples(*[st.integers(0, 2)] * n))
+    @settings(max_examples=25, deadline=None)
+    def check(drawn, shifts):
+        for shifted_first in (True, False):
+            fresh = AlgebraPresentation(algebra.quiver, algebra.relations)
+            m = Representation(fresh, drawn.dims, drawn.matrices)
+            if shifted_first:
+                shifted = cc_value(CCObject(m, shifts))
+                plain = cc_value(module_object(m))
+            else:
+                plain = cc_value(module_object(m))
+                shifted = cc_value(CCObject(m, shifts))
+            assert shifted == plain * laurent.monomial(n, shifts)
+
+    check()
 
 
 def test_values_are_cluster_variables_of_tilted_matrices(data_dir, a4, d4, a4_M, d4_M):

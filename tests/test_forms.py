@@ -9,9 +9,9 @@ import modules_reference
 from module_strategies import loop_modules
 from module_strategies import modules as generated_modules
 import clusterchar
-from clusterchar import cli, forms, modules, polygon, quiver
+from clusterchar import character, cli, forms, modules, polygon, quiver
 from clusterchar.errors import AlgebraBuildError, ConsistencyError
-from clusterchar.forms import antisym_form_matrix, coindex, form_a_row, index
+from clusterchar.forms import antisym_form_matrix, form_a_row, indices
 from clusterchar.modules import (
     direct_sum,
     euler_form,
@@ -65,10 +65,10 @@ def test_corrupt_presentation_entry_is_caught(data_dir, monkeypatch, i, j):
         antisym_form_matrix(algebra)
     if i == j:
         moved = tuple(x + (k == i) for k, x in enumerate(A4_EULER[i]))
-        assert index(simple(algebra, i)) == moved
+        assert indices(simple(algebra, i))[0] == moved
     else:
         with pytest.raises(ConsistencyError, match=r"^index mismatch: "):
-            index(simple(algebra, i))
+            indices(simple(algebra, i))
 
 
 def test_form_matrix_reads_no_copresentation(capsys, data_dir, monkeypatch):
@@ -104,13 +104,43 @@ def test_form_matrix_reads_no_copresentation(capsys, data_dir, monkeypatch):
     assert len(reduced) == 1
 
 
-def test_the_algebra_keeps_only_values_and_indices(monkeypatch):
-    # the character values and the indices are the derived values read
-    # again, so they are all that a run stores on its algebra
+def _spied_verify_a4(monkeypatch):
+    """Run `verify_an(4)` on a fresh `linear_an_algebra(4)`; return that
+    algebra, the module parts of the objects passed to `cc_value` and the
+    modules the character took the submodule classes of."""
     monkeypatch.setattr(polygon, "linear_an_algebra",
                         lru_cache(maxsize=None)(polygon.linear_an_algebra.__wrapped__))
+    valued, split = [], []
+    real_value, real_classes = character.cc_value, character.submodule_classes
+
+    def value(obj):
+        valued.append(obj.module_part)
+        return real_value(obj)
+
+    def classes(m):
+        split.append(m)
+        return real_classes(m)
+
+    for home in (character, polygon):
+        monkeypatch.setattr(home, "cc_value", value)
+    monkeypatch.setattr(character, "submodule_classes", classes)
     assert verify_an(4).ok
-    assert {key[0] for key in polygon.linear_an_algebra(4)._memo} == {"cc_value", "indices"}
+    return polygon.linear_an_algebra(4), valued, split
+
+
+def test_the_algebra_keeps_only_values(monkeypatch):
+    # the character value of a module is the one derived value read
+    # again, so it is all that a run stores on its algebra, keyed by the
+    # module alone: the shifts are a monomial factor
+    algebra, valued, _ = _spied_verify_a4(monkeypatch)
+    assert set(algebra._memo) == {("cc_value", m.fingerprint()) for m in valued}
+
+
+def test_each_module_is_split_into_classes_once(monkeypatch):
+    # a shifted object reads the value of its module part, so the
+    # submodule classes of each distinct module are taken once
+    _, valued, split = _spied_verify_a4(monkeypatch)
+    assert len(split) == len({m.fingerprint() for m in valued})
 
 
 def test_coindex_is_computed_once_per_module(capsys, data_dir, monkeypatch):
@@ -198,17 +228,16 @@ def test_corrupt_cover_is_caught(capsys, data_dir, monkeypatch, alg_name, mod_na
     m = load()
     move_cover(lambda x: True)
     with pytest.raises(ConsistencyError, match=r"^index mismatch: "):
-        coindex(m)
+        indices(m)
     assert cli.run(["form-matrix", str(data_dir / ("%s.alg" % alg_name))]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.match(r"error: form matrix mismatch: <S_\w+, S_\w+> = ", captured.err)
     if mod_name is not None:
-        for read in (index, coindex):
-            m = load()
-            move_cover(lambda x: sum(x.dims) > 1)
-            with pytest.raises(ConsistencyError, match=r"^index mismatch: "):
-                read(m)
+        m = load()
+        move_cover(lambda x: sum(x.dims) > 1)
+        with pytest.raises(ConsistencyError, match=r"^index mismatch: "):
+            indices(m)
 
 
 # algebras whose form does not descend, so that the descent check refuses
@@ -234,7 +263,7 @@ def test_coindex_matches_the_euler_forms_with_the_simples(algebras, name, max_di
     else:
         algebra = algebras[name]
     simples = [simple(algebra, i) for i in range(algebra.quiver.n)]
-    route = coindex if name not in OFF_CONTRACT else (
+    route = (lambda m: indices(m)[1]) if name not in OFF_CONTRACT else (
         lambda m: tuple(euler_form(s, m) for s in simples)
     )
     strategy = loop_modules(algebra) if name == "loop" else generated_modules(algebra, max_dim)
@@ -259,7 +288,7 @@ def test_coindex_matches_the_injective_copresentation(algebras, name, max_dim):
     @settings(max_examples=50, deadline=None)
     def check(m):
         i0, i1 = modules_reference.presentation(dual(m))
-        assert coindex(m) == tuple(x - y for x, y in zip(i0, i1))
+        assert indices(m)[1] == tuple(x - y for x, y in zip(i0, i1))
 
     check()
 
@@ -397,22 +426,22 @@ def test_form_a_skew(a4, v):
 
 
 def test_index_coindex_worked_instances(a4_M, d4_M):
-    assert index(a4_M) == (0, 1, -1, 0)  # [P_2] - [P_3]
-    assert coindex(a4_M) == (1, 0, 0, -1)  # [P_1] - [P_4]
-    assert index(d4_M) == (1, 0, 0, -1)  # [P_0] - [P_3]
-    assert coindex(d4_M) == (-1, 1, 1, 0)  # [P_1] + [P_2] - [P_0]
+    # ([P_2] - [P_3], [P_1] - [P_4])
+    assert indices(a4_M) == ((0, 1, -1, 0), (1, 0, 0, -1))
+    # ([P_0] - [P_3], [P_1] + [P_2] - [P_0])
+    assert indices(d4_M) == ((1, 0, 0, -1), (-1, 1, 1, 0))
 
 
 def test_index_of_projectives(a4):
     for i in range(4):
-        assert index(projective(a4, i)) == tuple(
+        assert indices(projective(a4, i))[0] == tuple(
             1 if j == i else 0 for j in range(4)
         )
 
 
 def test_coindex_of_injectives(a4):
     for i in range(4):
-        assert coindex(injective(a4, i)) == tuple(
+        assert indices(injective(a4, i))[1] == tuple(
             1 if j == i else 0 for j in range(4)
         )
 
@@ -427,11 +456,9 @@ def test_both_routes_agree_everywhere(a4, d4, a4_M, d4_M):
     # with a simple as dim Hom - dim Ext^1, Ext^1 from its syzygy
     for m in mods:
         simples = [simple(m.algebra, i) for i in range(m.algebra.quiver.n)]
-        assert index(m) == tuple(
-            hom_dim(m, s) - modules_reference.ext1_dim(m, s) for s in simples
-        )
-        assert coindex(m) == tuple(
-            hom_dim(s, m) - modules_reference.ext1_dim(s, m) for s in simples
+        assert indices(m) == (
+            tuple(hom_dim(m, s) - modules_reference.ext1_dim(m, s) for s in simples),
+            tuple(hom_dim(s, m) - modules_reference.ext1_dim(s, m) for s in simples),
         )
 
 
@@ -462,33 +489,30 @@ def test_descent_to_k0(a4, d4, a4_M, d4_M):
 
 def test_coindex_minus_index_is_form_row(a4, d4, a4_M, d4_M):
     for m in _shipped_modules(a4, d4, a4_M, d4_M):
-        delta = tuple(c - i for c, i in zip(coindex(m), index(m)))
+        ind, coind = indices(m)
+        delta = tuple(c - i for c, i in zip(coind, ind))
         assert delta == form_a_row(m.algebra, m.dims)
+
+
+def _added(p, q):
+    """The sum of two (index, coindex) pairs, entry by entry."""
+    return tuple(tuple(a + b for a, b in zip(u, v)) for u, v in zip(p, q))
 
 
 def test_index_additive_over_direct_sums(a4, a4_M):
     pairs = [(a4_M, simple(a4, 0)), (a4_M, projective(a4, 3)), (simple(a4, 1), injective(a4, 2))]
     for m, n in pairs:
         s = direct_sum(m, n)
-        assert index(s) == tuple(a + b for a, b in zip(index(m), index(n)))
-        assert coindex(s) == tuple(a + b for a, b in zip(coindex(m), coindex(n)))
+        assert indices(s) == _added(indices(m), indices(n))
 
 
 def test_index_additive_on_a4_ses(a4, a4_M):
     # 0 -> S_1 -> M -> S_2 -> 0 in the A4 data
     s1, s2 = simple(a4, 0), simple(a4, 1)
-    assert index(a4_M) == tuple(a + b for a, b in zip(index(s1), index(s2)))
-    assert coindex(a4_M) == tuple(
-        a + b for a, b in zip(coindex(s1), coindex(s2))
-    )
+    assert indices(a4_M) == _added(indices(s1), indices(s2))
 
 
 def test_index_additive_on_interval_ses():
     for n in (2, 3, 4):
         for sub, total, quot in interval_ses(n):
-            assert index(total) == tuple(
-                a + b for a, b in zip(index(sub), index(quot))
-            )
-            assert coindex(total) == tuple(
-                a + b for a, b in zip(coindex(sub), coindex(quot))
-            )
+            assert indices(total) == _added(indices(sub), indices(quot))

@@ -10,7 +10,7 @@ import modules_reference
 from module_strategies import conjugate, loop_modules, modules
 from clusterchar import linalg, quiver
 from clusterchar.errors import AlgebraBuildError, ConsistencyError, DimensionError, InputError
-from clusterchar.forms import coindex, index
+from clusterchar.forms import indices
 from clusterchar.modules import (
     Representation,
     _fitting_parts,
@@ -226,7 +226,7 @@ def test_min_proj_presentation(a4):
     # presentation
     def check(m, p0, p1):
         assert modules_reference.presentation(m) == (p0, p1)
-        assert index(m) == tuple(x - y for x, y in zip(p0, p1))
+        assert indices(m)[0] == tuple(x - y for x, y in zip(p0, p1))
 
     for i in range(4):
         check(projective(a4, i), tuple(1 if j == i else 0 for j in range(4)), (0, 0, 0, 0))
@@ -240,7 +240,7 @@ def test_min_inj_copresentation(a4):
     # is [I0] - [I1]
     def check(m, i0, i1):
         assert modules_reference.presentation(dual(m)) == (i0, i1)
-        assert coindex(m) == tuple(x - y for x, y in zip(i0, i1))
+        assert indices(m)[1] == tuple(x - y for x, y in zip(i0, i1))
 
     for i in range(4):
         check(injective(a4, i), tuple(1 if j == i else 0 for j in range(4)), (0, 0, 0, 0))
@@ -454,7 +454,7 @@ def test_index_matches_the_reference_presentation(algebras, name, max_dim):
     def check(m):
         for module in (m, dual(m)):
             p0, p1 = modules_reference.presentation(module)
-            assert index(module) == tuple(x - y for x, y in zip(p0, p1))
+            assert indices(module)[0] == tuple(x - y for x, y in zip(p0, p1))
 
     check()
 
@@ -502,7 +502,7 @@ def test_index_matches_the_euler_forms_with_the_simples(algebras, name, max_dim)
     @settings(max_examples=50, deadline=None)
     def check(m):
         simples = [simple(m.algebra, i) for i in range(m.algebra.quiver.n)]
-        assert index(m) == tuple(
+        assert indices(m)[0] == tuple(
             hom_dim(m, s) - modules_reference.ext1_dim(m, s) for s in simples
         )
 
