@@ -11,12 +11,17 @@ multiplication-formula instance at this scale can be generated and
 checked exhaustively.  The arc/object convention is not trusted: the
 calibration checks in `verify_an` compare it against module-computed
 extension data and fail loudly on any mismatch.
+
+`linear_an_algebra(n)` builds a fresh algebra on every call, and the
+builders take it and read n off its quiver.  `verify_an` builds one and
+passes it down, so every character value it checks is computed in that
+call and dropped with the algebra.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache, reduce
+from functools import reduce
 
 from .character import (
     CCObject,
@@ -30,7 +35,7 @@ from .errors import InputError
 from .laurent import LaurentPoly, laurent_render
 from .linalg import identity
 from .modules import Representation, ext1_dim, zero_module
-from .mutation import ExchangeMatrix, enumerate_cluster_variables, quiver_to_matrix
+from .mutation import enumerate_cluster_variables, quiver_to_matrix
 from .quiver import AlgebraPresentation, make_quiver
 
 MAX_N = 8
@@ -44,8 +49,8 @@ class Arc(namedtuple("Arc", "i j")):
 
 def all_arcs(n: int) -> list[Arc]:
     """All n(n+3)/2 diagonals of the (n+3)-gon, in lexicographic order."""
-    if n < 2:
-        raise InputError("the polygon model needs n >= 2")
+    if type(n) is not int or n < 2:
+        raise InputError("the polygon model needs an integer n >= 2")
     last = n + 2
     return [
         Arc(i, j)
@@ -57,13 +62,14 @@ def all_arcs(n: int) -> list[Arc]:
 
 def _check_arc(n: int, a: Arc) -> None:
     last = n + 2
-    if not (0 <= a.i < a.j <= last) or a.j - a.i < 2 or (a.i, a.j) == (0, last):
+    if any(type(x) is not int for x in a) or not 0 <= a.i < a.j - 1 < last or a == (0, last):
         raise InputError("%r is not a diagonal of the %d-gon" % (a, last + 1))
 
 
-@lru_cache(maxsize=None)
 def linear_an_algebra(n: int) -> AlgebraPresentation:
     """The relation-free linear quiver 1 -> 2 -> ... -> n."""
+    if type(n) is not int:
+        raise InputError("A_n needs an integer n, not %r" % (n,))
     q = make_quiver(
         [str(i) for i in range(1, n + 1)],
         [("a%d" % i, str(i), str(i + 1)) for i in range(1, n)],
@@ -71,25 +77,23 @@ def linear_an_algebra(n: int) -> AlgebraPresentation:
     return AlgebraPresentation(q, ())
 
 
-def interval_module(n: int, lo: int, hi: int) -> Representation:
+def interval_module(algebra: AlgebraPresentation, lo: int, hi: int) -> Representation:
     """M[lo, hi]: one-dimensional on vertices lo..hi, identities inside."""
-    if not 1 <= lo <= hi <= n:
-        raise InputError("bad interval [%d, %d] for A_%d" % (lo, hi, n))
-    algebra = linear_an_algebra(n)
+    n = algebra.quiver.n
+    if type(lo) is not int or type(hi) is not int or not 1 <= lo <= hi <= n:
+        raise InputError("bad interval [%r, %r] for A_%d" % (lo, hi, n))
     dims = tuple(1 if lo <= v <= hi else 0 for v in range(1, n + 1))
-    mats = {
-        "a%d" % v: identity(1) for v in range(lo, hi)
-    }
+    mats = {"a%d" % v: identity(1) for v in range(lo, hi)}
     return Representation(algebra, dims, mats)
 
 
-def arc_to_object(n: int, a: Arc) -> CCObject:
+def arc_to_object(algebra: AlgebraPresentation, a: Arc) -> CCObject:
     """Fan arcs {i, n+2} are the shifts; {i, j} with j <= n+1 is M[i+1, j-1]."""
+    n = algebra.quiver.n
     _check_arc(n, a)
-    algebra = linear_an_algebra(n)
     if a.j == n + 2:
         return shift_object(algebra, a.i - 1)
-    return module_object(interval_module(n, a.i + 1, a.j - 1))
+    return module_object(interval_module(algebra, a.i + 1, a.j - 1))
 
 
 def crossing(a: Arc, b: Arc) -> bool:
@@ -97,7 +101,7 @@ def crossing(a: Arc, b: Arc) -> bool:
     return a.i < b.i < a.j < b.j or b.i < a.i < b.j < a.j
 
 
-def smoothings(n: int, a: Arc, b: Arc) -> tuple[CCObject, CCObject]:
+def smoothings(algebra: AlgebraPresentation, a: Arc, b: Arc) -> tuple[CCObject, CCObject]:
     """The two middle-term objects obtained by smoothing a crossing.
 
     With endpoints p < q < r < s the first smoothing joins {p,q} and
@@ -106,32 +110,29 @@ def smoothings(n: int, a: Arc, b: Arc) -> tuple[CCObject, CCObject]:
     if not crossing(a, b):
         raise InputError("arcs %r and %r do not cross" % (a, b))
     p, q, r, s = sorted((a.i, a.j, b.i, b.j))
+    last = algebra.quiver.n + 2
 
     def smoothing(*sides):
-        diagonals = [
-            arc_to_object(n, Arc(i, j)) for i, j in sides if j - i > 1 and (i, j) != (0, n + 2)
-        ]
+        diagonals = [arc_to_object(algebra, Arc(i, j))
+                     for i, j in sides if j - i > 1 and (i, j) != (0, last)]
         if not diagonals:
-            return module_object(zero_module(linear_an_algebra(n)))
+            return module_object(zero_module(algebra))
         return reduce(combine, diagonals)
 
     return smoothing((p, q), (r, s)), smoothing((p, s), (q, r))
 
 
-def linear_an_matrix(n: int) -> ExchangeMatrix:
-    return quiver_to_matrix(linear_an_algebra(n).quiver)
-
-
-def interval_ses(n: int):
+def interval_ses(algebra: AlgebraPresentation):
     """All interval short exact sequences 0 -> M[c,b] -> M[a,b] -> M[a,c-1] -> 0
-    over the linear orientation (ends degenerate to zero modules)."""
-    zero = zero_module(linear_an_algebra(n))
+    over `linear_an_algebra(n)` (ends degenerate to zero modules)."""
+    n = algebra.quiver.n
+    zero = zero_module(algebra)
     for a in range(1, n + 1):
         for b in range(a, n + 1):
-            total = interval_module(n, a, b)
+            total = interval_module(algebra, a, b)
             for c in range(a, b + 2):
-                sub = interval_module(n, c, b) if c <= b else zero
-                quot = interval_module(n, a, c - 1) if c > a else zero
+                sub = interval_module(algebra, c, b) if c <= b else zero
+                quot = interval_module(algebra, a, c - 1) if c > a else zero
                 yield sub, total, quot
 
 
@@ -159,16 +160,12 @@ class AnReport(namedtuple("AnReport", "n arc_count crossing_pairs checks_passed 
 def verify_an(n: int) -> AnReport:
     """Exhaustive check of the multiplication identity, the extension
     calibration, and the cluster-variable bijection for the A_n model."""
-    if not 2 <= n <= MAX_N:
+    if type(n) is not int or not 2 <= n <= MAX_N:
         raise InputError("n must lie in 2..%d" % MAX_N)
+    algebra = linear_an_algebra(n)
     arcs = all_arcs(n)
-    objects = {a: arc_to_object(n, a) for a in arcs}
-    pairs = [
-        (a, b)
-        for idx, a in enumerate(arcs)
-        for b in arcs[idx + 1 :]
-        if crossing(a, b)
-    ]
+    objects = {a: arc_to_object(algebra, a) for a in arcs}
+    pairs = [(a, b) for idx, a in enumerate(arcs) for b in arcs[idx + 1 :] if crossing(a, b)]
     lines: list[str] = []
     outcomes: list[bool] = []
 
@@ -178,7 +175,7 @@ def verify_an(n: int) -> AnReport:
 
     # (a) multiplication identity on every crossing pair
     for a, b in pairs:
-        first, second = smoothings(n, a, b)
+        first, second = smoothings(algebra, a, b)
         tri = verify_triangle(objects[a], objects[b], first, second)
         record(
             tri.ok,
@@ -215,7 +212,7 @@ def verify_an(n: int) -> AnReport:
 
     # (c) bijection with the mutation oracle
     values: set[LaurentPoly] = {cc_value(obj) for obj in objects.values()}
-    oracle = enumerate_cluster_variables(linear_an_matrix(n))
+    oracle = enumerate_cluster_variables(quiver_to_matrix(algebra.quiver))
     expected = n * (n + 3) // 2
     same = values == oracle and len(values) == expected
     lines.append(

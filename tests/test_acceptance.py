@@ -30,13 +30,14 @@ from clusterchar.mutation import (
     initial_seed,
     mutate_matrix,
     mutate_seed,
+    quiver_to_matrix,
 )
 from clusterchar.polygon import (
     all_arcs,
     arc_to_object,
     interval_module,
     interval_ses,
-    linear_an_matrix,
+    linear_an_algebra,
     verify_an,
 )
 from clusterchar.quiver import load_algebra_file
@@ -123,8 +124,9 @@ def test_criterion_3_multiplication_formula_exhaustive():
 def test_criterion_4_bijection_with_cluster_variables():
     start = time.perf_counter()
     for n, expected in ((2, 5), (3, 9), (4, 14), (5, 20), (6, 27)):
-        arc_values = {cc_value(arc_to_object(n, a)) for a in all_arcs(n)}
-        oracle = set(enumerate_cluster_variables(linear_an_matrix(n)))
+        algebra = linear_an_algebra(n)
+        arc_values = {cc_value(arc_to_object(algebra, a)) for a in all_arcs(n)}
+        oracle = set(enumerate_cluster_variables(quiver_to_matrix(algebra.quiver)))
         assert arc_values == oracle
         assert len(arc_values) == expected
     _report("4 (bijection with cluster variables)", start, 60.0)
@@ -138,9 +140,10 @@ def _shipped_modules(data_dir):
         for i in range(algebra.quiver.n):
             out += [simple(algebra, i), projective(algebra, i), injective(algebra, i)]
     for n in (2, 3, 4):
+        algebra = linear_an_algebra(n)
         for lo in range(1, n + 1):
             for hi in range(lo, n + 1):
-                out.append(interval_module(n, lo, hi))
+                out.append(interval_module(algebra, lo, hi))
     return out
 
 
@@ -185,7 +188,8 @@ def test_criterion_6_property_bundle(data_dir):
     # into every euler-characteristic call on this path)
     a4 = load_algebra_file(data_dir / "a4.alg")
     a4_M = load_module_file(data_dir / "a4_M.mod", algebra=a4)
-    for m, n_mod in ((a4_M, simple(a4, 0)), (interval_module(3, 1, 2), interval_module(3, 2, 3))):
+    a3 = linear_an_algebra(3)
+    for m, n_mod in ((a4_M, simple(a4, 0)), (interval_module(a3, 1, 2), interval_module(a3, 2, 3))):
         s = direct_sum(m, n_mod)
         chi_m, chi_n = dict(submodule_classes(m)), dict(submodule_classes(n_mod))
         chi_s = dict(submodule_classes(s))
@@ -198,19 +202,20 @@ def test_criterion_6_property_bundle(data_dir):
             assert chi_s.get(tuple(g), 0) == total
 
     # mutation involutions
-    b3 = linear_an_matrix(3)
+    b3 = quiver_to_matrix(a3.quiver)
     seed = initial_seed(b3)
     for k in range(3):
         assert mutate_matrix(mutate_matrix(b3, k), k) == b3
         assert mutate_seed(mutate_seed(seed, k), k) == seed
 
     # base-change invariance of the character value
-    for module in (a4_M, interval_module(4, 1, 3)):
+    an4 = linear_an_algebra(4)
+    for module in (a4_M, interval_module(an4, 1, 3)):
         reference = cc_value(module_object(module))
         assert cc_value(module_object(conjugate(module, rng))) == reference
 
     # index/coindex additivity on harness short exact sequences
-    for sub, total, quot in interval_ses(4):
+    for sub, total, quot in interval_ses(an4):
         for whole, part, rest in zip(indices(total), indices(sub), indices(quot)):
             assert whole == tuple(a + b for a, b in zip(part, rest))
 

@@ -80,7 +80,8 @@ def test_multiplicativity_on_shipped_pairs(a4, d4, a4_M, d4_M):
 
 def test_monomial_denominator_property(a4, d4, a4_M, d4_M):
     # Laurent property: the denominator divides x^(dimension vector)
-    for m in (a4_M, d4_M, simple(a4, 1), simple(d4, 3), interval_module(4, 2, 3)):
+    interval = interval_module(linear_an_algebra(4), 2, 3)
+    for m in (a4_M, d4_M, simple(a4, 1), simple(d4, 3), interval):
         value = cc_value(module_object(m))
         cleared = value * laurent.monomial(len(m.dims), m.dims)
         assert all(
@@ -93,7 +94,7 @@ def test_base_change_invariance(a4_M, d4_M):
     from clusterchar.modules import direct_sum
 
     doubled = direct_sum(a4_M, a4_M)
-    for m in (a4_M, d4_M, doubled, interval_module(4, 1, 3)):
+    for m in (a4_M, d4_M, doubled, interval_module(linear_an_algebra(4), 1, 3)):
         reference = cc_value(module_object(m))
         for _ in range(3):
             conjugated = conjugate(m, rng)
@@ -102,10 +103,10 @@ def test_base_change_invariance(a4_M, d4_M):
 
 def test_verify_triangle_pentagon():
     a2 = linear_an_algebra(2)
-    l = module_object(interval_module(2, 1, 1))  # S_1
+    l = module_object(interval_module(a2, 1, 1))  # S_1
     m = module_object(simple(a2, 1))  # S_2
     b = module_object(zero_module(a2))
-    b_prime = module_object(interval_module(2, 1, 2))
+    b_prime = module_object(interval_module(a2, 1, 2))
     report = verify_triangle(l, m, b, b_prime)
     assert report.ok
     # symmetric in the two middle terms
@@ -114,9 +115,9 @@ def test_verify_triangle_pentagon():
 
 def test_verify_triangle_detects_wrong_middle_term():
     a2 = linear_an_algebra(2)
-    l = module_object(interval_module(2, 1, 1))
+    l = module_object(interval_module(a2, 1, 1))
     m = module_object(simple(a2, 1))
-    b_prime = module_object(interval_module(2, 1, 2))
+    b_prime = module_object(interval_module(a2, 1, 2))
     wrong = combine(l, m)  # the split middle term is wrong here
     report = verify_triangle(l, m, wrong, b_prime)
     assert not report.ok
@@ -231,7 +232,7 @@ def _three_cycle_object(relations):
 def test_square_of_long_interval():
     # M[1,5] + M[1,5] over linear A5, dims (2, 2, 2, 2, 2); the old
     # product-of-subspace-counts budget refused it
-    m = interval_module(5, 1, 5)
+    m = interval_module(linear_an_algebra(5), 1, 5)
     x = cc_value(module_object(m))
     assert cc_value(combine(module_object(m), module_object(m))) == x * x
 

@@ -1,5 +1,4 @@
 import re
-from functools import lru_cache
 
 import pytest
 from hypothesis import assume, given, settings
@@ -84,10 +83,6 @@ def test_form_matrix_reads_no_copresentation(capsys, data_dir, monkeypatch):
         return real(q, rels)
 
     monkeypatch.setattr(quiver, "_reduce_paths", counted)
-    # verify_an keeps its algebra for the process: a fresh store makes it
-    # load the algebra here
-    monkeypatch.setattr(polygon, "linear_an_algebra",
-                        lru_cache(maxsize=None)(polygon.linear_an_algebra.__wrapped__))
     alg, mod = str(data_dir / "a4.alg"), str(data_dir / "a4_M.mod")
     for argv, head in [
         (["form-matrix", alg], "0 1 0 0\n-1 0 -1 1\n0 1 0 -1\n0 -1 1 0\n"),
@@ -99,19 +94,24 @@ def test_form_matrix_reads_no_copresentation(capsys, data_dir, monkeypatch):
         assert cli.run(argv) == 0
         assert capsys.readouterr().out.startswith(head)
         assert len(reduced) == 1, argv
+    # verify_an builds its algebra once and passes it down, so its
+    # modules and its oracle matrix all come from that one algebra
     reduced.clear()
     assert verify_an(3).ok
     assert len(reduced) == 1
 
 
 def _spied_verify_a4(monkeypatch):
-    """Run `verify_an(4)` on a fresh `linear_an_algebra(4)`; return that
-    algebra, the module parts of the objects passed to `cc_value` and the
-    modules the character took the submodule classes of."""
-    monkeypatch.setattr(polygon, "linear_an_algebra",
-                        lru_cache(maxsize=None)(polygon.linear_an_algebra.__wrapped__))
-    valued, split = [], []
+    """Run `verify_an(4)`; return the algebra it built, the module parts
+    of the objects passed to `cc_value` and the modules the character
+    took the submodule classes of."""
+    built, valued, split = [], [], []
+    real_algebra = polygon.linear_an_algebra
     real_value, real_classes = character.cc_value, character.submodule_classes
+
+    def algebra(n):
+        built.append(real_algebra(n))
+        return built[-1]
 
     def value(obj):
         valued.append(obj.module_part)
@@ -121,11 +121,13 @@ def _spied_verify_a4(monkeypatch):
         split.append(m)
         return real_classes(m)
 
+    monkeypatch.setattr(polygon, "linear_an_algebra", algebra)
     for home in (character, polygon):
         monkeypatch.setattr(home, "cc_value", value)
     monkeypatch.setattr(character, "submodule_classes", classes)
     assert verify_an(4).ok
-    return polygon.linear_an_algebra(4), valued, split
+    [built_algebra] = built
+    return built_algebra, valued, split
 
 
 def test_the_algebra_keeps_only_values(monkeypatch):
@@ -141,6 +143,17 @@ def test_each_module_is_split_into_classes_once(monkeypatch):
     # submodule classes of each distinct module are taken once
     _, valued, split = _spied_verify_a4(monkeypatch)
     assert len(split) == len({m.fingerprint() for m in valued})
+
+
+def test_a_second_run_recomputes_every_value(monkeypatch):
+    # each run builds its own algebra, so no value of the first run is
+    # read by the second: both take the submodule classes of all 17
+    # distinct modules of A4
+    runs = []
+    for _ in range(2):
+        with monkeypatch.context() as patch:
+            runs.append(len(_spied_verify_a4(patch)[2]))
+    assert runs == [17, 17]
 
 
 def test_coindex_is_computed_once_per_module(capsys, data_dir, monkeypatch):
@@ -468,9 +481,10 @@ def _shipped_modules(a4, d4, a4_M, d4_M):
         for i in range(alg.quiver.n):
             mods += [simple(alg, i), projective(alg, i), injective(alg, i)]
     for n in (2, 3, 4):
+        alg = linear_an_algebra(n)
         for lo in range(1, n + 1):
             for hi in range(lo, n + 1):
-                mods.append(interval_module(n, lo, hi))
+                mods.append(interval_module(alg, lo, hi))
     return mods
 
 
@@ -514,5 +528,5 @@ def test_index_additive_on_a4_ses(a4, a4_M):
 
 def test_index_additive_on_interval_ses():
     for n in (2, 3, 4):
-        for sub, total, quot in interval_ses(n):
+        for sub, total, quot in interval_ses(linear_an_algebra(n)):
             assert indices(total) == _added(indices(sub), indices(quot))

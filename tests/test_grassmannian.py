@@ -104,9 +104,8 @@ def _brute_count_f2(m, e):
 
 
 def test_brute_force_agreement_f2(a4_M, d4_M):
-    sum_mod = direct_sum(
-        interval_module(3, 1, 2), simple(interval_module(3, 1, 1).algebra, 2)
-    )
+    an3 = linear_an_algebra(3)
+    sum_mod = direct_sum(interval_module(an3, 1, 2), simple(an3, 2))
     for m in (a4_M, d4_M, sum_mod):
         for e in product(*[range(d + 1) for d in m.dims]):
             assert _points(m, e, 2) == _brute_count_f2(m, e)
@@ -159,7 +158,7 @@ def test_submodule_classes_worked_instances(a4_M, d4_M):
 
 
 def test_interval_submodules_are_suffixes():
-    m = interval_module(4, 2, 4)
+    m = interval_module(linear_an_algebra(4), 2, 4)
     expected = []
     for c in (5, 4, 3, 2):  # suffix [c, 4], with c = 5 the zero class
         expected.append(tuple(1 if c <= v <= 4 else 0 for v in range(1, 5)))
@@ -228,7 +227,7 @@ def test_counting_polynomial_checks_e_first(a4_M):
 def test_non_integer_dim_vector_rejected(fn, e):
     # no coercion: (0.9, 1.2) is not read as e = (0, 1)
     with pytest.raises(InputError, match="must be integers"):
-        fn(interval_module(2, 1, 2), e)
+        fn(interval_module(linear_an_algebra(2), 1, 2), e)
 
 
 def test_budget_cap(monkeypatch):
@@ -524,9 +523,10 @@ def test_a_cycle_is_refused():
 
 def test_interval_modules_take_the_route():
     # every interval module of A5: a path of basis vectors, one per vertex
+    an5 = linear_an_algebra(5)
     for lo in range(1, 6):
         for hi in range(lo, 6):
-            m = interval_module(5, lo, hi)
+            m = interval_module(an5, lo, hi)
             assert _fixed_point_classes(m) == _counted_classes(m)
 
 

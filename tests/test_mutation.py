@@ -23,7 +23,7 @@ from clusterchar.mutation import (
     mutate_seed,
     quiver_to_matrix,
 )
-from clusterchar.polygon import linear_an_matrix
+from clusterchar.polygon import linear_an_algebra
 from clusterchar.quiver import make_quiver
 
 A2 = ((0, 1), (-1, 0))
@@ -34,7 +34,7 @@ def test_matrix_mutation_rank2():
 
 
 def test_matrix_mutation_a3_middle():
-    b = linear_an_matrix(3)
+    b = quiver_to_matrix(linear_an_algebra(3).quiver)
     mutated = mutate_matrix(b, 1)
     # arrows at the middle vertex reverse and the composite 1 -> 3 appears
     assert mutated == (
@@ -100,7 +100,7 @@ def test_seed_mutation_a2_steps():
 
 
 def test_seed_mutation_involution():
-    s = initial_seed(linear_an_matrix(3))
+    s = initial_seed(quiver_to_matrix(linear_an_algebra(3).quiver))
     for k in range(3):
         assert mutate_seed(mutate_seed(s, k), k) == s
     deep = mutate_seed(mutate_seed(s, 0), 1)
@@ -121,7 +121,8 @@ def test_enumerate_a2_exact_set():
 
 @pytest.mark.parametrize("n,count", [(2, 5), (3, 9), (4, 14)])
 def test_enumerate_linear_counts(n, count):
-    assert len(enumerate_cluster_variables(linear_an_matrix(n))) == count
+    b = quiver_to_matrix(linear_an_algebra(n).quiver)
+    assert len(enumerate_cluster_variables(b)) == count
     assert count == n * (n + 3) // 2
 
 
@@ -150,11 +151,11 @@ def _type_e(n):
 # (matrix, cluster variables, clusters); the clusters of A_n are counted
 # by the Catalan number C_{n+1}.
 FINITE_TYPE_COUNTS = {
-    "A2": (linear_an_matrix(2), 5, 5),
-    "A3": (linear_an_matrix(3), 9, 14),
-    "A4": (linear_an_matrix(4), 14, 42),
-    "A5": (linear_an_matrix(5), 20, 132),
-    "A6": (linear_an_matrix(6), 27, 429),
+    "A2": (quiver_to_matrix(linear_an_algebra(2).quiver), 5, 5),
+    "A3": (quiver_to_matrix(linear_an_algebra(3).quiver), 9, 14),
+    "A4": (quiver_to_matrix(linear_an_algebra(4).quiver), 14, 42),
+    "A5": (quiver_to_matrix(linear_an_algebra(5).quiver), 20, 132),
+    "A6": (quiver_to_matrix(linear_an_algebra(6).quiver), 27, 429),
     "D4": (_type_d(4), 16, 50),
     "D5": (_type_d(5), 25, 182),
     "D6": (_type_d(6), 36, 672),
@@ -434,7 +435,7 @@ def test_division_error_reaches_the_cli(monkeypatch, capsys, data_dir):
     # A4 closes at 4 * 42 + 1 seeds and then makes its 10 divisions
     calls = _divide_faulty_on_fifth_call(monkeypatch)
     with pytest.raises(LaurentDivisionError, match="coefficient obstruction"):
-        enumerate_cluster_variables(linear_an_matrix(4))
+        enumerate_cluster_variables(quiver_to_matrix(linear_an_algebra(4).quiver))
     assert len(calls) == 5
     calls.clear()
     assert cli.run(["enumerate", str(data_dir / "an4.mat")]) == 3
@@ -447,8 +448,9 @@ def test_cap_error_takes_precedence_over_a_division_error(monkeypatch, capsys, d
     # below closure the search stops before the first division, so the
     # cap is what is reported
     calls = _divide_faulty_on_fifth_call(monkeypatch)
+    b = quiver_to_matrix(linear_an_algebra(4).quiver)
     with pytest.raises(NotFiniteTypeError, match=_cap_message(168)):
-        enumerate_cluster_variables(linear_an_matrix(4), seed_cap=168)
+        enumerate_cluster_variables(b, seed_cap=168)
     assert cli.run(["enumerate", str(data_dir / "an4.mat"), "--max-seeds", "168"]) == 3
     out, err = capsys.readouterr()
     assert (out, err) == ("", "error: not finite within cap: more than 168 seeds\n")
@@ -574,7 +576,7 @@ def test_mixed_sign_c_vector_raises(monkeypatch):
 
     monkeypatch.setattr(mutation, "mutate_matrix", corrupted)
     with pytest.raises(ConsistencyError, match=NOT_DUAL):
-        enumerate_cluster_variables(linear_an_matrix(3))
+        enumerate_cluster_variables(quiver_to_matrix(linear_an_algebra(3).quiver))
 
 
 def test_g_vectors_off_a_basis_raise(monkeypatch):
@@ -599,7 +601,7 @@ def test_repeated_g_vector_raises(monkeypatch):
 
 def test_g_vector_checks_sign_coherence():
     # A3 with c-vector 0 = (1, 0, -1), then with C = 0
-    m = linear_an_matrix(3) + ((1, 0, 0), (0, 1, 0), (-1, 0, 1))
+    m = quiver_to_matrix(linear_an_algebra(3).quiver) + ((1, 0, 0), (0, 1, 0), (-1, 0, 1))
     unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     with pytest.raises(ConsistencyError, match="not sign-coherent"):
         mutation._g_vector(unit, m, 0)
@@ -625,7 +627,7 @@ def test_corrupted_exchange_matrix_raises(monkeypatch, n):
 
     monkeypatch.setattr(mutation, "mutate_matrix", corrupted)
     with pytest.raises(ConsistencyError, match="G B and B0 C differ in column"):
-        enumerate_cluster_variables(linear_an_matrix(n))
+        enumerate_cluster_variables(quiver_to_matrix(linear_an_algebra(n).quiver))
 
 
 def _assert_dual(b0, gs, m):
@@ -668,7 +670,7 @@ def test_tropical_duality_along_mutation_paths(b0, path):
 
 
 def test_variable_count_is_mutation_invariant():
-    b = linear_an_matrix(3)
+    b = quiver_to_matrix(linear_an_algebra(3).quiver)
     base = len(enumerate_cluster_variables(b))
     for k in range(3):
         assert len(enumerate_cluster_variables(mutate_matrix(b, k))) == base

@@ -150,7 +150,8 @@ def test_xvalue_counts_no_points_of_a_conjugated_interval_sum(
     # M[1,3] + M[1,2] + M[2,3] over linear A3, conjugated off the
     # fixed-point route: the character splits it into intervals and
     # sweeps nothing, while `grassmannian` still counts the whole module
-    intervals = [interval_module(3, 1, 3), interval_module(3, 1, 2), interval_module(3, 2, 3)]
+    an3 = linear_an_algebra(3)
+    intervals = [interval_module(an3, 1, 3), interval_module(an3, 1, 2), interval_module(an3, 2, 3)]
     plain = direct_sum(direct_sum(*intervals[:2]), intervals[2])
     m = conjugate(plain, random.Random(3))
     assert _fixed_point_classes(plain) is not None

@@ -3,7 +3,7 @@ import pytest
 from clusterchar.character import cc_value
 from clusterchar.errors import InputError
 from clusterchar.laurent import variable
-from clusterchar.mutation import initial_seed, mutate_seed
+from clusterchar.mutation import initial_seed, mutate_seed, quiver_to_matrix
 from clusterchar.polygon import (
     Arc,
     all_arcs,
@@ -12,7 +12,6 @@ from clusterchar.polygon import (
     interval_module,
     interval_ses,
     linear_an_algebra,
-    linear_an_matrix,
     smoothings,
     verify_an,
 )
@@ -33,23 +32,43 @@ def test_arcs_print_and_order_as_pairs():
 
 
 def test_arc_to_object_conventions():
-    obj = arc_to_object(4, Arc(1, 6))
+    a4 = linear_an_algebra(4)
+    obj = arc_to_object(a4, Arc(1, 6))
     assert not any(obj.module_part.dims)
     assert obj.shift_multiplicities == (1, 0, 0, 0)
 
-    s1 = arc_to_object(4, Arc(0, 2))
+    s1 = arc_to_object(a4, Arc(0, 2))
     assert s1.module_part.dims == (1, 0, 0, 0)
     assert s1.shift_multiplicities == (0, 0, 0, 0)
 
-    sincere = arc_to_object(4, Arc(0, 5))
+    sincere = arc_to_object(a4, Arc(0, 5))
     assert sincere.module_part.dims == (1, 1, 1, 1)
 
 
 def test_arc_validation():
+    a4 = linear_an_algebra(4)
     with pytest.raises(InputError):
-        arc_to_object(4, Arc(0, 1))  # boundary edge
+        arc_to_object(a4, Arc(0, 1))  # boundary edge
     with pytest.raises(InputError):
-        arc_to_object(4, Arc(0, 6))  # boundary edge through the last corner
+        arc_to_object(a4, Arc(0, 6))  # boundary edge through the last corner
+
+
+@pytest.mark.parametrize("build", [
+    lambda: verify_an(3.0),
+    lambda: verify_an(True),
+    lambda: all_arcs(3.0),
+    lambda: linear_an_algebra(3.0),
+    lambda: interval_module(linear_an_algebra(3), 1.0, 2),
+    lambda: interval_module(linear_an_algebra(3), True, 2),
+    lambda: arc_to_object(linear_an_algebra(3), Arc(0.0, 2)),
+    lambda: arc_to_object(linear_an_algebra(3), Arc(True, 3)),
+], ids=["verify_an-float", "verify_an-bool", "all_arcs-float", "linear_an_algebra-float",
+        "interval_module-float", "interval_module-bool", "arc_to_object-float",
+        "arc_to_object-bool"])
+def test_builders_refuse_arguments_that_are_not_int(build):
+    # True would pass a range test as 1, and a float would reach range()
+    with pytest.raises(InputError):
+        build()
 
 
 def test_crossing_examples():
@@ -60,24 +79,25 @@ def test_crossing_examples():
 
 
 def test_smoothing_example_n4():
-    first, second = smoothings(4, Arc(0, 2), Arc(1, 4))
+    a4 = linear_an_algebra(4)
+    first, second = smoothings(a4, Arc(0, 2), Arc(1, 4))
     # {0,1} and {1,2} are boundary edges and contribute nothing
     assert first.module_part.dims == (0, 0, 1, 0)  # S_3 from {2,4}
     assert first.shift_multiplicities == (0, 0, 0, 0)
     assert second.module_part.dims == (1, 1, 1, 0)  # M[1,3] from {0,4}
-    swapped = smoothings(4, Arc(1, 4), Arc(0, 2))
+    swapped = smoothings(a4, Arc(1, 4), Arc(0, 2))
     assert swapped[0].module_part.dims == first.module_part.dims
     assert swapped[1].module_part.dims == second.module_part.dims
 
 
 def test_smoothing_example_pentagon():
-    first, second = smoothings(2, Arc(0, 2), Arc(1, 3))
+    first, second = smoothings(linear_an_algebra(2), Arc(0, 2), Arc(1, 3))
     assert not any(first.module_part.dims) and first.shift_multiplicities == (0, 0)
     assert second.module_part.dims == (1, 1)
 
 
 def test_smoothing_with_shift_sides():
-    first, second = smoothings(3, Arc(0, 4), Arc(2, 5))
+    first, second = smoothings(linear_an_algebra(3), Arc(0, 4), Arc(2, 5))
     # {4,5} is a boundary edge; {0,5} is a shift arc at vertex... no: j=5=n+2
     assert second.shift_multiplicities[1] == 0
     # the pair ({0,2}, {4,5}) and ({0,5}, {2,4})
@@ -87,27 +107,29 @@ def test_smoothing_with_shift_sides():
 
 def test_smoothing_requires_crossing():
     with pytest.raises(InputError):
-        smoothings(4, Arc(0, 2), Arc(2, 4))
+        smoothings(linear_an_algebra(4), Arc(0, 2), Arc(2, 4))
 
 
 def test_fan_arcs_give_initial_cluster():
     n = 4
+    algebra = linear_an_algebra(n)
     for i in range(1, n + 1):
-        obj = arc_to_object(n, Arc(i, n + 2))
+        obj = arc_to_object(algebra, Arc(i, n + 2))
         assert cc_value(obj) == variable(n, i - 1)
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_flip_of_fan_arc_matches_seed_mutation(n):
-    seed = initial_seed(linear_an_matrix(n))
+    algebra = linear_an_algebra(n)
+    seed = initial_seed(quiver_to_matrix(algebra.quiver))
     for k in range(1, n + 1):
         flipped = Arc(k - 1, k + 1)  # flip of {k, n+2} in the fan
-        value = cc_value(arc_to_object(n, flipped))
+        value = cc_value(arc_to_object(algebra, flipped))
         assert value == mutate_seed(seed, k - 1).variables[k - 1]
 
 
 def test_interval_ses_shapes():
-    triples = list(interval_ses(3))
+    triples = list(interval_ses(linear_an_algebra(3)))
     assert all(
         tuple(s + q for s, q in zip(sub.dims, quot.dims)) == total.dims
         for sub, total, quot in triples
@@ -161,7 +183,7 @@ def test_crossing_pair_count_matches_four_subsets():
 
 
 def test_interval_module_values_match_suffix_rule():
-    m = interval_module(3, 1, 2)
     algebra = linear_an_algebra(3)
+    m = interval_module(algebra, 1, 2)
     assert m.algebra is algebra
     assert m.dims == (1, 1, 0)
