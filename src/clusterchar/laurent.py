@@ -62,10 +62,6 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         _check_compatible(self, other)
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
         acc = dict(self.terms)
         get = acc.get
         for e, c in other.terms:
@@ -95,9 +91,6 @@ class LaurentPoly:
         for _ in range(n):
             acc = acc * self
         return acc
-
-    def __str__(self) -> str:
-        return laurent_render(self)
 
 
 def _check_compatible(p: LaurentPoly, q: LaurentPoly) -> None:

@@ -35,12 +35,6 @@ def normalize(x: Scalar) -> Scalar:
     raise DimensionError("non-exact scalar %r" % (x,))
 
 
-def div(a: Scalar, b: Scalar) -> Scalar:
-    if type(a) is int and type(b) is int and b and a % b == 0:
-        return a // b
-    return normalize(Fraction(a) / Fraction(b))
-
-
 class Matrix(namedtuple("Matrix", "rows cols entries")):
     """Row-major dense matrix over Q."""
 

@@ -7,10 +7,11 @@ This one convention is used everywhere and is calibrated against known
 submodule lists in the test suite.
 
 Hom spaces are solved exactly over Q as intertwiner systems; the one
-for End(m) also gives the endomorphisms by which `fitting_parts` splits
-m in two (im phi^N and ker phi^N), one level at a time: `grassmannian`
-tries a split after the torus fixed points and before point counting,
-and splits a part again only where the fixed points do not answer it.
+for End(m) also gives the candidates phi (a basis and its shifts by
+rational eigenvalues) by which `fitting_parts` splits m in two (im
+phi^N and ker phi^N), one level at a time: `grassmannian` tries a split
+after the torus fixed points and before point counting, and splits a
+part again only where the fixed points do not answer it.
 The Euler form <m, n> = dim Hom - dim Ext^1 is one rank, of the map the
 relations induce between Hom spaces (`euler_form`), and Ext^1 is
 dim Hom(m, n) - <m, n>: the intertwiner system is the only Hom solver,
@@ -227,12 +228,12 @@ def fitting_parts(m: Representation) -> tuple[Representation, Representation] | 
     vertex j); the split is proper when phi is neither nilpotent nor
     invertible.  The candidates are a basis of End(m), the kernel of the
     intertwiner system, and then phi - lambda for each rational
-    eigenvalue lambda of a basis element phi with more than one
-    eigenvalue.  The parts are in the basis [im | ker]
-    (`_fitting_parts`), so their entries may be rational; a caller that
-    wants every summand splits each part again.  None comes back for an
-    indecomposable m, whose local endomorphism ring holds no such phi,
-    but not only for one: Krull-Schmidt completeness is not claimed.
+    eigenvalue lambda of a basis element phi.  The parts are in the
+    basis [im | ker] (`_fitting_parts`), so their entries may be
+    rational; a caller that wants every summand splits each part again.
+    None comes back for an indecomposable m, whose local endomorphism
+    ring holds no such phi, but not only for one: Krull-Schmidt
+    completeness is not claimed.
     """
     system, offsets = _intertwiner_system(m, m)
     red, pivots = linalg.row_reduce(system.to_lists(), system.cols)
@@ -249,18 +250,11 @@ def fitting_parts(m: Representation) -> tuple[Representation, Representation] | 
 
 def _split_candidates(endos):
     """The basis of End(m), then phi - lambda for each rational eigenvalue
-    lambda of each basis element phi.
-
-    A phi with a single eigenvalue, which is then tr phi / dim m, leaves
-    phi - lambda nilpotent, so it is skipped before its eigenvalues are
-    sought (a brick's one basis element is the identity).
+    lambda of each basis element phi; where phi has one eigenvalue,
+    `_fitting_parts` refuses the nilpotent phi - lambda.
     """
     yield from endos
     for phi in endos:
-        trace = sum(a.entry(k, k) for a in phi for k in range(a.rows))
-        mean = linalg.div(trace, sum(a.rows for a in phi))
-        if all(not any(_stable_power(a).entries) for a in _shifted(phi, mean)):
-            continue
         for lam in sorted({x for a in phi for x in linalg.rational_eigenvalues(a)}):
             yield _shifted(phi, lam)
 

@@ -170,8 +170,6 @@ def enumerate_cluster_variables(
         raise InputError("seed cap must be at least 1, got %d" % seed_cap)
     b = check_exchange_matrix(b)
     n = len(b)
-    if n == 0:
-        return frozenset()
     if _infinite_type(b):
         raise _cap_exceeded(seed_cap)
     unit = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))

@@ -4,7 +4,8 @@ An `AlgebraPresentation` carries a quiver, a set of relations, and a
 computed linear basis of the quotient of the path algebra by the ideal
 generated by the relations.  Every relation is homogeneous in (source,
 target, length), so the ideal is graded by length and the basis is found
-one length at a time; the first length contributing nothing to the
+one length at a time, a path that the ideal holds as a monomial going to
+0 without elimination; the first length contributing nothing to the
 quotient is the nilpotency bound, and a growth cap turns an algebra that
 is not finite-dimensional into a loud error.  Every algebra reduces its
 own relations, once; its projectives and injectives read that basis.
@@ -126,8 +127,11 @@ def _reduce_paths(q: Quiver, relations: tuple[Relation, ...]):
     and the arrow multiples, on either side, of the echelon rows kept
     from length L - 1.  Each (source, target) block of length-L paths is
     row-reduced once: a free (non-pivot) path maps to itself, a pivot
-    path to minus the free part of its row.  The climb ends at the first
-    length with no free path once every relation has entered.
+    path to minus the free part of its row.  A monomial row is a unit
+    pivot, so its path maps to 0 and only the other rows are reduced,
+    over the other paths; the reduced echelon form is unique, so this
+    gives the same table as reducing the whole block.  The climb ends at
+    the first length with no free path once every relation has entered.
     """
     _validate_relations(q, relations)
     arrows_from: dict[int, list[int]] = {i: [] for i in range(q.n)}
@@ -175,8 +179,14 @@ def _reduce_paths(q: Quiver, relations: tuple[Relation, ...]):
             blocks[p.source, path_target(q, p)][1].append(vec)
         echelon, added = [], 0
         for ps, vecs in blocks.values():
+            zero = {p for vec in vecs if len(vec) == 1 for p in vec}
+            for p in ps:
+                if p in zero:
+                    table[p] = {}
+                    echelon.append({p: 1})
+            ps = [p for p in ps if p not in zero]
             red, pivots = linalg.row_reduce(
-                [[vec.get(p, 0) for p in ps] for vec in vecs], len(ps)
+                [[vec.get(p, 0) for p in ps] for vec in vecs if len(vec) > 1], len(ps)
             )
             pivot_set = set(pivots)
             free = [j for j in range(len(ps)) if j not in pivot_set]

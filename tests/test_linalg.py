@@ -173,13 +173,6 @@ def test_mat_mul_matches_the_definition(ab):
     assert [(type(x), x) for x in got.entries] == [(type(x), x) for x in want.entries]
 
 
-@given(st.integers(-12, 12), st.integers(-12, 12).filter(bool))
-def test_div_is_exact(a, b):
-    q = linalg.div(a, b)
-    assert q == Fraction(a, b)
-    assert type(q) is (int if a % b == 0 else Fraction)
-
-
 @st.composite
 def square_matrices(draw):
     n = draw(st.integers(0, 4))

@@ -1,5 +1,6 @@
 import ast
 import re
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -609,7 +610,7 @@ def _regular_simples(summands):
     """The points b/a of summands of dimension (1, 1) over the Kronecker quiver."""
     assert [s.dims for s in summands] == [(1, 1)] * len(summands)
     return sorted(
-        linalg.div(s.matrices["b"].entry(0, 0), s.matrices["a"].entry(0, 0))
+        Fraction(s.matrices["b"].entry(0, 0)) / s.matrices["a"].entry(0, 0)
         for s in summands
     )
 

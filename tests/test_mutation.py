@@ -126,6 +126,12 @@ def test_enumerate_linear_counts(n, count):
     assert count == n * (n + 3) // 2
 
 
+@pytest.mark.parametrize("seed_cap", [mutation.DEFAULT_SEED_CAP, 1])
+def test_enumerate_rank_zero(seed_cap):
+    # the initial seed is the only one visited: it has no direction to mutate in
+    assert enumerate_cluster_variables((), seed_cap) == frozenset()
+
+
 def test_enumerate_cap():
     kronecker = ((0, 2), (-2, 0))
     with pytest.raises(NotFiniteTypeError, match="not finite within cap"):

@@ -6,6 +6,7 @@ from clusterchar.laurent import variable
 from clusterchar.mutation import initial_seed, mutate_seed, quiver_to_matrix
 from clusterchar.polygon import (
     Arc,
+    _cluster_ext1,
     all_arcs,
     arc_to_object,
     crossing,
@@ -76,6 +77,17 @@ def test_crossing_examples():
     assert not crossing(Arc(0, 2), Arc(2, 4))  # shared endpoint
     assert not crossing(Arc(0, 2), Arc(3, 5))  # disjoint
     assert crossing(Arc(1, 4), Arc(0, 2))  # symmetric
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cluster_ext1_is_symmetric_and_counts_crossings(n):
+    # Ext^1_C(x, y) and Ext^1_C(y, x) are dual (2-Calabi-Yau); two shifts
+    # share the corner n + 2, so they neither cross nor extend
+    algebra = linear_an_algebra(n)
+    objects = {a: arc_to_object(algebra, a) for a in all_arcs(n)}
+    for a, x in objects.items():
+        for b, y in objects.items():
+            assert _cluster_ext1(x, y) == _cluster_ext1(y, x) == int(crossing(a, b))
 
 
 def test_smoothing_example_n4():
