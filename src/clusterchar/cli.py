@@ -8,8 +8,8 @@ mathematical consistency violations and exhausted resource caps.
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from . import laurent
 from .character import CCObject, cc_value, verify_triangle
@@ -221,15 +221,17 @@ _COMMANDS = {
 }
 
 
-def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+def _add_arguments(parser, name: str) -> None:
     _, func, arguments = _COMMANDS[name]
     for names, options in arguments:
         parser.add_argument(*names, **options)
     parser.set_defaults(func=func)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     """The argument parser with every subcommand."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="clusterchar",
         description="cluster characters over quiver algebras, with oracles",
@@ -240,16 +242,70 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, building one parser, not ten.
+def _plain_args(argv):
+    """The namespace ``build_parser().parse_args(argv)`` gives for a plain
+    ``argv``, read straight from `_COMMANDS`; None for any other.
+
+    Plain is a subcommand's name, then its positionals and its options in
+    any order: each option by its exact name and at most once, followed
+    by its value; no positional or value starts with ``-``; every
+    positional and required option is there, and every value passes its
+    ``type`` and ``choices``.  Help, ``--``, ``=``-joined or abbreviated
+    options, values such as ``-1`` and every error are argparse's.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, arguments = _COMMANDS[argv[0]]
+    positionals, options = [], {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        value = next(tokens, "-")  # an option last in argv has no value
+        if token in options or value.startswith("-"):
+            return None
+        options[token] = value
+    texts = iter(positionals)
+    values = {"command": argv[0], "func": func}
+    for (name,), spec in arguments:
+        optional = name.startswith("-")
+        text = options.pop(name, None) if optional else next(texts, None)
+        dest = name.lstrip("-").replace("-", "_")
+        if text is None:
+            if not optional or spec.get("required"):
+                return None
+            values[dest] = spec.get("default")
+            continue
+        try:
+            value = spec.get("type", str)(text)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[dest] = value
+    if options or next(texts, None) is not None:
+        return None
+    return SimpleNamespace(**values)
+
+
+def parse_args(argv):
+    """``build_parser().parse_args(argv)``, building no parser for a
+    plain ``argv`` (`_plain_args`) and one, not ten, for most others.
 
     A call naming a subcommand parses the rest of ``argv`` with that
     subcommand's parser alone, which is what the full parser hands it:
     help, missing arguments and bad values are that parser's to report.
     Only arguments left over, and an ``argv`` without a subcommand, take
-    the full parser, whose usage line lists every subcommand.
+    the full parser, whose usage line lists every subcommand.  argparse
+    is imported only off the plain path.
     """
     argv = list(argv)
+    args = _plain_args(argv)
+    if args is not None:
+        return args
+    import argparse
+
     if argv and argv[0] in _COMMANDS:
         parser = argparse.ArgumentParser(prog="clusterchar " + argv[0])
         _add_arguments(parser, argv[0])

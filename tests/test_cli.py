@@ -2,10 +2,16 @@ import argparse
 import contextlib
 import importlib
 import io
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterchar import cli, forms, grassmannian, modules, polygon
 from clusterchar.cli import run
@@ -723,9 +729,50 @@ def _argv_shapes(command):
         shapes += [
             valid + [opt], valid + [opt + "=1"], valid + [opt, "1", opt, "2"],
             valid + [opt[:-1], "1"], valid + [opt, "x"], valid + [opt, "+1"],
-            valid + [opt, "1_0"], valid + [opt, "-1"],
+            valid + [opt, "1_0"], valid + [opt, "-1"], valid + [opt, "x", opt, "1"],
         ]
     return shapes
+
+
+def _argument_units(command):
+    """``command``'s arguments, each a valid positional or an option with
+    a valid value, in table order."""
+    return [
+        [name, "3"] if name.startswith("-") else ["check" if name == "action" else "f_" + name]
+        for (name,), _ in cli._COMMANDS[command][2]
+    ]
+
+
+_OPTIONS = sorted({
+    names[0] for _, _, arguments in cli._COMMANDS.values()
+    for names, _ in arguments if names[0].startswith("-")
+})
+_WORDS = sorted(cli._COMMANDS) + ["", "1", "+1", "1_0", "check", "a.alg", "m.mod"]
+_DASHED = (
+    _OPTIONS + [opt[:-1] for opt in _OPTIONS] + [opt + "=1" for opt in _OPTIONS]
+    + ["-h", "--help", "--", "-", "-1"]
+)
+
+
+@st.composite
+def _argvs(draw):
+    """Tokens in any order; mostly a subcommand's name, then its own
+    arguments shuffled, some dropped or given another token, among stray
+    tokens and options (its own ones repeated) with odd values."""
+    tokens = st.one_of(st.sampled_from(_WORDS), st.sampled_from(_DASHED))
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.lists(tokens, max_size=8))
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    units = [
+        [draw(tokens) if draw(st.integers(0, 4)) == 4 else token for token in unit]
+        for unit in _argument_units(command) if draw(st.integers(0, 4)) < 4
+    ]
+    own = [unit[0] for unit in _argument_units(command) if unit[0].startswith("-")]
+    units += draw(st.lists(st.one_of(
+        tokens.map(lambda token: [token]),
+        st.tuples(st.sampled_from(own or _OPTIONS), tokens).map(list),
+    ), max_size=3))
+    return [command] + [token for unit in draw(st.permutations(units)) for token in unit]
 
 
 def _full_parse(argv):
@@ -750,7 +797,25 @@ def test_a_call_without_a_subcommand_parses_as_the_full_parser(monkeypatch):
             assert _parse(cli.parse_args, argv) == _parse(_full_parse, argv), (columns, argv)
 
 
-def test_a_parsing_call_builds_one_parser(monkeypatch):
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+def test_plain_argv_parses_as_the_full_parser(argv):
+    # the plain path takes only what argparse takes alike; the rest reaches
+    # argparse, whose usage lines wrap with the terminal width
+    for columns in ("80", "200"):
+        with mock.patch.dict(os.environ, {"COLUMNS": columns}):
+            assert _parse(cli.parse_args, argv) == _parse(_full_parse, argv), (columns, argv)
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_plain_path_takes_every_subcommand(command):
+    argv = [command] + [token for unit in _argument_units(command) for token in unit]
+    plain = cli._plain_args(argv)
+    assert plain is not None
+    assert vars(plain) == vars(_full_parse(argv))
+
+
+def test_a_plain_call_builds_no_parser(monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -760,7 +825,11 @@ def test_a_parsing_call_builds_one_parser(monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     args = cli.parse_args(["xvalue", "a.alg", "m.mod", "--shifts", "1"])
-    assert (args.command, args.shifts, built) == ("xvalue", "1", ["clusterchar xvalue"])
+    assert (args.command, args.shifts, built) == ("xvalue", "1", [])
+    # help and errors take the subcommand's parser alone
+    for argv, code in ((["xvalue", "-h"], 0), (["verify-an", "--n", "x"], 2)):
+        built.clear()
+        assert (_parse(cli.parse_args, argv)[0], built) == (code, ["clusterchar " + argv[0]])
 
 
 def test_extra_arguments_show_every_subcommand(capsys, data_dir):
@@ -774,9 +843,6 @@ def test_extra_arguments_show_every_subcommand(capsys, data_dir):
 
 
 def test_entry_point_module(data_dir):
-    import subprocess
-    import sys
-
     proc = subprocess.run(
         [sys.executable, "-m", "clusterchar.cli", "form-matrix", str(data_dir / "a4.alg")],
         capture_output=True,
@@ -786,20 +852,35 @@ def test_entry_point_module(data_dir):
     assert proc.stdout.splitlines()[0] == "0 1 0 0"
 
 
-def test_cli_imports_without_dataclasses():
-    # every call starts a process, so start-up is part of every call's
-    # cost; -S keeps modules that a site .pth file would load out of view
-    import os
-    import subprocess
-    import sys
-
+def _python_S(code, *args):
+    """Exit code, stdout and stderr of ``python -S -c code args``; -S keeps
+    modules that a site .pth file would load out of view."""
     proc = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import sys, clusterchar.cli; "
-         "print(sorted({'ast', 'dataclasses', 'inspect'} & set(sys.modules)))"],
+        [sys.executable, "-S", "-c", code, *args],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_cli_imports_without_dataclasses():
+    # every call starts a process, so start-up is part of every call's cost
+    assert _python_S(
+        "import sys, clusterchar.cli; print(sorted("
+        "{'argparse', 'ast', 'dataclasses', 'gettext', 'inspect'} & set(sys.modules)))"
+    ) == (0, "[]\n", "")
+
+
+def test_argparse_is_imported_only_off_the_plain_path(data_dir):
+    assert _python_S(
+        "import contextlib, io, sys\n"
+        "from clusterchar import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.run(['form-matrix', sys.argv[1]])]\n"
+        "    seen = ['argparse' in sys.modules]\n"
+        "    codes.append(cli.run(['xvalue', '-h']))\n"
+        "print(codes, seen + ['argparse' in sys.modules])",
+        str(data_dir / "a4.alg"),
+    ) == (0, "[0, 0] [False, True]\n", "")
 
 
 def test_console_script_targets_import():
